@@ -38,7 +38,7 @@ int usage(const char* argv0) {
       "unix:<path>)\n"
       "          [--scenario <spec>] [--seed N] [--rng N]\n"
       "          [--recv-timeout-ms N] [--chunk-size N]\n"
-      "          [--reservoir] [--refill-batch N]\n"
+      "          [--reservoir]\n"
       "          <command>...\n"
       "commands:\n"
       "  classify [--count N]   classify N held-out samples (default 4)\n"
@@ -47,9 +47,9 @@ int usage(const char* argv0) {
       "With several --connect addresses, classify shards its batch across\n"
       "the replicas (chunks of --chunk-size) and fails over on busy frames\n"
       "or dead daemons; labels are identical to a single-daemon run.\n"
-      "--reservoir and --refill-batch are local tuning knobs (equivalent to\n"
-      "the :reservoir / :refill=<n> scenario tokens): the handshake digest\n"
-      "excludes them, so they never have to match the daemon's.\n",
+      "--reservoir is a local tuning knob (equivalent to the :reservoir\n"
+      "scenario token): the handshake digest excludes it, so it never has\n"
+      "to match the daemon's.\n",
       argv0);
   return 2;
 }
@@ -112,8 +112,7 @@ int main(int argc, char** argv) {
   std::uint64_t rng_seed = 42;
   std::chrono::milliseconds recv_timeout{30000};
   bool reservoir = false;
-  std::size_t refill_batch = 0;  // 0 = scenario/SchemeConfig default
-  std::size_t chunk_size = 8;    // fleet mode: queries per sharded session
+  std::size_t chunk_size = 8;  // fleet mode: queries per sharded session
 
   struct Command {
     std::string kind;
@@ -143,12 +142,6 @@ int main(int argc, char** argv) {
           std::chrono::milliseconds(std::strtoll(next(), nullptr, 10));
     } else if (arg == "--reservoir") {
       reservoir = true;
-    } else if (arg == "--refill-batch") {
-      refill_batch = std::strtoull(next(), nullptr, 10);
-      if (refill_batch == 0) {
-        std::fprintf(stderr, "ppds-cli: --refill-batch must be >= 1\n");
-        return 2;
-      }
     } else if (arg == "--chunk-size") {
       chunk_size = std::strtoull(next(), nullptr, 10);
       if (chunk_size == 0) {
@@ -172,10 +165,9 @@ int main(int argc, char** argv) {
 
   try {
     server::Scenario scenario = server::Scenario::make(scenario_text, seed);
-    // CLI flags override the (digest-excluded) local tuning knobs; the
-    // scenario text itself may also carry :reservoir / :refill=<n>.
+    // The flag overrides the (digest-excluded) local tuning knob; the
+    // scenario text itself may also carry :reservoir.
     if (reservoir) scenario.config.reservoir = true;
-    if (refill_batch != 0) scenario.config.refill_batch = refill_batch;
     Rng rng(rng_seed);
 
     const std::vector<net::SocketAddress> addresses = parse_connect(connect);

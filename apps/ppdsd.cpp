@@ -34,20 +34,20 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [--listen tcp:<host>:<port>|unix:<path>]\n"
       "          [--scenario <dataset>[:linear|:poly][:fast|:precomputed|"
-      ":silent|:secure][:reservoir][:refill=<n>]]\n"
+      ":silent|:secure][:reservoir]]\n"
       "          [--seed N] [--workers N] [--idle-timeout-ms N]\n"
       "          [--recv-timeout-ms N] [--max-queries N]\n"
       "          [--max-connections N] [--accept-rate N] [--accept-burst N]\n"
       "          [--max-ready N] [--drain-grace-ms N]\n"
-      "          [--reservoir] [--refill-batch N]\n"
+      "          [--reservoir]\n"
       "--max-connections / --accept-rate bound admission: connections past\n"
       "the live cap or the accept-per-second token bucket are answered with\n"
       "a structured busy frame (reason + retry-after) instead of an RST,\n"
       "and a kHealth probe (ppds-cli health) reports the shed counters.\n"
-      "--reservoir / --refill-batch are local tuning knobs (same as the\n"
-      ":reservoir / :refill=<n> scenario tokens, digest-excluded): the\n"
-      "daemon runs a shared background pad-refill thread so parked silent\n"
-      "connections wake to pre-filled OT pools.\n",
+      "--reservoir is a local tuning knob (same as the :reservoir scenario\n"
+      "token, digest-excluded): the daemon runs a shared background\n"
+      "pad-refill thread so parked silent connections wake to pre-filled\n"
+      "OT pools.\n",
       argv0);
   return 2;
 }
@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
   std::string scenario_text = "diabetes:linear:fast";
   std::uint64_t seed = 1;
   bool reservoir = false;
-  std::size_t refill_batch = 0;  // 0 = scenario/SchemeConfig default
   server::DaemonOptions options;
 
   for (int i = 1; i < argc; ++i) {
@@ -102,12 +101,6 @@ int main(int argc, char** argv) {
           std::strtoll(next(), nullptr, 10));
     } else if (arg == "--reservoir") {
       reservoir = true;
-    } else if (arg == "--refill-batch") {
-      refill_batch = std::strtoull(next(), nullptr, 10);
-      if (refill_batch == 0) {
-        std::fprintf(stderr, "ppdsd: --refill-batch must be >= 1\n");
-        return 2;
-      }
     } else {
       return usage(argv[0]);
     }
@@ -121,9 +114,8 @@ int main(int argc, char** argv) {
                 scenario_text.c_str(),
                 static_cast<unsigned long long>(seed));
     server::Scenario scenario = server::Scenario::make(scenario_text, seed);
-    // Flags override the (digest-excluded) local knobs from the spec text.
+    // The flag overrides the (digest-excluded) local knob from the spec.
     if (reservoir) scenario.config.reservoir = true;
-    if (refill_batch != 0) scenario.config.refill_batch = refill_batch;
 
     server::Daemon daemon(std::move(scenario), options);
     daemon.start();

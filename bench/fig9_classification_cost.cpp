@@ -13,10 +13,10 @@
 ///    precomputed random polynomials; we print the measured ratio.
 ///
 /// A second section measures the SECURE engine's multi-query throughput:
-/// the sequential baseline (per-query Naor-Pinkas OT, no fixed-base
-/// acceleration — the pre-throughput-engine path) against the batched
-/// engine (amortized offline OT + fixed-base tables + session pool), with
-/// the process-wide exponentiation counters bracketing each run. Results
+/// the sequential baseline (per-query Naor-Pinkas OT) against the batched
+/// engine (amortized offline OT + session pool), all three legs on the
+/// shared fixed-base-tabled group, with the process-wide exponentiation
+/// counters bracketing each run. Results
 /// land in BENCH_classification.json (schema: docs/PERFORMANCE.md).
 ///
 /// A third section probes the OFFLINE phase per pad slot: the PR-2 batched
@@ -96,8 +96,8 @@ bench::Json secure_run_json(const SecureRun& run) {
 
 /// Which secure offline engine a throughput run exercises.
 enum class SecureMode {
-  kSequential,  ///< per-query Naor-Pinkas OT, no fixed-base tables (pre-PR-2)
-  kBatched,     ///< PR-2 amortized DH precompute + fixed-base tables
+  kSequential,  ///< per-query Naor-Pinkas OT
+  kBatched,     ///< amortized DH precompute
   kSilent,      ///< PPRF seed agreement + 16-byte correction staging
 };
 
@@ -119,7 +119,6 @@ SecureRun secure_throughput(std::size_t queries, SecureMode mode) {
   cfg.ompe.k = 2;
   cfg.ot_engine = batched ? core::OtEngine::kPrecomputed
                           : core::OtEngine::kNaorPinkas;
-  cfg.fixed_base_tables = batched;
   cfg.silent_precompute = mode == SecureMode::kSilent;
 
   const core::ClassificationServer server(model, profile, cfg);
@@ -131,11 +130,9 @@ SecureRun secure_throughput(std::size_t queries, SecureMode mode) {
     for (auto& v : s) v = setup_rng.uniform(-1.0, 1.0);
   }
 
-  if (batched) {
-    // The process-wide generator table is built once per group on first use;
-    // steady-state throughput should not bill that one-time cost to this run.
-    (void)crypto::shared_group(cfg.group).pow_g(mpz_class(3));
-  }
+  // The process-wide generator table is built once per group on first use;
+  // steady-state throughput should not bill that one-time cost to this run.
+  (void)crypto::shared_group(cfg.group).pow_g(mpz_class(3));
 
   crypto::reset_exp_counters();
   Stopwatch watch;
@@ -195,7 +192,7 @@ OfflineRaw offline_reserve(std::size_t slots, bool silent,
         Rng rng(11);
         crypto::BatchedOtSender sender(group, rng);
         if (silent) {
-          sender.enable_silent(/*low_water=*/16);
+          sender.enable_silent(crypto::kSilentLowWater);
           if (reservoir) sender.attach_reservoir(*reservoir);
         }
         sender.reserve(ch, slots);
@@ -205,7 +202,7 @@ OfflineRaw offline_reserve(std::size_t slots, bool silent,
         Rng rng(12);
         crypto::BatchedOtReceiver receiver(group, rng);
         if (silent) {
-          receiver.enable_silent(/*low_water=*/16);
+          receiver.enable_silent(crypto::kSilentLowWater);
           if (reservoir) receiver.attach_reservoir(*reservoir);
         }
         receiver.reserve(ch, slots);
@@ -348,8 +345,8 @@ int main(int argc, char** argv) {
   // --- Secure-engine throughput: sequential vs batched vs silent ---
   bench::banner("Secure-engine multi-query throughput (kModp1024, linear)");
   bench::note(
-      "sequential = per-query Naor-Pinkas OT, no fixed-base tables; "
-      "batched = amortized offline OT + fixed-base tables + session pool; "
+      "sequential = per-query Naor-Pinkas OT; "
+      "batched = amortized offline OT + session pool; "
       "silent = PPRF seed agreement + correction staging");
 
   const bool with_reservoir = bench::has_flag(argc, argv, "--reservoir");
@@ -427,6 +424,8 @@ int main(int argc, char** argv) {
   secure.set("group", "modp1024");
   secure.set("queries", queries);
   secure.set("sequential", secure_run_json(seq));
+  secure.set("sequential_basis",
+             "per-query Naor-Pinkas OT on the shared fixed-base-tabled group");
   secure.set("batched", secure_run_json(bat));
   secure.set("silent", secure_run_json(sil));
   secure.set("speedup", speedup);

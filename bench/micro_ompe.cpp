@@ -237,7 +237,6 @@ SweepResult field_dag_round(std::size_t n, unsigned p, bool use_simd,
 
   ompe::OmpeParams params;
   params.backend = ompe::Backend::kField;
-  params.use_eval_dag = true;
   params.use_simd_field = use_simd;
   params.eval_threads = 1;
   params.frac_bits = 8;  // degree-p field encoding needs f * (p + 1) < 61
@@ -281,10 +280,8 @@ SweepResult field_dag_round(std::size_t n, unsigned p, bool use_simd,
 
 /// One timed generic-path round over the DENSE degree-p polynomial in n
 /// variables (every monomial up to total degree p), the shape the monomial
-/// evaluation DAG targets. `use_dag` toggles compiled-DAG vs naive
-/// power-ladder evaluation in the sender.
-double dense_round_ms(std::size_t n, unsigned p, bool use_dag,
-                      std::size_t reps) {
+/// evaluation DAG targets.
+double dense_round_ms(std::size_t n, unsigned p, std::size_t reps) {
   Rng rng(31 + n + p);
   math::MultiPoly secret(n);
   for (auto& exps : math::monomials_up_to(n, p)) {
@@ -294,8 +291,7 @@ double dense_round_ms(std::size_t n, unsigned p, bool use_dag,
   std::vector<double> alpha(n);
   for (auto& v : alpha) v = rng.uniform(-1.0, 1.0);
 
-  ompe::OmpeParams params;
-  params.use_eval_dag = use_dag;
+  const ompe::OmpeParams params;
 
   Stopwatch watch;
   for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -434,10 +430,9 @@ void run_engine_sweep(bool quick, bench::Json& report) {
   }
   report.set("field_simd_sweep", std::move(simd_rows));
 
-  bench::banner("OMPE engine sweep: dense secrets, DAG vs naive evaluation");
-  std::printf("%4s %3s %8s | %12s %12s %8s\n", "n", "p", "terms", "naive ms",
-              "dag ms", "speedup");
-  bench::rule(56);
+  bench::banner("OMPE engine sweep: dense secrets, compiled-DAG evaluation");
+  std::printf("%4s %3s %8s | %12s\n", "n", "p", "terms", "dag ms");
+  bench::rule(32);
 
   auto dag_rows = bench::Json::array();
   const std::vector<std::pair<std::size_t, unsigned>> shapes =
@@ -445,23 +440,19 @@ void run_engine_sweep(bool quick, bench::Json& report) {
             : std::vector<std::pair<std::size_t, unsigned>>{
                   {4, 3}, {8, 3}, {8, 4}, {16, 3}, {16, 4}};
   for (auto [n, p] : shapes) {
-    const double naive_ms = dense_round_ms(n, p, /*use_dag=*/false, reps);
-    const double dag_ms = dense_round_ms(n, p, /*use_dag=*/true, reps);
+    const double dag_ms = dense_round_ms(n, p, reps);
     const std::uint64_t terms = [&] {
       std::uint64_t total = 1;  // constant
       for (unsigned d = 1; d <= p; ++d) total += math::monomial_count(n, d);
       return total;
     }();
-    std::printf("%4zu %3u %8llu | %12.3f %12.3f %7.2fx\n", n, p,
-                static_cast<unsigned long long>(terms), naive_ms, dag_ms,
-                naive_ms / dag_ms);
+    std::printf("%4zu %3u %8llu | %12.3f\n", n, p,
+                static_cast<unsigned long long>(terms), dag_ms);
     auto row = bench::Json::object();
     row.set("n", static_cast<std::uint64_t>(n));
     row.set("p", static_cast<int>(p));
     row.set("terms", terms);
-    row.set("naive_ms", naive_ms);
     row.set("dag_ms", dag_ms);
-    row.set("speedup", naive_ms / dag_ms);
     dag_rows.push(std::move(row));
   }
   report.set("dag_sweep", std::move(dag_rows));

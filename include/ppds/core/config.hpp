@@ -28,11 +28,6 @@ struct SchemeConfig {
   ompe::OmpeParams ompe;
   OtEngine ot_engine = OtEngine::kNaorPinkas;
   crypto::GroupId group = crypto::GroupId::kModp1536;
-  /// Fixed-base window-table acceleration for group exponentiations. A pure
-  /// local optimization: it never changes wire bytes, so the parties need
-  /// not agree on it (it is excluded from the protocol digest). Off is only
-  /// useful for baseline benchmarks and equivalence tests.
-  bool fixed_base_tables = true;
 
   /// Silent-OT offline phase for OtEngine::kPrecomputed: one PPRF seed
   /// agreement replaces the per-batch DH exponentiations, and slot refills
@@ -44,20 +39,8 @@ struct SchemeConfig {
   /// Background pad-refill service (crypto/reservoir.hpp): expand silent-OT
   /// pads off the protocol thread. Purely local scheduling — never touches
   /// the wire (transcripts are bit-identical either way), so it is EXCLUDED
-  /// from the protocol digest, like fixed_base_tables.
+  /// from the protocol digest.
   bool reservoir = false;
-
-  /// Batch size for non-silent precomputed-OT pool top-ups. Affects how
-  /// many slots an offline round trip fills (both sides must match for the
-  /// non-silent engine — reserve() fails closed on disagreement) but not
-  /// the protocol identity, so it is digest-excluded. Silent staging sizes
-  /// come from protocol constants (crypto::kSilentStageQuantum), making
-  /// this knob wire-irrelevant there.
-  std::size_t refill_batch = 128;
-
-  /// Low-water mark the reservoir refills silent pad pools against.
-  /// Local-only, digest-excluded.
-  std::size_t ot_low_water = 16;
 
   /// Convenience presets.
   static SchemeConfig secure_default() { return SchemeConfig{}; }
@@ -91,8 +74,9 @@ struct OtDemand {
 
 /// Per-party OT engine bundle. Naor-Pinkas-based engines run over the
 /// process-wide shared_group() so the fixed-base generator table is built
-/// once and stays warm across sessions (unless cfg.fixed_base_tables is
-/// false, in which case a private unaccelerated group is created).
+/// once and stays warm across sessions. The precomputed engines top their
+/// pools up crypto::kRefillBatch slots at a time and, with
+/// silent_precompute, refill against crypto::kSilentLowWater.
 ///
 /// For OtEngine::kPrecomputed the engines are ready immediately and refill
 /// their slot pools on demand; calling prepare_sender() on the sender side
@@ -103,14 +87,10 @@ class OtBundle {
  public:
   OtBundle(const SchemeConfig& cfg, Rng& rng);
 
-  /// Offline phase (no-op unless engine == kPrecomputed). The std::size_t
-  /// forms reserve legacy arity-2 (bit-decomposition) slots.
-  void prepare_sender(net::Endpoint& channel, std::size_t slots);
-  void prepare_receiver(net::Endpoint& channel, std::size_t slots);
-
-  /// Demand-list forms: reserve every (arity, count) block, merging
-  /// duplicate arities, with \p repeat scaling a per-query demand to a
-  /// whole batch. Both sides must pass the same demands in the same order.
+  /// Offline phase (no-op unless engine == kPrecomputed): reserves every
+  /// (arity, count) block, merging duplicate arities, with \p repeat
+  /// scaling a per-query demand to a whole batch. Both sides must pass the
+  /// same demands in the same order.
   void prepare_sender(net::Endpoint& channel,
                       std::span<const OtDemand> demands,
                       std::size_t repeat = 1);
@@ -137,10 +117,6 @@ class OtBundle {
   crypto::BatchedOtReceiver* batched_receiver() { return batched_receiver_; }
 
  private:
-  SchemeConfig cfg_;
-  Rng* rng_ = nullptr;
-  /// Only set when fixed_base_tables is off (shared_group otherwise).
-  std::unique_ptr<crypto::DhGroup> owned_group_;
   std::unique_ptr<crypto::OtSender> sender_;
   std::unique_ptr<crypto::OtReceiver> receiver_;
   /// Non-owning views into sender_/receiver_ when engine == kPrecomputed.
@@ -148,18 +124,10 @@ class OtBundle {
   crypto::BatchedOtReceiver* batched_receiver_ = nullptr;
 };
 
-/// Arity-2 (bit-decomposition) slots one OMPE evaluation would consume: the
-/// m-out-of-M transfer runs m 1-out-of-M rounds of ceil(log2 M) slot-backed
-/// key transfers each. This is the legacy sizing formula; the batched
-/// engines serve M <= crypto::kMaxDirectArity transfers from direct 1-of-M
-/// slots instead (see ot_demand_per_query()).
-std::size_t ot_slots_per_query(const ompe::OmpeParams& params,
-                               unsigned degree);
-
 /// Demand one OMPE evaluation places on the precomputed-OT pools: m direct
 /// 1-of-M slots when M fits the direct bound (one offline exponentiation
-/// per transfer), else the bit-decomposition fallback of ot_slots_per_query
-/// arity-2 slots.
+/// per transfer), else the bit-decomposition fallback of m * ceil(log2 M)
+/// arity-2 slots (m 1-out-of-M rounds of ceil(log2 M) key transfers each).
 std::vector<OtDemand> ot_demand_per_query(const ompe::OmpeParams& params,
                                           unsigned degree);
 

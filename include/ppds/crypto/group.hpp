@@ -93,11 +93,7 @@ class FixedBaseTable {
 /// concurrent sessions.
 class DhGroup {
  public:
-  /// \p fixed_base_tables disables the windowed-table acceleration when
-  /// false (every pow_g becomes a full mpz_powm) — used by benchmarks to
-  /// measure the unaccelerated baseline and by equivalence tests.
-  explicit DhGroup(GroupId id = GroupId::kModp1536,
-                   bool fixed_base_tables = true);
+  explicit DhGroup(GroupId id = GroupId::kModp1536);
 
   DhGroup(const DhGroup&) = delete;
   DhGroup& operator=(const DhGroup&) = delete;
@@ -105,8 +101,8 @@ class DhGroup {
   /// Modulus byte width (all serialized elements use exactly this width).
   std::size_t element_bytes() const { return element_bytes_; }
 
-  /// g^e mod p. Served from the lazily built generator table when
-  /// acceleration is on and e is in range; falls back to pow() otherwise.
+  /// g^e mod p. Served from the lazily built generator table when e is in
+  /// range; falls back to pow() otherwise.
   mpz_class pow_g(const mpz_class& e) const;
 
   /// b^e mod p (always a full exponentiation).
@@ -115,7 +111,7 @@ class DhGroup {
   /// Builds a window table for an arbitrary \p base reused across many
   /// exponentiations (e.g. the amortized OT's per-batch g^r). The build
   /// costs a handful of full exponentiations' worth of multiplies; it pays
-  /// off after ~10 uses. Returns nullptr when acceleration is disabled.
+  /// off after ~10 uses.
   std::unique_ptr<FixedBaseTable> make_table(const mpz_class& base) const;
 
   /// base^e through \p table when non-null and in range, else pow().
@@ -175,16 +171,15 @@ class DhGroup {
   mpz_class q_;  ///< (p-1)/2, prime order of the QR subgroup
   mpz_class g_;  ///< subgroup generator
   std::size_t element_bytes_ = 0;
-  bool fixed_base_tables_ = true;
   /// Lazily built table for g, synchronized so the first pow_g of
   /// concurrent sessions races cleanly (tsan-verified).
   mutable std::once_flag g_table_once_;
   mutable std::unique_ptr<FixedBaseTable> g_table_;
 };
 
-/// Process-wide shared group per GroupId, with fixed-base acceleration on.
-/// Sharing one instance keeps the lazily built generator table warm across
-/// sessions instead of rebuilding it per OtBundle.
+/// Process-wide shared group per GroupId. Sharing one instance keeps the
+/// lazily built generator table warm across sessions instead of rebuilding
+/// it per OtBundle.
 const DhGroup& shared_group(GroupId id);
 
 }  // namespace ppds::crypto

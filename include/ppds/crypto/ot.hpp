@@ -171,66 +171,16 @@ inline constexpr std::size_t kMaxDirectArity = 256;
 /// (0 when n == 1, where the single message is sent directly).
 std::size_t index_bits(std::size_t n);
 
+/// Slots one batched-engine top-up round trip adds to a pool when a
+/// transfer outruns its reservation (the non-silent engines derive the
+/// top-up size on both sides, so both must use the same value).
+inline constexpr std::size_t kRefillBatch = 128;
+
 // Silent-OT machinery (crypto/silent_ot.hpp, crypto/reservoir.hpp) — kept
 // behind forward declarations so the base OT header stays cycle-free.
 class SilentPadSender;
 class SilentPadReceiver;
 class PadReservoir;
-
-/// k-out-of-n OT engine whose public-key work has been moved OFFLINE: the
-/// constructor consumes a batch of precomputed random-pad 1-out-of-2 OTs
-/// (Beaver correction), and every online k-out-of-n transfer costs only
-/// hashing and XOR. Slots are consumed monotonically; running out throws
-/// ProtocolError (size the pool with slots_for()).
-class PrecomputedOtSender : public OtSender {
- public:
-  /// Runs the offline phase NOW over \p channel (the receiver must run the
-  /// matching PrecomputedOtReceiver constructor concurrently).
-  PrecomputedOtSender(net::Endpoint& channel, NaorPinkasSender& base,
-                      std::size_t slots, Rng& rng);
-
-  /// Wipes the unconsumed precomputed pads (offline key material).
-  ~PrecomputedOtSender() override;
-
-  void send(net::Endpoint& channel, std::span<const Bytes> messages,
-            std::size_t k) override;
-
-  /// Slots one k-out-of-n transfer will consume.
-  static std::size_t slots_for(std::size_t n, std::size_t k) {
-    return k * index_bits(n);
-  }
-
-  std::size_t remaining() const { return slots_.size() - next_; }
-
- private:
-  void send_1ofn(net::Endpoint& channel, std::span<const Bytes> messages);
-
-  Rng& rng_;
-  PPDS_SECRET std::vector<PrecomputedSendSlot> slots_;
-  std::size_t next_ = 0;
-};
-
-class PrecomputedOtReceiver : public OtReceiver {
- public:
-  PrecomputedOtReceiver(net::Endpoint& channel, NaorPinkasReceiver& base,
-                        std::size_t slots, Rng& rng);
-
-  /// Wipes the unconsumed precomputed pads (offline key material).
-  ~PrecomputedOtReceiver() override;
-
-  std::vector<Bytes> receive(net::Endpoint& channel,
-                             std::span<const std::size_t> indices,
-                             std::size_t n, std::size_t message_len) override;
-
-  std::size_t remaining() const { return slots_.size() - next_; }
-
- private:
-  Bytes receive_1ofn(net::Endpoint& channel, std::size_t index, std::size_t n,
-                     std::size_t message_len);
-
-  PPDS_SECRET std::vector<PrecomputedRecvSlot> slots_;
-  std::size_t next_ = 0;
-};
 
 /// Runs \p count offline 1-out-of-\p arity OTs of \p pad_len-byte random
 /// pads in ONE channel round trip (amortized base phase, pads derived from
@@ -282,7 +232,7 @@ OtAbortAudit& ot_abort_audit();
 class BatchedOtSender : public OtSender {
  public:
   BatchedOtSender(const DhGroup& group, Rng& rng,
-                  std::size_t refill_batch = 128);
+                  std::size_t refill_batch = kRefillBatch);
   ~BatchedOtSender() override;
 
   /// Ensures at least \p slots unconsumed arity-2 slots, topping up in one
@@ -363,7 +313,7 @@ class BatchedOtSender : public OtSender {
 class BatchedOtReceiver : public OtReceiver {
  public:
   BatchedOtReceiver(const DhGroup& group, Rng& rng,
-                    std::size_t refill_batch = 128);
+                    std::size_t refill_batch = kRefillBatch);
   ~BatchedOtReceiver() override;
 
   void reserve(net::Endpoint& channel, std::size_t slots);

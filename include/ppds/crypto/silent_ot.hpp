@@ -64,12 +64,16 @@ inline constexpr unsigned kSilentTreeDepth = 16;
 
 /// Correction blocks are staged in multiples of this many rows — a
 /// PROTOCOL constant (both sides derive identical block sizes from the
-/// ledger), deliberately not the local refill_batch tuning knob.
+/// ledger), deliberately not the batched engines' kRefillBatch.
 inline constexpr std::size_t kSilentStageQuantum = 128;
 
 /// Ledger lead maintained ahead of consumption so the background expander
 /// has runway; also a protocol constant for the same reason.
 inline constexpr std::size_t kSilentLeadSlots = 16;
+
+/// Per-arity pool mark a background PadReservoir refills silent pads
+/// against. Purely local scheduling: it never changes the wire.
+inline constexpr std::size_t kSilentLowWater = 16;
 
 using SilentRow = std::array<std::uint8_t, kSilentRowBytes>;
 

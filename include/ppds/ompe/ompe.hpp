@@ -66,17 +66,12 @@ struct OmpeParams {
   /// Small workloads stay inline regardless — see docs/PERFORMANCE.md §1.4.
   unsigned eval_threads = 0;
 
-  /// Evaluate generic (run_sender) secrets through the compiled monomial
-  /// DAG (math::CompiledMultiPoly) instead of naive per-term power walks.
-  /// Off is only useful for baseline benchmarks and equivalence tests.
-  bool use_eval_dag = true;
-
   /// Run the field-backend point sweeps on packed Mersenne-61 lanes
   /// (field::M61x8 — AVX2 when the CPU has it, bit-identical portable
   /// kernels otherwise; see field/m61xn.hpp for the dispatch rules).
   /// Transcripts are unchanged for every setting; off pins the scalar
-  /// reference path for A/B tests and benchmarks. Real-backend sweeps and
-  /// the naive (use_eval_dag = false) generic evaluator ignore it.
+  /// reference path for A/B tests and benchmarks. Real-backend sweeps
+  /// ignore it.
   bool use_simd_field = true;
 
   /// Number of pairs the receiver keeps (polynomial degree p known).

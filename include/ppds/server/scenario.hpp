@@ -24,7 +24,7 @@
 ///
 /// Spec grammar:
 ///   <dataset>[:linear|:poly][:fast|:precomputed|:silent|:secure]
-///            [:reservoir][:refill=<n>]
+///            [:reservoir]
 ///   dataset — any Table I synthetic dataset name (data/synthetic.hpp)
 ///   kernel  — linear (default) or the paper's polynomial kernel
 ///   preset  — SchemeConfig preset: fast (loopback OT, default),
@@ -33,8 +33,6 @@
 ///             phase), secure (full Naor-Pinkas per transfer)
 ///   reservoir — background pad-refill service (local-only knob; the
 ///             protocol digest ignores it, like eval_threads)
-///   refill=<n> — precomputed-OT refill batch size (local-only knob,
-///             digest-excluded)
 /// Everything downstream (trained models, query samples) is a pure
 /// function of (spec text, seed).
 
@@ -48,9 +46,6 @@ struct ScenarioSpec {
   Preset preset = Preset::kFast;
   /// Background pad-refill service (digest-excluded local knob).
   bool reservoir = false;
-  /// Precomputed-OT refill batch; 0 means "use the SchemeConfig default"
-  /// (digest-excluded local knob).
-  std::size_t refill_batch = 0;
 
   /// Parses the grammar in the file comment; throws InvalidArgument on
   /// unknown datasets or tokens.

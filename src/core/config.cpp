@@ -1,19 +1,13 @@
 #include "ppds/core/config.hpp"
 
+#include "ppds/crypto/silent_ot.hpp"
+
 namespace ppds::core {
 
-OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng)
-    : cfg_(cfg), rng_(&rng) {
-  const crypto::DhGroup* group = nullptr;
-  if (cfg.ot_engine != OtEngine::kLoopback) {
-    if (cfg.fixed_base_tables) {
-      group = &crypto::shared_group(cfg.group);
-    } else {
-      owned_group_ =
-          std::make_unique<crypto::DhGroup>(cfg.group, /*fixed_base_tables=*/false);
-      group = owned_group_.get();
-    }
-  }
+OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng) {
+  const crypto::DhGroup* group = cfg.ot_engine == OtEngine::kLoopback
+                                     ? nullptr
+                                     : &crypto::shared_group(cfg.group);
   switch (cfg.ot_engine) {
     case OtEngine::kNaorPinkas:
       sender_ = std::make_unique<crypto::NaorPinkasSender>(*group, rng);
@@ -21,12 +15,12 @@ OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng)
       break;
     case OtEngine::kPrecomputed: {
       auto sender = std::make_unique<crypto::BatchedOtSender>(
-          *group, rng, cfg.refill_batch);
+          *group, rng, crypto::kRefillBatch);
       auto receiver = std::make_unique<crypto::BatchedOtReceiver>(
-          *group, rng, cfg.refill_batch);
+          *group, rng, crypto::kRefillBatch);
       if (cfg.silent_precompute) {
-        sender->enable_silent(cfg.ot_low_water);
-        receiver->enable_silent(cfg.ot_low_water);
+        sender->enable_silent(crypto::kSilentLowWater);
+        receiver->enable_silent(crypto::kSilentLowWater);
       }
       batched_sender_ = sender.get();
       batched_receiver_ = receiver.get();
@@ -39,14 +33,6 @@ OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng)
       receiver_ = std::make_unique<crypto::LoopbackReceiver>();
       break;
   }
-}
-
-void OtBundle::prepare_sender(net::Endpoint& channel, std::size_t slots) {
-  if (batched_sender_ != nullptr) batched_sender_->reserve(channel, slots);
-}
-
-void OtBundle::prepare_receiver(net::Endpoint& channel, std::size_t slots) {
-  if (batched_receiver_ != nullptr) batched_receiver_->reserve(channel, slots);
 }
 
 namespace {
@@ -115,19 +101,12 @@ crypto::OtReceiver& OtBundle::receiver() {
   return *receiver_;
 }
 
-std::size_t ot_slots_per_query(const ompe::OmpeParams& params,
-                               unsigned degree) {
-  const std::size_t m = params.m(degree);
-  const std::size_t big_m = params.big_m(degree);
-  return crypto::PrecomputedOtSender::slots_for(big_m, m);
-}
-
 std::vector<OtDemand> ot_demand_per_query(const ompe::OmpeParams& params,
                                           unsigned degree) {
   const std::size_t m = params.m(degree);
   const std::size_t big_m = params.big_m(degree);
   if (big_m <= crypto::kMaxDirectArity) return {OtDemand{big_m, m}};
-  return {OtDemand{2, ot_slots_per_query(params, degree)}};
+  return {OtDemand{2, m * crypto::index_bits(big_m)}};
 }
 
 }  // namespace ppds::core

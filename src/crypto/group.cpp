@@ -138,8 +138,7 @@ mpz_class FixedBaseTable::pow(const mpz_class& e) const {
   return out;
 }
 
-DhGroup::DhGroup(GroupId id, bool fixed_base_tables)
-    : fixed_base_tables_(fixed_base_tables) {
+DhGroup::DhGroup(GroupId id) {
   p_ = mpz_class(hex_for(id), 16);
   q_ = (p_ - 1) / 2;
   g_ = 4;  // 2^2 is a quadratic residue, hence generates the order-q subgroup
@@ -147,7 +146,6 @@ DhGroup::DhGroup(GroupId id, bool fixed_base_tables)
 }
 
 const FixedBaseTable* DhGroup::generator_table() const {
-  if (!fixed_base_tables_) return nullptr;
   std::call_once(g_table_once_, [this] {
     g_table_ = std::make_unique<FixedBaseTable>(
         g_, p_, mpz_sizeinbase(p_.get_mpz_t(), 2));
@@ -161,7 +159,6 @@ mpz_class DhGroup::pow_g(const mpz_class& e) const {
 
 std::unique_ptr<FixedBaseTable> DhGroup::make_table(
     const mpz_class& base) const {
-  if (!fixed_base_tables_) return nullptr;
   return std::make_unique<FixedBaseTable>(
       base, p_, mpz_sizeinbase(p_.get_mpz_t(), 2));
 }
@@ -220,15 +217,14 @@ mpz_class DhGroup::multi_exp(std::span<const mpz_class> bases,
   // Generator bases don't join the squaring chain at all: the window table
   // already holds every g^(j * 2^(w*i)), so their contribution is a pure
   // table product, multiplied into the joint result at the end.
-  const FixedBaseTable* g_table = generator_table();
   mpz_class g_part = 1;
   std::vector<std::size_t> chain;  // indices of non-generator bases
   chain.reserve(bases.size());
   std::size_t max_bits = 0;
   for (std::size_t i = 0; i < bases.size(); ++i) {
     detail::require(exps[i] >= 0, "DhGroup::multi_exp: negative exponent");
-    if (g_table != nullptr && bases[i] == g_) {
-      g_part = mul(g_part, pow_with(g_table, g_, exps[i]));
+    if (bases[i] == g_) {
+      g_part = mul(g_part, pow_g(exps[i]));
       continue;
     }
     chain.push_back(i);

@@ -254,88 +254,8 @@ std::vector<Bytes> LoopbackReceiver::receive(
   return out;
 }
 
-/// --- Precomputed k-out-of-n engine ---------------------------------------------
-///
-/// Same wire structure as the Naor-Pinkas engine's 1-out-of-n (ciphertext
-/// bundle + key transfers), but every 1-out-of-2 key transfer runs through
-/// a precomputed Beaver slot: two XOR'ed key pads and one correction bit,
-/// no group exponentiation online.
-
 std::size_t index_bits(std::size_t n) {
   return n <= 1 ? 0 : bits_for(n);
-}
-
-PrecomputedOtSender::PrecomputedOtSender(net::Endpoint& channel,
-                                         NaorPinkasSender& base,
-                                         std::size_t slots, Rng& rng)
-    : rng_(rng),
-      slots_(precompute_ot_sender(channel, base, slots, 32, rng)) {}
-
-PrecomputedOtSender::~PrecomputedOtSender() {
-  for (PrecomputedSendSlot& slot : slots_) {
-    for (Bytes& pad : slot.pads) secure_wipe(std::span(pad));
-  }
-}
-
-void PrecomputedOtSender::send_1ofn(net::Endpoint& channel,
-                                    std::span<const Bytes> messages) {
-  check_equal_lengths(messages);
-  if (messages.size() == 1) {
-    channel.send(messages.front());
-    return;
-  }
-  if (next_ + bits_for(messages.size()) > slots_.size()) {
-    throw ProtocolError("precomputed ot: slot pool exhausted");
-  }
-  send_1ofn_impl(channel, messages, rng_, [&](const Bytes& k0, const Bytes& k1) {
-    precomputed_send_1of2(channel, slots_[next_++], k0, k1);
-  });
-}
-
-void PrecomputedOtSender::send(net::Endpoint& channel,
-                               std::span<const Bytes> messages,
-                               std::size_t k) {
-  check_equal_lengths(messages);
-  detail::require(k >= 1 && k <= messages.size(), "ot: bad k");
-  for (std::size_t i = 0; i < k; ++i) {
-    send_1ofn(channel, messages);
-  }
-}
-
-PrecomputedOtReceiver::PrecomputedOtReceiver(net::Endpoint& channel,
-                                             NaorPinkasReceiver& base,
-                                             std::size_t slots, Rng& rng)
-    : slots_(precompute_ot_receiver(channel, base, slots, 32, rng)) {}
-
-PrecomputedOtReceiver::~PrecomputedOtReceiver() {
-  for (PrecomputedRecvSlot& slot : slots_) {
-    secure_wipe(std::span(slot.pad));
-  }
-}
-
-Bytes PrecomputedOtReceiver::receive_1ofn(net::Endpoint& channel,
-                                          std::size_t index, std::size_t n,
-                                          std::size_t message_len) {
-  detail::require(index < n, "ot_1ofn: index out of range");
-  if (n == 1) return channel.recv();
-  if (next_ + bits_for(n) > slots_.size()) {
-    throw ProtocolError("precomputed ot: slot pool exhausted");
-  }
-  return receive_1ofn_impl(channel, index, n, message_len, [&](bool choice) {
-    return precomputed_receive_1of2(channel, slots_[next_++], choice);
-  });
-}
-
-std::vector<Bytes> PrecomputedOtReceiver::receive(
-    net::Endpoint& channel, std::span<const std::size_t> indices,
-    std::size_t n, std::size_t message_len) {
-  detail::require(!indices.empty() && indices.size() <= n, "ot: bad indices");
-  std::vector<Bytes> out;
-  out.reserve(indices.size());
-  for (std::size_t index : indices) {
-    out.push_back(receive_1ofn(channel, index, n, message_len));
-  }
-  return out;
 }
 
 /// --- Batched amortized precomputation -------------------------------------------

@@ -361,42 +361,6 @@ std::vector<M61> encode_term_coeffs(const math::MultiPoly& secret,
   return out;
 }
 
-/// Naive per-term evaluation with per-variable power ladders: the
-/// use_eval_dag = false baseline (and the reference the DAG property tests
-/// pin CompiledMultiPoly against).
-M61 evaluate_field(const math::MultiPoly& secret,
-                   const std::vector<M61>& coeffs,
-                   std::span<const M61> z) {
-  const auto& terms = secret.terms();
-  // Per-variable power ladders, built once per evaluation point: every term
-  // then looks its factors up instead of re-multiplying z_i exponent-many
-  // times (nonlinear profiles repeat the same high powers across many
-  // terms, making the naive loop quadratic in total degree).
-  std::vector<std::vector<M61>> powers(z.size());
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    unsigned max_e = 0;
-    for (const math::Term& term : terms) {
-      if (i < term.exps.size()) {
-        max_e = std::max(max_e, static_cast<unsigned>(term.exps[i]));
-      }
-    }
-    std::vector<M61>& ladder = powers[i];
-    ladder.resize(static_cast<std::size_t>(max_e) + 1);
-    ladder[0] = M61(1);
-    for (unsigned e = 1; e <= max_e; ++e) ladder[e] = ladder[e - 1] * z[i];
-  }
-  M61 acc;
-  for (std::size_t t = 0; t < terms.size(); ++t) {
-    M61 v = coeffs[t];
-    for (std::size_t i = 0; i < terms[t].exps.size(); ++i) {
-      const unsigned e = terms[t].exps[i];
-      if (e != 0) v = v * powers[i][e];
-    }
-    acc = acc + v;
-  }
-  return acc;
-}
-
 /// Evaluation nodes for the real backend: one node per jittered slot across
 /// [-hi, -lo] U [lo, hi], keeping pairwise separation so the final Lagrange
 /// step at degree p*q stays well-conditioned.
@@ -529,14 +493,14 @@ struct LaneScratch {
 /// as field::dot8_reduce_strided walk the records in place inside one
 /// dispatched call) — and ws is a per-task LaneScratch workspace. Lane l of
 /// its result must equal eval_field at point l bit for bit; it is only
-/// invoked when \p has_lane_eval and params.use_simd_field are both set,
-/// and the block tail always falls back to the scalar evaluator.
+/// invoked when params.use_simd_field is set, and the block tail always
+/// falls back to the scalar evaluator.
 template <typename EvalReal, typename EvalField, typename EvalField8>
 void run_sender_impl(net::Endpoint& channel, std::size_t arity,
                      unsigned actual_degree, unsigned declared_degree,
                      const OmpeParams& params, crypto::OtSender& ot, Rng& rng,
                      const EvalReal& eval_real, const EvalField& eval_field,
-                     const EvalField8& eval_field8, bool has_lane_eval) {
+                     const EvalField8& eval_field8) {
   detail::require(actual_degree >= 1, "ompe: secret must have degree >= 1");
   detail::require(declared_degree == 0 || declared_degree >= actual_degree,
                   "ompe: declared degree below actual degree");
@@ -613,7 +577,7 @@ void run_sender_impl(net::Endpoint& channel, std::size_t arity,
         h_coeffs[i] = random_field_element(rng);
       }
       const math::Poly<M61> h(std::move(h_coeffs));
-      const bool lanes = has_lane_eval && params.use_simd_field;
+      const bool lanes = params.use_simd_field;
       for_each_chunk(big_m, tasks, [&](std::size_t begin, std::size_t end) {
         const auto scalar_run = [&](std::size_t from, std::size_t to) {
           std::vector<M61> z(arity);
@@ -714,53 +678,36 @@ void run_sender(net::Endpoint& channel,
   if (params.backend == Backend::kField) {
     coeffs = encode_term_coeffs(secret, p, params.frac_bits);
   }
-  if (params.use_eval_dag) {
-    // Compiled once per call: the per-point sweep then costs one multiply
-    // per DAG node plus one multiply-add per term.
-    const math::CompiledMultiPoly compiled(secret);
-    run_sender_impl(
-        channel, secret.arity(), actual, declared_degree, params, ot, rng,
-        [&compiled](std::span<const double> z, std::vector<double>& scratch) {
-          return compiled.evaluate(z, scratch);
-        },
-        [&compiled, &coeffs](std::span<const M61> z, std::vector<M61>& scratch) {
-          return compiled.evaluate_with(std::span<const M61>(coeffs), z, scratch);
-        },
-        [&compiled, &coeffs](const std::uint8_t* z0, std::size_t zstride,
-                             LaneScratch& ws) {
-          // The compiled program runs as three fused lane kernels — strided
-          // raw-word reduction, monomial-DAG sweep, term combine — each one
-          // dispatched call, so the whole evaluation stays in vector
-          // registers. Node and term order match evaluate_with exactly, so
-          // every lane reproduces the scalar bytes bit for bit.
-          const math::MonomialDag& dag = compiled.dag();
-          ws.z8.resize(compiled.arity());
-          ws.nodes.resize(dag.size());
-          field::reduce8_strided(z0, zstride, ws.z8.size(), ws.z8.data());
-          field::dag_eval8(dag.parent.data(), dag.var.data(), dag.size(),
-                           math::MonomialDag::kOne, ws.z8.data(),
-                           ws.nodes.data());
-          return field::dot8_nodes(coeffs.data(),
-                                   compiled.term_nodes().data(),
-                                   coeffs.size(), math::MonomialDag::kOne,
-                                   ws.nodes.data());
-        },
-        /*has_lane_eval=*/true);
-  } else {
-    run_sender_impl(
-        channel, secret.arity(), actual, declared_degree, params, ot, rng,
-        [&secret](std::span<const double> z, std::vector<double>& scratch) {
-          scratch.assign(z.begin(), z.end());
-          return secret.evaluate(scratch);
-        },
-        [&secret, &coeffs](std::span<const M61> z, std::vector<M61>&) {
-          return evaluate_field(secret, coeffs, z);
-        },
-        // The naive power-ladder evaluator has no lane form; the baseline
-        // path stays scalar by construction.
-        [](const std::uint8_t*, std::size_t, LaneScratch&) { return M61x8{}; },
-        /*has_lane_eval=*/false);
-  }
+  // Compiled once per call: the per-point sweep then costs one multiply
+  // per DAG node plus one multiply-add per term.
+  const math::CompiledMultiPoly compiled(secret);
+  run_sender_impl(
+      channel, secret.arity(), actual, declared_degree, params, ot, rng,
+      [&compiled](std::span<const double> z, std::vector<double>& scratch) {
+        return compiled.evaluate(z, scratch);
+      },
+      [&compiled, &coeffs](std::span<const M61> z, std::vector<M61>& scratch) {
+        return compiled.evaluate_with(std::span<const M61>(coeffs), z, scratch);
+      },
+      [&compiled, &coeffs](const std::uint8_t* z0, std::size_t zstride,
+                           LaneScratch& ws) {
+        // The compiled program runs as three fused lane kernels — strided
+        // raw-word reduction, monomial-DAG sweep, term combine — each one
+        // dispatched call, so the whole evaluation stays in vector
+        // registers. Node and term order match evaluate_with exactly, so
+        // every lane reproduces the scalar bytes bit for bit.
+        const math::MonomialDag& dag = compiled.dag();
+        ws.z8.resize(compiled.arity());
+        ws.nodes.resize(dag.size());
+        field::reduce8_strided(z0, zstride, ws.z8.size(), ws.z8.data());
+        field::dag_eval8(dag.parent.data(), dag.var.data(), dag.size(),
+                         math::MonomialDag::kOne, ws.z8.data(),
+                         ws.nodes.data());
+        return field::dot8_nodes(coeffs.data(),
+                                 compiled.term_nodes().data(),
+                                 coeffs.size(), math::MonomialDag::kOne,
+                                 ws.nodes.data());
+      });
 }
 
 void run_sender_linear(net::Endpoint& channel,
@@ -816,8 +763,7 @@ void run_sender_linear(net::Endpoint& channel,
         return field::dot8_reduce_strided(M61x8::broadcast(b_enc),
                                           w_enc.data(), z0, zstride,
                                           w_enc.size());
-      },
-      /*has_lane_eval=*/true);
+      });
   secure_wipe_object(b_enc);
 }
 

@@ -25,7 +25,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   if (tokens.empty() || tokens.front().empty()) {
     throw InvalidArgument("scenario: empty spec (want "
                           "<dataset>[:linear|:poly][:fast|:precomputed|"
-                          ":secure])");
+                          ":silent|:secure][:reservoir])");
   }
   ScenarioSpec spec;
   spec.dataset = tokens.front();
@@ -49,18 +49,6 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
       spec.preset = Preset::kSecure;
     } else if (t == "reservoir") {
       spec.reservoir = true;
-    } else if (t.rfind("refill=", 0) == 0) {
-      const std::string value = t.substr(7);
-      std::size_t parsed = 0;
-      try {
-        parsed = static_cast<std::size_t>(std::stoull(value));
-      } catch (const std::exception&) {
-        throw InvalidArgument("scenario: bad refill batch '" + t + "'");
-      }
-      if (parsed == 0) {
-        throw InvalidArgument("scenario: refill batch must be >= 1");
-      }
-      spec.refill_batch = parsed;
     } else {
       throw InvalidArgument("scenario: unknown token '" + t + "' in '" +
                             text + "'");
@@ -79,7 +67,6 @@ std::string ScenarioSpec::to_string() const {
     case Preset::kSecure: out += ":secure"; break;
   }
   if (reservoir) out += ":reservoir";
-  if (refill_batch != 0) out += ":refill=" + std::to_string(refill_batch);
   return out;
 }
 
@@ -124,12 +111,9 @@ Scenario Scenario::make(const ScenarioSpec& spec, std::uint64_t seed) {
       s.config = core::SchemeConfig::secure_default();
       break;
   }
-  // Local-only tuning knobs: both are excluded from the protocol digest, so
-  // the two parties may disagree (asymmetric refill_batch only matters for
-  // the non-silent precomputed engine, whose reserve() fails closed on a
-  // size mismatch).
+  // Local-only scheduling knob: excluded from the protocol digest, so the
+  // two parties may disagree.
   s.config.reservoir = spec.reservoir;
-  if (spec.refill_batch != 0) s.config.refill_batch = spec.refill_batch;
   s.space = core::DataSpace{};
 
   s.queries.reserve(test.x.size());

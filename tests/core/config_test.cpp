@@ -32,16 +32,6 @@ TEST(OmpeParams, CostModel) {
   EXPECT_EQ(params.big_m(3), 75u);
 }
 
-TEST(OtSlots, FormulaMatchesOtConstruction) {
-  ompe::OmpeParams params;
-  params.q = 4;
-  params.k = 2;
-  // degree 1: m = 5, M = 10, ceil(log2 10) = 4 bits -> 20 slots.
-  EXPECT_EQ(ot_slots_per_query(params, 1), 5u * 4u);
-  // degree 4: m = 17, M = 34, 6 bits -> 102 slots.
-  EXPECT_EQ(ot_slots_per_query(params, 4), 17u * 6u);
-}
-
 TEST(OtDemand, DirectSlotsWhenArityFits) {
   ompe::OmpeParams params;
   params.q = 4;
@@ -58,11 +48,12 @@ TEST(OtDemand, FallsBackToBitDecompositionWhenArityTooLarge) {
   ompe::OmpeParams params;
   params.q = 32;
   params.k = 8;
-  // degree 1: m = 33, M = 264 > 256 -> arity-2 bit-decomposition demand.
+  // degree 1: m = 33, M = 264 > 256 -> arity-2 bit-decomposition demand:
+  // m 1-out-of-M rounds of ceil(log2 264) = 9 key transfers each.
   const auto d = ot_demand_per_query(params, 1);
   ASSERT_EQ(d.size(), 1u);
   EXPECT_EQ(d[0].arity, 2u);
-  EXPECT_EQ(d[0].count, ot_slots_per_query(params, 1));
+  EXPECT_EQ(d[0].count, 33u * 9u);
 }
 
 TEST(OtBundle, LoopbackReadyImmediately) {
@@ -109,7 +100,8 @@ TEST(OtBundle, PrepareIsNoOpForOtherEngines) {
   Rng rng(3);
   OtBundle bundle(SchemeConfig::fast_simulation(), rng);
   auto [a, b] = net::make_channel();
-  EXPECT_NO_THROW(bundle.prepare_sender(a, 100));
+  const std::vector<OtDemand> demand{{/*arity=*/2, /*count=*/100}};
+  EXPECT_NO_THROW(bundle.prepare_sender(a, demand));
   // No offline traffic was exchanged.
   EXPECT_EQ(a.stats().messages, 0u);
 }

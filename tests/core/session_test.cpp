@@ -31,20 +31,17 @@ TEST(ProtocolDigest, DeterministicAndParameterSensitive) {
 }
 
 TEST(ProtocolDigest, IgnoresLocalPerformanceKnobs) {
-  // eval_threads / use_eval_dag / fixed_base_tables never change wire bytes,
-  // so two parties with different settings must still agree on the digest.
+  // eval_threads / use_simd_field never change wire bytes, so two parties
+  // with different settings must still agree on the digest.
   const auto profile =
       ClassificationProfile::make(2, svm::Kernel::paper_polynomial(2));
   const auto cfg = SchemeConfig::fast_simulation();
   auto tuned = cfg;
   tuned.ompe.eval_threads = 1;
-  tuned.ompe.use_eval_dag = false;
-  tuned.fixed_base_tables = false;
-  // The silent-OT tuning knobs are local too: the reservoir and its batch
-  // sizes never change wire bytes (staging is sized by protocol constants).
+  tuned.ompe.use_simd_field = false;
+  // The silent-OT reservoir is local too: it only moves pad expansion off
+  // the protocol thread (staging is sized by protocol constants).
   tuned.reservoir = true;
-  tuned.refill_batch = 7;
-  tuned.ot_low_water = 3;
   EXPECT_EQ(protocol_digest(profile, cfg), protocol_digest(profile, tuned));
 }
 
@@ -63,7 +60,6 @@ TEST(ProtocolDigest, SilentPrecomputeIsHashed) {
             similarity_digest(svm::Kernel::linear(), space, silent));
   auto tuned = silent;
   tuned.reservoir = true;
-  tuned.refill_batch = 9;
   EXPECT_EQ(similarity_digest(svm::Kernel::linear(), space, silent),
             similarity_digest(svm::Kernel::linear(), space, tuned));
 }

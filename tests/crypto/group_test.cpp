@@ -92,12 +92,11 @@ TEST(DhGroup, HashToKeyDependsOnElementAndTag) {
 TEST(FixedBaseTable, MatchesFullExponentiationAllGroups) {
   for (GroupId id :
        {GroupId::kModp1024, GroupId::kModp1536, GroupId::kModp2048}) {
-    const DhGroup accel(id);                               // tables on
-    const DhGroup plain(id, /*fixed_base_tables=*/false);  // reference path
+    const DhGroup g(id);
     Rng rng(7);
     for (int i = 0; i < 8; ++i) {
-      const mpz_class e = accel.random_exponent(rng);
-      EXPECT_EQ(accel.pow_g(e), plain.pow(plain.g(), e));
+      const mpz_class e = g.random_exponent(rng);
+      EXPECT_EQ(g.pow_g(e), g.pow(g.g(), e));  // table vs full mpz_powm
     }
   }
 }
@@ -130,16 +129,6 @@ TEST(FixedBaseTable, OutOfRangeExponentFallsBackToFullPow) {
   EXPECT_EQ(g.pow_g(wide), g.pow(g.g(), wide));
 }
 
-TEST(FixedBaseTable, DisabledTablesUseFullPath) {
-  const DhGroup plain(GroupId::kModp1024, /*fixed_base_tables=*/false);
-  EXPECT_EQ(plain.make_table(plain.g()), nullptr);
-  reset_exp_counters();
-  (void)plain.pow_g(mpz_class(12345));
-  const ExpCounters after = exp_counters();
-  EXPECT_EQ(after.full, 1u);
-  EXPECT_EQ(after.fixed_base, 0u);
-}
-
 TEST(ExpCounters, DistinguishFullAndFixedBase) {
   const DhGroup g(GroupId::kModp1024);
   (void)g.pow_g(mpz_class(2));  // force the lazy table build
@@ -155,14 +144,13 @@ TEST(FixedBaseTable, ConcurrentFirstUseIsSafe) {
   // Exercises the std::call_once lazy build from multiple threads (the tsan
   // preset turns any race here into a failure).
   const DhGroup g(GroupId::kModp1024);
-  const DhGroup plain(GroupId::kModp1024, /*fixed_base_tables=*/false);
   Rng rng(9);
   constexpr int kThreads = 4;
   std::vector<mpz_class> exponents;
   std::vector<mpz_class> expected;
   for (int i = 0; i < kThreads; ++i) {
     exponents.push_back(g.random_exponent(rng));
-    expected.push_back(plain.pow(plain.g(), exponents.back()));
+    expected.push_back(g.pow(g.g(), exponents.back()));  // never the table
   }
   std::vector<mpz_class> results(kThreads);
   std::vector<std::thread> threads;

@@ -123,6 +123,9 @@ TEST(PrecomputedEngine, IndexBitsBoundaries) {
   EXPECT_EQ(index_bits(0), 0u);
   EXPECT_EQ(index_bits(1), 0u);
   EXPECT_EQ(index_bits(2), 1u);
+  EXPECT_EQ(index_bits(3), 2u);
+  EXPECT_EQ(index_bits(8), 3u);
+  EXPECT_EQ(index_bits(9), 4u);
 }
 
 TEST(NaorPinkasOt, IndexOutOfRangeThrows) {
@@ -302,22 +305,23 @@ TEST(PrecomputedOt, ArityOutOfRangeRejected) {
 }
 
 TEST(PrecomputedEngine, KOutOfNMatchesMessages) {
+  // A 4-out-of-12 transfer served from a pool reserved to exactly k direct
+  // arity-12 slots: every requested message arrives and the pool ends empty.
   const std::size_t n = 12, k = 4;
   const auto msgs = make_messages(n, 8);
   const std::vector<std::size_t> want{1, 5, 9, 11};
-  const std::size_t slots = PrecomputedOtSender::slots_for(n, k);
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(61);
-        NaorPinkasSender base(test_group(), rng);
-        PrecomputedOtSender s(ch, base, slots, rng);
+        BatchedOtSender s(test_group(), rng);
+        s.reserve(ch, n, k);
         s.send(ch, msgs, k);
-        return s.remaining();
+        return s.remaining(n);
       },
       [&](net::Endpoint& ch) {
         Rng rng(62);
-        NaorPinkasReceiver base(test_group(), rng);
-        PrecomputedOtReceiver r(ch, base, slots, rng);
+        BatchedOtReceiver r(test_group(), rng);
+        r.reserve(ch, n, k);
         return r.receive(ch, want, n, 8);
       });
   ASSERT_EQ(outcome.b.size(), k);
@@ -325,55 +329,49 @@ TEST(PrecomputedEngine, KOutOfNMatchesMessages) {
   EXPECT_EQ(outcome.a, 0u);  // exactly sized pool fully consumed
 }
 
-TEST(PrecomputedEngine, PoolExhaustionThrows) {
-  const auto msgs = make_messages(4, 8);
-  EXPECT_THROW(
-      net::run_two_party(
-          [&](net::Endpoint& ch) {
-            Rng rng(63);
-            NaorPinkasSender base(test_group(), rng);
-            PrecomputedOtSender s(ch, base, 1, rng);  // too few slots
-            s.send(ch, msgs, 1);                      // needs 2
-            return 0;
-          },
-          [&](net::Endpoint& ch) {
-            Rng rng(64);
-            NaorPinkasReceiver base(test_group(), rng);
-            PrecomputedOtReceiver r(ch, base, 1, rng);
-            const std::vector<std::size_t> want{2};
-            try {
-              r.receive(ch, want, 4, 8);
-            } catch (const Error&) {
-            }
-            return 0;
-          }),
-      ProtocolError);
-}
-
 TEST(PrecomputedEngine, SlotsForFormula) {
-  EXPECT_EQ(index_bits(1), 0u);
-  EXPECT_EQ(index_bits(2), 1u);
-  EXPECT_EQ(index_bits(3), 2u);
-  EXPECT_EQ(index_bits(8), 3u);
-  EXPECT_EQ(index_bits(9), 4u);
-  EXPECT_EQ(PrecomputedOtSender::slots_for(27, 9), 9u * 5u);
+  // Beyond kMaxDirectArity a k-out-of-n transfer costs k * index_bits(n)
+  // arity-2 slots: 3-out-of-300 drains a pool of exactly 3 * 9 = 27.
+  const std::size_t n = 300, k = 3;
+  const std::size_t slots = k * index_bits(n);
+  EXPECT_EQ(slots, 27u);
+  const auto msgs = make_messages(n, 4);
+  const std::vector<std::size_t> want{0, 150, 299};
+  auto outcome = net::run_two_party(
+      [&](net::Endpoint& ch) {
+        Rng rng(67);
+        BatchedOtSender s(test_group(), rng);
+        s.reserve(ch, slots);
+        s.send(ch, msgs, k);
+        return s.remaining(2);
+      },
+      [&](net::Endpoint& ch) {
+        Rng rng(68);
+        BatchedOtReceiver r(test_group(), rng);
+        r.reserve(ch, slots);
+        return r.receive(ch, want, n, 4);
+      });
+  EXPECT_EQ(outcome.a, 0u);
+  ASSERT_EQ(outcome.b.size(), k);
+  for (std::size_t i = 0; i < k; ++i) EXPECT_EQ(outcome.b[i], msgs[want[i]]);
 }
 
 TEST(PrecomputedEngine, MultipleTransfersFromOnePool) {
+  // One up-front reservation covers three 2-out-of-6 transfers; the pool
+  // drains to zero without any refill in between.
   const auto msgs = make_messages(6, 16);
-  const std::size_t per = PrecomputedOtSender::slots_for(6, 2);
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(65);
-        NaorPinkasSender base(test_group(), rng);
-        PrecomputedOtSender s(ch, base, 3 * per, rng);
+        BatchedOtSender s(test_group(), rng);
+        s.reserve(ch, /*arity=*/6, /*count=*/6);
         for (int round = 0; round < 3; ++round) s.send(ch, msgs, 2);
-        return 0;
+        return s.remaining(6);
       },
       [&](net::Endpoint& ch) {
         Rng rng(66);
-        NaorPinkasReceiver base(test_group(), rng);
-        PrecomputedOtReceiver r(ch, base, 3 * per, rng);
+        BatchedOtReceiver r(test_group(), rng);
+        r.reserve(ch, /*arity=*/6, /*count=*/6);
         std::vector<Bytes> all;
         for (std::size_t round = 0; round < 3; ++round) {
           const std::vector<std::size_t> want{round, round + 3};
@@ -382,11 +380,12 @@ TEST(PrecomputedEngine, MultipleTransfersFromOnePool) {
         }
         return all;
       });
+  EXPECT_EQ(outcome.a, 0u);
   ASSERT_EQ(outcome.b.size(), 6u);
-  EXPECT_EQ(outcome.b[0], msgs[0]);
-  EXPECT_EQ(outcome.b[1], msgs[3]);
-  EXPECT_EQ(outcome.b[4], msgs[2]);
-  EXPECT_EQ(outcome.b[5], msgs[5]);
+  for (std::size_t round = 0; round < 3; ++round) {
+    EXPECT_EQ(outcome.b[2 * round], msgs[round]);
+    EXPECT_EQ(outcome.b[2 * round + 1], msgs[round + 3]);
+  }
 }
 
 TEST(BatchedPrecompute, OfflinePhaseIsOneRoundTrip) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "ppds/svm/smo.hpp"
@@ -114,6 +115,11 @@ struct AccuracyCase {
   double lin_lo, lin_hi;
   double poly_lo, poly_hi;
 };
+
+// Without this, gtest prints the case as raw object bytes — including the
+// `name` pointer, which ASLR moves on every run — and that text ends up in
+// the ctest test names, so they would differ from build to build.
+void PrintTo(const AccuracyCase& c, std::ostream* os) { *os << c.name; }
 
 class Table1Calibration : public ::testing::TestWithParam<AccuracyCase> {};
 

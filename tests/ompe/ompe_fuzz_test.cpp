@@ -50,22 +50,41 @@ TEST_P(OmpeFuzz, RandomConfigurationsEvaluateCorrectly) {
     for (auto& v : alpha) v = rng.uniform(-1.0, 1.0);
 
     const std::uint64_t run_seed = rng();
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng r(run_seed);
-          crypto::LoopbackSender ot;
-          run_sender(ch, secret, params, ot, r);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng r(run_seed + 1);
-          crypto::LoopbackReceiver ot;
-          return run_receiver(ch, alpha, actual, arity, params, ot, r);
-        });
+    const auto run = [&](const OmpeParams& run_params,
+                         const std::vector<double>& input) {
+      return net::run_two_party(
+                 [&](net::Endpoint& ch) {
+                   Rng r(run_seed);
+                   crypto::LoopbackSender ot;
+                   run_sender(ch, secret, run_params, ot, r);
+                   return 0;
+                 },
+                 [&](net::Endpoint& ch) {
+                   Rng r(run_seed + 1);
+                   crypto::LoopbackReceiver ot;
+                   return run_receiver(ch, input, actual, arity, run_params,
+                                       ot, r);
+                 })
+          .b;
+    };
     const double expect = secret.evaluate(alpha);
-    EXPECT_NEAR(outcome.b, expect, 1e-6 + 1e-4 * std::abs(expect))
+    EXPECT_NEAR(run(params, alpha), expect, 1e-6 + 1e-4 * std::abs(expect))
         << "round " << round << " arity " << arity << " degree " << actual
         << " q " << params.q << " k " << params.k;
+
+    // The same secret over the field backend, with the input on the 2^-12
+    // encoding grid: only the coefficient encoding rounds.
+    OmpeParams field_params = params;
+    field_params.backend = Backend::kField;
+    field_params.frac_bits = 12;  // f * (degree + 1) < 61 up to degree 3
+    std::vector<double> grid_alpha(arity);
+    for (std::size_t i = 0; i < arity; ++i) {
+      grid_alpha[i] = std::ldexp(std::round(std::ldexp(alpha[i], 12)), -12);
+    }
+    EXPECT_NEAR(run(field_params, grid_alpha), secret.evaluate(grid_alpha),
+                1e-2)
+        << "field round " << round << " arity " << arity << " degree "
+        << actual;
   }
 }
 

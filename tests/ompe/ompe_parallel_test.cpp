@@ -7,8 +7,8 @@
 #include "ppds/ompe/ompe.hpp"
 
 /// \file ompe_parallel_test.cpp
-/// The performance knobs in OmpeParams (eval_threads, use_eval_dag,
-/// use_simd_field) are LOCAL: they must never change a single wire byte.
+/// The performance knobs in OmpeParams (eval_threads, use_simd_field) are
+/// LOCAL: they must never change a single wire byte.
 /// These tests pin that contract down bit for bit — run them under tsan to
 /// also race the worker pool against itself.
 
@@ -230,45 +230,6 @@ double run_full(const math::MultiPoly& secret, const std::vector<double>& alpha,
                             params, ot, rng);
       });
   return outcome.b;
-}
-
-TEST(OmpeParallel, DagEvaluatorMatchesNaiveExactlyOnFieldBackend) {
-  // Field arithmetic is exact, so flipping use_eval_dag must reproduce the
-  // IDENTICAL decoded result, not merely a close one.
-  math::MultiPoly p(3);
-  p.add_term(0.5, {2, 1, 0});
-  p.add_term(-1.25, {0, 0, 3});
-  p.add_term(0.75, {1, 1, 1});
-  p.add_constant(0.375);
-  const std::vector<double> alpha{0.25, -0.5, 0.125};  // exact on the grid
-  OmpeParams params;
-  params.backend = Backend::kField;
-  // Degree 3 harmonizes the constant term to scale 2^{f*(3+1)}: f = 12
-  // keeps every encoded coefficient inside the field.
-  params.frac_bits = 12;
-  params.use_eval_dag = true;
-  const double with_dag = run_full(p, alpha, params, 4242);
-  params.use_eval_dag = false;
-  const double naive = run_full(p, alpha, params, 4242);
-  EXPECT_EQ(with_dag, naive);
-  EXPECT_NEAR(with_dag, p.evaluate(alpha), 1e-2);
-}
-
-TEST(OmpeParallel, DagEvaluatorMatchesNaiveOnRealBackend) {
-  math::MultiPoly p(2);
-  p.add_term(0.5, {2, 2});
-  p.add_term(2.0, {1, 1});
-  p.add_term(-1.5, {2, 0});
-  p.add_constant(-0.3);
-  const std::vector<double> alpha{0.7, -1.3};
-  OmpeParams params;
-  params.use_eval_dag = true;
-  const double with_dag = run_full(p, alpha, params, 868);
-  params.use_eval_dag = false;
-  const double naive = run_full(p, alpha, params, 868);
-  const double expect = p.evaluate(alpha);
-  EXPECT_NEAR(with_dag, expect, 1e-6 + 1e-3 * std::abs(expect));
-  EXPECT_NEAR(naive, expect, 1e-6 + 1e-3 * std::abs(expect));
 }
 
 TEST(OmpeParallel, StageCountersCountProtocolElementsExactly) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ppds/common/bytes.hpp"
+#include "ppds/common/hex.hpp"
 #include "ppds/core/session.hpp"
 #include "ppds/crypto/ot.hpp"
 #include "ppds/crypto/reservoir.hpp"
@@ -79,23 +80,66 @@ bool eventually(const Pred& done,
 
 TEST(ScenarioSpec, SilentAndReservoirTokensRoundTrip) {
   const ScenarioSpec spec =
-      ScenarioSpec::parse("diabetes:poly:silent:reservoir:refill=32");
+      ScenarioSpec::parse("diabetes:poly:silent:reservoir");
   EXPECT_EQ(spec.preset, ScenarioSpec::Preset::kSilent);
   EXPECT_TRUE(spec.reservoir);
-  EXPECT_EQ(spec.refill_batch, 32u);
-  EXPECT_EQ(spec.to_string(), "diabetes:poly:silent:reservoir:refill=32");
+  EXPECT_EQ(spec.to_string(), "diabetes:poly:silent:reservoir");
 
-  // The knobs land in the config; silent implies the precomputed engine
+  // The knob lands in the config; silent implies the precomputed engine
   // with the PPRF offline phase.
   const Scenario s = Scenario::make(spec, 1);
   EXPECT_TRUE(s.config.silent_precompute);
   EXPECT_TRUE(s.config.reservoir);
-  EXPECT_EQ(s.config.refill_batch, 32u);
   EXPECT_EQ(s.config.ot_engine, core::OtEngine::kPrecomputed);
 
-  EXPECT_THROW(ScenarioSpec::parse("diabetes:refill=0"), InvalidArgument);
-  EXPECT_THROW(ScenarioSpec::parse("diabetes:refill=bogus"), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::parse("diabetes:resevoir"), InvalidArgument);
+  // The refill batch is a protocol-side constant, not a spec token.
+  EXPECT_THROW(ScenarioSpec::parse("diabetes:refill=32"), InvalidArgument);
+}
+
+TEST(ScenarioSpec, GoldenProtocolDigests) {
+  // The handshake identity of every served preset, pinned to recorded
+  // values. Local tuning changes must leave these untouched; a change that
+  // moves one is a protocol change both parties have to take together.
+  struct Golden {
+    const char* spec;
+    const char* protocol;
+    const char* similarity;
+  };
+  const Golden golden[] = {
+      {"diabetes:linear:fast",
+       "e99d639f9880604f4ace603e1bf1f973c23f4c4c22cdd0f3bc225810c407affb",
+       "3a952bb97470fece5845d8bea2123408762d120a754e7af557adf63e624f2160"},
+      {"diabetes:linear:precomputed",
+       "a5920777da45ba54c4a115b19cfecdea44c69a1baf39d58b4daeb18227d83986",
+       "201c524ac1b288e96fb379ea73e3c408b0b68bc4e8089ffc3ccc16fddf2ec405"},
+      {"diabetes:linear:silent",
+       "3bff482db5e6ab46784342b70b8b937a0193f02475dc768488dfeb7380558963",
+       "91905f8eb12e114fdaf9af6432a108fd2318859a27de79dd4d586a7d13321ed4"},
+      {"diabetes:linear:secure",
+       "c81c562ddb298afddb696ed21afaf1b6944e4fe4381172060ba51aa8e837e79c",
+       "210e915d2fb27034a154593d914b5c3f0f2f2fec03e1ec87b961b2f5146d23b3"},
+      {"diabetes:poly:fast",
+       "88be412fe603892dc824458b6f18ce9c9c7506d68351a8519a7f11758c044bc3",
+       "acd1278f510a91a96ed40d0846d447b4b3390d6dee4d4e4697e8747cf841b06f"},
+      {"diabetes:poly:precomputed",
+       "2c25c901e46e5c29b415c37e9b67e21a495feadb5cae5b57015f6f0d84324c15",
+       "057ffff886d33a45e7d00ada6f2c003da0251bf83806f7196c687009ee5b187a"},
+      {"diabetes:poly:silent",
+       "65ab40f389e6b280499d3b5ff408de5579325683453106d700508447b3d4ef77",
+       "67a456fb241a88c253d7a698b36934602d2906490c77739b17fd36a330cd7a8b"},
+      {"diabetes:poly:secure",
+       "8d756deb36f5f2b28f9754c692cab467f3c7feaf1cdfb96785ccb95d3b76ba48",
+       "c246e620fdf9443f3d96e0f2578ea76a3705b1af1ac06a74cd3d2dca3cea7bde"},
+  };
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(g.spec);
+    const Scenario s = Scenario::make(g.spec, 2029);
+    EXPECT_EQ(to_hex(core::protocol_digest(s.profile, s.config)), g.protocol);
+    EXPECT_EQ(to_hex(core::similarity_digest(s.server_model.kernel(), s.space,
+                                             s.config)),
+              g.similarity);
+  }
 }
 
 TEST(Daemon, ServesClassificationAndSimilarityOverTcpLoopback) {
