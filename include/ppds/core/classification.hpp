@@ -1,9 +1,11 @@
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "ppds/common/secret_taint.hpp"
 #include "ppds/core/config.hpp"
+#include "ppds/crypto/sha256.hpp"
 #include "ppds/math/monomial.hpp"
 #include "ppds/net/channel.hpp"
 #include "ppds/svm/model.hpp"
@@ -25,7 +27,10 @@
 namespace ppds::core {
 
 /// The public protocol profile both parties derive from the kernel: how the
-/// decision function is represented as a polynomial.
+/// decision function is represented as a polynomial. Build it with make()
+/// and treat the public fields as read-only afterwards: make() absorbs them
+/// into the digest midstate that protocol_digest() finishes, so a field
+/// edited later would no longer match the digest the handshake sends.
 struct ClassificationProfile {
   std::size_t input_dim = 0;       ///< n, Bob's feature count
   std::size_t poly_arity = 0;      ///< r, variates of the OMPE polynomial
@@ -56,6 +61,16 @@ struct ClassificationProfile {
   /// SchemeConfig::ompe.use_simd_field is set.
   std::vector<std::vector<double>> transform_batch(
       const std::vector<std::vector<double>>& samples) const;
+
+  /// SHA-256 midstate over the profile half of protocol_digest(): protocol
+  /// version, shape, kernel and monomial exponent stream, absorbed once by
+  /// make() so a session does not rehash the basis (40 MB for a1a's
+  /// polynomial kernel). Throws InvalidArgument on a profile make() did not
+  /// build.
+  const crypto::Sha256& parameter_midstate() const;
+
+ private:
+  std::optional<crypto::Sha256> parameter_midstate_;
 };
 
 /// Alice: serves private classification queries from her model.

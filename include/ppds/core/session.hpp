@@ -33,9 +33,17 @@ namespace ppds::core {
 
 /// Canonical digest of every public protocol parameter: profile shape,
 /// kernel hyperparameters, monomial basis, OMPE parameters, OT engine and
-/// group. Two parties with equal digests will interoperate.
+/// group. Two parties with equal digests will interoperate. Finishes a
+/// copy of the profile's parameter_midstate() with the config fields, so
+/// a call costs O(1) in the basis size; throws InvalidArgument on a profile
+/// ClassificationProfile::make() did not build.
 crypto::Digest protocol_digest(const ClassificationProfile& profile,
                                const SchemeConfig& config);
+
+/// The profile half of protocol_digest(): SHA-256 over the protocol
+/// version, profile shape, kernel and monomial exponent stream.
+/// ClassificationProfile::make() calls it once and keeps the midstate.
+crypto::Sha256 absorb_profile_parameters(const ClassificationProfile& profile);
 
 /// Server side: performs the handshake, then serves the negotiated number
 /// of queries. Throws ProtocolError on any mismatch (after sending the

@@ -86,7 +86,7 @@ inline std::uint64_t mix_lane(std::uint64_t lane, std::uint64_t word) {
 }  // namespace detail_framing
 
 /// 64-bit integrity checksum over the header fields and the payload. The
-/// payload is folded through FOUR independent xor-rotate-multiply lanes so
+/// payload is folded through EIGHT independent xor-rotate-multiply lanes so
 /// the multiplies pipeline instead of forming one serial dependency chain —
 /// a frame is checksummed twice (send + validate) and OMPE payloads run to
 /// tens of MB, so the serial SplitMix64 variant showed up as whole

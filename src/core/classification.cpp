@@ -5,6 +5,7 @@
 
 #include "ppds/common/ct.hpp"
 #include "ppds/common/secret_taint.hpp"
+#include "ppds/core/session.hpp"
 #include "ppds/math/taylor.hpp"
 #include "ppds/net/framing.hpp"
 
@@ -98,7 +99,14 @@ ClassificationProfile ClassificationProfile::make(std::size_t input_dim,
       profile.declared_degree = taylor_order;
       break;
   }
+  profile.parameter_midstate_ = absorb_profile_parameters(profile);
   return profile;
+}
+
+const crypto::Sha256& ClassificationProfile::parameter_midstate() const {
+  detail::require(parameter_midstate_.has_value(),
+                  "ClassificationProfile: not built by make(), no digest");
+  return *parameter_midstate_;
 }
 
 std::vector<double> ClassificationProfile::transform(

@@ -1,5 +1,7 @@
 #include "ppds/core/session.hpp"
 
+#include <optional>
+
 #include "ppds/common/hex.hpp"
 #include "ppds/crypto/sha256.hpp"
 #include "ppds/net/framing.hpp"
@@ -14,21 +16,102 @@ namespace {
 constexpr std::uint32_t kProtocolVersion = 2;
 constexpr std::uint8_t kMagic[4] = {'P', 'P', 'D', 'S'};
 
+/// Shared hello/ack exchange on a precomputed digest. With \p max_queries
+/// the hello also carries the client's u64 query count, accepted in
+/// [1, max_queries] and returned; without it (similarity hellos) the result
+/// is 0. Returns normally only when both sides agreed; on success both
+/// endpoints have adopted the client-proposed session id.
+std::uint64_t handshake_server(
+    net::Endpoint& channel, const crypto::Digest& mine,
+    std::optional<std::size_t> max_queries = std::nullopt) {
+  channel.set_stage(net::Stage::kHandshake);
+  const Bytes hello = channel.recv();
+  ByteReader r(hello);
+  const Bytes magic = r.raw(4);
+  if (!std::equal(magic.begin(), magic.end(), kMagic)) {
+    throw ProtocolError("session: bad magic");
+  }
+  const std::uint32_t version = r.u32();
+  const Bytes theirs = r.raw(mine.size());
+  const std::uint64_t session_id = r.u64();
+  const std::uint64_t count = max_queries ? r.u64() : 0;
+  r.expect_end();
+
+  const bool digests_match =
+      std::equal(theirs.begin(), theirs.end(), mine.begin());
+  const bool count_ok =
+      !max_queries || (count >= 1 && count <= *max_queries);
+  const bool acceptable =
+      version == kProtocolVersion && digests_match && count_ok;
+
+  ByteWriter ack;
+  ack.u8(acceptable ? 1 : 0);
+  ack.raw(std::span<const std::uint8_t>(mine.data(), mine.size()));
+  channel.send(ack.take());
+
+  if (!acceptable) {
+    throw ProtocolError(
+        version != kProtocolVersion ? "session: protocol version mismatch"
+        : !digests_match            ? "session: parameter digest mismatch"
+                                    : "session: unacceptable query count");
+  }
+  // Every post-handshake frame is pinned to the negotiated session id.
+  channel.set_session_id(session_id);
+  return count;
+}
+
+/// Client half; \p count, when given, rides in the hello after the session
+/// id.
+void handshake_client(net::Endpoint& channel, const crypto::Digest& mine,
+                      Rng& rng,
+                      std::optional<std::uint64_t> count = std::nullopt) {
+  channel.set_stage(net::Stage::kHandshake);
+  const std::uint64_t session_id = rng();
+  ByteWriter hello;
+  hello.raw(std::span<const std::uint8_t>(kMagic, 4));
+  hello.u32(kProtocolVersion);
+  hello.raw(std::span<const std::uint8_t>(mine.data(), mine.size()));
+  hello.u64(session_id);
+  if (count) hello.u64(*count);
+  channel.send(hello.take());
+
+  const Bytes ack = channel.recv();
+  ByteReader r(ack);
+  const std::uint8_t status = r.u8();
+  const Bytes server_digest = r.raw(mine.size());
+  r.expect_end();
+  if (status != 1) {
+    throw ProtocolError("session: server denied the parameters (digest " +
+                        to_hex(server_digest).substr(0, 16) + "... vs ours " +
+                        to_hex(mine).substr(0, 16) + "...)");
+  }
+  channel.set_session_id(session_id);
+}
+
 }  // namespace
 
-crypto::Digest protocol_digest(const ClassificationProfile& profile,
-                               const SchemeConfig& config) {
+crypto::Sha256 absorb_profile_parameters(const ClassificationProfile& profile) {
   ByteWriter w;
   w.u32(kProtocolVersion);
   w.u64(profile.input_dim);
   w.u64(profile.poly_arity);
   w.u32(profile.declared_degree);
   profile.kernel.serialize(w);
-  // The monomial basis must match exactly: hash the exponent stream.
+  // The monomial basis must match exactly: hash the exponent stream, one
+  // entry at a time rather than staged in one 40 MB buffer.
   w.u64(profile.monomials.size());
+  crypto::Sha256 h;
+  h.update(w.data());
   for (const math::Exponents& exps : profile.monomials) {
-    w.raw(exps);
+    h.update(exps);
   }
+  return h;
+}
+
+crypto::Digest protocol_digest(const ClassificationProfile& profile,
+                               const SchemeConfig& config) {
+  crypto::Sha256 h = profile.parameter_midstate();
+  ByteWriter w;
   w.u8(static_cast<std::uint8_t>(config.ot_engine));
   w.u8(static_cast<std::uint8_t>(config.group));
   // The silent offline phase changes the precomputed-OT wire format (seed
@@ -44,46 +127,16 @@ crypto::Digest protocol_digest(const ClassificationProfile& profile,
   // Local performance knobs (ompe.eval_threads, ompe.use_simd_field,
   // reservoir) are deliberately NOT hashed: they never change wire bytes,
   // so the parties need not agree on them.
-  return crypto::sha256(w.data());
+  h.update(w.data());
+  return h.finish();
 }
 
 void serve_session(const ClassificationServer& server,
                    const ClassificationProfile& profile,
                    const SchemeConfig& config, net::Endpoint& channel,
                    Rng& rng, std::size_t max_queries, OtBundle* external) {
-  const crypto::Digest mine = protocol_digest(profile, config);
-
-  channel.set_stage(net::Stage::kHandshake);
-  const Bytes hello = channel.recv();
-  ByteReader r(hello);
-  const Bytes magic = r.raw(4);
-  if (!std::equal(magic.begin(), magic.end(), kMagic)) {
-    throw ProtocolError("session: bad magic");
-  }
-  const std::uint32_t version = r.u32();
-  const Bytes theirs = r.raw(mine.size());
-  const std::uint64_t session_id = r.u64();
-  const std::uint64_t count = r.u64();
-  r.expect_end();
-
-  const bool digests_match =
-      std::equal(theirs.begin(), theirs.end(), mine.begin());
-  const bool acceptable = version == kProtocolVersion && digests_match &&
-                          count >= 1 && count <= max_queries;
-
-  ByteWriter ack;
-  ack.u8(acceptable ? 1 : 0);
-  ack.raw(std::span<const std::uint8_t>(mine.data(), mine.size()));
-  channel.send(ack.take());
-
-  if (!acceptable) {
-    throw ProtocolError(
-        version != kProtocolVersion ? "session: protocol version mismatch"
-        : !digests_match            ? "session: parameter digest mismatch"
-                                    : "session: unacceptable query count");
-  }
-  // Every post-handshake frame is pinned to the negotiated session id.
-  channel.set_session_id(session_id);
+  const std::uint64_t count = handshake_server(
+      channel, protocol_digest(profile, config), max_queries);
   server.serve(channel, count, rng, external);
 }
 
@@ -93,88 +146,10 @@ std::vector<int> classify_session(
     const std::vector<std::vector<double>>& samples, Rng& rng,
     OtBundle* external) {
   detail::require(!samples.empty(), "session: no samples");
-  const crypto::Digest mine = protocol_digest(profile, config);
-
-  channel.set_stage(net::Stage::kHandshake);
-  const std::uint64_t session_id = rng();
-  ByteWriter hello;
-  hello.raw(std::span<const std::uint8_t>(kMagic, 4));
-  hello.u32(kProtocolVersion);
-  hello.raw(std::span<const std::uint8_t>(mine.data(), mine.size()));
-  hello.u64(session_id);
-  hello.u64(samples.size());
-  channel.send(hello.take());
-
-  const Bytes ack = channel.recv();
-  ByteReader r(ack);
-  const std::uint8_t status = r.u8();
-  const Bytes server_digest = r.raw(mine.size());
-  r.expect_end();
-  if (status != 1) {
-    throw ProtocolError("session: server denied the parameters (digest " +
-                        to_hex(server_digest).substr(0, 16) + "... vs ours " +
-                        to_hex(mine).substr(0, 16) + "...)");
-  }
-  channel.set_session_id(session_id);
+  handshake_client(channel, protocol_digest(profile, config), rng,
+                   samples.size());
   return client.classify_batch(channel, samples, rng, external);
 }
-
-namespace {
-
-/// Shared hello/ack exchange on a precomputed digest. Returns normally only
-/// when both sides agreed; on success both endpoints have adopted the
-/// client-proposed session id.
-void handshake_server(net::Endpoint& channel, const crypto::Digest& mine) {
-  channel.set_stage(net::Stage::kHandshake);
-  const Bytes hello = channel.recv();
-  ByteReader r(hello);
-  const Bytes magic = r.raw(4);
-  if (!std::equal(magic.begin(), magic.end(), kMagic)) {
-    throw ProtocolError("session: bad magic");
-  }
-  const std::uint32_t version = r.u32();
-  const Bytes theirs = r.raw(mine.size());
-  const std::uint64_t session_id = r.u64();
-  r.expect_end();
-  const bool acceptable =
-      version == kProtocolVersion &&
-      std::equal(theirs.begin(), theirs.end(), mine.begin());
-  ByteWriter ack;
-  ack.u8(acceptable ? 1 : 0);
-  ack.raw(std::span<const std::uint8_t>(mine.data(), mine.size()));
-  channel.send(ack.take());
-  if (!acceptable) {
-    throw ProtocolError(version != kProtocolVersion
-                            ? "session: protocol version mismatch"
-                            : "session: parameter digest mismatch");
-  }
-  channel.set_session_id(session_id);
-}
-
-void handshake_client(net::Endpoint& channel, const crypto::Digest& mine,
-                      Rng& rng) {
-  channel.set_stage(net::Stage::kHandshake);
-  const std::uint64_t session_id = rng();
-  ByteWriter hello;
-  hello.raw(std::span<const std::uint8_t>(kMagic, 4));
-  hello.u32(kProtocolVersion);
-  hello.raw(std::span<const std::uint8_t>(mine.data(), mine.size()));
-  hello.u64(session_id);
-  channel.send(hello.take());
-  const Bytes ack = channel.recv();
-  ByteReader r(ack);
-  const std::uint8_t status = r.u8();
-  const Bytes server_digest = r.raw(mine.size());
-  r.expect_end();
-  if (status != 1) {
-    throw ProtocolError("session: server denied the parameters (digest " +
-                        to_hex(server_digest).substr(0, 16) + "... vs ours " +
-                        to_hex(mine).substr(0, 16) + "...)");
-  }
-  channel.set_session_id(session_id);
-}
-
-}  // namespace
 
 crypto::Digest similarity_digest(const svm::Kernel& kernel,
                                  const DataSpace& space,

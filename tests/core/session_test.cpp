@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ppds/crypto/sha256.hpp"
 #include "ppds/net/party.hpp"
 
 namespace ppds::core {
@@ -28,6 +29,67 @@ TEST(ProtocolDigest, DeterministicAndParameterSensitive) {
   const auto poly_profile =
       ClassificationProfile::make(2, svm::Kernel::paper_polynomial(2));
   EXPECT_NE(protocol_digest(profile, cfg), protocol_digest(poly_profile, cfg));
+}
+
+/// Oracle: the whole parameter stream serialized into one buffer and hashed
+/// in one shot, independent of the midstate protocol_digest() finishes.
+crypto::Digest full_stream_digest(const ClassificationProfile& profile,
+                                  const SchemeConfig& config) {
+  ByteWriter w;
+  w.u32(2);  // protocol version
+  w.u64(profile.input_dim);
+  w.u64(profile.poly_arity);
+  w.u32(profile.declared_degree);
+  profile.kernel.serialize(w);
+  w.u64(profile.monomials.size());
+  for (const math::Exponents& exps : profile.monomials) w.raw(exps);
+  w.u8(static_cast<std::uint8_t>(config.ot_engine));
+  w.u8(static_cast<std::uint8_t>(config.group));
+  w.u8(config.silent_precompute ? 1 : 0);
+  w.u8(static_cast<std::uint8_t>(config.ompe.backend));
+  w.u32(config.ompe.q);
+  w.u32(config.ompe.k);
+  w.u32(config.ompe.frac_bits);
+  w.f64(config.ompe.node_lo);
+  w.f64(config.ompe.node_hi);
+  return crypto::sha256(w.data());
+}
+
+TEST(ProtocolDigest, MatchesFullParameterStream) {
+  const std::vector<ClassificationProfile> profiles{
+      ClassificationProfile::make(5, svm::Kernel::linear()),
+      ClassificationProfile::make(10, svm::Kernel::paper_polynomial(10, 2)),
+      ClassificationProfile::make(12, svm::Kernel::paper_polynomial(12, 3)),
+      ClassificationProfile::make(4, svm::Kernel::rbf(0.5), 6),
+      ClassificationProfile::make(3, svm::Kernel::sigmoid(0.2, -0.1), 3)};
+  auto field = SchemeConfig::fast_simulation();
+  field.ompe.backend = ompe::Backend::kField;
+  const std::vector<SchemeConfig> configs{
+      SchemeConfig::fast_simulation(), SchemeConfig::secure_default(),
+      SchemeConfig::silent(), field};
+  for (std::size_t p = 0; p < profiles.size(); ++p) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      SCOPED_TRACE(testing::Message() << "profile " << p << ", config " << c);
+      const crypto::Digest expected =
+          full_stream_digest(profiles[p], configs[c]);
+      EXPECT_EQ(protocol_digest(profiles[p], configs[c]), expected);
+      // Servers and clients hold copies of the profile.
+      const ClassificationProfile copy = profiles[p];
+      EXPECT_EQ(protocol_digest(copy, configs[c]), expected);
+      ClassificationProfile moved_from = profiles[p];
+      const ClassificationProfile moved = std::move(moved_from);
+      EXPECT_EQ(protocol_digest(moved, configs[c]), expected);
+    }
+  }
+  // The degree-3 basis is non-trivial, so the exponent stream is really
+  // exercised: the C(15, 3) - 1 monomials of degree 1..3 in 12 variables.
+  EXPECT_EQ(profiles[2].monomials.size(), 454u);
+}
+
+TEST(ProtocolDigest, RejectsProfileNotBuiltByMake) {
+  const ClassificationProfile unbuilt;
+  EXPECT_THROW(protocol_digest(unbuilt, SchemeConfig::fast_simulation()),
+               InvalidArgument);
 }
 
 TEST(ProtocolDigest, IgnoresLocalPerformanceKnobs) {
