@@ -1,10 +1,12 @@
 /// ABLATION — numeric backend of the OMPE protocol. The paper formulates
-/// OMPE over the reals; floating-point interpolation at degree p*q loses
+/// OMPE over the reals; floating-point interpolation at degree q loses
 /// accuracy as q grows, while the exact Mersenne-61 fixed-point backend is
-/// immune. This bench sweeps q and reports the observed absolute error of
-/// the returned value against the true polynomial value for both backends,
-/// plus the sign-agreement rate on near-boundary samples (the quantity that
-/// decides classifications).
+/// immune to the interpolation and pays only the fixed-point grid. This
+/// bench sweeps q and reports the observed absolute error of the returned
+/// value against the true polynomial value for both backends, plus the
+/// sign-agreement rate on near-boundary samples (the quantity that decides
+/// classifications). A degree-4 secret runs, like every served secret, as a
+/// linear form over its monomial feature map.
 
 #include <algorithm>
 #include <cmath>
@@ -21,21 +23,26 @@ namespace {
 
 using namespace ppds;
 
+/// One OMPE round of \p secret linearized over its monomial basis, with
+/// the receiver holding the features of \p alpha.
 double one_round(const math::MultiPoly& secret,
                  const std::vector<double>& alpha,
                  const ompe::OmpeParams& params, std::uint64_t seed) {
+  const auto basis =
+      math::monomials_up_to(secret.arity(), std::max(1u, secret.total_degree()));
+  const math::LinearExpansion form = math::linearize(secret, basis);
+  const std::vector<double> features = math::monomial_transform(basis, alpha);
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(seed);
         crypto::LoopbackSender ot;
-        ompe::run_sender(ch, secret, params, ot, rng);
+        ompe::run_sender(ch, form.coeffs, form.constant, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(seed + 1);
         crypto::LoopbackReceiver ot;
-        return ompe::run_receiver(ch, alpha, secret.total_degree(),
-                                  secret.arity(), params, ot, rng);
+        return ompe::run_receiver(ch, features, params, ot, rng);
       });
   return outcome.b;
 }
@@ -67,9 +74,9 @@ int main() {
           p.add_term(rng.uniform_nonzero(-1, 1), {1, 0});
           p.add_constant(rng.uniform(-0.01, 0.01));
         }
-        // Inputs on the fixed-point grid so the field backend is exact
-        // (grid matches the frac_bits chosen per degree below).
-        const double g = degree == 1 ? 1.0 / (1 << 12) : 1.0 / (1 << 10);
+        // Inputs on a 2^-5 grid: every feature up to degree 4 then sits on
+        // the 2^-20 grid of the field backend, which stays exact.
+        const double g = 1.0 / (1 << 5);
         std::vector<double> alpha{
             std::round(rng.uniform(-1, 1) / g) * g,
             std::round(rng.uniform(-1, 1) / g) * g};
@@ -82,11 +89,9 @@ int main() {
         real_err = std::fmax(real_err, std::abs(real_got - truth));
         real_sign += (real_got >= 0) == (truth >= 0) ? 1 : 0;
 
+        // Headroom: value * 2^{2 * frac_bits} must stay below p/2 = 2^60,
+        // which the default 20 fractional bits leave for |value| < 2^20.
         params.backend = ompe::Backend::kField;
-        // Headroom: value * 2^{frac_bits*(degree+1)} must stay below p/2 =
-        // 2^60; degree-4 values reach ~2^5, so 10 fractional bits is the
-        // exact-backend limit there.
-        params.frac_bits = degree == 1 ? 20 : 10;
         const double field_got =
             one_round(p, alpha, params, 5000 + trial + q * 100);
         field_err = std::fmax(field_err, std::abs(field_got - truth));
@@ -101,7 +106,7 @@ int main() {
   std::printf(
       "\nThe field backend's error is the fixed-point grid, independent of "
       "q;\nthe real backend's error grows with the interpolation degree "
-      "p*q.\n");
+      "q.\n");
 
   // --- scalar vs SIMD lane engine, exact-field backend ---------------------
   // Same protocol round with use_simd_field off/on. The lane kernels are
@@ -120,6 +125,7 @@ int main() {
     alpha[i] = std::round(wrng.uniform(-1, 1) / grid) * grid;
   }
   const math::MultiPoly wide = math::MultiPoly::affine(w, 0.01);
+  // Degree-1 secret over raw inputs: the 2^-12 grid is exact at 20 bits.
 
   ompe::OmpeParams params;
   params.q = 8;

@@ -78,15 +78,12 @@ void run_precomputed(std::size_t queries) {
         Split split;
         Stopwatch offline;
         core::OtBundle ot(cfg, rng);
-        const auto demand =
-            core::ot_demand_per_query(cfg.ompe, profile.declared_degree);
-        ot.prepare_receiver(ch, demand, queries);
+        ot.prepare_receiver(ch, core::ot_demand_per_query(cfg.ompe), queries);
         split.offline_ms = offline.millis();
         Stopwatch online;
         for (const auto& sample : samples) {
-          ompe::run_receiver(ch, profile.transform(sample),
-                             profile.declared_degree, profile.poly_arity,
-                             cfg.ompe, ot.receiver(), rng);
+          ompe::run_receiver(ch, profile.transform(sample), cfg.ompe,
+                             ot.receiver(), rng);
         }
         split.online_ms_per_query =
             online.millis() / static_cast<double>(queries);

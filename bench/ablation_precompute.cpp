@@ -45,7 +45,6 @@ double full_query_ms(std::size_t arity, const ompe::OmpeParams& params,
   Rng setup(seed);
   math::Vec w(arity);
   for (auto& v : w) v = setup.uniform(-1, 1);
-  const auto secret = math::MultiPoly::affine(w, 0.1);
   std::vector<double> alpha(arity);
   for (auto& v : alpha) v = setup.uniform(-1, 1);
   auto outcome = net::run_two_party(
@@ -54,7 +53,7 @@ double full_query_ms(std::size_t arity, const ompe::OmpeParams& params,
         crypto::LoopbackSender ot;
         const int reps = 20;
         for (int r = 0; r < reps; ++r) {
-          ompe::run_sender(ch, secret, params, ot, rng);
+          ompe::run_sender(ch, w, 0.1, params, ot, rng);
         }
         return 0;
       },
@@ -64,7 +63,7 @@ double full_query_ms(std::size_t arity, const ompe::OmpeParams& params,
         Stopwatch watch;
         const int reps = 20;
         for (int r = 0; r < reps; ++r) {
-          ompe::run_receiver(ch, alpha, 1, arity, params, ot, rng);
+          ompe::run_receiver(ch, alpha, params, ot, rng);
         }
         return watch.millis() / reps;
       });
@@ -84,7 +83,7 @@ int main() {
     const double query = full_query_ms(arity, params, 77 + arity);
     Rng rng(99 + arity);
     const double covers =
-        cover_generation_ms(arity, params.q, params.big_m(1), rng);
+        cover_generation_ms(arity, params.q, params.big_m(), rng);
     std::printf("%-6zu | %12.4f | %16.4f | %9.1f%%\n", arity, query, covers,
                 100.0 * covers / query);
   }

@@ -60,7 +60,7 @@ int main() {
     }
 
     auto cfg = core::SchemeConfig::fast_simulation();
-    cfg.ompe.q = 1;  // declared degree = taylor order; keep m = order+1
+    cfg.ompe.q = 1;  // m = q + 1 = 2 retrievals; the order widens the features
     core::ClassificationServer server(model, profile, cfg);
     core::ClassificationClient client(profile, cfg);
     const std::size_t probe = 60;
@@ -87,7 +87,8 @@ int main() {
   std::printf(
       "\nHigher truncation orders shrink the decision-value error and the\n"
       "private/plain disagreements near the boundary — at the price of a\n"
-      "higher OMPE degree (m = order*q + 1 retrievals per query). Outside\n"
+      "wider feature map (C(n + order, order) - 1 monomials per query; the\n"
+      "OMPE round stays degree 1 with m = q + 1 retrievals). Outside\n"
       "the series' convergence region (gamma * ||x - t||^2 >~ 2) the\n"
       "truncation DIVERGES — a practical limit of the paper's Taylor remark\n"
       "that only the polynomial kernel avoids.\n");

@@ -12,6 +12,7 @@
 
 #include "bench_util.hpp"
 #include "ppds/common/stopwatch.hpp"
+#include "ppds/common/thread_pool.hpp"
 #include "ppds/core/similarity.hpp"
 #include "ppds/net/party.hpp"
 
@@ -27,6 +28,8 @@ int main(int argc, char** argv) {
   auto report = bench::Json::object();
   report.set("figure", "fig10_similarity_cost");
   report.set("quick", quick);
+  report.set("hardware_threads",
+             static_cast<std::uint64_t>(ThreadPool::default_concurrency()));
   auto rows = bench::Json::array();
 
   const core::DataSpace space;

@@ -25,6 +25,7 @@ int main() {
   std::printf("%-14s | %9s | %9s | %12s\n", "Dataset", "Original",
               "Private", "agree/probed");
   bench::rule(56);
+  int mismatches = 0;
   for (const char* name : names) {
     const auto spec = *data::spec_by_name(name);
     auto [train, test] = data::generate(spec);
@@ -60,6 +61,13 @@ int main() {
     std::printf("%-14s | %8.2f%% | %8.2f%% | %zu/%zu %s\n", name,
                 100.0 * plain_acc, identical ? 100.0 * plain_acc : -1.0,
                 outcome.b, probe, identical ? "" : "MISMATCH");
+    mismatches += identical ? 0 : 1;
+  }
+  // The paper's claim is equality: any disagreeing probe fails the run.
+  if (mismatches != 0) {
+    std::printf("FAIL: %d dataset(s) with private != plain predictions\n",
+                mismatches);
+    return 1;
   }
   return 0;
 }

@@ -322,7 +322,7 @@ int main(int argc, char** argv) {
     const auto poly_profile =
         core::ClassificationProfile::make(spec.dim, poly_kernel);
     auto poly_cfg = core::SchemeConfig::fast_simulation();
-    poly_cfg.ompe.q = 1;  // m = 4 pairs; the 325k-variate vectors dominate
+    poly_cfg.ompe.q = 1;  // m = 2 pairs; the 325k-feature vectors dominate
     const double poly_priv_per_query =
         private_ms_per_query(poly_model, poly_profile, poly_cfg, test.x, 6);
     const double poly_priv_ms = poly_priv_per_query * n_test;

@@ -1,6 +1,7 @@
-/// Micro-benchmarks of the OMPE protocol: scaling in the input arity, the
-/// security parameter q, the cover blow-up k, and the two numeric backends
-/// (google-benchmark section), plus a hot-path engine sweep that brackets
+/// Micro-benchmarks of the OMPE protocol (always degree 1 over a feature
+/// vector): scaling in the input arity, the security parameter q, the cover
+/// blow-up k, and the two numeric backends (google-benchmark section), plus
+/// a hot-path engine sweep that brackets
 /// each configuration with the ompe::stage_counters() and emits
 /// BENCH_ompe.json (schema: docs/PERFORMANCE.md). Loopback OT throughout —
 /// the public-key OT cost is characterized in micro_crypto and
@@ -18,8 +19,6 @@
 #include "ppds/common/stopwatch.hpp"
 #include "ppds/common/thread_pool.hpp"
 #include "ppds/field/m61xn.hpp"
-#include "ppds/math/monomial.hpp"
-#include "ppds/math/multipoly.hpp"
 #include "ppds/math/vec.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/ompe/ompe.hpp"
@@ -28,29 +27,35 @@ namespace {
 
 using namespace ppds;
 
-double one_round(const math::MultiPoly& secret,
-                 const std::vector<double>& alpha,
+/// A random secret w . z + b.
+struct Affine {
+  math::Vec w;
+  double b = 0.0;
+};
+
+double one_round(const Affine& secret, const std::vector<double>& alpha,
                  const ompe::OmpeParams& params, std::uint64_t seed) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(seed);
         crypto::LoopbackSender ot;
-        ompe::run_sender(ch, secret, params, ot, rng);
+        ompe::run_sender(ch, secret.w, secret.b, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(seed + 1);
         crypto::LoopbackReceiver ot;
-        return ompe::run_receiver(ch, alpha, 1, secret.arity(), params, ot,
-                                  rng);
+        return ompe::run_receiver(ch, alpha, params, ot, rng);
       });
   return outcome.b;
 }
 
-math::MultiPoly random_affine(std::size_t arity, Rng& rng) {
-  math::Vec w(arity);
-  for (auto& v : w) v = rng.uniform(-1, 1);
-  return math::MultiPoly::affine(w, rng.uniform(-1, 1));
+Affine random_affine(std::size_t arity, Rng& rng) {
+  Affine out;
+  out.w.resize(arity);
+  for (auto& v : out.w) v = rng.uniform(-1, 1);
+  out.b = rng.uniform(-1, 1);
+  return out;
 }
 
 void BM_OmpeArity(benchmark::State& state) {
@@ -95,7 +100,7 @@ void BM_OmpeCoverK(benchmark::State& state) {
     benchmark::DoNotOptimize(one_round(secret, alpha, params, seed++));
   }
 }
-BENCHMARK(BM_OmpeCoverK)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+BENCHMARK(BM_OmpeCoverK)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_OmpeBackend(benchmark::State& state) {
@@ -125,12 +130,12 @@ struct SweepResult {
 
 double ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
-/// One timed linear-path round (the nonlinear serving pattern: a secret
-/// linear in `arity` variates, declared degree `degree`) averaged over
-/// \p reps, stage counters bracketing the runs.
-SweepResult linear_round(std::size_t arity, unsigned degree,
-                         unsigned eval_threads, std::size_t reps) {
-  Rng rng(11 + arity + degree);
+/// One timed round over a secret linear in `arity` features (the nonlinear
+/// serving pattern) averaged over \p reps, stage counters bracketing the
+/// runs.
+SweepResult linear_round(std::size_t arity, unsigned eval_threads,
+                         std::size_t reps) {
+  Rng rng(12 + arity);
   std::vector<double> w(arity);
   for (auto& v : w) v = rng.uniform(-1.0, 1.0);
   const double b = rng.uniform(-1.0, 1.0);
@@ -148,14 +153,13 @@ SweepResult linear_round(std::size_t arity, unsigned degree,
         [&](net::Endpoint& ch) {
           Rng srng(100 + rep);
           crypto::LoopbackSender ot;
-          ompe::run_sender_linear(ch, w, b, params, ot, srng, degree);
+          ompe::run_sender(ch, w, b, params, ot, srng);
           return 0;
         },
         [&](net::Endpoint& ch) {
           Rng rrng(200 + rep);
           crypto::LoopbackReceiver ot;
-          return ompe::run_receiver(ch, alpha, degree, arity, params, ot,
-                                    rrng);
+          return ompe::run_receiver(ch, alpha, params, ot, rrng);
         });
     benchmark::DoNotOptimize(outcome.b);
   }
@@ -192,13 +196,13 @@ SweepResult field_round(std::size_t arity, bool use_simd,
         [&](net::Endpoint& ch) {
           Rng srng(500 + rep);
           crypto::LoopbackSender ot;
-          ompe::run_sender_linear(ch, w, b, params, ot, srng, 1);
+          ompe::run_sender(ch, w, b, params, ot, srng);
           return 0;
         },
         [&](net::Endpoint& ch) {
           Rng rrng(600 + rep);
           crypto::LoopbackReceiver ot;
-          return ompe::run_receiver(ch, alpha, 1, arity, params, ot, rrng);
+          return ompe::run_receiver(ch, alpha, params, ot, rrng);
         });
     benchmark::DoNotOptimize(outcome.b);
     const double round = watch.millis();
@@ -218,143 +222,43 @@ SweepResult field_round(std::size_t arity, bool use_simd,
         std::min(result.stages.interp_ns, stages.interp_ns);
   }
   return result;
-}
-
-/// FIELD-backend round over the dense degree-p secret in n variables with
-/// the SIMD lane knob under test — the nonlinear mask shape, where the
-/// sender's sweep is the compiled monomial DAG rather than a linear dot.
-/// Best-of-reps per stage, like field_round.
-SweepResult field_dag_round(std::size_t n, unsigned p, bool use_simd,
-                            std::size_t reps) {
-  Rng rng(47 + n + p);
-  math::MultiPoly secret(n);
-  for (auto& exps : math::monomials_up_to(n, p)) {
-    secret.add_term(rng.uniform(-1.0, 1.0), std::move(exps));
-  }
-  secret.add_constant(rng.uniform(-1.0, 1.0));
-  std::vector<double> alpha(n);
-  for (auto& v : alpha) v = rng.uniform(-1.0, 1.0);
-
-  ompe::OmpeParams params;
-  params.backend = ompe::Backend::kField;
-  params.use_simd_field = use_simd;
-  params.eval_threads = 1;
-  params.frac_bits = 8;  // degree-p field encoding needs f * (p + 1) < 61
-
-  SweepResult result;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    ompe::reset_stage_counters();
-    Stopwatch watch;
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng srng(700 + rep);
-          crypto::LoopbackSender ot;
-          ompe::run_sender(ch, secret, params, ot, srng);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rrng(800 + rep);
-          crypto::LoopbackReceiver ot;
-          return ompe::run_receiver(ch, alpha, secret.total_degree(), n,
-                                    params, ot, rrng);
-        });
-    benchmark::DoNotOptimize(outcome.b);
-    const double round = watch.millis();
-    const ompe::StageCounters stages = ompe::stage_counters();
-    if (rep == 0) {
-      result.round_ms = round;
-      result.stages = stages;
-      continue;
-    }
-    result.round_ms = std::min(result.round_ms, round);
-    result.stages.mask_eval_ns =
-        std::min(result.stages.mask_eval_ns, stages.mask_eval_ns);
-    result.stages.cover_eval_ns =
-        std::min(result.stages.cover_eval_ns, stages.cover_eval_ns);
-    result.stages.ot_ns = std::min(result.stages.ot_ns, stages.ot_ns);
-    result.stages.interp_ns =
-        std::min(result.stages.interp_ns, stages.interp_ns);
-  }
-  return result;
-}
-
-/// One timed generic-path round over the DENSE degree-p polynomial in n
-/// variables (every monomial up to total degree p), the shape the monomial
-/// evaluation DAG targets.
-double dense_round_ms(std::size_t n, unsigned p, std::size_t reps) {
-  Rng rng(31 + n + p);
-  math::MultiPoly secret(n);
-  for (auto& exps : math::monomials_up_to(n, p)) {
-    secret.add_term(rng.uniform(-1.0, 1.0), std::move(exps));
-  }
-  secret.add_constant(rng.uniform(-1.0, 1.0));
-  std::vector<double> alpha(n);
-  for (auto& v : alpha) v = rng.uniform(-1.0, 1.0);
-
-  const ompe::OmpeParams params;
-
-  Stopwatch watch;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng srng(300 + rep);
-          crypto::LoopbackSender ot;
-          ompe::run_sender(ch, secret, params, ot, srng);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rrng(400 + rep);
-          crypto::LoopbackReceiver ot;
-          return ompe::run_receiver(ch, alpha, secret.total_degree(), n,
-                                    params, ot, rrng);
-        });
-    benchmark::DoNotOptimize(outcome.b);
-  }
-  return watch.millis() / static_cast<double>(reps);
 }
 
 void run_engine_sweep(bool quick, bench::Json& report) {
   const std::size_t reps = quick ? 1 : 3;
 
-  bench::banner("OMPE engine sweep: wide linear path (nonlinear pattern)");
+  bench::banner("OMPE engine sweep: wide feature vectors (nonlinear pattern)");
   bench::note("loopback OT; q=1; stage times from ompe::stage_counters()");
-  std::printf("%8s %3s %8s | %9s | %9s %9s %7s %7s\n", "arity", "deg",
-              "threads", "round ms", "mask ms", "cover ms", "ot ms",
-              "intp ms");
+  std::printf("%8s %8s | %9s | %9s %9s %7s %7s\n", "arity", "threads",
+              "round ms", "mask ms", "cover ms", "ot ms", "intp ms");
   bench::rule(74);
 
   auto linear_rows = bench::Json::array();
   const std::vector<std::size_t> arities =
       quick ? std::vector<std::size_t>{1024, 16384}
             : std::vector<std::size_t>{1024, 16384, 131072, 325499};
-  const std::vector<unsigned> degrees = quick ? std::vector<unsigned>{3}
-                                              : std::vector<unsigned>{1, 3};
   const unsigned hw =
       static_cast<unsigned>(ThreadPool::default_concurrency());
   for (std::size_t arity : arities) {
-    for (unsigned degree : degrees) {
-      for (unsigned threads : {1u, 0u}) {
-        const SweepResult r = linear_round(arity, degree, threads, reps);
-        const unsigned effective = threads == 0 ? hw : threads;
-        const double div = static_cast<double>(reps);
-        const double mask_ms = ms(r.stages.mask_eval_ns) / div;
-        const double cover_ms = ms(r.stages.cover_eval_ns) / div;
-        const double ot_ms = ms(r.stages.ot_ns) / div;
-        const double interp_ms = ms(r.stages.interp_ns) / div;
-        std::printf("%8zu %3u %8u | %9.2f | %9.2f %9.2f %7.2f %7.2f\n", arity,
-                    degree, effective, r.round_ms, mask_ms, cover_ms, ot_ms,
-                    interp_ms);
-        auto row = bench::Json::object();
-        row.set("arity", static_cast<std::uint64_t>(arity));
-        row.set("degree", static_cast<int>(degree));
-        row.set("eval_threads", static_cast<std::uint64_t>(effective));
-        row.set("round_ms", r.round_ms);
-        row.set("mask_eval_ms", mask_ms);
-        row.set("cover_eval_ms", cover_ms);
-        row.set("ot_ms", ot_ms);
-        row.set("interp_ms", interp_ms);
-        linear_rows.push(std::move(row));
-      }
+    for (unsigned threads : {1u, 0u}) {
+      const SweepResult r = linear_round(arity, threads, reps);
+      const unsigned effective = threads == 0 ? hw : threads;
+      const double div = static_cast<double>(reps);
+      const double mask_ms = ms(r.stages.mask_eval_ns) / div;
+      const double cover_ms = ms(r.stages.cover_eval_ns) / div;
+      const double ot_ms = ms(r.stages.ot_ns) / div;
+      const double interp_ms = ms(r.stages.interp_ns) / div;
+      std::printf("%8zu %8u | %9.2f | %9.2f %9.2f %7.2f %7.2f\n", arity,
+                  effective, r.round_ms, mask_ms, cover_ms, ot_ms, interp_ms);
+      auto row = bench::Json::object();
+      row.set("arity", static_cast<std::uint64_t>(arity));
+      row.set("eval_threads", static_cast<std::uint64_t>(effective));
+      row.set("round_ms", r.round_ms);
+      row.set("mask_eval_ms", mask_ms);
+      row.set("cover_eval_ms", cover_ms);
+      row.set("ot_ms", ot_ms);
+      row.set("interp_ms", interp_ms);
+      linear_rows.push(std::move(row));
     }
   }
   report.set("linear_sweep", std::move(linear_rows));
@@ -394,68 +298,7 @@ void run_engine_sweep(bool quick, bench::Json& report) {
     row.set("cover_speedup", cover_sc / cover_simd);
     simd_rows.push(std::move(row));
   }
-  // Nonlinear mask shapes: the sender sweep is the compiled monomial DAG
-  // (reduce -> DAG -> term combine as fused lane kernels) instead of the
-  // linear dot, over the dense degree-p secret in n variables.
-  std::printf("%8s | %10s %10s %7s | %10s %10s %7s\n", "dag n,p", "mask sc",
-              "mask simd", "speedup", "cover sc", "cover simd", "speedup");
-  bench::rule(74);
-  const std::vector<std::pair<std::size_t, unsigned>> dag_shapes =
-      quick ? std::vector<std::pair<std::size_t, unsigned>>{{8, 3}}
-            : std::vector<std::pair<std::size_t, unsigned>>{{8, 3}, {16, 4}};
-  for (auto [n, p] : dag_shapes) {
-    const SweepResult scalar =
-        field_dag_round(n, p, /*use_simd=*/false, simd_reps);
-    const SweepResult simd = field_dag_round(n, p, /*use_simd=*/true, simd_reps);
-    const double mask_sc = ms(scalar.stages.mask_eval_ns);
-    const double mask_simd = ms(simd.stages.mask_eval_ns);
-    const double cover_sc = ms(scalar.stages.cover_eval_ns);
-    const double cover_simd = ms(simd.stages.cover_eval_ns);
-    char label[16];
-    std::snprintf(label, sizeof(label), "%zu,%u", n, p);
-    std::printf("%8s | %10.3f %10.3f %6.2fx | %10.3f %10.3f %6.2fx\n", label,
-                mask_sc, mask_simd, mask_sc / mask_simd, cover_sc, cover_simd,
-                cover_sc / cover_simd);
-    auto row = bench::Json::object();
-    row.set("dag_n", static_cast<std::uint64_t>(n));
-    row.set("dag_p", static_cast<int>(p));
-    row.set("simd_engine", field::simd_caps().active);
-    row.set("scalar_mask_ms", mask_sc);
-    row.set("simd_mask_ms", mask_simd);
-    row.set("mask_speedup", mask_sc / mask_simd);
-    row.set("scalar_cover_ms", cover_sc);
-    row.set("simd_cover_ms", cover_simd);
-    row.set("cover_speedup", cover_sc / cover_simd);
-    simd_rows.push(std::move(row));
-  }
   report.set("field_simd_sweep", std::move(simd_rows));
-
-  bench::banner("OMPE engine sweep: dense secrets, compiled-DAG evaluation");
-  std::printf("%4s %3s %8s | %12s\n", "n", "p", "terms", "dag ms");
-  bench::rule(32);
-
-  auto dag_rows = bench::Json::array();
-  const std::vector<std::pair<std::size_t, unsigned>> shapes =
-      quick ? std::vector<std::pair<std::size_t, unsigned>>{{8, 3}}
-            : std::vector<std::pair<std::size_t, unsigned>>{
-                  {4, 3}, {8, 3}, {8, 4}, {16, 3}, {16, 4}};
-  for (auto [n, p] : shapes) {
-    const double dag_ms = dense_round_ms(n, p, reps);
-    const std::uint64_t terms = [&] {
-      std::uint64_t total = 1;  // constant
-      for (unsigned d = 1; d <= p; ++d) total += math::monomial_count(n, d);
-      return total;
-    }();
-    std::printf("%4zu %3u %8llu | %12.3f\n", n, p,
-                static_cast<unsigned long long>(terms), dag_ms);
-    auto row = bench::Json::object();
-    row.set("n", static_cast<std::uint64_t>(n));
-    row.set("p", static_cast<int>(p));
-    row.set("terms", terms);
-    row.set("dag_ms", dag_ms);
-    dag_rows.push(std::move(row));
-  }
-  report.set("dag_sweep", std::move(dag_rows));
 }
 
 }  // namespace

@@ -58,15 +58,14 @@ Setup make_setup() {
   // exactly on the fixed-point grid — no borderline-diagnosis flips.
   auto cfg = core::SchemeConfig::fast_simulation();
   cfg.ompe.backend = ompe::Backend::kField;
-  cfg.ompe.frac_bits = 12;  // degree-3 headroom in F_{2^61-1}
   cfg.ompe.q = 2;
 
   auto profile = core::ClassificationProfile::make(spec.dim, kernel);
   std::printf(
       "hospital model: polynomial kernel p=%u over %zu features, %zu SVs\n",
       kernel.degree, spec.dim, model.num_support_vectors());
-  std::printf("monomial expansion: %zu variates (degrees 1..%u)\n",
-              profile.poly_arity, profile.declared_degree);
+  std::printf("monomial expansion: %zu features (degrees 1..%u)\n",
+              profile.poly_arity, kernel.degree);
   return Setup{std::move(records), std::move(incoming), std::move(model),
                std::move(profile), std::move(cfg)};
 }

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "ppds/math/vec.hpp"
@@ -16,6 +19,11 @@
 /// Fig. 6 — if ra were OMITTED, clients see exact distances d(t_i) and
 /// n + 1 queries suffice to solve the linear system t_i . w + b = d(t_i)
 /// exactly, fully recovering the model.
+///
+/// Beyond the paper — the OMPE request itself: a curious sender that tries
+/// every (q+1)-subset of the M disguised pairs recovers the receiver's input
+/// whenever only the genuine subset interpolates to a plausible vector
+/// (recover_ompe_input; EXPERIMENTS.md records the measured shapes).
 
 namespace ppds::core {
 
@@ -40,5 +48,23 @@ ModelEstimate reconstruct_exact(const std::vector<math::Vec>& samples,
 /// (0 = perfect direction recovery, 90 = orthogonal). Sign-invariant.
 double direction_error_degrees(const math::Vec& estimated,
                                const math::Vec& truth);
+
+/// Outcome of the subset-enumeration attack on one OMPE request.
+struct OmpeInputRecovery {
+  bool found = false;
+  math::Vec alpha;           ///< the accepted interpolant at 0 (if found)
+  std::uint64_t trials = 0;  ///< (q+1)-subsets interpolated
+};
+
+/// What a curious sender learns from one captured real-backend OMPE request
+/// (the bytes ompe::run_receiver sends) with masking degree \p q: tries the
+/// (q+1)-subsets of the M pairs in lexicographic order, interpolates every
+/// coordinate at 0, and stops at the first vector \p plausible accepts.
+/// Needs no OT output — only the request and public knowledge of the
+/// input's domain. Throws InvalidArgument on a field-backend request or a
+/// keep count other than q + 1.
+OmpeInputRecovery recover_ompe_input(
+    std::span<const std::uint8_t> request, unsigned q,
+    const std::function<bool(const math::Vec&)>& plausible);
 
 }  // namespace ppds::core

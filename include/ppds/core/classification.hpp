@@ -7,6 +7,7 @@
 #include "ppds/core/config.hpp"
 #include "ppds/crypto/sha256.hpp"
 #include "ppds/math/monomial.hpp"
+#include "ppds/math/multipoly.hpp"
 #include "ppds/net/channel.hpp"
 #include "ppds/svm/model.hpp"
 
@@ -26,18 +27,18 @@
 
 namespace ppds::core {
 
-/// The public protocol profile both parties derive from the kernel: how the
-/// decision function is represented as a polynomial. Build it with make()
+/// The public protocol profile both parties derive from the kernel: the
+/// feature map tau over which the decision function is linear. Build it with make()
 /// and treat the public fields as read-only afterwards: make() absorbs them
 /// into the digest midstate that protocol_digest() finishes, so a field
 /// edited later would no longer match the digest the handshake sends.
 struct ClassificationProfile {
   std::size_t input_dim = 0;       ///< n, Bob's feature count
-  std::size_t poly_arity = 0;      ///< r, variates of the OMPE polynomial
-  unsigned declared_degree = 1;    ///< p, drives m = p*q + 1
+  std::size_t poly_arity = 0;      ///< r, features of the OMPE linear form
   svm::Kernel kernel;              ///< public kernel hyperparameters
-  /// Monomial basis for kernels that need an input transform
-  /// (empty for the linear kernel: tau == t).
+  /// Monomial basis for kernels that need an input transform: every
+  /// monomial up to the kernel degree (polynomial) or the Taylor order
+  /// (RBF, sigmoid). Empty for the linear kernel: tau == t.
   std::vector<math::Exponents> monomials;
   /// Evaluation DAG over `monomials` (built once in make()): tau_j =
   /// tau_parent(j) * t_var(j), so the client transform costs one multiply
@@ -57,8 +58,8 @@ struct ClassificationProfile {
   /// Batched transform, bit-identical per sample to transform(): sweeps the
   /// monomial DAG over blocks of eight samples in an SoA layout, turning
   /// the latency-bound per-sample multiply chain into eight independent
-  /// chains the compiler vectorizes. The batch query paths pick it when
-  /// SchemeConfig::ompe.use_simd_field is set.
+  /// chains the compiler vectorizes. The batch query paths always use it;
+  /// batches under eight samples fall back to transform().
   std::vector<std::vector<double>> transform_batch(
       const std::vector<std::vector<double>>& samples) const;
 
@@ -91,24 +92,15 @@ class ClassificationServer {
   PPDS_SECRET svm::SvmModel model_;
   ClassificationProfile profile_;
   SchemeConfig config_;
-  /// Monomial-basis kernels (polynomial) expand to a LINEAR function of the
-  /// transformed variates tau: coefficients + constant, served through the
-  /// OMPE linear fast path. Other kernels keep the generic MultiPoly.
-  bool linear_in_tau_ = false;
-  PPDS_SECRET std::vector<double> tau_coeffs_;
-  PPDS_SECRET double tau_constant_ = 0.0;
-  PPDS_SECRET math::MultiPoly poly_;
+  /// The decision function as a linear form over the profile's features.
+  PPDS_SECRET math::LinearExpansion expansion_;
 };
 
-/// The coefficient form of the expansion for monomial-basis profiles:
-/// d(tau) = coeffs . tau + constant. Cheaper than a MultiPoly by a factor
-/// of the arity (325k variates for the a1a..a9a nonlinear runs).
-struct LinearExpansion {
-  std::vector<double> coeffs;
-  double constant = 0.0;
-};
-
-LinearExpansion expand_decision_coefficients(
+/// The coefficient form of the decision function over the profile's
+/// features: d(tau) = coeffs . tau + constant. The polynomial kernel uses a
+/// closed form (a MultiPoly of a1a's 325k monomials is what it avoids);
+/// RBF and sigmoid linearize their Taylor MultiPoly over the basis.
+math::LinearExpansion expand_decision_coefficients(
     const svm::SvmModel& model, const ClassificationProfile& profile);
 
 /// Bob: issues private classification queries.

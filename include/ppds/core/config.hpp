@@ -2,8 +2,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "ppds/crypto/group.hpp"
 #include "ppds/crypto/ot.hpp"
@@ -65,8 +63,7 @@ struct SchemeConfig {
 };
 
 /// One homogeneous block of precomputed-OT demand: \p count direct
-/// 1-of-\p arity slots (arity 2 doubles as the bit-decomposition slot
-/// type). See ot_demand_per_query().
+/// 1-of-\p arity slots. See ot_demand_per_query().
 struct OtDemand {
   std::size_t arity = 2;
   std::size_t count = 0;
@@ -82,20 +79,17 @@ struct OtDemand {
 /// their slot pools on demand; calling prepare_sender() on the sender side
 /// while the receiver concurrently calls prepare_receiver() (same demand,
 /// see ot_demand_per_query()) front-loads a whole session's offline phase
-/// into one batched round trip per distinct slot arity.
+/// into one batched round trip.
 class OtBundle {
  public:
   OtBundle(const SchemeConfig& cfg, Rng& rng);
 
-  /// Offline phase (no-op unless engine == kPrecomputed): reserves every
-  /// (arity, count) block, merging duplicate arities, with \p repeat
-  /// scaling a per-query demand to a whole batch. Both sides must pass the
-  /// same demands in the same order.
-  void prepare_sender(net::Endpoint& channel,
-                      std::span<const OtDemand> demands,
+  /// Offline phase (no-op unless engine == kPrecomputed): reserves the
+  /// (arity, count) block, with \p repeat scaling a per-query demand to a
+  /// whole batch. Both sides must pass the same demand.
+  void prepare_sender(net::Endpoint& channel, const OtDemand& demand,
                       std::size_t repeat = 1);
-  void prepare_receiver(net::Endpoint& channel,
-                        std::span<const OtDemand> demands,
+  void prepare_receiver(net::Endpoint& channel, const OtDemand& demand,
                         std::size_t repeat = 1);
 
   /// Fails the bundle closed after a mid-protocol error: wipes and poisons
@@ -125,10 +119,9 @@ class OtBundle {
 };
 
 /// Demand one OMPE evaluation places on the precomputed-OT pools: m direct
-/// 1-of-M slots when M fits the direct bound (one offline exponentiation
-/// per transfer), else the bit-decomposition fallback of m * ceil(log2 M)
-/// arity-2 slots (m 1-out-of-M rounds of ceil(log2 M) key transfers each).
-std::vector<OtDemand> ot_demand_per_query(const ompe::OmpeParams& params,
-                                          unsigned degree);
+/// 1-of-M slots, one offline exponentiation per transfer. Throws
+/// InvalidArgument on shapes ompe::validate() rejects (M above the direct
+/// bound among them).
+OtDemand ot_demand_per_query(const ompe::OmpeParams& params);
 
 }  // namespace ppds::core

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "ppds/core/config.hpp"
+#include "ppds/math/monomial.hpp"
 #include "ppds/net/channel.hpp"
 #include "ppds/svm/model.hpp"
 
@@ -21,14 +22,17 @@
 ///
 /// The private protocol (linear case):
 ///   0. Bob sends ||mB||^2 and ||wB||^2 (vector moduli only).
-///   1. Two degree-1 OMPE rounds give Bob the amplified dot products
+///   1. Two OMPE rounds give Bob the amplified dot products
 ///      x1 = ram * (mA . mB)  and  x2 = raw * (wA . wB) + rb.
-///   2. One degree-4 bivariate OMPE round on Eq. (7) —
+///   2. One OMPE round on Eq. (7) —
 ///      T^2(x1,x2) = 1/4 [(c1 - 2 d1 x1)^2 + c2][c4 - c3 (d2 (x2 + d3))^2]
 ///      with c/d constants known only to Alice — gives Bob T^2, hence T.
+///      Bob maps (x1, x2) through its 14 monomials of degree 1..4, over
+///      which Eq. (7) is linear, so the round is degree 1 like the others.
 ///
 /// The nonlinear variant replaces every dot product by the (polynomial)
-/// kernel and computes centroids of the kernel decision surface.
+/// kernel, evaluated as a linear form over the monomials of Bob's vector,
+/// and computes centroids of the kernel decision surface.
 
 namespace ppds::core {
 
@@ -110,7 +114,8 @@ class SimilarityServer {
   double bias_ = 0.0;
   math::Vec centroid_;
   bool kernelized_ = false;
-  svm::SvmModel model_; ///< kept for the kernel path
+  /// Stage-1 feature map of the kernel path: monomials_up_to(n, p).
+  std::vector<math::Exponents> basis_;
 };
 
 /// Bob's side; learns T.
@@ -130,6 +135,7 @@ class SimilarityClient {
   math::Vec w_;
   math::Vec centroid_;
   bool kernelized_ = false;
+  std::vector<math::Exponents> basis_;  ///< as SimilarityServer::basis_
   double w_norm2_ = 0.0;  ///< ||wB||^2 resp. K(wB, wB)
   double m_norm2_ = 0.0;  ///< ||mB||^2 resp. K(mB, mB)
 };

@@ -163,12 +163,12 @@ struct PrecomputedRecvSlot {
 };
 
 /// Largest arity served by direct 1-of-n precomputed slots (the online
-/// correction shift must fit one byte). Larger transfers fall back to bit
-/// decomposition over arity-2 slots.
+/// correction shift must fit one byte). The batched engines refuse larger
+/// transfers; ompe::validate() keeps every OMPE round below it.
 inline constexpr std::size_t kMaxDirectArity = 256;
 
-/// Number of 1-out-of-2 key transfers a 1-out-of-n OT needs: ceil(log2 n)
-/// (0 when n == 1, where the single message is sent directly).
+/// Number of 1-out-of-2 key transfers a Naor-Pinkas 1-out-of-n OT needs:
+/// ceil(log2 n) (0 when n == 1, where the single message is sent directly).
 std::size_t index_bits(std::size_t n);
 
 /// Slots one batched-engine top-up round trip adds to a pool when a
@@ -225,9 +225,8 @@ OtAbortAudit& ot_abort_audit();
 /// reserve() tops a pool up for a whole classification session in one round
 /// trip, and send()/receive() refill symmetrically (both sides derive the
 /// same top-up size from the transfer shape) if a session outruns its
-/// reservation. An n-message transfer with n <= kMaxDirectArity consumes
-/// one direct arity-n slot; larger transfers fall back to bit decomposition
-/// over the arity-2 pool.
+/// reservation. An n-message transfer consumes one direct arity-n slot;
+/// n > kMaxDirectArity throws InvalidArgument.
 
 class BatchedOtSender : public OtSender {
  public:

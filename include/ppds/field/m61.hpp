@@ -10,7 +10,7 @@
 /// This is the coefficient field of the *exact* OMPE backend: the paper's
 /// protocol is described over the reals, but the original OMPE construction
 /// (Tassa et al.) lives in a finite field, and floating-point interpolation
-/// at degree p*q can lose the sign of d(t) for near-boundary samples. The
+/// at degree q can lose the sign of d(t) for near-boundary samples. The
 /// exact backend embeds fixed-point reals into F_p (negatives as p - |v|)
 /// and recovers sign by comparing against p/2.
 ///

@@ -516,8 +516,7 @@ inline M61x8 M61x8::reduce(const std::uint64_t* raw) {
 }
 
 /// Ring operators so M61x8 drops into the templated evaluators
-/// (math::MonomialDag::evaluate, CompiledMultiPoly::evaluate_lanes) exactly
-/// like scalar M61 does.
+/// (math::MonomialDag::evaluate) exactly like scalar M61 does.
 inline M61x8 operator+(const M61x8& a, const M61x8& b) { return add(a, b); }
 inline M61x8 operator-(const M61x8& a, const M61x8& b) { return sub(a, b); }
 inline M61x8 operator*(const M61x8& a, const M61x8& b) { return mul(a, b); }
@@ -602,48 +601,6 @@ inline M61x8 dot8_reduce_strided_portable(const M61x8& init, const M61* w,
     }
     const M61x8 z = reduce_portable(raw);
     acc = add_portable(acc, mul_portable(M61x8::broadcast(w[i]), z));
-  }
-  return acc;
-}
-
-/// Strided block reduce: out[j] gets the lane-packed reduction of the
-/// little-endian words at buf + l * stride + 8 * j — eight wire records
-/// folded into M61x8 form in one pass.
-inline void reduce8_strided_portable(const std::uint8_t* buf,
-                                     std::size_t stride, std::size_t n,
-                                     M61x8* out) {
-  std::uint64_t raw[kM61Lanes];
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t l = 0; l < kM61Lanes; ++l) {
-      raw[l] = load_word_le(buf + l * stride + 8 * j);
-    }
-    out[j] = reduce_portable(raw);
-  }
-}
-
-/// Monomial-DAG sweep on lanes: node i is x[var[i]] when parent[i] == one,
-/// else out[parent[i]] * x[var[i]] — math::MonomialDag::evaluate, eight
-/// points per step, the whole program in one dispatched call.
-inline void dag_eval8_portable(const std::uint32_t* parent,
-                               const std::uint32_t* var, std::size_t n,
-                               std::uint32_t one, const M61x8* x, M61x8* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const M61x8& xv = x[var[i]];
-    out[i] = parent[i] == one ? xv : mul_portable(out[parent[i]], xv);
-  }
-}
-
-/// Term-combine chain on lanes: accumulates broadcast(c[t]) for constant
-/// terms (node[t] == one) and broadcast(c[t]) * work[node[t]] otherwise —
-/// the CompiledMultiPoly term walk, eight points per step.
-inline M61x8 dot8_nodes_portable(const M61* c, const std::uint32_t* node,
-                                 std::size_t n, std::uint32_t one,
-                                 const M61x8* work) {
-  M61x8 acc{};
-  for (std::size_t t = 0; t < n; ++t) {
-    const M61x8 ct = M61x8::broadcast(c[t]);
-    acc = add_portable(acc,
-                       node[t] == one ? ct : mul_portable(ct, work[node[t]]));
   }
   return acc;
 }
@@ -779,97 +736,6 @@ __attribute__((target("avx2"))) inline M61x8 dot8_reduce_strided_avx2(
     const __m256i z1 = m61_reduce_avx2(load4_strided_avx2(hi + 8 * i, stride));
     a0 = m61_fold_avx2(_mm256_add_epi64(a0, m61_mul_relaxed_avx2(wi, z0)));
     a1 = m61_fold_avx2(_mm256_add_epi64(a1, m61_mul_relaxed_avx2(wi, z1)));
-  }
-  M61x8 out;
-  store4_avx2(out.v, m61_reduce_avx2(a0));
-  store4_avx2(out.v + 4, m61_reduce_avx2(a1));
-  return out;
-}
-
-__attribute__((target("avx2"))) inline void reduce8_strided_avx2(
-    const std::uint8_t* buf, std::size_t stride, std::size_t n, M61x8* out) {
-  const std::uint8_t* hi = buf + 4 * stride;
-  for (std::size_t j = 0; j < n; ++j) {
-    store4_avx2(out[j].v,
-                m61_reduce_avx2(load4_strided_avx2(buf + 8 * j, stride)));
-    store4_avx2(out[j].v + 4,
-                m61_reduce_avx2(load4_strided_avx2(hi + 8 * j, stride)));
-  }
-}
-
-// Note: stores RELAXED node values (< 2^61 + 4, congruent mod p to the
-// scalar node values) rather than canonical ones — the chain bounds of
-// m61_mul_relaxed_avx2 hold with both operands relaxed, and the only
-// consumer inside the fused pipeline (dot8_nodes) canonicalizes its result.
-// The public dag_eval8 dispatcher documents this contract.
-__attribute__((target("avx2"))) inline void dag_eval8_avx2(
-    const std::uint32_t* parent, const std::uint32_t* var, std::size_t n,
-    std::uint32_t one, const M61x8* x, M61x8* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const M61x8& xv = x[var[i]];
-    if (parent[i] == one) {
-      out[i] = xv;
-      continue;
-    }
-    const M61x8& pv = out[parent[i]];
-    store4_avx2(out[i].v, m61_fold_avx2(m61_mul_relaxed_avx2(
-                              load4_avx2(pv.v), load4_avx2(xv.v))));
-    store4_avx2(out[i].v + 4, m61_fold_avx2(m61_mul_relaxed_avx2(
-                                  load4_avx2(pv.v + 4), load4_avx2(xv.v + 4))));
-  }
-}
-
-__attribute__((target("avx2"))) inline M61x8 dot8_nodes_avx2(
-    const M61* c, const std::uint32_t* node, std::size_t n, std::uint32_t one,
-    const M61x8* work) {
-  // Reassociated dual accumulators riding the lazy relaxed range; residues
-  // mod p match the scalar chain exactly (see dot8_reduce_strided).
-  __m256i a0 = _mm256_setzero_si256();
-  __m256i a1 = _mm256_setzero_si256();
-  __m256i b0 = _mm256_setzero_si256();
-  __m256i b1 = _mm256_setzero_si256();
-  std::size_t t = 0;
-  for (; t + 2 <= n; t += 2) {
-    const __m256i ci =
-        _mm256_set1_epi64x(static_cast<long long>(c[t].value()));
-    const __m256i cj =
-        _mm256_set1_epi64x(static_cast<long long>(c[t + 1].value()));
-    if (node[t] == one) {
-      a0 = m61_fold_avx2(_mm256_add_epi64(a0, ci));
-      a1 = m61_fold_avx2(_mm256_add_epi64(a1, ci));
-    } else {
-      const M61x8& wt = work[node[t]];
-      a0 = m61_fold_avx2(
-          _mm256_add_epi64(a0, m61_mul_relaxed_avx2(ci, load4_avx2(wt.v))));
-      a1 = m61_fold_avx2(
-          _mm256_add_epi64(a1, m61_mul_relaxed_avx2(ci, load4_avx2(wt.v + 4))));
-    }
-    if (node[t + 1] == one) {
-      b0 = m61_fold_avx2(_mm256_add_epi64(b0, cj));
-      b1 = m61_fold_avx2(_mm256_add_epi64(b1, cj));
-    } else {
-      const M61x8& wu = work[node[t + 1]];
-      b0 = m61_fold_avx2(
-          _mm256_add_epi64(b0, m61_mul_relaxed_avx2(cj, load4_avx2(wu.v))));
-      b1 = m61_fold_avx2(
-          _mm256_add_epi64(b1, m61_mul_relaxed_avx2(cj, load4_avx2(wu.v + 4))));
-    }
-  }
-  a0 = m61_fold_avx2(_mm256_add_epi64(a0, b0));
-  a1 = m61_fold_avx2(_mm256_add_epi64(a1, b1));
-  for (; t < n; ++t) {
-    const __m256i ci =
-        _mm256_set1_epi64x(static_cast<long long>(c[t].value()));
-    if (node[t] == one) {
-      a0 = m61_fold_avx2(_mm256_add_epi64(a0, ci));
-      a1 = m61_fold_avx2(_mm256_add_epi64(a1, ci));
-    } else {
-      const M61x8& wt = work[node[t]];
-      a0 = m61_fold_avx2(
-          _mm256_add_epi64(a0, m61_mul_relaxed_avx2(ci, load4_avx2(wt.v))));
-      a1 = m61_fold_avx2(
-          _mm256_add_epi64(a1, m61_mul_relaxed_avx2(ci, load4_avx2(wt.v + 4))));
-    }
   }
   M61x8 out;
   store4_avx2(out.v, m61_reduce_avx2(a0));
@@ -1055,51 +921,6 @@ inline void horner_groups(const M61* c, std::size_t deg_p1,
   }
 #endif
   detail::horner_groups_portable(c, deg_p1, n_groups, x, out);
-}
-
-/// Reduce n strided variates into lane vectors: out[j].v[l] is the Mersenne
-/// fold of the little-endian word at buf + l * stride + 8 * j — the wire
-/// layout of eight consecutive OMPE point records.
-inline void reduce8_strided(const std::uint8_t* buf, std::size_t stride,
-                            std::size_t n, M61x8* out) {
-#if PPDS_M61XN_HAVE_AVX2_TARGET
-  if (detail::use_avx2()) {
-    detail::reduce8_strided_avx2(buf, stride, n, out);
-    return;
-  }
-#endif
-  detail::reduce8_strided_portable(buf, stride, n, out);
-}
-
-/// Monomial-DAG sweep on lanes: out[i] = x[var[i]] when parent[i] == one,
-/// else out[parent[i]] * x[var[i]] — MonomialDag::evaluate, eight points
-/// per node step. The stored node values are RELAXED residues: congruent
-/// mod p to the scalar node values but not necessarily < p (the AVX2 path
-/// defers canonicalization). Feed them to dot8_nodes — whose result is
-/// canonical — or apply reduce before comparing bytes.
-inline void dag_eval8(const std::uint32_t* parent, const std::uint32_t* var,
-                      std::size_t n, std::uint32_t one, const M61x8* x,
-                      M61x8* out) {
-#if PPDS_M61XN_HAVE_AVX2_TARGET
-  if (detail::use_avx2()) {
-    detail::dag_eval8_avx2(parent, var, n, one, x, out);
-    return;
-  }
-#endif
-  detail::dag_eval8_portable(parent, var, n, one, x, out);
-}
-
-/// Term-combine chain on lanes: sum of broadcast(c[t]) for constant terms
-/// (node[t] == one) and broadcast(c[t]) * work[node[t]] otherwise — the
-/// CompiledMultiPoly term walk over a DAG work array from dag_eval8.
-inline M61x8 dot8_nodes(const M61* c, const std::uint32_t* node, std::size_t n,
-                        std::uint32_t one, const M61x8* work) {
-#if PPDS_M61XN_HAVE_AVX2_TARGET
-  if (detail::use_avx2()) {
-    return detail::dot8_nodes_avx2(c, node, n, one, work);
-  }
-#endif
-  return detail::dot8_nodes_portable(c, node, n, one, work);
 }
 
 }  // namespace ppds::field

@@ -1,21 +1,24 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "ppds/common/error.hpp"
 #include "ppds/math/monomial.hpp"
 
 /// \file multipoly.hpp
-/// Sparse multivariate polynomials — the object the OMPE sender holds.
+/// Sparse multivariate polynomials — how the secrets are built.
 ///
-/// In the paper the sender's secret is always a multivariate polynomial P:
+/// In the paper the sender's secret is a multivariate polynomial P:
 ///   * linear classification:   P(t) = ra * (w . t + b), degree 1 over n vars
-///   * nonlinear classification: P(tau) over n' monomial variates, degree 1
-///     in tau (the monomial transform absorbs the kernel degree)
-///   * similarity stage 1:      P(t) = ram * (mA . t)           (degree 1)
+///   * nonlinear classification: the kernel or its Taylor truncation, degree
+///     p over n vars
+///   * similarity stage 1:      P(t) = ram * (mA . t) or its kernel form
 ///   * similarity stage 2:      Eq. (7), degree 4 over 2 vars.
+/// Every such P is linear over the public monomial feature map of its
+/// variables, so the OMPE sender never evaluates a MultiPoly: the owner
+/// linearize()s it over monomials_up_to(n, p) and the receiver maps its
+/// input through the same basis. MultiPoly stays the plaintext oracle.
 
 namespace ppds::math {
 
@@ -71,119 +74,20 @@ class MultiPoly {
   std::vector<Term> terms_;
 };
 
-/// Compiled evaluation form of a MultiPoly: flat SoA storage (coefficient
-/// array + CSR exponent lists) plus a monomial evaluation DAG over the
-/// divisor closure of the term monomials. Where MultiPoly::evaluate walks
-/// every term's exponent vector with repeated multiplications (quadratic in
-/// total degree for nonlinear profiles), the compiled form evaluates in one
-/// multiplication per DAG node plus one multiply-add per term — and its
-/// inner loop carries no nested vectors, so it vectorizes.
-///
-/// Compile once per secret polynomial; evaluate at many points (the OMPE
-/// sender evaluates every one of the receiver's M disguised points). The
-/// per-term coefficient array can be swapped at evaluation time
-/// (evaluate_with), which is how the exact field backend supplies its
-/// scale-harmonized M61 encodings and how amplified copies evaluate without
-/// recompiling.
-class CompiledMultiPoly {
- public:
-  /// Sentinel node index standing for the constant 1 (constant terms, and
-  /// the parent of degree-1 monomials).
-  static constexpr std::uint32_t kOne = MonomialDag::kOne;
-
-  CompiledMultiPoly() = default;
-
-  /// Compiles \p poly. Term order (and hence coefficient order) matches
-  /// poly.terms() exactly, so externally encoded coefficient arrays stay
-  /// aligned.
-  explicit CompiledMultiPoly(const MultiPoly& poly);
-
-  std::size_t arity() const { return arity_; }
-  std::size_t term_count() const { return coeffs_.size(); }
-  std::size_t node_count() const { return dag_.size(); }
-
-  /// Per-term coefficients in source order.
-  const std::vector<double>& coeffs() const { return coeffs_; }
-
-  /// DAG node index per term (kOne for the constant term), source order —
-  /// the flat view behind evaluate_with's term walk, for callers fusing
-  /// their own lane kernels over the compiled program.
-  const std::vector<std::uint32_t>& term_nodes() const { return term_node_; }
-
-  /// The compiled monomial DAG in graded order.
-  const MonomialDag& dag() const { return dag_; }
-
-  /// CSR view of term \p t's exponents: parallel (variable, exponent) runs.
-  std::span<const std::uint32_t> term_vars(std::size_t t) const {
-    return std::span<const std::uint32_t>(csr_var_)
-        .subspan(csr_offsets_[t], csr_offsets_[t + 1] - csr_offsets_[t]);
-  }
-  std::span<const std::uint8_t> term_exps(std::size_t t) const {
-    return std::span<const std::uint8_t>(csr_exp_)
-        .subspan(csr_offsets_[t], csr_offsets_[t + 1] - csr_offsets_[t]);
-  }
-
-  /// Evaluates with the compiled double coefficients. \p scratch holds the
-  /// node values (resized to node_count()); pass a per-thread instance when
-  /// evaluating concurrently.
-  double evaluate(std::span<const double> x, std::vector<double>& scratch) const {
-    return evaluate_with(std::span<const double>(coeffs_), x, scratch);
-  }
-
-  /// Evaluates with an externally supplied coefficient array (one entry per
-  /// source term, same order as coeffs()) over any ring R with +, * and a
-  /// zero-initializing default constructor — double for the real OMPE
-  /// backend, field::M61 for the exact backend.
-  template <typename R>
-  R evaluate_with(std::span<const R> coeffs, std::span<const R> x,
-                  std::vector<R>& scratch) const {
-    detail::require(coeffs.size() == coeffs_.size(),
-                    "CompiledMultiPoly: coefficient count mismatch");
-    detail::require(x.size() == arity_, "CompiledMultiPoly: arity mismatch");
-    scratch.resize(dag_.size());
-    dag_.evaluate(x, std::span<R>(scratch));
-    R acc{};
-    for (std::size_t t = 0; t < coeffs.size(); ++t) {
-      const std::uint32_t node = term_node_[t];
-      acc = acc + (node == kOne ? coeffs[t] : coeffs[t] * scratch[node]);
-    }
-    return acc;
-  }
-
-  /// Lane-parallel evaluate_with: \p x holds one packed lane per variable
-  /// (lane l of every entry is point l), coefficients stay scalar and are
-  /// broadcast at use. L must provide broadcast(R), operator+ and operator*
-  /// whose lanes match the scalar ops bit for bit (field::M61x8 does), so
-  /// lane l of the result equals evaluate_with at point l exactly — the
-  /// term walk is the same multiply-add chain, eight points per step.
-  template <typename R, typename L>
-  L evaluate_lanes(std::span<const R> coeffs, std::span<const L> x,
-                   std::vector<L>& scratch) const {
-    detail::require(coeffs.size() == coeffs_.size(),
-                    "CompiledMultiPoly: coefficient count mismatch");
-    detail::require(x.size() == arity_, "CompiledMultiPoly: arity mismatch");
-    scratch.resize(dag_.size());
-    dag_.evaluate(x, std::span<L>(scratch));
-    L acc{};
-    for (std::size_t t = 0; t < coeffs.size(); ++t) {
-      const std::uint32_t node = term_node_[t];
-      const L c = L::broadcast(coeffs[t]);
-      acc = acc + (node == kOne ? c : c * scratch[node]);
-    }
-    return acc;
-  }
-
- private:
-  std::size_t arity_ = 0;
-  std::vector<double> coeffs_;           ///< per term, source order
-  std::vector<std::uint32_t> term_node_; ///< DAG node per term (kOne = const)
-  /// CSR exponents: term t's nonzero exponents live in
-  /// csr_var_/csr_exp_[csr_offsets_[t] .. csr_offsets_[t+1]).
-  std::vector<std::uint32_t> csr_offsets_;
-  std::vector<std::uint32_t> csr_var_;
-  std::vector<std::uint8_t> csr_exp_;
-  /// Nodes of the divisor closure in graded order.
-  MonomialDag dag_;
+/// Coefficient form of a polynomial that is linear over a public feature
+/// map: P(x) = coeffs . tau(x) + constant, where tau evaluates a monomial
+/// basis (e.g. monomials_up_to) at x. This is the only shape the OMPE
+/// sender evaluates.
+struct LinearExpansion {
+  std::vector<double> coeffs;  ///< one per basis monomial, basis order
+  double constant = 0.0;
 };
+
+/// Rewrites \p poly over the monomial \p basis: every non-constant term
+/// adds its coefficient to its monomial's slot, the constant term goes to
+/// `constant`. Throws InvalidArgument when a term's monomial is not in the
+/// basis or the arities differ.
+LinearExpansion linearize(const MultiPoly& poly,
+                          const std::vector<Exponents>& basis);
 
 }  // namespace ppds::math

@@ -7,31 +7,42 @@
 #include "ppds/common/rng.hpp"
 #include "ppds/common/secret_taint.hpp"
 #include "ppds/crypto/ot.hpp"
-#include "ppds/math/multipoly.hpp"
 #include "ppds/net/channel.hpp"
 
 /// \file ompe.hpp
 /// Oblivious Multivariate Polynomial Evaluation (Section III-C / IV of the
-/// paper, after Tassa et al.).
+/// paper, after Tassa et al.), specialized to degree 1.
 ///
 /// Roles:
-///  * the SENDER (the paper's Alice / trainer) holds a secret multivariate
-///    polynomial P over r variates with total degree p;
-///  * the RECEIVER (Bob / client) holds an input vector alpha in R^r and
+///  * the SENDER (the paper's Alice / trainer) holds a secret linear form
+///    P(z) = w . z + b over r public features;
+///  * the RECEIVER (Bob / client) holds a feature vector alpha in R^r and
 ///    learns P(alpha); the sender learns nothing about alpha, the receiver
 ///    learns nothing about P beyond the single value.
+///
+/// Every secret the schemes serve is linear over a public feature map: the
+/// polynomial kernel, the RBF/sigmoid Taylor truncations, the kernelized
+/// similarity dot products and Eq. (7) are all inner products over a
+/// monomial basis (math::linearize). The receiver maps its input through
+/// the basis; the OMPE round itself is always degree 1.
 ///
 /// Mechanics (one protocol round trip + one k-out-of-n OT):
 ///  1. Receiver draws r random degree-q cover polynomials g_i, g_i(0) =
 ///     alpha_i, bundles them as G(v); picks M = m*k nonzero distinct nodes
-///     v_1..v_M with a secret subset I of size m = p*q + 1; sets
+///     v_1..v_M with a secret subset I of size m = q + 1; sets
 ///     z_sigma = G(v_sigma) on I and random disguise vectors elsewhere;
 ///     ships all (v_i, z_i).
-///  2. Sender draws a masking polynomial h of degree p*q with h(0) = 0,
+///  2. Sender draws a masking polynomial h of degree q with h(0) = 0,
 ///     evaluates w_i = h(v_i) + P(z_i) for every pair.
 ///  3. m-out-of-M OT delivers exactly the w_sigma with sigma in I.
 ///  4. Receiver Lagrange-interpolates B through (v_sigma, w_sigma) and
 ///     outputs B(0) = h(0) + P(G(0)) = P(alpha).
+///
+/// The paper sizes m = p*q + 1 for a degree-p secret; here p = 1 always.
+/// Degree 1 does not make small shapes private: a curious sender that tries
+/// every (q+1)-subset of the M pairs and keeps the one whose interpolant at
+/// 0 passes a plausibility check recovers alpha (core::recover_ompe_input,
+/// EXPERIMENTS.md). Choosing q and k against that search is open work.
 ///
 /// Backends:
 ///  * kReal  — long-double arithmetic; the paper's formulation over R.
@@ -49,7 +60,7 @@ enum class Backend : std::uint8_t { kReal = 0, kField = 1 };
 /// Public protocol parameters (shared by both parties out of band).
 struct OmpeParams {
   unsigned q = 8;        ///< masking-degree security parameter of the paper
-  unsigned k = 3;        ///< cover blow-up; M = (p*q + 1) * k
+  unsigned k = 3;        ///< cover blow-up; M = (q + 1) * k
   Backend backend = Backend::kReal;
   unsigned frac_bits = 20;  ///< fixed-point scale (field backend only)
   double node_lo = 0.3;  ///< |v| lower bound for real-backend nodes
@@ -74,11 +85,18 @@ struct OmpeParams {
   /// ignore it.
   bool use_simd_field = true;
 
-  /// Number of pairs the receiver keeps (polynomial degree p known).
-  std::size_t m(unsigned p) const { return static_cast<std::size_t>(p) * q + 1; }
+  /// Number of pairs the receiver keeps.
+  std::size_t m() const { return static_cast<std::size_t>(q) + 1; }
   /// Total number of disguised pairs.
-  std::size_t big_m(unsigned p) const { return m(p) * k; }
+  std::size_t big_m() const { return m() * k; }
 };
+
+/// Fails closed on shapes that hide nothing or that the OT engines cannot
+/// carry. Throws InvalidArgument for q = 0 (every cover is the constant
+/// alpha), k < 2 (every pair is genuine, so the sender interpolates alpha
+/// itself) and M = (q+1)k > crypto::kMaxDirectArity (no direct 1-of-M
+/// slot). Both protocol roles call it before touching the channel.
+void validate(const OmpeParams& params);
 
 /// Snapshot of the process-wide OMPE stage counters (mirrors
 /// crypto::exp_counters()): wall time and element counts per protocol stage,
@@ -103,36 +121,17 @@ StageCounters stage_counters();
 /// Resets all stage counters to zero (benchmark bracketing). Thread-safe.
 void reset_stage_counters();
 
-/// Runs the sender role for one evaluation. \p secret must have total
-/// degree >= 1; its arity and degree are public. When amplification is
-/// wanted (the paper's ra / rb), the caller bakes it into \p secret first.
-///
-/// \p declared_degree lets the caller announce a degree LARGER than the
-/// secret's actual total degree (0 = use the actual degree). The nonlinear
-/// classification scheme declares the kernel degree p although the expanded
-/// polynomial is linear in the monomial variates tau, so the protocol cost
-/// m = p*q + 1 matches Section IV-B of the paper.
-void run_sender(net::Endpoint& channel, PPDS_SECRET const math::MultiPoly& secret,
-                const OmpeParams& params, crypto::OtSender& ot, Rng& rng,
-                unsigned declared_degree = 0);
+/// Runs the sender role for one evaluation of P(z) = w . z + b. The arity
+/// w.size() is public. When amplification is wanted (the paper's ra / rb),
+/// the caller bakes it into w and b first.
+void run_sender(net::Endpoint& channel, PPDS_SECRET std::span<const double> w,
+                PPDS_SECRET double b, const OmpeParams& params,
+                crypto::OtSender& ot, Rng& rng);
 
-/// Fast path for secrets that are LINEAR in the (possibly transformed)
-/// input variates: d(z) = w . z + b. The nonlinear classification scheme
-/// expands the kernel into up to hundreds of thousands of monomial
-/// variates; representing that expansion as a MultiPoly would cost
-/// O(arity^2) memory, while this path evaluates each disguised pair in
-/// O(arity). Protocol messages are identical to the generic path.
-void run_sender_linear(net::Endpoint& channel,
-                       PPDS_SECRET std::span<const double> w,
-                       PPDS_SECRET double b, const OmpeParams& params,
-                       crypto::OtSender& ot, Rng& rng,
-                       unsigned declared_degree = 0);
-
-/// Runs the receiver role; returns P(alpha).
-/// \p degree and \p arity describe the sender's polynomial (public).
+/// Runs the receiver role; returns P(alpha). alpha.size() is the sender's
+/// (public) arity.
 double run_receiver(net::Endpoint& channel,
                     PPDS_SECRET std::span<const double> alpha,
-                    unsigned degree, std::size_t arity,
                     const OmpeParams& params, crypto::OtReceiver& ot,
                     Rng& rng);
 

@@ -66,6 +66,14 @@ math::MultiPoly sigmoid_term_poly(const math::Vec& x, double a0, double c0,
   return acc;
 }
 
+/// Highest monomial degree of the profile's graded basis: the kernel degree
+/// or the Taylor order the profile was built with.
+unsigned basis_degree(const ClassificationProfile& profile) {
+  unsigned d = 0;
+  for (unsigned e : profile.monomials.back()) d += e;
+  return d;
+}
+
 }  // namespace
 
 ClassificationProfile ClassificationProfile::make(std::size_t input_dim,
@@ -75,29 +83,32 @@ ClassificationProfile ClassificationProfile::make(std::size_t input_dim,
   ClassificationProfile profile;
   profile.input_dim = input_dim;
   profile.kernel = kernel;
+  // Every kernel's decision function is linear over a monomial feature map:
+  // the polynomial kernel exactly, RBF and sigmoid through their Taylor
+  // truncation.
+  unsigned basis = 0;
   switch (kernel.type) {
     case svm::KernelType::kLinear:
-      profile.poly_arity = input_dim;
-      profile.declared_degree = 1;
       break;
     case svm::KernelType::kPolynomial:
       detail::require(kernel.degree >= 1, "polynomial kernel degree >= 1");
-      profile.monomials = math::monomials_up_to(input_dim, kernel.degree);
-      profile.monomial_dag = math::build_monomial_dag(profile.monomials);
-      profile.poly_arity = profile.monomials.size();
-      profile.declared_degree = kernel.degree;
+      basis = kernel.degree;
       break;
     case svm::KernelType::kRbf:
       detail::require(taylor_order >= 2 && taylor_order % 2 == 0,
                       "rbf taylor order must be even and >= 2");
-      profile.poly_arity = input_dim;
-      profile.declared_degree = taylor_order;
+      basis = taylor_order;
       break;
     case svm::KernelType::kSigmoid:
       detail::require(taylor_order >= 1, "sigmoid taylor order >= 1");
-      profile.poly_arity = input_dim;
-      profile.declared_degree = taylor_order;
+      basis = taylor_order;
       break;
+  }
+  profile.poly_arity = input_dim;
+  if (basis != 0) {
+    profile.monomials = math::monomials_up_to(input_dim, basis);
+    profile.monomial_dag = math::build_monomial_dag(profile.monomials);
+    profile.poly_arity = profile.monomials.size();
   }
   profile.parameter_midstate_ = absorb_profile_parameters(profile);
   return profile;
@@ -187,7 +198,7 @@ math::MultiPoly expand_decision_function(const svm::SvmModel& model,
       // Delegate to the coefficient form, then lift to a MultiPoly (only
       // tests and small demos take this path; the server itself keeps the
       // coefficient form to stay O(arity)).
-      const LinearExpansion expansion =
+      const math::LinearExpansion expansion =
           expand_decision_coefficients(model, profile);
       math::MultiPoly poly(profile.poly_arity);
       for (std::size_t j = 0; j < expansion.coeffs.size(); ++j) {
@@ -205,7 +216,7 @@ math::MultiPoly expand_decision_function(const svm::SvmModel& model,
       const auto& cs = model.coefficients();
       for (std::size_t s = 0; s < svs.size(); ++s) {
         math::MultiPoly term =
-            rbf_term_poly(svs[s], kernel.gamma, profile.declared_degree);
+            rbf_term_poly(svs[s], kernel.gamma, basis_degree(profile));
         term.scale(cs[s]);
         acc = acc + term;
       }
@@ -218,7 +229,7 @@ math::MultiPoly expand_decision_function(const svm::SvmModel& model,
       const auto& cs = model.coefficients();
       for (std::size_t s = 0; s < svs.size(); ++s) {
         math::MultiPoly term = sigmoid_term_poly(svs[s], kernel.a0, kernel.c0,
-                                                 profile.declared_degree);
+                                                 basis_degree(profile));
         term.scale(cs[s]);
         acc = acc + term;
       }
@@ -229,22 +240,32 @@ math::MultiPoly expand_decision_function(const svm::SvmModel& model,
   throw InvalidArgument("expand_decision_function: unknown kernel");
 }
 
-LinearExpansion expand_decision_coefficients(
+math::LinearExpansion expand_decision_coefficients(
     const svm::SvmModel& model, const ClassificationProfile& profile) {
   const auto& kernel = profile.kernel;
-  detail::require(kernel.type == svm::KernelType::kPolynomial,
-                  "expand_decision_coefficients: monomial-basis kernels only");
   detail::require(model.kernel() == kernel,
                   "expand_decision_coefficients: kernel mismatch");
   detail::require(model.dim() == profile.input_dim,
                   "expand_decision_coefficients: dimension mismatch");
+  switch (kernel.type) {
+    case svm::KernelType::kLinear:
+      return math::LinearExpansion{model.linear_weights(), model.bias()};
+    case svm::KernelType::kRbf:
+    case svm::KernelType::kSigmoid:
+      // Only tests and the Taylor ablation serve these, at n <= 4: the
+      // Taylor MultiPoly is small, so linearize it directly.
+      return math::linearize(expand_decision_function(model, profile),
+                             profile.monomials);
+    case svm::KernelType::kPolynomial:
+      break;
+  }
   // d(tau) = sum_j coeff_j tau_j + const, where for a monomial with
   // exponents kappa of total degree i:
   //   coeff_j = p!/(kappa! (p-i)!) a0^i b0^{p-i} sum_s c_s prod x_s^kappa
   const unsigned p = kernel.degree;
   const auto& svs = model.support_vectors();
   const auto& cs = model.coefficients();
-  LinearExpansion out;
+  math::LinearExpansion out;
   out.coeffs.assign(profile.poly_arity, 0.0);
   for (std::size_t j = 0; j < profile.monomials.size(); ++j) {
     const math::Exponents& kappa = profile.monomials[j];
@@ -288,14 +309,8 @@ ClassificationServer::ClassificationServer(svm::SvmModel model,
     : model_(std::move(model)),
       profile_(std::move(profile)),
       config_(config) {
-  if (profile_.kernel.type == svm::KernelType::kPolynomial) {
-    linear_in_tau_ = true;
-    LinearExpansion expansion = expand_decision_coefficients(model_, profile_);
-    tau_coeffs_ = std::move(expansion.coeffs);
-    tau_constant_ = expansion.constant;
-  } else {
-    poly_ = expand_decision_function(model_, profile_);
-  }
+  ompe::validate(config_.ompe);
+  expansion_ = expand_decision_coefficients(model_, profile_);
 }
 
 void ClassificationServer::serve(net::Endpoint& channel, std::size_t count,
@@ -306,9 +321,7 @@ void ClassificationServer::serve(net::Endpoint& channel, std::size_t count,
   // (the client's matching batch call does the same).
   channel.set_stage(net::Stage::kOtSetup);
   try {
-    const auto demand =
-        ot_demand_per_query(config_.ompe, profile_.declared_degree);
-    ot.prepare_sender(channel, demand, count);
+    ot.prepare_sender(channel, ot_demand_per_query(config_.ompe), count);
     for (std::size_t i = 0; i < count; ++i) {
       // Fresh positive amplifier per query — the Level-2 defense of Fig. 5/6.
       // The range is deliberately wide (2^-8 .. 2^8): multiplicative positive
@@ -317,19 +330,11 @@ void ClassificationServer::serve(net::Endpoint& channel, std::size_t count,
       // tail buys more collusion resistance (quantified in fig5 and
       // EXPERIMENTS.md; an observation the paper does not make).
       const double ra = rng.log_uniform_positive(-8.0, 8.0);
-      if (linear_in_tau_) {
-        PPDS_SECRET std::vector<double> amplified = tau_coeffs_;
-        const ScopedWipe guard(amplified);  // ra-amplified model is secret
-        for (double& c : amplified) c *= ra;
-        ompe::run_sender_linear(channel, amplified, ra * tau_constant_,
-                                config_.ompe, ot.sender(), rng,
-                                profile_.declared_degree);
-      } else {
-        PPDS_SECRET math::MultiPoly amplified = poly_;
-        amplified.scale(ra);
-        ompe::run_sender(channel, amplified, config_.ompe, ot.sender(), rng,
-                         profile_.declared_degree);
-      }
+      PPDS_SECRET std::vector<double> amplified = expansion_.coeffs;
+      const ScopedWipe guard(amplified);  // ra-amplified model is secret
+      for (double& c : amplified) c *= ra;
+      ompe::run_sender(channel, amplified, ra * expansion_.constant,
+                       config_.ompe, ot.sender(), rng);
     }
   } catch (...) {
     // Fail closed: a half-consumed precomputed-OT batch must never be
@@ -341,7 +346,9 @@ void ClassificationServer::serve(net::Endpoint& channel, std::size_t count,
 
 ClassificationClient::ClassificationClient(ClassificationProfile profile,
                                            SchemeConfig config)
-    : profile_(std::move(profile)), config_(config) {}
+    : profile_(std::move(profile)), config_(config) {
+  ompe::validate(config_.ompe);
+}
 
 double ClassificationClient::query_value(net::Endpoint& channel,
                                          const std::vector<double>& sample,
@@ -368,28 +375,17 @@ std::vector<double> ClassificationClient::query_values_batch(
   OtBundle& ot = external != nullptr ? *external : local.emplace(config_, rng);
   channel.set_stage(net::Stage::kOtSetup);
   try {
-    const auto demand =
-        ot_demand_per_query(config_.ompe, profile_.declared_degree);
-    ot.prepare_receiver(channel, demand, samples.size());
+    ot.prepare_receiver(channel, ot_demand_per_query(config_.ompe),
+                        samples.size());
+    // Transform the whole batch up front through the SoA lane sweep
+    // (bit-identical per sample to transform()).
+    const std::vector<std::vector<double>> taus =
+        profile_.transform_batch(samples);
     std::vector<double> out;
     out.reserve(samples.size());
-    if (config_.ompe.use_simd_field && !profile_.monomials.empty()) {
-      // Transform the whole batch up front through the SoA lane sweep
-      // (bit-identical per sample to transform()).
-      const std::vector<std::vector<double>> taus =
-          profile_.transform_batch(samples);
-      for (const auto& tau : taus) {
-        out.push_back(ompe::run_receiver(
-            channel, tau, profile_.declared_degree, profile_.poly_arity,
-            config_.ompe, ot.receiver(), rng));
-      }
-      return out;
-    }
-    for (const auto& sample : samples) {
-      const std::vector<double> tau = profile_.transform(sample);
-      out.push_back(ompe::run_receiver(channel, tau, profile_.declared_degree,
-                                       profile_.poly_arity, config_.ompe,
-                                       ot.receiver(), rng));
+    for (const auto& tau : taus) {
+      out.push_back(
+          ompe::run_receiver(channel, tau, config_.ompe, ot.receiver(), rng));
     }
     return out;
   } catch (...) {

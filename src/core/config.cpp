@@ -35,48 +35,16 @@ OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng) {
   }
 }
 
-namespace {
-
-/// Merges duplicate arities (reserve() has ensure-at-least semantics, so
-/// two blocks of the same arity must be summed before reserving) and scales
-/// by the batch size. Order of first appearance is preserved so both
-/// parties issue their offline round trips in the same sequence.
-std::vector<OtDemand> merge_demands(std::span<const OtDemand> demands,
-                                    std::size_t repeat) {
-  std::vector<OtDemand> merged;
-  for (const OtDemand& d : demands) {
-    if (d.count == 0) continue;
-    bool found = false;
-    for (OtDemand& m : merged) {
-      if (m.arity == d.arity) {
-        m.count += d.count * repeat;
-        found = true;
-        break;
-      }
-    }
-    if (!found) merged.push_back(OtDemand{d.arity, d.count * repeat});
-  }
-  return merged;
-}
-
-}  // namespace
-
-void OtBundle::prepare_sender(net::Endpoint& channel,
-                              std::span<const OtDemand> demands,
+void OtBundle::prepare_sender(net::Endpoint& channel, const OtDemand& demand,
                               std::size_t repeat) {
-  if (batched_sender_ == nullptr) return;
-  for (const OtDemand& d : merge_demands(demands, repeat)) {
-    batched_sender_->reserve(channel, d.arity, d.count);
-  }
+  if (batched_sender_ == nullptr || demand.count == 0) return;
+  batched_sender_->reserve(channel, demand.arity, demand.count * repeat);
 }
 
-void OtBundle::prepare_receiver(net::Endpoint& channel,
-                                std::span<const OtDemand> demands,
+void OtBundle::prepare_receiver(net::Endpoint& channel, const OtDemand& demand,
                                 std::size_t repeat) {
-  if (batched_receiver_ == nullptr) return;
-  for (const OtDemand& d : merge_demands(demands, repeat)) {
-    batched_receiver_->reserve(channel, d.arity, d.count);
-  }
+  if (batched_receiver_ == nullptr || demand.count == 0) return;
+  batched_receiver_->reserve(channel, demand.arity, demand.count * repeat);
 }
 
 void OtBundle::abort() noexcept {
@@ -101,12 +69,9 @@ crypto::OtReceiver& OtBundle::receiver() {
   return *receiver_;
 }
 
-std::vector<OtDemand> ot_demand_per_query(const ompe::OmpeParams& params,
-                                          unsigned degree) {
-  const std::size_t m = params.m(degree);
-  const std::size_t big_m = params.big_m(degree);
-  if (big_m <= crypto::kMaxDirectArity) return {OtDemand{big_m, m}};
-  return {OtDemand{2, m * crypto::index_bits(big_m)}};
+OtDemand ot_demand_per_query(const ompe::OmpeParams& params) {
+  ompe::validate(params);
+  return OtDemand{params.big_m(), params.m()};
 }
 
 }  // namespace ppds::core

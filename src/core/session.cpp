@@ -13,7 +13,10 @@ namespace {
 // Version 2: the hello carries a client-proposed u64 session id; both
 // endpoints adopt it after a successful handshake, so every later frame is
 // pinned to this session (net/framing.hpp).
-constexpr std::uint32_t kProtocolVersion = 2;
+// Version 3: every OMPE round is degree 1 over a public feature map
+// (m = q + 1, OMPE request header v2); the profile no longer carries a
+// declared degree.
+constexpr std::uint32_t kProtocolVersion = 3;
 constexpr std::uint8_t kMagic[4] = {'P', 'P', 'D', 'S'};
 
 /// Shared hello/ack exchange on a precomputed digest. With \p max_queries
@@ -95,7 +98,6 @@ crypto::Sha256 absorb_profile_parameters(const ClassificationProfile& profile) {
   w.u32(kProtocolVersion);
   w.u64(profile.input_dim);
   w.u64(profile.poly_arity);
-  w.u32(profile.declared_degree);
   profile.kernel.serialize(w);
   // The monomial basis must match exactly: hash the exponent stream, one
   // entry at a time rather than staged in one 40 MB buffer.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "ppds/math/multipoly.hpp"
 #include "ppds/math/rootfind.hpp"
 #include "ppds/net/framing.hpp"
 
@@ -44,8 +45,8 @@ math::Vec aggregate_direction(const svm::SvmModel& model) {
 }
 
 /// Expands K(anchor, t) = (a0 anchor.t + b0)^p (times \p amplifier, plus
-/// \p offset) into a MultiPoly over t — the sender polynomial of the
-/// nonlinear stage-1 rounds.
+/// \p offset) into a MultiPoly over t — the secret of the nonlinear stage-1
+/// rounds, linearized over monomials_up_to(n, p) before it is served.
 math::MultiPoly kernel_stage1_poly(const math::Vec& anchor,
                                    const svm::Kernel& kernel, double amplifier,
                                    double offset) {
@@ -60,7 +61,8 @@ math::MultiPoly kernel_stage1_poly(const math::Vec& anchor,
 }
 
 /// Eq. (7): builds the bivariate degree-4 polynomial
-/// T^2(x1,x2) = 1/4 [(c1 - 2 d1 x1)^2 + c2][c4 - c3 (d2(x2 + d3))^2].
+/// T^2(x1,x2) = 1/4 [(c1 - 2 d1 x1)^2 + c2][c4 - c3 (d2(x2 + d3))^2],
+/// served linearized over stage2_basis().
 math::MultiPoly equation7_poly(double c1, double c2, double c3, double c4,
                                double d1, double d2, double d3) {
   const double a_coef[3] = {c1 * c1 + c2, -4.0 * c1 * d1, 4.0 * d1 * d1};
@@ -76,6 +78,29 @@ math::MultiPoly equation7_poly(double c1, double c2, double c3, double c4,
     }
   }
   return poly;
+}
+
+/// Public feature map of stage 2: the 14 monomials of degree 1..4 in
+/// (x1, x2). Eq. (7) is linear over it.
+const std::vector<math::Exponents>& stage2_basis() {
+  static const std::vector<math::Exponents> basis = math::monomials_up_to(2, 4);
+  return basis;
+}
+
+/// Serves one OMPE round of \p secret linearized over \p basis.
+void serve_linearized(net::Endpoint& channel, const math::MultiPoly& secret,
+                      const std::vector<math::Exponents>& basis,
+                      const ompe::OmpeParams& params, crypto::OtSender& ot,
+                      Rng& rng) {
+  const math::LinearExpansion form = math::linearize(secret, basis);
+  ompe::run_sender(channel, form.coeffs, form.constant, params, ot, rng);
+}
+
+/// One OT block for a whole evaluation: three OMPE rounds of one shape.
+OtDemand evaluation_demand(const ompe::OmpeParams& params) {
+  OtDemand demand = ot_demand_per_query(params);
+  demand.count *= 3;
+  return demand;
 }
 
 double kernel_self(const svm::Kernel& kernel, const math::Vec& v) {
@@ -191,14 +216,17 @@ double ordinary_similarity_kernel(const svm::SvmModel& a,
 
 SimilarityServer::SimilarityServer(const svm::SvmModel& model, DataSpace space,
                                    SchemeConfig config)
-    : space_(space), config_(config), kernel_(model.kernel()), model_(model) {
-  // The degree-4 stage-2 polynomial exceeds the fixed-point headroom of the
-  // exact backend; similarity always runs the real backend (DESIGN.md §5).
+    : space_(space), config_(config), kernel_(model.kernel()) {
+  // Eq. (7) expanded over its monomials cancels to a small T^2, which the
+  // fixed-point grid of the exact backend cannot resolve; similarity always
+  // runs the real backend (DESIGN.md §5).
   config_.ompe.backend = ompe::Backend::kReal;
+  ompe::validate(config_.ompe);
   kernelized_ = kernel_.type != svm::KernelType::kLinear;
   detail::require(!kernelized_ || kernel_.type == svm::KernelType::kPolynomial,
                   "SimilarityServer: kernel path supports polynomial kernels");
   if (kernelized_) {
+    basis_ = math::monomials_up_to(model.dim(), kernel_.degree);
     w_ = aggregate_direction(model);
     const auto c = bounded_centroid(kernel_boundary_points(model, space_));
     detail::require(c.has_value(),
@@ -217,17 +245,10 @@ SimilarityServer::SimilarityServer(const svm::SvmModel& model, DataSpace space,
 
 void SimilarityServer::serve(net::Endpoint& channel, Rng& rng) const {
   OtBundle ot(config_, rng);
-  // One evaluation = two stage-1 OMPE rounds + the degree-4 stage-2 round.
-  const unsigned stage1_degree =
-      kernelized_ ? kernel_.degree : 1;
+  // One evaluation = two stage-1 OMPE rounds + the Eq. (7) stage-2 round.
   channel.set_stage(net::Stage::kOtSetup);
   try {
-    std::vector<OtDemand> demands =
-        ot_demand_per_query(config_.ompe, stage1_degree);
-    for (OtDemand& d : demands) d.count *= 2;
-    const auto stage2 = ot_demand_per_query(config_.ompe, 4);
-    demands.insert(demands.end(), stage2.begin(), stage2.end());
-    ot.prepare_sender(channel, demands);
+    ot.prepare_sender(channel, evaluation_demand(config_.ompe));
 
     // Step 0: Bob's vector moduli.
     channel.set_stage(net::Stage::kNorms);
@@ -245,20 +266,17 @@ void SimilarityServer::serve(net::Endpoint& channel, Rng& rng) const {
     // Stage 1a: x1 = ram * (mA . mB)   (kernelized: ram * K(mA, mB)).
     // Stage 1b: x2 = raw * (wA . wB) + rb.
     if (kernelized_) {
-      ompe::run_sender(channel,
-                       kernel_stage1_poly(centroid_, kernel_, ram, 0.0),
-                       config_.ompe, ot.sender(), rng);
-      ompe::run_sender(channel, kernel_stage1_poly(w_, kernel_, raw, rb),
-                       config_.ompe, ot.sender(), rng);
+      serve_linearized(channel, kernel_stage1_poly(centroid_, kernel_, ram, 0.0),
+                       basis_, config_.ompe, ot.sender(), rng);
+      serve_linearized(channel, kernel_stage1_poly(w_, kernel_, raw, rb),
+                       basis_, config_.ompe, ot.sender(), rng);
     } else {
       math::Vec ma = centroid_;
       math::scale(ma, ram);
-      ompe::run_sender(channel, math::MultiPoly::affine(ma, 0.0), config_.ompe,
-                       ot.sender(), rng);
+      ompe::run_sender(channel, ma, 0.0, config_.ompe, ot.sender(), rng);
       math::Vec wa = w_;
       math::scale(wa, raw);
-      ompe::run_sender(channel, math::MultiPoly::affine(wa, rb), config_.ompe,
-                       ot.sender(), rng);
+      ompe::run_sender(channel, wa, rb, config_.ompe, ot.sender(), rng);
     }
 
     // Stage 2: Eq. (7) with Alice's private constants.
@@ -273,8 +291,8 @@ void SimilarityServer::serve(net::Endpoint& channel, Rng& rng) const {
     const double d1 = 1.0 / ram;
     const double d2 = 1.0 / raw;
     const double d3 = -rb;
-    ompe::run_sender(channel, equation7_poly(c1, c2, c3, c4, d1, d2, d3),
-                     config_.ompe, ot.sender(), rng);
+    serve_linearized(channel, equation7_poly(c1, c2, c3, c4, d1, d2, d3),
+                     stage2_basis(), config_.ompe, ot.sender(), rng);
   } catch (...) {
     ot.abort();
     throw;
@@ -285,10 +303,12 @@ SimilarityClient::SimilarityClient(const svm::SvmModel& model, DataSpace space,
                                    SchemeConfig config)
     : space_(space), config_(config), kernel_(model.kernel()) {
   config_.ompe.backend = ompe::Backend::kReal;
+  ompe::validate(config_.ompe);
   kernelized_ = kernel_.type != svm::KernelType::kLinear;
   detail::require(!kernelized_ || kernel_.type == svm::KernelType::kPolynomial,
                   "SimilarityClient: kernel path supports polynomial kernels");
   if (kernelized_) {
+    basis_ = math::monomials_up_to(model.dim(), kernel_.degree);
     w_ = aggregate_direction(model);
     const auto c = bounded_centroid(kernel_boundary_points(model, space_));
     detail::require(c.has_value(),
@@ -308,16 +328,9 @@ SimilarityClient::SimilarityClient(const svm::SvmModel& model, DataSpace space,
 
 double SimilarityClient::evaluate(net::Endpoint& channel, Rng& rng) const {
   OtBundle ot(config_, rng);
-  const unsigned prepare_degree =
-      kernelized_ ? kernel_.degree : 1;
   channel.set_stage(net::Stage::kOtSetup);
   try {
-    std::vector<OtDemand> demands =
-        ot_demand_per_query(config_.ompe, prepare_degree);
-    for (OtDemand& d : demands) d.count *= 2;
-    const auto stage2 = ot_demand_per_query(config_.ompe, 4);
-    demands.insert(demands.end(), stage2.begin(), stage2.end());
-    ot.prepare_receiver(channel, demands);
+    ot.prepare_receiver(channel, evaluation_demand(config_.ompe));
 
     channel.set_stage(net::Stage::kNorms);
     ByteWriter w;
@@ -325,16 +338,17 @@ double SimilarityClient::evaluate(net::Endpoint& channel, Rng& rng) const {
     w.f64(w_norm2_);
     channel.send(w.take());
 
-    const unsigned stage1_degree =
-        kernelized_ ? kernel_.degree : 1;
-    const std::size_t n = w_.size();
-    const double x1 = ompe::run_receiver(channel, centroid_, stage1_degree, n,
+    // Stage 1 features: the raw vectors, or their monomials for the kernel.
+    const auto features = [this](const math::Vec& v) {
+      return kernelized_ ? math::monomial_transform(basis_, v) : v;
+    };
+    const double x1 = ompe::run_receiver(channel, features(centroid_),
                                          config_.ompe, ot.receiver(), rng);
-    const double x2 = ompe::run_receiver(channel, w_, stage1_degree, n,
-                                         config_.ompe, ot.receiver(), rng);
-    const math::Vec stage2_input{x1, x2};
-    const double t2 = ompe::run_receiver(channel, stage2_input, 4, 2,
-                                         config_.ompe, ot.receiver(), rng);
+    const double x2 = ompe::run_receiver(channel, features(w_), config_.ompe,
+                                         ot.receiver(), rng);
+    const double t2 = ompe::run_receiver(
+        channel, math::monomial_transform(stage2_basis(), {x1, x2}),
+        config_.ompe, ot.receiver(), rng);
     return std::sqrt(std::fmax(t2, 0.0));
   } catch (...) {
     ot.abort();

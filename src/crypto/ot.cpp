@@ -661,6 +661,8 @@ void BatchedOtSender::send(net::Endpoint& channel,
   check_equal_lengths(messages);
   detail::require(k >= 1 && k <= messages.size(), "ot: bad k");
   const std::size_t n = messages.size();
+  detail::require(n <= kMaxDirectArity,
+                  "ot: transfer arity above kMaxDirectArity");
   if (n == 1) {
     for (std::size_t i = 0; i < k; ++i) channel.send(messages.front());
     return;
@@ -670,55 +672,24 @@ void BatchedOtSender::send(net::Endpoint& channel,
     // Auto-staging keyed on the shared ledger and PROTOCOL constants (never
     // refill_batch or pool levels), so both sides stage identically and
     // the transcript is independent of background-refill timing.
-    if (n <= kMaxDirectArity) {
-      if (silent_->ledger_available(n) < k + kSilentLeadSlots) {
-        silent_->stage_to(channel, n, k + kSilentLeadSlots);
-      }
-      for (std::size_t i = 0; i < k; ++i) {
-        PrecomputedSendSlot slot = silent_->take(n);
-        precomputed_send_1ofn(channel, slot, messages);
-        wipe_send_slot(slot);
-      }
-      return;
-    }
-    const std::size_t needed = k * index_bits(n);
-    if (silent_->ledger_available(2) < needed + kSilentLeadSlots) {
-      silent_->stage_to(channel, 2, needed + kSilentLeadSlots);
+    if (silent_->ledger_available(n) < k + kSilentLeadSlots) {
+      silent_->stage_to(channel, n, k + kSilentLeadSlots);
     }
     for (std::size_t i = 0; i < k; ++i) {
-      send_1ofn_impl(channel, messages, rng_,
-                     [&](const Bytes& k0, const Bytes& k1) {
-                       PrecomputedSendSlot slot = silent_->take(2);
-                       precomputed_send_1of2(channel, slot, k0, k1);
-                       wipe_send_slot(slot);
-                     });
+      PrecomputedSendSlot slot = silent_->take(n);
+      precomputed_send_1ofn(channel, slot, messages);
+      wipe_send_slot(slot);
     }
     return;
   }
   // Symmetric auto-refill: both parties derive the same need from the
   // transfer shape and the same pool level from identical consumption.
-  if (n <= kMaxDirectArity) {
-    // Direct 1-of-n slots: one slot (one offline exponentiation) per
-    // transfer instead of ceil(log2 n) bit-decomposition slots.
-    if (remaining(n) < k) reserve(channel, n, std::max(k, refill_batch_));
-    Pool& pool = pool_for(n);
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t at = take_index(pools_mu_, pool);
-      precomputed_send_1ofn(channel, pool.slots[at], messages);
-    }
-    return;
-  }
-  const std::size_t needed = k * index_bits(n);
-  if (remaining(2) < needed) {
-    reserve(channel, 2, std::max(needed, refill_batch_));
-  }
-  Pool& pool = pool_for(2);
+  // Direct 1-of-n slots: one slot (one offline exponentiation) per transfer.
+  if (remaining(n) < k) reserve(channel, n, std::max(k, refill_batch_));
+  Pool& pool = pool_for(n);
   for (std::size_t i = 0; i < k; ++i) {
-    send_1ofn_impl(channel, messages, rng_,
-                   [&](const Bytes& k0, const Bytes& k1) {
-                     const std::size_t at = take_index(pools_mu_, pool);
-                     precomputed_send_1of2(channel, pool.slots[at], k0, k1);
-                   });
+    const std::size_t at = take_index(pools_mu_, pool);
+    precomputed_send_1ofn(channel, pool.slots[at], messages);
   }
 }
 
@@ -850,6 +821,8 @@ std::vector<Bytes> BatchedOtReceiver::receive(
     std::size_t n, std::size_t message_len) {
   if (aborted_) throw ProtocolError("ot: aborted engine cannot be resumed");
   detail::require(!indices.empty() && indices.size() <= n, "ot: bad indices");
+  detail::require(n <= kMaxDirectArity,
+                  "ot: transfer arity above kMaxDirectArity");
   for (std::size_t index : indices) {
     detail::require(index < n, "ot_1ofn: index out of range");
   }
@@ -863,56 +836,24 @@ std::vector<Bytes> BatchedOtReceiver::receive(
   }
   if (silent_) {
     silent_->ensure_ready(channel);
-    if (n <= kMaxDirectArity) {
-      if (silent_->ledger_available(n) < indices.size() + kSilentLeadSlots) {
-        silent_->stage_to(channel, n, indices.size() + kSilentLeadSlots);
-      }
-      for (std::size_t index : indices) {
-        PrecomputedRecvSlot slot = silent_->take(n);
-        out.push_back(
-            precomputed_receive_1ofn(channel, slot, index, message_len));
-        wipe_recv_slot(slot);
-      }
-      return out;
-    }
-    const std::size_t needed = indices.size() * index_bits(n);
-    if (silent_->ledger_available(2) < needed + kSilentLeadSlots) {
-      silent_->stage_to(channel, 2, needed + kSilentLeadSlots);
+    if (silent_->ledger_available(n) < indices.size() + kSilentLeadSlots) {
+      silent_->stage_to(channel, n, indices.size() + kSilentLeadSlots);
     }
     for (std::size_t index : indices) {
-      out.push_back(
-          receive_1ofn_impl(channel, index, n, message_len, [&](bool choice) {
-            PrecomputedRecvSlot slot = silent_->take(2);
-            Bytes key = precomputed_receive_1of2(channel, slot, choice);
-            wipe_recv_slot(slot);
-            return key;
-          }));
+      PrecomputedRecvSlot slot = silent_->take(n);
+      out.push_back(precomputed_receive_1ofn(channel, slot, index, message_len));
+      wipe_recv_slot(slot);
     }
     return out;
   }
-  if (n <= kMaxDirectArity) {
-    if (remaining(n) < indices.size()) {
-      reserve(channel, n, std::max(indices.size(), refill_batch_));
-    }
-    Pool& pool = pool_for(n);
-    for (std::size_t index : indices) {
-      const std::size_t at = take_index(pools_mu_, pool);
-      out.push_back(precomputed_receive_1ofn(channel, pool.slots[at], index,
-                                             message_len));
-    }
-    return out;
+  if (remaining(n) < indices.size()) {
+    reserve(channel, n, std::max(indices.size(), refill_batch_));
   }
-  const std::size_t needed = indices.size() * index_bits(n);
-  if (remaining(2) < needed) {
-    reserve(channel, 2, std::max(needed, refill_batch_));
-  }
-  Pool& pool = pool_for(2);
+  Pool& pool = pool_for(n);
   for (std::size_t index : indices) {
+    const std::size_t at = take_index(pools_mu_, pool);
     out.push_back(
-        receive_1ofn_impl(channel, index, n, message_len, [&](bool choice) {
-          const std::size_t at = take_index(pools_mu_, pool);
-          return precomputed_receive_1of2(channel, pool.slots[at], choice);
-        }));
+        precomputed_receive_1ofn(channel, pool.slots[at], index, message_len));
   }
   return out;
 }

@@ -1,6 +1,5 @@
 #include "ppds/math/multipoly.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -120,86 +119,6 @@ MultiPoly MultiPoly::operator+(const MultiPoly& other) const {
   return out;
 }
 
-namespace {
-
-unsigned exps_degree(const Exponents& exps) {
-  unsigned d = 0;
-  for (unsigned e : exps) d += e;
-  return d;
-}
-
-/// Graded-lex order: ascending total degree, ties broken lexicographically.
-/// Guarantees every node's divisor parent sorts strictly earlier, which is
-/// what build_monomial_dag requires.
-bool graded_less(const Exponents& a, const Exponents& b) {
-  const unsigned da = exps_degree(a);
-  const unsigned db = exps_degree(b);
-  if (da != db) return da < db;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return a[i] < b[i];
-  }
-  return false;
-}
-
-}  // namespace
-
-CompiledMultiPoly::CompiledMultiPoly(const MultiPoly& poly)
-    : arity_(poly.arity()) {
-  const std::vector<Term>& terms = poly.terms();
-  coeffs_.reserve(terms.size());
-  term_node_.resize(terms.size());
-  csr_offsets_.reserve(terms.size() + 1);
-  csr_offsets_.push_back(0);
-
-  // Pass 1: flatten coefficients and exponents into the SoA/CSR layout and
-  // collect the divisor closure of the term monomials — every monomial on
-  // the chain from a term down to degree 1 (decrementing the last nonzero
-  // exponent) becomes a DAG node.
-  std::unordered_map<std::string, std::uint32_t> index;
-  std::vector<Exponents> nodes;
-  for (const Term& term : terms) {
-    coeffs_.push_back(term.coeff);
-    for (std::size_t i = 0; i < term.exps.size(); ++i) {
-      if (term.exps[i] == 0) continue;
-      csr_var_.push_back(static_cast<std::uint32_t>(i));
-      csr_exp_.push_back(term.exps[i]);
-    }
-    csr_offsets_.push_back(static_cast<std::uint32_t>(csr_var_.size()));
-
-    Exponents chain = term.exps;
-    std::string key(chain.begin(), chain.end());
-    while (true) {
-      unsigned degree = 0;
-      std::size_t last = chain.size();
-      for (std::size_t i = 0; i < chain.size(); ++i) {
-        degree += chain[i];
-        if (chain[i] != 0) last = i;
-      }
-      if (degree == 0 || index.contains(key)) break;
-      index.emplace(key, 0);  // placeholder; final ids assigned after sorting
-      nodes.push_back(chain);
-      --chain[last];
-      key[last] = static_cast<char>(chain[last]);
-    }
-  }
-
-  // Pass 2: graded order makes each parent's value available before its
-  // children read it in the single evaluation sweep.
-  std::sort(nodes.begin(), nodes.end(), graded_less);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    index[std::string(nodes[i].begin(), nodes[i].end())] =
-        static_cast<std::uint32_t>(i);
-  }
-  dag_ = build_monomial_dag(nodes);
-
-  for (std::size_t t = 0; t < terms.size(); ++t) {
-    const Exponents& exps = terms[t].exps;
-    term_node_[t] = exps_degree(exps) == 0
-                        ? kOne
-                        : index.at(std::string(exps.begin(), exps.end()));
-  }
-}
-
 unsigned MultiPoly::total_degree() const {
   unsigned best = 0;
   for (const Term& t : terms_) {
@@ -208,6 +127,31 @@ unsigned MultiPoly::total_degree() const {
     if (d > best) best = d;
   }
   return best;
+}
+
+LinearExpansion linearize(const MultiPoly& poly,
+                          const std::vector<Exponents>& basis) {
+  std::unordered_map<std::string, std::size_t> index;
+  index.reserve(basis.size() * 2);
+  for (std::size_t i = 0; i < basis.size(); ++i) {
+    detail::require(basis[i].size() == poly.arity(),
+                    "linearize: basis arity mismatch");
+    index.emplace(std::string(basis[i].begin(), basis[i].end()), i);
+  }
+  LinearExpansion out;
+  out.coeffs.assign(basis.size(), 0.0);
+  for (const Term& term : poly.terms()) {
+    unsigned degree = 0;
+    for (unsigned e : term.exps) degree += e;
+    if (degree == 0) {
+      out.constant += term.coeff;
+      continue;
+    }
+    const auto it = index.find(std::string(term.exps.begin(), term.exps.end()));
+    detail::require(it != index.end(), "linearize: term outside the basis");
+    out.coeffs[it->second] += term.coeff;
+  }
+  return out;
 }
 
 }  // namespace ppds::math

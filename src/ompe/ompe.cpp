@@ -25,8 +25,10 @@ using field::kM61Lanes;
 using field::M61;
 using field::M61x8;
 
-constexpr std::uint8_t kMsgVersion = 1;
-constexpr std::size_t kHeaderBytes = 1 + 1 + 4 + 8 + 8 + 8;
+// Version 2: every evaluation is degree 1, so the header no longer carries
+// a degree field and m = q + 1.
+constexpr std::uint8_t kMsgVersion = 2;
+constexpr std::size_t kHeaderBytes = 1 + 1 + 8 + 8 + 8;
 
 // ---------------------------------------------------------------------------
 // Stage counters (mirrors crypto::exp_counters): process-wide atomics fed by
@@ -339,31 +341,9 @@ void disguise_block(const std::uint64_t* seeds, std::size_t nwords,
   disguise_block_scalar(seeds, nwords, ptrs);
 }
 
-/// Encodes the sender's real polynomial into the field with scale
-/// harmonization: a term of degree d gets an extra factor 2^{f*(D-d)} so
-/// every term carries the uniform accumulated scale 2^{f*(D+1)}.
-std::vector<M61> encode_term_coeffs(const math::MultiPoly& secret,
-                                    unsigned total_degree, unsigned frac_bits) {
-  std::vector<M61> out;
-  out.reserve(secret.terms().size());
-  for (const math::Term& term : secret.terms()) {
-    unsigned d = 0;
-    for (unsigned e : term.exps) d += e;
-    detail::require(d <= total_degree, "ompe: term degree above declared");
-    const double scale =
-        std::pow(2.0, static_cast<double>(frac_bits) *
-                          static_cast<double>(1 + total_degree - d));
-    const double scaled = term.coeff * scale;
-    detail::require(std::abs(scaled) < 9.0e17,
-                    "ompe: field encoding overflow; lower frac_bits");
-    out.push_back(M61::from_signed(static_cast<std::int64_t>(std::llround(scaled))));
-  }
-  return out;
-}
-
 /// Evaluation nodes for the real backend: one node per jittered slot across
 /// [-hi, -lo] U [lo, hi], keeping pairwise separation so the final Lagrange
-/// step at degree p*q stays well-conditioned.
+/// step at degree q stays well-conditioned.
 std::vector<double> real_nodes(Rng& rng, std::size_t count, double lo,
                                double hi) {
   const std::size_t half = (count + 1) / 2;
@@ -413,24 +393,14 @@ Bytes encode_value_field(M61 v) {
 /// coefficients are uniform field elements (information-theoretic).
 constexpr double kCoverBound = 32.0;
 
-/// Degree-aware cover coefficient bound: cover values enter the sender's
-/// polynomial raised to the total degree p, so the interpolation magnitude
-/// grows like bound^p. Taking the p-th root keeps B(v)'s dynamic range (and
-/// hence the receiver's long-double interpolation error) degree-independent
-/// while preserving the full 32x masking for the degree-1 protocols whose
-/// inputs are the privacy-critical raw features.
-double cover_bound_for(unsigned p) {
-  return p <= 1 ? kCoverBound : std::pow(kCoverBound, 1.0 / p);
-}
-
 /// Draws a fresh random degree-q cover polynomial implicitly and evaluates
 /// it at \p v — the disguise tuples must be statistically indistinguishable
 /// from genuine cover evaluations, and this avoids materializing throwaway
 /// polynomials (the nonlinear scheme has hundreds of thousands of variates).
-double random_cover_eval(Rng& rng, unsigned q, double v, double bound) {
+double random_cover_eval(Rng& rng, unsigned q, double v) {
   double acc = 0.0;
   for (unsigned j = 0; j < q; ++j) {
-    acc = acc * v + rng.uniform_nonzero(-bound, bound);
+    acc = acc * v + rng.uniform_nonzero(-kCoverBound, kCoverBound);
   }
   return acc * v + rng.uniform(-1.0, 1.0);
 }
@@ -438,7 +408,6 @@ double random_cover_eval(Rng& rng, unsigned q, double v, double bound) {
 struct RequestHeader {
   std::uint8_t version = kMsgVersion;
   std::uint8_t backend = 0;
-  std::uint32_t degree = 0;
   std::uint64_t arity = 0;
   std::uint64_t total_pairs = 0;  // M
   std::uint64_t keep_pairs = 0;   // m
@@ -447,7 +416,6 @@ struct RequestHeader {
 void write_header(ByteWriter& w, const RequestHeader& h) {
   w.u8(h.version);
   w.u8(h.backend);
-  w.u32(h.degree);
   w.u64(h.arity);
   w.u64(h.total_pairs);
   w.u64(h.keep_pairs);
@@ -458,63 +426,89 @@ RequestHeader read_header(ByteReader& r) {
   h.version = r.u8();
   if (h.version != kMsgVersion) throw ProtocolError("ompe: bad version");
   h.backend = r.u8();
-  h.degree = r.u32();
   h.arity = r.u64();
   h.total_pairs = r.u64();
   h.keep_pairs = r.u64();
   return h;
 }
 
-/// Per-task workspace for the lane-parallel field evaluators: reduced lane
-/// inputs plus DAG node storage. One instance per sweep task, so lane
-/// evaluators can be stateless const callables and still avoid per-block
-/// allocation.
-struct LaneScratch {
-  std::vector<M61x8> z8;
-  std::vector<M61x8> nodes;
-};
+}  // namespace
 
-/// Shared sender body: parses and validates the receiver's request, then
-/// evaluates A(v, z) = h(v) + P(z) on every disguised pair with the
-/// supplied evaluators and hands the values to the k-out-of-n OT.
-///
-/// The evaluators are templated callables (no std::function indirection in
-/// the inner loop): eval_real(z, scratch) -> double and
-/// eval_field(z, scratch) -> M61, where scratch is a per-task workspace the
-/// evaluator may resize freely. They must be safe to invoke concurrently
-/// with distinct scratch objects; the M disguised points are swept in
-/// parallel across the process-wide pool (bit-identical results for every
-/// eval_threads setting — per-point work depends only on the point index).
-/// \p eval_field8 is the lane-parallel counterpart of eval_field:
-/// eval_field8(z0, zstride, ws) -> M61x8, where z0 points at the first
-/// variate word of lane 0 and lane l's variate j is the little-endian word
-/// at z0 + l * zstride + 8 * j, not yet reduced (the evaluator folds the
-/// raw words exactly like the reducing M61 constructor; fused kernels such
-/// as field::dot8_reduce_strided walk the records in place inside one
-/// dispatched call) — and ws is a per-task LaneScratch workspace. Lane l of
-/// its result must equal eval_field at point l bit for bit; it is only
-/// invoked when params.use_simd_field is set, and the block tail always
-/// falls back to the scalar evaluator.
-template <typename EvalReal, typename EvalField, typename EvalField8>
-void run_sender_impl(net::Endpoint& channel, std::size_t arity,
-                     unsigned actual_degree, unsigned declared_degree,
-                     const OmpeParams& params, crypto::OtSender& ot, Rng& rng,
-                     const EvalReal& eval_real, const EvalField& eval_field,
-                     const EvalField8& eval_field8) {
-  detail::require(actual_degree >= 1, "ompe: secret must have degree >= 1");
-  detail::require(declared_degree == 0 || declared_degree >= actual_degree,
-                  "ompe: declared degree below actual degree");
-  const unsigned p = declared_degree == 0 ? actual_degree : declared_degree;
-  const std::size_t m = params.m(p);
-  const std::size_t big_m = params.big_m(p);
+StageCounters stage_counters() {
+  const StageAtomics& a = stage_atomics();
+  StageCounters out;
+  out.mask_eval_ns = a.mask_eval_ns.load(std::memory_order_relaxed);
+  out.mask_eval_points = a.mask_eval_points.load(std::memory_order_relaxed);
+  out.cover_eval_ns = a.cover_eval_ns.load(std::memory_order_relaxed);
+  out.cover_eval_points = a.cover_eval_points.load(std::memory_order_relaxed);
+  out.ot_ns = a.ot_ns.load(std::memory_order_relaxed);
+  out.ot_elements = a.ot_elements.load(std::memory_order_relaxed);
+  out.interp_ns = a.interp_ns.load(std::memory_order_relaxed);
+  out.interp_points = a.interp_points.load(std::memory_order_relaxed);
+  return out;
+}
+
+void reset_stage_counters() {
+  StageAtomics& a = stage_atomics();
+  a.mask_eval_ns.store(0, std::memory_order_relaxed);
+  a.mask_eval_points.store(0, std::memory_order_relaxed);
+  a.cover_eval_ns.store(0, std::memory_order_relaxed);
+  a.cover_eval_points.store(0, std::memory_order_relaxed);
+  a.ot_ns.store(0, std::memory_order_relaxed);
+  a.ot_elements.store(0, std::memory_order_relaxed);
+  a.interp_ns.store(0, std::memory_order_relaxed);
+  a.interp_points.store(0, std::memory_order_relaxed);
+}
+
+void validate(const OmpeParams& params) {
+  detail::require(params.q >= 1,
+                  "ompe: q must be >= 1 (q = 0 makes every cover the "
+                  "constant alpha)");
+  detail::require(params.k >= 2,
+                  "ompe: k must be >= 2 (k = 1 sends only genuine pairs)");
+  detail::require(params.big_m() <= crypto::kMaxDirectArity,
+                  "ompe: M = (q+1)k exceeds the direct OT arity bound");
+}
+
+void run_sender(net::Endpoint& channel, PPDS_SECRET std::span<const double> w,
+                PPDS_SECRET double b, const OmpeParams& params,
+                crypto::OtSender& ot, Rng& rng) {
+  validate(params);
+  const std::size_t arity = w.size();
+  const std::size_t m = params.m();
+  const std::size_t big_m = params.big_m();
+
+  // Field encoding: each feature carries one input scale 2^f, so the
+  // weights get 2^f and the constant 2^{2f}; the sum decodes at scale 2.
+  PPDS_SECRET std::vector<M61> w_enc;
+  // The encoded model weights mirror the caller's secret model.
+  const ScopedWipe w_enc_guard(w_enc);
+  PPDS_SECRET M61 b_enc;
+  if (params.backend == Backend::kField) {
+    const double w_scale = std::ldexp(1.0, static_cast<int>(params.frac_bits));
+    const double b_scale =
+        std::ldexp(1.0, 2 * static_cast<int>(params.frac_bits));
+    w_enc.reserve(arity);
+    for (double wi : w) {
+      const double scaled = wi * w_scale;
+      detail::require(std::abs(scaled) < 9.0e17,
+                      "ompe: field encoding overflow; lower frac_bits");
+      w_enc.push_back(
+          M61::from_signed(static_cast<std::int64_t>(std::llround(scaled))));
+    }
+    const double scaled_b = b * b_scale;
+    detail::require(std::abs(scaled_b) < 9.0e17,
+                    "ompe: field encoding overflow; lower frac_bits");
+    b_enc = M61::from_signed(static_cast<std::int64_t>(std::llround(scaled_b)));
+  }
 
   channel.set_stage(net::Stage::kOmpeRequest);
   const Bytes request = channel.recv();
   ByteReader r(request);
   const RequestHeader header = read_header(r);
   if (header.backend != static_cast<std::uint8_t>(params.backend) ||
-      header.degree != p || header.arity != arity ||
-      header.total_pairs != big_m || header.keep_pairs != m) {
+      header.arity != arity || header.total_pairs != big_m ||
+      header.keep_pairs != m) {
     throw ProtocolError("ompe: request does not match agreed parameters");
   }
   // Fixed-stride payload: (node, z_1 .. z_arity) x M, 8 bytes each, decoded
@@ -551,28 +545,30 @@ void run_sender_impl(net::Endpoint& channel, std::size_t arity,
       if (!seen.insert(key)) throw ProtocolError("ompe: repeated node");
     }
 
+    // The M disguised points are swept in parallel across the process-wide
+    // pool; per-point work depends only on the point index, so the values
+    // are bit-identical for every eval_threads setting.
     const std::size_t tasks = plan_tasks(params.eval_threads, big_m, arity + 1);
     if (params.backend == Backend::kReal) {
-      // Masking polynomial h, degree p*q, h(0) = 0. The coefficient bound
+      // Masking polynomial h, degree q, h(0) = 0. The coefficient bound
       // trades masking magnitude against the conditioning of the receiver's
-      // degree-p*q interpolation (error scales with |h| at the nodes).
+      // degree-q interpolation (error scales with |h| at the nodes).
       PPDS_SECRET const auto h =
-          math::random_poly<double>(rng, p * params.q, 0.0, 8.0);
+          math::random_poly<double>(rng, params.q, 0.0, 8.0);
       for_each_chunk(big_m, tasks, [&](std::size_t begin, std::size_t end) {
-        std::vector<double> z(arity);
-        std::vector<double> scratch;
         for (std::size_t i = begin; i < end; ++i) {
           const std::span<const std::uint8_t> pair = body.subspan(i * stride, stride);
-          const double v = load_le_f64(pair.data());
+          double acc = b;
           for (std::size_t j = 0; j < arity; ++j) {
-            z[j] = load_le_f64(pair.subspan(8 + 8 * j, 8).data());
+            const double z = load_le_f64(pair.subspan(8 + 8 * j, 8).data());
+            acc += w[j] * z;
           }
-          values[i] = encode_value_real(h(v) + eval_real(std::span<const double>(z), scratch));
+          values[i] = encode_value_real(h(load_le_f64(pair.data())) + acc);
         }
       });
     } else {
       // h over the field: uniform coefficients, zero constant term.
-      PPDS_SECRET std::vector<M61> h_coeffs(p * params.q + 1);
+      PPDS_SECRET std::vector<M61> h_coeffs(params.q + 1);
       for (std::size_t i = 1; i < h_coeffs.size(); ++i) {
         h_coeffs[i] = random_field_element(rng);
       }
@@ -580,15 +576,14 @@ void run_sender_impl(net::Endpoint& channel, std::size_t arity,
       const bool lanes = params.use_simd_field;
       for_each_chunk(big_m, tasks, [&](std::size_t begin, std::size_t end) {
         const auto scalar_run = [&](std::size_t from, std::size_t to) {
-          std::vector<M61> z(arity);
-          std::vector<M61> scratch;
           for (std::size_t i = from; i < to; ++i) {
             const std::span<const std::uint8_t> pair = body.subspan(i * stride, stride);
-            const M61 v(load_le64(pair.data()));
+            M61 acc = b_enc;
             for (std::size_t j = 0; j < arity; ++j) {
-              z[j] = M61(load_le64(pair.subspan(8 + 8 * j, 8).data()));
+              const M61 z(load_le64(pair.subspan(8 + 8 * j, 8).data()));
+              acc = acc + w_enc[j] * z;
             }
-            values[i] = encode_value_field(h(v) + eval_field(std::span<const M61>(z), scratch));
+            values[i] = encode_value_field(h(M61(load_le64(pair.data()))) + acc);
           }
         };
         if (!lanes) {
@@ -597,11 +592,11 @@ void run_sender_impl(net::Endpoint& channel, std::size_t arity,
         }
         // Lane path: eight disguised points per step. The raw node/z words
         // are folded exactly like the reducing M61 constructor — inside the
-        // fused strided kernels, so the chains stay in vector registers and
-        // the wire records are walked in place — and h is the same Horner
-        // chain on lanes, so every lane reproduces the scalar bytes exactly.
+        // fused strided dot kernel, so the chain stays in vector registers
+        // and the wire records are walked in place — and h is the same
+        // Horner chain on lanes, so every lane reproduces the scalar bytes
+        // exactly.
         const std::vector<M61>& hc = h.coeffs();
-        LaneScratch scratch8;
         std::uint64_t raw[kM61Lanes];
         std::size_t i0 = begin;
         for (; i0 + kM61Lanes <= end; i0 += kM61Lanes) {
@@ -611,8 +606,10 @@ void run_sender_impl(net::Endpoint& channel, std::size_t arity,
           }
           const M61x8 v8 = M61x8::reduce(raw);
           const M61x8 h8 = field::horner8(hc.data(), hc.size(), v8);
-          const M61x8 w8 =
-              field::add(h8, eval_field8(block + 8, stride, scratch8));
+          const M61x8 w8 = field::add(
+              h8, field::dot8_reduce_strided(M61x8::broadcast(b_enc),
+                                             w_enc.data(), block + 8, stride,
+                                             arity));
           for (std::size_t lane = 0; lane < kM61Lanes; ++lane) {
             values[i0 + lane] = encode_value_field(M61(w8.v[lane]));
           }
@@ -621,6 +618,7 @@ void run_sender_impl(net::Endpoint& channel, std::size_t arity,
       });
     }
   }
+  secure_wipe_object(b_enc);
 
   {
     const StageTimer timer(stage_atomics().ot_ns);
@@ -636,146 +634,14 @@ void run_sender_impl(net::Endpoint& channel, std::size_t arity,
   }
 }
 
-}  // namespace
-
-StageCounters stage_counters() {
-  const StageAtomics& a = stage_atomics();
-  StageCounters out;
-  out.mask_eval_ns = a.mask_eval_ns.load(std::memory_order_relaxed);
-  out.mask_eval_points = a.mask_eval_points.load(std::memory_order_relaxed);
-  out.cover_eval_ns = a.cover_eval_ns.load(std::memory_order_relaxed);
-  out.cover_eval_points = a.cover_eval_points.load(std::memory_order_relaxed);
-  out.ot_ns = a.ot_ns.load(std::memory_order_relaxed);
-  out.ot_elements = a.ot_elements.load(std::memory_order_relaxed);
-  out.interp_ns = a.interp_ns.load(std::memory_order_relaxed);
-  out.interp_points = a.interp_points.load(std::memory_order_relaxed);
-  return out;
-}
-
-void reset_stage_counters() {
-  StageAtomics& a = stage_atomics();
-  a.mask_eval_ns.store(0, std::memory_order_relaxed);
-  a.mask_eval_points.store(0, std::memory_order_relaxed);
-  a.cover_eval_ns.store(0, std::memory_order_relaxed);
-  a.cover_eval_points.store(0, std::memory_order_relaxed);
-  a.ot_ns.store(0, std::memory_order_relaxed);
-  a.ot_elements.store(0, std::memory_order_relaxed);
-  a.interp_ns.store(0, std::memory_order_relaxed);
-  a.interp_points.store(0, std::memory_order_relaxed);
-}
-
-void run_sender(net::Endpoint& channel,
-                PPDS_SECRET const math::MultiPoly& secret,
-                const OmpeParams& params, crypto::OtSender& ot, Rng& rng,
-                unsigned declared_degree) {
-  const unsigned actual = std::max(1u, secret.total_degree());
-  const unsigned p = declared_degree == 0 ? actual : declared_degree;
-
-  PPDS_SECRET std::vector<M61> coeffs;
-  // The encoded coefficients mirror the caller's secret polynomial; wipe on
-  // every exit, including a mid-protocol throw.
-  const ScopedWipe coeffs_guard(coeffs);
-  if (params.backend == Backend::kField) {
-    coeffs = encode_term_coeffs(secret, p, params.frac_bits);
-  }
-  // Compiled once per call: the per-point sweep then costs one multiply
-  // per DAG node plus one multiply-add per term.
-  const math::CompiledMultiPoly compiled(secret);
-  run_sender_impl(
-      channel, secret.arity(), actual, declared_degree, params, ot, rng,
-      [&compiled](std::span<const double> z, std::vector<double>& scratch) {
-        return compiled.evaluate(z, scratch);
-      },
-      [&compiled, &coeffs](std::span<const M61> z, std::vector<M61>& scratch) {
-        return compiled.evaluate_with(std::span<const M61>(coeffs), z, scratch);
-      },
-      [&compiled, &coeffs](const std::uint8_t* z0, std::size_t zstride,
-                           LaneScratch& ws) {
-        // The compiled program runs as three fused lane kernels — strided
-        // raw-word reduction, monomial-DAG sweep, term combine — each one
-        // dispatched call, so the whole evaluation stays in vector
-        // registers. Node and term order match evaluate_with exactly, so
-        // every lane reproduces the scalar bytes bit for bit.
-        const math::MonomialDag& dag = compiled.dag();
-        ws.z8.resize(compiled.arity());
-        ws.nodes.resize(dag.size());
-        field::reduce8_strided(z0, zstride, ws.z8.size(), ws.z8.data());
-        field::dag_eval8(dag.parent.data(), dag.var.data(), dag.size(),
-                         math::MonomialDag::kOne, ws.z8.data(),
-                         ws.nodes.data());
-        return field::dot8_nodes(coeffs.data(),
-                                 compiled.term_nodes().data(),
-                                 coeffs.size(), math::MonomialDag::kOne,
-                                 ws.nodes.data());
-      });
-}
-
-void run_sender_linear(net::Endpoint& channel,
-                       PPDS_SECRET std::span<const double> w,
-                       PPDS_SECRET double b, const OmpeParams& params,
-                       crypto::OtSender& ot, Rng& rng,
-                       unsigned declared_degree) {
-  const unsigned p = declared_degree == 0 ? 1 : declared_degree;
-
-  // Field encoding with scale harmonization: linear terms carry one input
-  // scale, so their coefficients get 2^{f*p}; the constant gets 2^{f*(p+1)}.
-  PPDS_SECRET std::vector<M61> w_enc;
-  // The encoded model weights mirror the caller's secret model.
-  const ScopedWipe w_enc_guard(w_enc);
-  PPDS_SECRET M61 b_enc;
-  if (params.backend == Backend::kField) {
-    const double w_scale =
-        std::pow(2.0, static_cast<double>(params.frac_bits) * p);
-    const double b_scale =
-        std::pow(2.0, static_cast<double>(params.frac_bits) * (p + 1));
-    w_enc.reserve(w.size());
-    for (double wi : w) {
-      const double scaled = wi * w_scale;
-      detail::require(std::abs(scaled) < 9.0e17,
-                      "ompe: field encoding overflow; lower frac_bits");
-      w_enc.push_back(
-          M61::from_signed(static_cast<std::int64_t>(std::llround(scaled))));
-    }
-    const double scaled_b = b * b_scale;
-    detail::require(std::abs(scaled_b) < 9.0e17,
-                    "ompe: field encoding overflow; lower frac_bits");
-    b_enc = M61::from_signed(static_cast<std::int64_t>(std::llround(scaled_b)));
-  }
-
-  run_sender_impl(
-      channel, w.size(), 1, declared_degree, params, ot, rng,
-      [&w, b](std::span<const double> z, std::vector<double>&) {
-        double acc = b;
-        for (std::size_t i = 0; i < z.size(); ++i) acc += w[i] * z[i];
-        return acc;
-      },
-      [&w_enc, b_enc](std::span<const M61> z, std::vector<M61>&) {
-        M61 acc = b_enc;
-        for (std::size_t i = 0; i < z.size(); ++i) acc = acc + w_enc[i] * z[i];
-        return acc;
-      },
-      [&w_enc, b_enc](const std::uint8_t* z0, std::size_t zstride,
-                      LaneScratch&) {
-        // Same multiply-add chain as the scalar evaluator, eight points per
-        // step: lane l accumulates b + sum_j w_j * z_j at point l exactly,
-        // with the raw-word fold and the whole dot chain fused into one
-        // dispatched kernel call that walks the wire records in place.
-        return field::dot8_reduce_strided(M61x8::broadcast(b_enc),
-                                          w_enc.data(), z0, zstride,
-                                          w_enc.size());
-      });
-  secure_wipe_object(b_enc);
-}
-
 double run_receiver(net::Endpoint& channel,
                     PPDS_SECRET std::span<const double> alpha,
-                    unsigned degree, std::size_t arity,
                     const OmpeParams& params, crypto::OtReceiver& ot,
                     Rng& rng) {
-  detail::require(alpha.size() == arity, "ompe: alpha arity mismatch");
-  detail::require(degree >= 1, "ompe: degree must be >= 1");
-  const std::size_t m = params.m(degree);
-  const std::size_t big_m = params.big_m(degree);
+  validate(params);
+  const std::size_t arity = alpha.size();
+  const std::size_t m = params.m();
+  const std::size_t big_m = params.big_m();
   PPDS_SECRET const std::vector<std::size_t> keep = rng.sample_indices(big_m, m);
   PPDS_SECRET std::vector<bool> is_kept(big_m, false);
   for (std::size_t idx : keep) is_kept[idx] = true;
@@ -788,7 +654,6 @@ double run_receiver(net::Endpoint& channel,
   w.reserve(kHeaderBytes + big_m * stride);
   RequestHeader header;
   header.backend = static_cast<std::uint8_t>(params.backend);
-  header.degree = degree;
   header.arity = arity;
   header.total_pairs = big_m;
   header.keep_pairs = m;
@@ -797,7 +662,6 @@ double run_receiver(net::Endpoint& channel,
   const std::size_t cq = params.q;  // cover degree
 
   if (params.backend == Backend::kReal) {
-    const double bound = cover_bound_for(degree);
     std::vector<double> kept_nodes;
     kept_nodes.reserve(m);
     {
@@ -813,7 +677,8 @@ double run_receiver(net::Endpoint& channel,
       for (std::size_t j = 0; j < arity; ++j) {
         covers[j * (cq + 1)] = alpha[j];
         for (std::size_t l = 1; l <= cq; ++l) {
-          covers[j * (cq + 1) + l] = rng.uniform_nonzero(-bound, bound);
+          covers[j * (cq + 1) + l] =
+              rng.uniform_nonzero(-kCoverBound, kCoverBound);
         }
       }
       const std::vector<double> nodes =
@@ -843,7 +708,7 @@ double run_receiver(net::Endpoint& channel,
             Rng point_rng(splitmix64(disguise_seed.value(), i));
             for (std::size_t j = 0; j < arity; ++j) {
               store_le_f64(slot.subspan(8 + 8 * j, 8).data(),
-                           random_cover_eval(point_rng, params.q, v, bound));
+                           random_cover_eval(point_rng, params.q, v));
             }
           }
         }
@@ -1032,7 +897,7 @@ double run_receiver(net::Endpoint& channel,
     vr.expect_end();
   }
   const M61 b0 = math::lagrange_at_zero<M61>(xs, ys);
-  return field::decode(fp, b0, degree + 1);
+  return field::decode(fp, b0, 2);
 }
 
 }  // namespace ppds::ompe

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "ppds/common/rng.hpp"
+#include "ppds/math/monomial.hpp"
 #include "ppds/math/vec.hpp"
+#include "ppds/net/party.hpp"
+#include "ppds/ompe/ompe.hpp"
 
 namespace ppds::core {
 namespace {
@@ -82,6 +87,102 @@ TEST(Attacks, EstimateValidatesInputs) {
   std::vector<math::Vec> samples{{1.0, 2.0}, {2.0, 1.0}};
   std::vector<double> values{1.0};
   EXPECT_THROW(estimate_hyperplane(samples, values), InvalidArgument);
+}
+
+/// The request bytes a real-backend receiver sends for \p alpha: all the
+/// subset-enumeration attacker ever reads.
+Bytes capture_ompe_request(const math::Vec& alpha,
+                           const ompe::OmpeParams& params, std::uint64_t seed) {
+  auto outcome = net::run_two_party(
+      [&](net::Endpoint& ch) {
+        ch.set_stage(net::Stage::kOmpeRequest);  // mirror the receiver
+        Bytes request = ch.recv();
+        ch.close();
+        return request;
+      },
+      [&](net::Endpoint& ch) {
+        Rng rng(seed);
+        crypto::LoopbackReceiver ot;
+        try {
+          return ompe::run_receiver(ch, alpha, params, ot, rng);
+        } catch (const ProtocolError&) {
+          return 0.0;  // channel closed after capture — expected
+        }
+      });
+  return outcome.a;
+}
+
+// CHARACTERIZATION of a known leak, not a desired property: at the q=4, k=2
+// shape of the silent and fast presets, a curious sender recovers the
+// client's exact input from the request alone by trying all C(10, 5) = 252
+// subsets and keeping the one whose interpolant passes a public plausibility
+// check. The change that picks secure q and k must invert these tests
+// (expect found == false within the trial budget).
+TEST(OmpeInputRecovery, RecoversBoundedLinearInputAtPresetShape) {
+  ompe::OmpeParams params;
+  params.q = 4;
+  params.k = 2;
+  Rng rng(2718);
+  math::Vec input(8);
+  for (double& v : input) v = rng.uniform(0.0, 1.0);
+  const Bytes request = capture_ompe_request(input, params, 31);
+  const auto in_unit_box = [](const math::Vec& v) {
+    for (double x : v) {
+      if (x < 0.0 || x > 1.0) return false;
+    }
+    return true;
+  };
+  const OmpeInputRecovery got = recover_ompe_input(request, 4, in_unit_box);
+  ASSERT_TRUE(got.found);
+  EXPECT_LE(got.trials, 252u);
+  ASSERT_EQ(got.alpha.size(), input.size());
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    EXPECT_NEAR(got.alpha[i], input[i], 1e-6) << "coordinate " << i;
+  }
+}
+
+TEST(OmpeInputRecovery, RecoversMonomialFeatureInputAtPresetShape) {
+  // The nonlinear pattern: the receiver sends the 44 degree-1..2 monomials
+  // of an 8-dimensional sample, and the monomial relations tau_ij =
+  // tau_i * tau_j are the attacker's plausibility check.
+  ompe::OmpeParams params;
+  params.q = 4;
+  params.k = 2;
+  const auto basis = math::monomials_up_to(8, 2);
+  const math::MonomialDag dag = math::build_monomial_dag(basis);
+  ASSERT_EQ(basis.size(), 44u);
+  Rng rng(1618);
+  math::Vec sample(8);
+  for (double& v : sample) v = rng.uniform(-1.0, 1.0);
+  const math::Vec features = math::monomial_transform(basis, sample);
+  const Bytes request = capture_ompe_request(features, params, 47);
+  const auto monomial_relations_hold = [&dag](const math::Vec& tau) {
+    for (std::size_t j = 0; j < dag.size(); ++j) {
+      if (dag.parent[j] == math::MonomialDag::kOne) continue;
+      const double want = tau[dag.parent[j]] * tau[dag.var[j]];
+      if (std::abs(tau[j] - want) > 1e-6 * (1.0 + std::abs(want))) return false;
+    }
+    return true;
+  };
+  const OmpeInputRecovery got =
+      recover_ompe_input(request, 4, monomial_relations_hold);
+  ASSERT_TRUE(got.found);
+  EXPECT_LE(got.trials, 252u);
+  ASSERT_EQ(got.alpha.size(), features.size());
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    EXPECT_NEAR(got.alpha[i], features[i], 1e-6) << "feature " << i;
+  }
+}
+
+TEST(OmpeInputRecovery, RejectsRequestsItCannotRead) {
+  ompe::OmpeParams params;
+  params.q = 2;
+  const Bytes request = capture_ompe_request({0.5, 0.25}, params, 5);
+  const auto any = [](const math::Vec&) { return true; };
+  EXPECT_THROW(recover_ompe_input(request, 3, any), InvalidArgument);
+  params.backend = ompe::Backend::kField;
+  const Bytes field_request = capture_ompe_request({0.5, 0.25}, params, 5);
+  EXPECT_THROW(recover_ompe_input(field_request, 2, any), InvalidArgument);
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ TEST(ClassificationProfile, LinearProfileIsIdentityTransform) {
   const auto profile =
       ClassificationProfile::make(5, svm::Kernel::linear());
   EXPECT_EQ(profile.poly_arity, 5u);
-  EXPECT_EQ(profile.declared_degree, 1u);
+  EXPECT_TRUE(profile.monomials.empty());
   const std::vector<double> t{1, 2, 3, 4, 5};
   EXPECT_EQ(profile.transform(t), t);
 }
@@ -55,7 +55,6 @@ TEST(ClassificationProfile, PolynomialProfileBuildsMonomialBasis) {
       ClassificationProfile::make(3, svm::Kernel::paper_polynomial(3));
   // Degrees 1..3 over 3 vars: 3 + 6 + 10 = 19 monomials.
   EXPECT_EQ(profile.poly_arity, 19u);
-  EXPECT_EQ(profile.declared_degree, 3u);
   const auto tau = profile.transform({2.0, 1.0, 1.0});
   EXPECT_EQ(tau.size(), 19u);
 }
@@ -345,8 +344,9 @@ TEST(PrivateClassification, BatchApiMatchesSingleQueries) {
 
 TEST(PrivateClassification, RbfTaylorEndToEnd) {
   // RBF kernel through the full protocol: the Taylor-expanded polynomial is
-  // served via OMPE; predictions match the exact kernel model away from the
-  // truncation-error band around the boundary.
+  // served via OMPE as a linear form over its monomial basis; predictions
+  // match the exact kernel model away from the truncation-error band around
+  // the boundary.
   Rng rng(41);
   std::vector<math::Vec> svs;
   std::vector<double> coeffs;
@@ -358,7 +358,7 @@ TEST(PrivateClassification, RbfTaylorEndToEnd) {
   const auto profile = ClassificationProfile::make(2, model.kernel(), 8);
   const auto poly = expand_decision_function(model, profile);
   auto cfg = SchemeConfig::fast_simulation();
-  cfg.ompe.q = 1;  // declared degree 8 -> m = 9
+  cfg.ompe.q = 1;  // m = 2 over the 44 monomials of degree <= 8
   ClassificationServer server(model, profile, cfg);
   ClassificationClient client(profile, cfg);
   // Only probe samples whose decision value clears the truncation error.

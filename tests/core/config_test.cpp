@@ -26,34 +26,28 @@ TEST(OmpeParams, CostModel) {
   ompe::OmpeParams params;
   params.q = 8;
   params.k = 3;
-  EXPECT_EQ(params.m(1), 9u);    // pq + 1
-  EXPECT_EQ(params.m(3), 25u);
-  EXPECT_EQ(params.big_m(1), 27u);  // m * k
-  EXPECT_EQ(params.big_m(3), 75u);
+  EXPECT_EQ(params.m(), 9u);      // q + 1: every evaluation is degree 1
+  EXPECT_EQ(params.big_m(), 27u);  // m * k
 }
 
 TEST(OtDemand, DirectSlotsWhenArityFits) {
   ompe::OmpeParams params;
   params.q = 4;
   params.k = 2;
-  // degree 1: m = 5, M = 10 <= 256 -> 5 direct 1-of-10 slots, i.e. 5
-  // offline exponentiations per query instead of 20.
-  const auto d = ot_demand_per_query(params, 1);
-  ASSERT_EQ(d.size(), 1u);
-  EXPECT_EQ(d[0].arity, 10u);
-  EXPECT_EQ(d[0].count, 5u);
+  // m = 5, M = 10 <= 256 -> 5 direct 1-of-10 slots, i.e. 5 offline
+  // exponentiations per query.
+  const OtDemand d = ot_demand_per_query(params);
+  EXPECT_EQ(d.arity, 10u);
+  EXPECT_EQ(d.count, 5u);
 }
 
-TEST(OtDemand, FallsBackToBitDecompositionWhenArityTooLarge) {
+TEST(OtDemand, RejectsArityAboveDirectBound) {
   ompe::OmpeParams params;
   params.q = 32;
   params.k = 8;
-  // degree 1: m = 33, M = 264 > 256 -> arity-2 bit-decomposition demand:
-  // m 1-out-of-M rounds of ceil(log2 264) = 9 key transfers each.
-  const auto d = ot_demand_per_query(params, 1);
-  ASSERT_EQ(d.size(), 1u);
-  EXPECT_EQ(d[0].arity, 2u);
-  EXPECT_EQ(d[0].count, 33u * 9u);
+  // m = 33, M = 264 > 256: no direct 1-of-M slot exists, and the shape is
+  // refused up front instead of falling back to bit decomposition.
+  EXPECT_THROW(ot_demand_per_query(params), InvalidArgument);
 }
 
 TEST(OtBundle, LoopbackReadyImmediately) {
@@ -100,7 +94,7 @@ TEST(OtBundle, PrepareIsNoOpForOtherEngines) {
   Rng rng(3);
   OtBundle bundle(SchemeConfig::fast_simulation(), rng);
   auto [a, b] = net::make_channel();
-  const std::vector<OtDemand> demand{{/*arity=*/2, /*count=*/100}};
+  const OtDemand demand{/*arity=*/2, /*count=*/100};
   EXPECT_NO_THROW(bundle.prepare_sender(a, demand));
   // No offline traffic was exchanged.
   EXPECT_EQ(a.stats().messages, 0u);
@@ -111,7 +105,7 @@ TEST(OtBundle, PreparedPairTransfers) {
   cfg.ot_engine = OtEngine::kPrecomputed;
   cfg.group = crypto::GroupId::kModp1024;
   std::vector<Bytes> msgs{{1, 1}, {2, 2}, {3, 3}, {4, 4}};
-  const std::vector<OtDemand> demand{{/*arity=*/4, /*count=*/1}};
+  const OtDemand demand{/*arity=*/4, /*count=*/1};
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(4);

@@ -36,10 +36,9 @@ TEST(ProtocolDigest, DeterministicAndParameterSensitive) {
 crypto::Digest full_stream_digest(const ClassificationProfile& profile,
                                   const SchemeConfig& config) {
   ByteWriter w;
-  w.u32(2);  // protocol version
+  w.u32(3);  // protocol version
   w.u64(profile.input_dim);
   w.u64(profile.poly_arity);
-  w.u32(profile.declared_degree);
   profile.kernel.serialize(w);
   w.u64(profile.monomials.size());
   for (const math::Exponents& exps : profile.monomials) w.raw(exps);

@@ -175,9 +175,9 @@ TEST(PrivateSimilarity, FreshRandomnessDoesNotChangeResult) {
   const auto b = linear_model({0.5, 0.5}, 0.0);
   const double r1 = private_similarity(a, b, space, cfg, 100);
   const double r2 = private_similarity(a, b, space, cfg, 200);
-  // The stage-2 degree-4 interpolation carries ~1e-4 relative numeric
-  // jitter that depends on the drawn masks; the exact cancellation of
-  // ram/raw/rb is asserted within that band.
+  // The stage-2 round over Eq. (7)'s 14 monomial features carries
+  // floating-point jitter that depends on the drawn masks; the exact
+  // cancellation of ram/raw/rb is asserted within that band.
   EXPECT_NEAR(r1, r2, 1e-5 + 1e-3 * r1);
 }
 

@@ -329,33 +329,6 @@ TEST(PrecomputedEngine, KOutOfNMatchesMessages) {
   EXPECT_EQ(outcome.a, 0u);  // exactly sized pool fully consumed
 }
 
-TEST(PrecomputedEngine, SlotsForFormula) {
-  // Beyond kMaxDirectArity a k-out-of-n transfer costs k * index_bits(n)
-  // arity-2 slots: 3-out-of-300 drains a pool of exactly 3 * 9 = 27.
-  const std::size_t n = 300, k = 3;
-  const std::size_t slots = k * index_bits(n);
-  EXPECT_EQ(slots, 27u);
-  const auto msgs = make_messages(n, 4);
-  const std::vector<std::size_t> want{0, 150, 299};
-  auto outcome = net::run_two_party(
-      [&](net::Endpoint& ch) {
-        Rng rng(67);
-        BatchedOtSender s(test_group(), rng);
-        s.reserve(ch, slots);
-        s.send(ch, msgs, k);
-        return s.remaining(2);
-      },
-      [&](net::Endpoint& ch) {
-        Rng rng(68);
-        BatchedOtReceiver r(test_group(), rng);
-        r.reserve(ch, slots);
-        return r.receive(ch, want, n, 4);
-      });
-  EXPECT_EQ(outcome.a, 0u);
-  ASSERT_EQ(outcome.b.size(), k);
-  for (std::size_t i = 0; i < k; ++i) EXPECT_EQ(outcome.b[i], msgs[want[i]]);
-}
-
 TEST(PrecomputedEngine, MultipleTransfersFromOnePool) {
   // One up-front reservation covers three 2-out-of-6 transfers; the pool
   // drains to zero without any refill in between.
@@ -463,26 +436,19 @@ TEST(BatchedEngine, ReserveThenTransfer) {
   EXPECT_EQ(outcome.b[1], msgs[6]);
 }
 
-TEST(BatchedEngine, FallsBackToBitDecompositionBeyondDirectArity) {
-  // 300 > kMaxDirectArity: the transfer must consume ceil(log2 300) = 9
-  // arity-2 slots instead of a direct slot.
+TEST(BatchedEngine, RejectsArityBeyondDirectBound) {
+  // 300 > kMaxDirectArity: no direct slot exists, and both roles refuse the
+  // transfer before any wire traffic (ompe::validate keeps OMPE below it).
   const auto msgs = make_messages(300, 4);
-  auto outcome = net::run_two_party(
-      [&](net::Endpoint& ch) {
-        Rng rng(85);
-        BatchedOtSender s(test_group(), rng, /*refill_batch=*/4);
-        s.send(ch, msgs, 1);
-        return s.remaining(300);
-      },
-      [&](net::Endpoint& ch) {
-        Rng rng(86);
-        BatchedOtReceiver r(test_group(), rng, /*refill_batch=*/4);
-        const std::vector<std::size_t> want{271};
-        return r.receive(ch, want, 300, 4);
-      });
-  EXPECT_EQ(outcome.a, 0u);  // no direct arity-300 pool was created
-  ASSERT_EQ(outcome.b.size(), 1u);
-  EXPECT_EQ(outcome.b[0], msgs[271]);
+  auto [a, b] = net::make_channel();
+  Rng rng(85);
+  BatchedOtSender s(test_group(), rng, /*refill_batch=*/4);
+  EXPECT_THROW(s.send(a, msgs, 1), InvalidArgument);
+  BatchedOtReceiver r(test_group(), rng, /*refill_batch=*/4);
+  const std::vector<std::size_t> want{271};
+  EXPECT_THROW(r.receive(b, want, 300, 4), InvalidArgument);
+  EXPECT_EQ(a.stats().messages, 0u);
+  EXPECT_EQ(b.stats().messages, 0u);
 }
 
 TEST(BatchedEngine, AutoRefillsWithoutReserve) {

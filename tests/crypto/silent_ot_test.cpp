@@ -172,26 +172,20 @@ TEST(BatchedSilent, OnlineTransferMatchesMessages) {
   EXPECT_GE(outcome.a, kSilentLeadSlots);
 }
 
-TEST(BatchedSilent, BitDecompositionFallbackBeyondDirectArity) {
-  // 300 > kMaxDirectArity: served from silent arity-2 slots.
+TEST(BatchedSilent, RejectsArityBeyondDirectBound) {
+  // 300 > kMaxDirectArity: refused before the seed agreement starts.
   const auto msgs = make_messages(300, 4);
-  auto outcome = net::run_two_party(
-      [&](net::Endpoint& ch) {
-        Rng rng(113);
-        BatchedOtSender s(test_group(), rng);
-        s.enable_silent(4);
-        s.send(ch, msgs, 1);
-        return 0;
-      },
-      [&](net::Endpoint& ch) {
-        Rng rng(114);
-        BatchedOtReceiver r(test_group(), rng);
-        r.enable_silent(4);
-        const std::vector<std::size_t> want{271};
-        return r.receive(ch, want, 300, 4);
-      });
-  ASSERT_EQ(outcome.b.size(), 1u);
-  EXPECT_EQ(outcome.b[0], msgs[271]);
+  auto [a, b] = net::make_channel();
+  Rng rng(113);
+  BatchedOtSender s(test_group(), rng);
+  s.enable_silent(4);
+  EXPECT_THROW(s.send(a, msgs, 1), InvalidArgument);
+  BatchedOtReceiver r(test_group(), rng);
+  r.enable_silent(4);
+  const std::vector<std::size_t> want{271};
+  EXPECT_THROW(r.receive(b, want, 300, 4), InvalidArgument);
+  EXPECT_EQ(a.stats().messages, 0u);
+  EXPECT_EQ(b.stats().messages, 0u);
 }
 
 TEST(BatchedSilent, WarmReservoirMakesTakeNonBlocking) {

@@ -250,10 +250,8 @@ TEST(M61x8, CompiledKernelsAgreeWithPortable) {
 // --- fused kernel dispatchers -----------------------------------------------
 // The OMPE hot loops go through these fused entry points (one dispatch per
 // block, not per op). Contract: lane l of every result equals the scalar M61
-// chain written in each dispatcher's doc comment — except dag_eval8, whose
-// stored node values are only congruent mod p (relaxed residues) and must be
-// canonicalized before byte comparison. The CI forced-scalar leg reruns all
-// of these through the portable kernels.
+// chain written in each dispatcher's doc comment. The CI forced-scalar leg
+// reruns all of these through the portable kernels.
 
 TEST(M61Kernels, Horner8MatchesScalarChain) {
   Rng rng(201);
@@ -329,25 +327,6 @@ TEST(M61Kernels, Dot8ReduceStridedMatchesDenseChain) {
   }
 }
 
-TEST(M61Kernels, Reduce8StridedFoldsEveryWord) {
-  Rng rng(204);
-  const std::size_t n = 11;
-  const std::size_t stride = 8 * n + 5;
-  for (int iter = 0; iter < 100; ++iter) {
-    std::vector<std::uint8_t> buf(kM61Lanes * stride);
-    for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
-    std::vector<M61x8> out(n);
-    reduce8_strided(buf.data(), stride, n, out.data());
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t l = 0; l < kM61Lanes; ++l) {
-        std::uint64_t word = 0;
-        std::memcpy(&word, buf.data() + l * stride + 8 * j, 8);
-        ASSERT_EQ(out[j].lane(l), M61(word)) << "j=" << j << " lane " << l;
-      }
-    }
-  }
-}
-
 TEST(M61Kernels, Horner8ScatterStoresScalarHornerValues) {
   Rng rng(205);
   for (std::size_t deg_p1 : {std::size_t{1}, std::size_t{2}, std::size_t{5},
@@ -404,72 +383,6 @@ TEST(M61Kernels, HornerGroupsStoresScalarHornerValues) {
         ASSERT_EQ(word, acc.value())
             << "deg_p1=" << deg_p1 << " n=" << n << " g=" << g;
       }
-    }
-  }
-}
-
-TEST(M61Kernels, DagEval8IsCongruentToScalarDagSweep) {
-  Rng rng(206);
-  // Hand-built monomial DAG over 3 variables (graded order):
-  //   0: x0   1: x1   2: x2   3: x0*x1   4: x0*x1*x2   5: (x0*x1)^2*... chain
-  const std::uint32_t one = 0xffffffffu;
-  const std::vector<std::uint32_t> parent = {one, one, one, 0, 3, 4, 5};
-  const std::vector<std::uint32_t> var = {0, 1, 2, 1, 2, 0, 0};
-  for (int iter = 0; iter < 200; ++iter) {
-    std::vector<M61x8> x(3, M61x8::zero());
-    for (auto& xv : x) {
-      for (std::size_t l = 0; l < kM61Lanes; ++l) {
-        xv.v[l] = random_element(rng).value();
-      }
-    }
-    std::vector<M61x8> out(parent.size());
-    dag_eval8(parent.data(), var.data(), parent.size(), one, x.data(),
-              out.data());
-    for (std::size_t i = 0; i < parent.size(); ++i) {
-      // Relaxed contract: canonicalize before comparing against the scalar
-      // recurrence (the scalar side is canonical at every node).
-      const M61x8 canon = M61x8::reduce(out[i].v);
-      for (std::size_t l = 0; l < kM61Lanes; ++l) {
-        const M61 xv = x[var[i]].lane(l);
-        const M61 want =
-            parent[i] == one ? xv : M61x8::reduce(out[parent[i]].v).lane(l) * xv;
-        ASSERT_EQ(canon.lane(l), want) << "node " << i << " lane " << l;
-      }
-    }
-  }
-}
-
-TEST(M61Kernels, Dot8NodesCanonicalOverRelaxedWork) {
-  Rng rng(207);
-  const std::uint32_t one = 0xffffffffu;
-  const std::vector<std::uint32_t> parent = {one, one, 0, 2};
-  const std::vector<std::uint32_t> var = {0, 1, 1, 0};
-  // Terms: constant + one per node, exercising both sides of the select.
-  const std::vector<std::uint32_t> node = {one, 0, 1, 2, 3};
-  for (int iter = 0; iter < 200; ++iter) {
-    std::vector<M61> c(node.size());
-    for (auto& ci : c) ci = random_element(rng);
-    std::vector<M61x8> x(2, M61x8::zero());
-    for (auto& xv : x) {
-      for (std::size_t l = 0; l < kM61Lanes; ++l) {
-        xv.v[l] = random_element(rng).value();
-      }
-    }
-    std::vector<M61x8> work(parent.size());
-    dag_eval8(parent.data(), var.data(), parent.size(), one, x.data(),
-              work.data());
-    const M61x8 got =
-        dot8_nodes(c.data(), node.data(), node.size(), one, work.data());
-    for (std::size_t l = 0; l < kM61Lanes; ++l) {
-      // Scalar reference over the CANONICAL node values: dot8_nodes must
-      // absorb the relaxed work residues and still return canonical lanes.
-      M61 acc(0);
-      for (std::size_t t = 0; t < node.size(); ++t) {
-        acc = acc + (node[t] == one
-                         ? c[t]
-                         : c[t] * M61x8::reduce(work[node[t]].v).lane(l));
-      }
-      ASSERT_EQ(got.lane(l), acc) << "lane " << l;
     }
   }
 }

@@ -144,102 +144,83 @@ MultiPoly random_poly(Rng& rng, std::size_t arity, std::size_t terms,
   return p;
 }
 
-TEST(CompiledMultiPoly, MatchesNaiveEvaluationOnRandomPolys) {
+TEST(Linearize, MatchesNaiveEvaluationOnRandomPolys) {
   Rng rng(31);
   for (int round = 0; round < 20; ++round) {
     const std::size_t arity = 1 + rng.uniform_u64(0, 4);
     const MultiPoly p = random_poly(rng, arity, 1 + rng.uniform_u64(0, 9), 5);
-    const CompiledMultiPoly compiled(p);
-    EXPECT_EQ(compiled.term_count(), p.terms().size());
-    std::vector<double> scratch;
+    const std::vector<Exponents> basis = monomials_up_to(arity, 5);
+    const LinearExpansion form = linearize(p, basis);
+    ASSERT_EQ(form.coeffs.size(), basis.size());
     for (int trial = 0; trial < 5; ++trial) {
       std::vector<double> x(arity);
       for (auto& v : x) v = rng.uniform(-1.5, 1.5);
       const double naive = p.evaluate(x);
-      const double fast =
-          compiled.evaluate(std::span<const double>(x), scratch);
+      const std::vector<double> tau = monomial_transform(basis, x);
+      double fast = form.constant;
+      for (std::size_t j = 0; j < tau.size(); ++j) fast += form.coeffs[j] * tau[j];
       EXPECT_NEAR(fast, naive, 1e-12 * (1.0 + std::abs(naive)))
           << "round " << round;
     }
   }
 }
 
-TEST(CompiledMultiPoly, ExactlyMatchesNaiveOverTheField) {
-  // Field arithmetic is associative and exact, so the DAG order change must
-  // be invisible: EXPECT_EQ, not NEAR.
+TEST(Linearize, ExactlyMatchesNaiveOverTheField) {
+  // Integer coefficients survive the double expansion exactly, and field
+  // arithmetic is exact: the feature-map evaluation (DAG transform, then a
+  // dot) must equal the per-term walk — EXPECT_EQ, not NEAR.
   using field::M61;
   Rng rng(32);
   for (int round = 0; round < 10; ++round) {
     const std::size_t arity = 1 + rng.uniform_u64(0, 3);
-    const MultiPoly p = random_poly(rng, arity, 1 + rng.uniform_u64(0, 7), 4);
-    const CompiledMultiPoly compiled(p);
-    // External field coefficients, one per source term.
-    std::vector<M61> coeffs;
-    for (std::size_t t = 0; t < p.terms().size(); ++t) {
-      coeffs.push_back(M61(rng() >> 3));
+    const MultiPoly real = random_poly(rng, arity, 1 + rng.uniform_u64(0, 7), 4);
+    MultiPoly p(arity);
+    for (const Term& t : real.terms()) {
+      p.add_term(std::round(t.coeff * 1000.0), t.exps);
     }
-    std::vector<M61> scratch;
+    const std::vector<Exponents> basis = monomials_up_to(arity, 4);
+    const LinearExpansion form = linearize(p, basis);
+    const MonomialDag dag = build_monomial_dag(basis);
     for (int trial = 0; trial < 5; ++trial) {
       std::vector<M61> z(arity);
       for (auto& v : z) v = M61(rng() >> 3);
-      // Naive: per-term exponent walk.
       M61 naive;
-      for (std::size_t t = 0; t < p.terms().size(); ++t) {
-        M61 v = coeffs[t];
-        const Exponents& exps = p.terms()[t].exps;
-        for (std::size_t i = 0; i < exps.size(); ++i) {
-          for (unsigned e = 0; e < exps[i]; ++e) v = v * z[i];
+      for (const Term& t : p.terms()) {
+        M61 v = M61::from_signed(static_cast<std::int64_t>(t.coeff));
+        for (std::size_t i = 0; i < t.exps.size(); ++i) {
+          for (unsigned e = 0; e < t.exps[i]; ++e) v = v * z[i];
         }
         naive = naive + v;
       }
-      const M61 fast = compiled.evaluate_with(
-          std::span<const M61>(coeffs), std::span<const M61>(z), scratch);
+      std::vector<M61> tau(basis.size());
+      dag.evaluate(std::span<const M61>(z), std::span<M61>(tau));
+      M61 fast = M61::from_signed(static_cast<std::int64_t>(form.constant));
+      for (std::size_t j = 0; j < tau.size(); ++j) {
+        fast = fast +
+               M61::from_signed(static_cast<std::int64_t>(form.coeffs[j])) *
+                   tau[j];
+      }
       EXPECT_EQ(fast.value(), naive.value()) << "round " << round;
     }
   }
 }
 
-TEST(CompiledMultiPoly, ConstantOnlyPolynomial) {
+TEST(Linearize, ConstantOnlyPolynomial) {
   MultiPoly p(3);
   p.add_constant(4.25);
-  const CompiledMultiPoly compiled(p);
-  EXPECT_EQ(compiled.node_count(), 0u);
-  std::vector<double> scratch;
-  const std::vector<double> x{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(compiled.evaluate(std::span<const double>(x), scratch),
-                   4.25);
+  const LinearExpansion form = linearize(p, monomials_up_to(3, 2));
+  EXPECT_DOUBLE_EQ(form.constant, 4.25);
+  for (double c : form.coeffs) EXPECT_EQ(c, 0.0);
 }
 
-TEST(CompiledMultiPoly, ExternalCoefficientsSwapWithoutRecompiling) {
+TEST(Linearize, MismatchesThrow) {
   MultiPoly p(2);
   p.add_term(1.0, {2, 1});
-  p.add_term(1.0, {0, 1});
-  p.add_constant(1.0);
-  const CompiledMultiPoly compiled(p);
-  const std::vector<double> x{0.5, -2.0};
-  std::vector<double> scratch;
-  const double base = compiled.evaluate(std::span<const double>(x), scratch);
-  const std::vector<double> doubled{2.0, 2.0, 2.0};
-  EXPECT_DOUBLE_EQ(
-      compiled.evaluate_with(std::span<const double>(doubled),
-                             std::span<const double>(x), scratch),
-      2.0 * base);
-}
-
-TEST(CompiledMultiPoly, MismatchesThrow) {
-  MultiPoly p(2);
-  p.add_term(1.0, {1, 1});
-  const CompiledMultiPoly compiled(p);
-  std::vector<double> scratch;
-  const std::vector<double> bad_x{1.0};
-  EXPECT_THROW(compiled.evaluate(std::span<const double>(bad_x), scratch),
-               InvalidArgument);
-  const std::vector<double> x{1.0, 1.0};
-  const std::vector<double> bad_coeffs{1.0, 2.0};
-  EXPECT_THROW(
-      compiled.evaluate_with(std::span<const double>(bad_coeffs),
-                             std::span<const double>(x), scratch),
-      InvalidArgument);
+  // Degree-3 term outside a degree-2 basis.
+  EXPECT_THROW(linearize(p, monomials_up_to(2, 2)), InvalidArgument);
+  // Basis over the wrong number of variables.
+  EXPECT_THROW(linearize(p, monomials_up_to(3, 3)), InvalidArgument);
+  EXPECT_NO_THROW(linearize(p, monomials_up_to(2, 3)));
 }
 
 }  // namespace

@@ -2,13 +2,15 @@
 
 #include <cmath>
 
+#include "ppds/math/multipoly.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/ompe/ompe.hpp"
 
-/// Randomized property tests of the OMPE protocol: random polynomials,
-/// random inputs, random parameters — the receiver's output must always
-/// match direct evaluation; malformed wire bytes must always surface as a
-/// protocol error on the honest side, never as a crash or a wrong value.
+/// Randomized property tests of the OMPE protocol: random polynomials served
+/// over their monomial feature map, random inputs, random parameters — the
+/// receiver's output must always match direct evaluation; malformed wire
+/// bytes must always surface as a protocol error on the honest side, never
+/// as a crash or a wrong value.
 
 namespace ppds::ompe {
 namespace {
@@ -43,9 +45,12 @@ TEST_P(OmpeFuzz, RandomConfigurationsEvaluateCorrectly) {
     const unsigned degree = 1 + static_cast<unsigned>(rng.uniform_u64(0, 2));
     const math::MultiPoly secret = random_poly(rng, arity, degree);
     const unsigned actual = std::max(1u, secret.total_degree());
+    const auto basis = math::monomials_up_to(arity, actual);
+    const math::LinearExpansion form = math::linearize(secret, basis);
     OmpeParams params;
     params.q = 1 + static_cast<unsigned>(rng.uniform_u64(0, 5));
-    params.k = 1 + static_cast<unsigned>(rng.uniform_u64(0, 3));
+    // k >= 2: validate() refuses k = 1, where every pair is genuine.
+    params.k = 2 + static_cast<unsigned>(rng.uniform_u64(0, 2));
     std::vector<double> alpha(arity);
     for (auto& v : alpha) v = rng.uniform(-1.0, 1.0);
 
@@ -56,14 +61,15 @@ TEST_P(OmpeFuzz, RandomConfigurationsEvaluateCorrectly) {
                  [&](net::Endpoint& ch) {
                    Rng r(run_seed);
                    crypto::LoopbackSender ot;
-                   run_sender(ch, secret, run_params, ot, r);
+                   run_sender(ch, form.coeffs, form.constant, run_params, ot,
+                              r);
                    return 0;
                  },
                  [&](net::Endpoint& ch) {
                    Rng r(run_seed + 1);
                    crypto::LoopbackReceiver ot;
-                   return run_receiver(ch, input, actual, arity, run_params,
-                                       ot, r);
+                   return run_receiver(ch, math::monomial_transform(basis, input),
+                                       run_params, ot, r);
                  })
           .b;
     };
@@ -73,10 +79,9 @@ TEST_P(OmpeFuzz, RandomConfigurationsEvaluateCorrectly) {
         << " q " << params.q << " k " << params.k;
 
     // The same secret over the field backend, with the input on the 2^-12
-    // encoding grid: only the coefficient encoding rounds.
+    // grid: only the coefficient and feature encodings (2^-20) round.
     OmpeParams field_params = params;
     field_params.backend = Backend::kField;
-    field_params.frac_bits = 12;  // f * (degree + 1) < 61 up to degree 3
     std::vector<double> grid_alpha(arity);
     for (std::size_t i = 0; i < arity; ++i) {
       grid_alpha[i] = std::ldexp(std::round(std::ldexp(alpha[i], 12)), -12);
@@ -103,7 +108,7 @@ class OmpeWireFuzz : public ::testing::TestWithParam<int> {};
 // is indistinguishable from different inputs, which is fine), never crash.
 TEST_P(OmpeWireFuzz, CorruptedRequestNeverCrashesSender) {
   Rng rng(1000 + GetParam());
-  const auto secret = math::MultiPoly::affine({0.5, -0.5}, 0.25);
+  const std::vector<double> w{0.5, -0.5};
   OmpeParams params;
   params.q = 2;
   params.k = 2;
@@ -122,8 +127,8 @@ TEST_P(OmpeWireFuzz, CorruptedRequestNeverCrashesSender) {
           Rng r(1);
           crypto::LoopbackReceiver ot;
           try {
-            return run_receiver(ch, std::vector<double>{0.1, 0.2}, 1, 2,
-                                params, ot, r);
+            return run_receiver(ch, std::vector<double>{0.1, 0.2}, params,
+                                ot, r);
           } catch (const ProtocolError&) {
             return 0.0;
           }
@@ -152,7 +157,7 @@ TEST_P(OmpeWireFuzz, CorruptedRequestNeverCrashesSender) {
         [&](net::Endpoint& ch) {
           Rng r(2);
           crypto::LoopbackSender ot;
-          run_sender(ch, secret, params, ot, r);
+          run_sender(ch, w, 0.25, params, ot, r);
           return 0;
         },
         [&](net::Endpoint& ch) {

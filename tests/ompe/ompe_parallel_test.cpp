@@ -47,7 +47,7 @@ Bytes capture_request(Backend backend, unsigned eval_threads,
         Rng rng(seed);
         crypto::LoopbackReceiver ot;
         try {
-          return run_receiver(ch, alpha, 1, kWideArity, params, ot, rng);
+          return run_receiver(ch, alpha, params, ot, rng);
         } catch (const ProtocolError&) {
           return 0.0;  // channel closed after capture — expected
         }
@@ -69,12 +69,11 @@ TEST(OmpeParallel, ReceiverTranscriptBitIdenticalAcrossThreadCounts) {
 /// compared across thread settings without involving a (randomized)
 /// receiver.
 Bytes canned_request(const OmpeParams& params, Backend backend) {
-  const std::size_t m = params.m(1);
-  const std::size_t big_m = params.big_m(1);
+  const std::size_t m = params.m();
+  const std::size_t big_m = params.big_m();
   ByteWriter w;
-  w.u8(1);  // version
+  w.u8(2);  // version
   w.u8(static_cast<std::uint8_t>(backend));
-  w.u32(1);  // degree
   w.u64(kWideArity);
   w.u64(big_m);
   w.u64(m);
@@ -110,7 +109,7 @@ Bytes capture_sender_reply(Backend backend, unsigned eval_threads,
       [&](net::Endpoint& ch) {
         Rng rng(seed);
         crypto::LoopbackSender ot;
-        run_sender_linear(ch, weights, 0.125, params, ot, rng);
+        run_sender(ch, weights, 0.125, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
@@ -162,86 +161,27 @@ TEST(OmpeParallel, SenderTranscriptBitIdenticalScalarVsSimd) {
   }
 }
 
-/// The generic (run_sender) path evaluates P(z) through
-/// CompiledMultiPoly::evaluate_lanes when lanes are on; its reply must match
-/// the scalar evaluate_with sweep byte for byte too.
-Bytes capture_generic_sender_reply(bool use_simd_field, std::uint64_t seed) {
-  OmpeParams params;
-  params.backend = Backend::kField;
-  params.frac_bits = 12;
-  params.use_simd_field = use_simd_field;
-  math::MultiPoly secret(3);
-  secret.add_term(0.5, {2, 1, 0});
-  secret.add_term(-1.25, {0, 0, 3});
-  secret.add_term(0.75, {1, 1, 1});
-  secret.add_constant(0.375);
-
-  const std::size_t m = params.m(3);
-  const std::size_t big_m = params.big_m(3);
-  ByteWriter w;
-  w.u8(1);  // version
-  w.u8(static_cast<std::uint8_t>(Backend::kField));
-  w.u32(3);  // degree
-  w.u64(3);  // arity
-  w.u64(big_m);
-  w.u64(m);
-  for (std::size_t i = 0; i < big_m; ++i) {
-    w.u64(i + 1);  // distinct nonzero nodes
-    for (std::size_t j = 0; j < 3; ++j) w.u64(1 + ((i * 131 + j) % 1000));
-  }
-  const Bytes request = w.take();
-
-  auto outcome = net::run_two_party(
-      [&](net::Endpoint& ch) {
-        Rng rng(seed);
-        crypto::LoopbackSender ot;
-        run_sender(ch, secret, params, ot, rng);
-        return 0;
-      },
-      [&](net::Endpoint& ch) {
-        ch.set_stage(net::Stage::kOmpeRequest);
-        ch.send(Bytes(request));
-        ch.set_stage(net::Stage::kOtTransfer);
-        return ch.recv();
-      });
-  return outcome.b;
-}
-
-TEST(OmpeParallel, GenericSenderTranscriptBitIdenticalScalarVsSimd) {
-  const Bytes scalar = capture_generic_sender_reply(false, 5150);
-  const Bytes simd = capture_generic_sender_reply(true, 5150);
-  ASSERT_FALSE(scalar.empty());
-  EXPECT_EQ(scalar, simd);
-}
-
-double run_full(const math::MultiPoly& secret, const std::vector<double>& alpha,
-                const OmpeParams& params, std::uint64_t seed) {
-  auto outcome = net::run_two_party(
-      [&](net::Endpoint& ch) {
-        Rng rng(seed);
-        crypto::LoopbackSender ot;
-        run_sender(ch, secret, params, ot, rng);
-        return 0;
-      },
-      [&](net::Endpoint& ch) {
-        Rng rng(seed + 1);
-        crypto::LoopbackReceiver ot;
-        return run_receiver(ch, alpha, secret.total_degree(), secret.arity(),
-                            params, ot, rng);
-      });
-  return outcome.b;
-}
-
 TEST(OmpeParallel, StageCountersCountProtocolElementsExactly) {
   OmpeParams params;
   params.q = 4;
   params.k = 2;
-  const std::size_t m = params.m(1);        // 5
-  const std::size_t big_m = params.big_m(1);  // 10
+  const std::size_t m = params.m();        // 5
+  const std::size_t big_m = params.big_m();  // 10
   reset_stage_counters();
-  const auto p = math::MultiPoly::affine({1.0, -2.0}, 0.5);
   const std::vector<double> alpha{0.3, 0.4};
-  EXPECT_NEAR(run_full(p, alpha, params, 99), p.evaluate(alpha), 1e-8);
+  auto outcome = net::run_two_party(
+      [&](net::Endpoint& ch) {
+        Rng rng(99);
+        crypto::LoopbackSender ot;
+        run_sender(ch, std::vector<double>{1.0, -2.0}, 0.5, params, ot, rng);
+        return 0;
+      },
+      [&](net::Endpoint& ch) {
+        Rng rng(100);
+        crypto::LoopbackReceiver ot;
+        return run_receiver(ch, alpha, params, ot, rng);
+      });
+  EXPECT_NEAR(outcome.b, 0.3 - 2.0 * 0.4 + 0.5, 1e-8);
   const StageCounters counters = stage_counters();
   EXPECT_EQ(counters.mask_eval_points, big_m);
   EXPECT_EQ(counters.cover_eval_points, big_m);

@@ -4,30 +4,32 @@
 
 #include <cmath>
 
+#include "ppds/math/multipoly.hpp"
 #include "ppds/net/party.hpp"
 
 namespace ppds::ompe {
 namespace {
 
-/// Runs one complete OMPE evaluation over a fresh channel with loopback OT.
+/// Runs one complete OMPE evaluation over a fresh channel with loopback OT:
+/// the sender serves \p secret linearized over its monomial basis, the
+/// receiver holds the basis features of \p alpha.
 double run_ompe(const math::MultiPoly& secret, const std::vector<double>& alpha,
-                const OmpeParams& params, unsigned declared_degree = 0,
-                std::uint64_t seed = 7) {
-  const unsigned degree =
-      declared_degree == 0 ? std::max(1u, secret.total_degree())
-                           : declared_degree;
+                const OmpeParams& params, std::uint64_t seed = 7) {
+  const auto basis = math::monomials_up_to(secret.arity(),
+                                           std::max(1u, secret.total_degree()));
+  const math::LinearExpansion form = math::linearize(secret, basis);
+  const std::vector<double> features = math::monomial_transform(basis, alpha);
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(seed);
         crypto::LoopbackSender ot;
-        run_sender(ch, secret, params, ot, rng, declared_degree);
+        run_sender(ch, form.coeffs, form.constant, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(seed + 1);
         crypto::LoopbackReceiver ot;
-        return run_receiver(ch, alpha, degree, secret.arity(), params, ot,
-                            rng);
+        return run_receiver(ch, features, params, ot, rng);
       });
   return outcome.b;
 }
@@ -57,28 +59,11 @@ TEST(Ompe, HighDegreePolynomialRealBackend) {
   p.add_constant(-0.3);
   OmpeParams params;
   const std::vector<double> alpha{0.7, -1.3};
-  // Degree 4 with q = 8 means a degree-32 interpolation: long-double
-  // conditioning limits accuracy to ~1e-4 relative (the exact field backend
-  // exists for cases that need more).
+  // Served as a linear form over the 14 monomials of degree 1..4, so the
+  // interpolation is degree q = 8, not 32.
   const double expect = p.evaluate(alpha);
   EXPECT_NEAR(run_ompe(p, alpha, params), expect,
               1e-6 + 1e-3 * std::abs(expect));
-}
-
-TEST(Ompe, DeclaredDegreeAboveActual) {
-  // The nonlinear classification pattern: secret linear in tau, declared
-  // degree p = 3 so the cost model matches the paper.
-  const auto p = math::MultiPoly::affine({1.0, -1.0, 0.5, 0.25}, 0.1);
-  OmpeParams params;
-  const std::vector<double> alpha{0.2, 0.4, -0.6, 0.8};
-  EXPECT_NEAR(run_ompe(p, alpha, params, 3), p.evaluate(alpha), 1e-8);
-}
-
-TEST(Ompe, DeclaredDegreeBelowActualRejected) {
-  math::MultiPoly p(1);
-  p.add_term(1.0, {3});
-  OmpeParams params;
-  EXPECT_THROW(run_ompe(p, {0.5}, params, 2), Error);
 }
 
 class OmpeQParam : public ::testing::TestWithParam<unsigned> {};
@@ -89,7 +74,7 @@ TEST_P(OmpeQParam, CorrectAcrossSecurityParameters) {
   OmpeParams params;
   params.q = GetParam();
   const std::vector<double> alpha{0.6, 0.8};
-  EXPECT_NEAR(run_ompe(p, alpha, params, 0, 100 + params.q),
+  EXPECT_NEAR(run_ompe(p, alpha, params, 100 + params.q),
               p.evaluate(alpha), 1e-7);
 }
 
@@ -103,7 +88,13 @@ TEST_P(OmpeKParam, CorrectAcrossCoverBlowups) {
   OmpeParams params;
   params.k = GetParam();
   const std::vector<double> alpha{-0.4, 0.2};
-  EXPECT_NEAR(run_ompe(p, alpha, params, 0, 200 + params.k),
+  if (params.k < 2) {
+    // k = 1 sends only genuine pairs: the sender could interpolate alpha
+    // itself, so both roles refuse the shape before touching the channel.
+    EXPECT_THROW(run_ompe(p, alpha, params, 200 + params.k), InvalidArgument);
+    return;
+  }
+  EXPECT_NEAR(run_ompe(p, alpha, params, 200 + params.k),
               p.evaluate(alpha), 1e-8);
 }
 
@@ -123,10 +114,39 @@ TEST(Ompe, FieldBackendSignExactForTinyMargins) {
   }
 }
 
+TEST(OmpeValidate, RejectsShapesThatHideNothing) {
+  OmpeParams params;
+  params.q = 0;  // every cover is the constant alpha
+  EXPECT_THROW(validate(params), InvalidArgument);
+  params.q = 8;
+  params.k = 1;  // every pair is genuine
+  EXPECT_THROW(validate(params), InvalidArgument);
+  params.q = 31;
+  params.k = 9;  // M = 288 > kMaxDirectArity
+  EXPECT_THROW(validate(params), InvalidArgument);
+  params.k = 8;  // M = 256: the largest direct OT arity
+  EXPECT_NO_THROW(validate(params));
+  EXPECT_NO_THROW(validate(OmpeParams{}));
+}
+
+TEST(OmpeValidate, BothRolesRefuseBeforeTouchingTheChannel) {
+  OmpeParams params;
+  params.k = 1;
+  auto [a, b] = net::make_channel();
+  Rng rng(3);
+  crypto::LoopbackSender sender;
+  crypto::LoopbackReceiver receiver;
+  const std::vector<double> v{0.5};
+  EXPECT_THROW(run_sender(a, v, 0.0, params, sender, rng), InvalidArgument);
+  EXPECT_THROW(run_receiver(b, v, params, receiver, rng), InvalidArgument);
+  EXPECT_EQ(a.stats().messages, 0u);
+  EXPECT_EQ(b.stats().messages, 0u);
+}
+
 TEST(Ompe, WireFormatMatchesCostModel) {
-  // Bob ships M = (pq+1)k pairs of (node, r-vector): (1 + arity) doubles
+  // Bob ships M = (q+1)k pairs of (node, r-vector): (1 + arity) doubles
   // each, plus the header.
-  const auto p = math::MultiPoly::affine({1.0, 2.0, 3.0}, 0.0);
+  const std::vector<double> w{1.0, 2.0, 3.0};
   OmpeParams params;
   params.q = 4;
   params.k = 3;
@@ -135,16 +155,16 @@ TEST(Ompe, WireFormatMatchesCostModel) {
       [&](net::Endpoint& ch) {
         Rng rng(1);
         crypto::LoopbackSender ot;
-        run_sender(ch, p, params, ot, rng);
+        run_sender(ch, w, 0.0, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
         crypto::LoopbackReceiver ot;
-        return run_receiver(ch, alpha, 1, 3, params, ot, rng);
+        return run_receiver(ch, alpha, params, ot, rng);
       });
-  const std::size_t big_m = (1 * 4 + 1) * 3;
-  const std::size_t header = 1 + 1 + 4 + 8 + 8 + 8;
+  const std::size_t big_m = (4 + 1) * 3;
+  const std::size_t header = 1 + 1 + 8 + 8 + 8;
   EXPECT_EQ(outcome.b_sent.bytes, header + big_m * (1 + 3) * 8);
   // Sender's loopback OT ships all M values of 8 bytes.
   EXPECT_EQ(outcome.a_sent.bytes, big_m * 8u);
@@ -152,27 +172,27 @@ TEST(Ompe, WireFormatMatchesCostModel) {
 
 TEST(Ompe, SenderRejectsMismatchedRequest) {
   // Receiver claims a different arity than the sender's polynomial.
-  const auto p = math::MultiPoly::affine({1.0, 2.0}, 0.0);
+  const std::vector<double> w{1.0, 2.0};
   OmpeParams params;
   EXPECT_THROW(
       net::run_two_party(
           [&](net::Endpoint& ch) {
             Rng rng(1);
             crypto::LoopbackSender ot;
-            run_sender(ch, p, params, ot, rng);
+            run_sender(ch, w, 0.0, params, ot, rng);
             return 0;
           },
           [&](net::Endpoint& ch) {
             Rng rng(2);
             crypto::LoopbackReceiver ot;
             const std::vector<double> alpha{0.1, 0.2, 0.3};
-            return run_receiver(ch, alpha, 1, 3, params, ot, rng);
+            return run_receiver(ch, alpha, params, ot, rng);
           }),
       ProtocolError);
 }
 
 TEST(Ompe, SenderRejectsRepeatedNodes) {
-  const auto p = math::MultiPoly::affine({1.0}, 0.0);
+  const std::vector<double> w{1.0};
   OmpeParams params;
   params.q = 1;
   params.k = 2;
@@ -182,75 +202,26 @@ TEST(Ompe, SenderRejectsRepeatedNodes) {
         [&](net::Endpoint& ch) {
           Rng rng(1);
           crypto::LoopbackSender ot;
-          run_sender(ch, p, params, ot, rng);
+          run_sender(ch, w, 0.0, params, ot, rng);
           return 0;
         },
         [&](net::Endpoint& ch) {
-          ByteWriter w;
-          w.u8(1);   // version
-          w.u8(0);   // real backend
-          w.u32(1);  // degree
-          w.u64(1);  // arity
-          w.u64(4);  // M
-          w.u64(2);  // m
+          ByteWriter req;
+          req.u8(2);   // version
+          req.u8(0);   // real backend
+          req.u64(1);  // arity
+          req.u64(4);  // M
+          req.u64(2);  // m
           for (int i = 0; i < 4; ++i) {
-            w.f64(0.5);  // duplicate node
-            w.f64(0.1);
+            req.f64(0.5);  // duplicate node
+            req.f64(0.1);
           }
-          ch.send(w.take());
+          ch.send(req.take());
           ch.recv();
           return 0;
         });
   };
   EXPECT_THROW(outcome_error(), ProtocolError);
-}
-
-TEST(Ompe, LinearFastPathMatchesGenericSender) {
-  // run_sender_linear must speak the exact same protocol as run_sender on
-  // an affine secret (real and field backends).
-  const std::vector<double> w{0.4, -0.9, 0.2};
-  const double b = -0.35;
-  const std::vector<double> alpha{0.5, 0.25, -0.75};
-  for (int backend = 0; backend < 2; ++backend) {
-    OmpeParams params;
-    params.backend = backend == 0 ? Backend::kReal : Backend::kField;
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng rng(400 + backend);
-          crypto::LoopbackSender ot;
-          run_sender_linear(ch, w, b, params, ot, rng);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rng(500 + backend);
-          crypto::LoopbackReceiver ot;
-          return run_receiver(ch, alpha, 1, 3, params, ot, rng);
-        });
-    double expect = b;
-    for (std::size_t i = 0; i < w.size(); ++i) expect += w[i] * alpha[i];
-    EXPECT_NEAR(outcome.b, expect, 1e-5) << "backend " << backend;
-  }
-}
-
-TEST(Ompe, LinearFastPathDeclaredDegree) {
-  // The nonlinear pattern: linear secret with declared degree 3 (m = 3q+1).
-  const std::vector<double> w{1.0, -0.5};
-  const std::vector<double> alpha{0.3, 0.6};
-  OmpeParams params;
-  params.q = 2;
-  auto outcome = net::run_two_party(
-      [&](net::Endpoint& ch) {
-        Rng rng(600);
-        crypto::LoopbackSender ot;
-        run_sender_linear(ch, w, 0.1, params, ot, rng, 3);
-        return 0;
-      },
-      [&](net::Endpoint& ch) {
-        Rng rng(601);
-        crypto::LoopbackReceiver ot;
-        return run_receiver(ch, alpha, 3, 2, params, ot, rng);
-      });
-  EXPECT_NEAR(outcome.b, 1.0 * 0.3 - 0.5 * 0.6 + 0.1, 1e-8);
 }
 
 TEST(Ompe, ResultWithNaorPinkasOtMatches) {
@@ -265,13 +236,13 @@ TEST(Ompe, ResultWithNaorPinkasOtMatches) {
       [&](net::Endpoint& ch) {
         Rng rng(11);
         crypto::NaorPinkasSender ot(group, rng);
-        run_sender(ch, p, params, ot, rng);
+        run_sender(ch, std::vector<double>{0.9, -0.4}, 0.2, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(12);
         crypto::NaorPinkasReceiver ot(group, rng);
-        return run_receiver(ch, alpha, 1, 2, params, ot, rng);
+        return run_receiver(ch, alpha, params, ot, rng);
       });
   EXPECT_NEAR(outcome.b, p.evaluate(alpha), 1e-9);
 }
@@ -280,7 +251,6 @@ TEST(Ompe, ResultWithNaorPinkasOtMatches) {
 // values Bob sends to Alice differ (fresh covers), so Alice cannot key on
 // repeated queries.
 TEST(Ompe, RequestsAreRerandomizedPerRun) {
-  const auto p = math::MultiPoly::affine({1.0, 1.0}, 0.0);
   OmpeParams params;
   const std::vector<double> alpha{0.33, -0.77};
   Bytes first, second;
@@ -298,7 +268,7 @@ TEST(Ompe, RequestsAreRerandomizedPerRun) {
           Rng rng(500 + run);
           crypto::LoopbackReceiver ot;
           try {
-            return run_receiver(ch, alpha, 1, 2, params, ot, rng);
+            return run_receiver(ch, alpha, params, ot, rng);
           } catch (const ProtocolError&) {
             return 0.0;  // channel closed after capture — expected
           }

@@ -28,7 +28,7 @@ std::vector<double> capture_request_values(const std::vector<double>& alpha,
         Rng rng(seed);
         crypto::LoopbackReceiver ot;
         try {
-          return run_receiver(ch, alpha, 1, alpha.size(), params, ot, rng);
+          return run_receiver(ch, alpha, params, ot, rng);
         } catch (const ProtocolError&) {
           return 0.0;
         }
@@ -36,7 +36,6 @@ std::vector<double> capture_request_values(const std::vector<double>& alpha,
   ByteReader r(outcome.a);
   r.u8();   // version
   r.u8();   // backend
-  r.u32();  // degree
   const std::uint64_t arity = r.u64();
   const std::uint64_t big_m = r.u64();
   r.u64();  // m
@@ -79,8 +78,8 @@ TEST(OmpePrivacy, KeptPositionsLookUniform) {
   OmpeParams params;
   params.q = 4;
   params.k = 3;
-  const std::size_t m = params.m(1);
-  const std::size_t big_m = params.big_m(1);
+  const std::size_t m = params.m();
+  const std::size_t big_m = params.big_m();
   std::vector<int> hits(big_m, 0);
   const int runs = 3000;
   for (int run = 0; run < runs; ++run) {
@@ -113,7 +112,7 @@ TEST(OmpePrivacy, MaskedValuesChangeWhenSecretPolynomialFixed) {
   // (fresh h per query) even though they decode to the same B(0) —
   // otherwise a replaying client could build a dictionary of the masked
   // polynomial across queries.
-  const auto secret = math::MultiPoly::affine({0.7, -0.2}, 0.4);
+  const std::vector<double> w{0.7, -0.2};
   OmpeParams params;
   params.q = 2;
   params.k = 2;
@@ -125,14 +124,14 @@ TEST(OmpePrivacy, MaskedValuesChangeWhenSecretPolynomialFixed) {
         [&](net::Endpoint& ch) {
           Rng rng(7000 + run);  // fresh sender mask each run
           crypto::LoopbackSender ot;
-          run_sender(ch, secret, params, ot, rng);
+          run_sender(ch, w, 0.4, params, ot, rng);
           return 0;
         },
         [&](net::Endpoint& ch) {
           Rng rng(42);  // identical receiver randomness both runs
-          return run_receiver(ch, alpha, 1, 2, params, recorder, rng);
+          return run_receiver(ch, alpha, params, recorder, rng);
         });
-    EXPECT_NEAR(outcome.b, secret.evaluate(alpha), 1e-9);
+    EXPECT_NEAR(outcome.b, 0.7 * 0.25 - 0.2 * -0.5 + 0.4, 1e-9);
     retrieved[run] = recorder.log;
   }
   ASSERT_EQ(retrieved[0].size(), retrieved[1].size());

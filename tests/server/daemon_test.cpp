@@ -108,29 +108,29 @@ TEST(ScenarioSpec, GoldenProtocolDigests) {
   };
   const Golden golden[] = {
       {"diabetes:linear:fast",
-       "e99d639f9880604f4ace603e1bf1f973c23f4c4c22cdd0f3bc225810c407affb",
-       "3a952bb97470fece5845d8bea2123408762d120a754e7af557adf63e624f2160"},
+       "462d56f7f79c681d221841f1a2963a386a360189397ba4ee8e92c020c2c93836",
+       "a9b760475f3c8f126d542059a35143b4d45bd3d57445c4d71146ff8d8335896a"},
       {"diabetes:linear:precomputed",
-       "a5920777da45ba54c4a115b19cfecdea44c69a1baf39d58b4daeb18227d83986",
-       "201c524ac1b288e96fb379ea73e3c408b0b68bc4e8089ffc3ccc16fddf2ec405"},
+       "3490f8bcea5fdec7c403b8d05ca518493a53dc9ac1d63348be1bff3d034f6d46",
+       "27dcfd953f99f4f05eed0303d77a5b325ddd9c686f7160cfbbdb947deeae12de"},
       {"diabetes:linear:silent",
-       "3bff482db5e6ab46784342b70b8b937a0193f02475dc768488dfeb7380558963",
-       "91905f8eb12e114fdaf9af6432a108fd2318859a27de79dd4d586a7d13321ed4"},
+       "7723f4a6e30c6ac137ea296e162ce2fec33df8b84b36ee0d8f71e8701136000c",
+       "5f4e0c5160cddb89668a28234412263382fe93084b21f74b73fee7444b9f7044"},
       {"diabetes:linear:secure",
-       "c81c562ddb298afddb696ed21afaf1b6944e4fe4381172060ba51aa8e837e79c",
-       "210e915d2fb27034a154593d914b5c3f0f2f2fec03e1ec87b961b2f5146d23b3"},
+       "165af63514cdfbf4174e9d395ce25c2d3bc537ea3f9dd1b675bd64e6c7ab8271",
+       "5fc4dc49223724c745c7638a07fbdf2611792dfd751c05d8a2fe90646dd82804"},
       {"diabetes:poly:fast",
-       "88be412fe603892dc824458b6f18ce9c9c7506d68351a8519a7f11758c044bc3",
-       "acd1278f510a91a96ed40d0846d447b4b3390d6dee4d4e4697e8747cf841b06f"},
+       "6f04115b8190bbe1e0f1bfcea895d1009ccff29b120ea5fc2e37bf5c1296332d",
+       "1d142d075be63a79b4a77c07e7ed78064361ed073e52ea13fb41b992fb540fbe"},
       {"diabetes:poly:precomputed",
-       "2c25c901e46e5c29b415c37e9b67e21a495feadb5cae5b57015f6f0d84324c15",
-       "057ffff886d33a45e7d00ada6f2c003da0251bf83806f7196c687009ee5b187a"},
+       "01bdc8399dc1f1e786d15c4f3c80726b8cf8fc6e0111a47f37356cadf63c4b7a",
+       "481ae3f4dbb109e195841c54bf0638774c93b3473f0d1cabd9f96ea70317072d"},
       {"diabetes:poly:silent",
-       "65ab40f389e6b280499d3b5ff408de5579325683453106d700508447b3d4ef77",
-       "67a456fb241a88c253d7a698b36934602d2906490c77739b17fd36a330cd7a8b"},
+       "10f6c601bd88275b9ee5013d1535037d762489caca0b65eea7902e2eb55612d5",
+       "a9abdfa96fe7289db4be8ef780b2286b3d8549b990d56cc0d2c18436dfac40b4"},
       {"diabetes:poly:secure",
-       "8d756deb36f5f2b28f9754c692cab467f3c7feaf1cdfb96785ccb95d3b76ba48",
-       "c246e620fdf9443f3d96e0f2578ea76a3705b1af1ac06a74cd3d2dca3cea7bde"},
+       "05ba0b0b11fbfd26161bed4edcde15fdff4bcbe6798e873b06730b6a3b5641e3",
+       "7eca553b1a0c83109633784306c735d91c00a10f60ca2b4f852449ee06d5d525"},
   };
   for (const Golden& g : golden) {
     SCOPED_TRACE(g.spec);
@@ -321,7 +321,7 @@ TEST(Daemon, DisconnectMidProtocolWipesOtPoolsAndFreesTheWorker) {
     ByteWriter hello;
     const std::uint8_t magic[4] = {'P', 'P', 'D', 'S'};
     hello.raw(std::span<const std::uint8_t>(magic, 4));
-    hello.u32(2);  // protocol version
+    hello.u32(3);  // protocol version
     hello.raw(std::span<const std::uint8_t>(digest.data(), digest.size()));
     hello.u64(0x5e55);  // session id
     hello.u64(4);       // query count
@@ -420,7 +420,7 @@ TEST(Daemon, SilentDisconnectAbortsWipeWithReservoirRunning) {
     ByteWriter hello;
     const std::uint8_t magic[4] = {'P', 'P', 'D', 'S'};
     hello.raw(std::span<const std::uint8_t>(magic, 4));
-    hello.u32(2);  // protocol version
+    hello.u32(3);  // protocol version
     hello.raw(std::span<const std::uint8_t>(digest.data(), digest.size()));
     hello.u64(0x51e7);  // session id
     hello.u64(4);       // query count

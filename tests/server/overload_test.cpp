@@ -615,7 +615,7 @@ TEST(ChaosDaemon, ChurnStormOverSilentReservoirKeepsTheWipeAudit) {
       ByteWriter hello;
       const std::uint8_t magic[4] = {'P', 'P', 'D', 'S'};
       hello.raw(std::span<const std::uint8_t>(magic, 4));
-      hello.u32(2);  // protocol version
+      hello.u32(3);  // protocol version
       hello.raw(std::span<const std::uint8_t>(digest.data(), digest.size()));
       hello.u64(0x1000 + round);  // session id
       hello.u64(4);               // query count
