@@ -37,6 +37,8 @@ int usage(const char* argv0) {
       "usage: %s --connect <addr>[,<addr>...]   (tcp:<host>:<port>|"
       "unix:<path>)\n"
       "          [--scenario <spec>] [--seed N] [--rng N]\n"
+      "          (spec: <dataset>[:linear|:poly][:silent|:secure|:fast]\n"
+      "           [:reservoir]; default diabetes:linear:silent)\n"
       "          [--recv-timeout-ms N] [--chunk-size N]\n"
       "          [--reservoir]\n"
       "          <command>...\n"
@@ -107,7 +109,7 @@ int main(int argc, char** argv) {
   using namespace ppds;
 
   std::string connect;
-  std::string scenario_text = "diabetes:linear:fast";
+  std::string scenario_text = "diabetes:linear:silent";
   std::uint64_t seed = 1;
   std::uint64_t rng_seed = 42;
   std::chrono::milliseconds recv_timeout{30000};
@@ -248,18 +250,15 @@ int main(int argc, char** argv) {
     auto channel = net::socket_connect(addresses.front());
     channel->set_recv_deadline(net::Deadline::after(recv_timeout));
 
-    // Silent scenarios: one OtBundle for the whole connection, so the
-    // one-round seed agreement runs once and every classify command after
-    // the first draws from the persistent pad ledger. A local reservoir
-    // (when asked for) refills that ledger between commands.
+    // One OtBundle for the whole connection, so the one-round seed
+    // agreement runs once and every classify command after the first draws
+    // from the persistent pad ledger. A local reservoir (when asked for)
+    // refills that ledger between commands.
     std::unique_ptr<crypto::PadReservoir> refill_service;
-    std::unique_ptr<core::OtBundle> ot;
-    if (scenario.config.silent_precompute) {
-      ot = std::make_unique<core::OtBundle>(scenario.config, rng);
-      if (scenario.config.reservoir) {
-        refill_service = std::make_unique<crypto::PadReservoir>(1);
-        ot->attach_reservoir(*refill_service);
-      }
+    core::OtBundle ot(scenario.config, rng);
+    if (scenario.config.reservoir) {
+      refill_service = std::make_unique<crypto::PadReservoir>(1);
+      ot.attach_reservoir(*refill_service);
     }
 
     for (const Command& cmd : commands) {
@@ -270,7 +269,7 @@ int main(int argc, char** argv) {
             scenario.queries.begin(),
             scenario.queries.begin() + static_cast<std::ptrdiff_t>(count));
         const std::vector<int> labels = server::client_classify(
-            *channel, scenario, samples, rng, ot.get());
+            *channel, scenario, samples, rng, &ot);
         std::printf("classify (%zu samples):", count);
         std::size_t agree = 0;
         for (std::size_t i = 0; i < labels.size(); ++i) {

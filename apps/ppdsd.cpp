@@ -5,7 +5,7 @@
 /// must be started with the SAME --scenario and --seed so the handshake
 /// digests agree (docs/PROTOCOL.md §8.3).
 ///
-///   ppdsd --listen tcp:127.0.0.1:7441 --scenario diabetes:linear:fast
+///   ppdsd --listen tcp:127.0.0.1:7441 --scenario diabetes:linear:secure
 ///   ppdsd --listen unix:/tmp/ppds.sock --workers 8
 ///
 /// SIGTERM / SIGINT drain gracefully: the listener closes, in-flight
@@ -33,13 +33,16 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--listen tcp:<host>:<port>|unix:<path>]\n"
-      "          [--scenario <dataset>[:linear|:poly][:fast|:precomputed|"
-      ":silent|:secure][:reservoir]]\n"
+      "          [--scenario <dataset>[:linear|:poly][:silent|:secure|"
+      ":fast][:reservoir]]\n"
       "          [--seed N] [--workers N] [--idle-timeout-ms N]\n"
       "          [--recv-timeout-ms N] [--max-queries N]\n"
       "          [--max-connections N] [--accept-rate N] [--accept-burst N]\n"
       "          [--max-ready N] [--drain-grace-ms N]\n"
       "          [--reservoir]\n"
+      "--scenario defaults to diabetes:linear:silent. silent and secure run\n"
+      "the private OT engine (q=4,k=2 and q=8,k=3); fast is loopback OT\n"
+      "with NO privacy, for benches only.\n"
       "--max-connections / --accept-rate bound admission: connections past\n"
       "the live cap or the accept-per-second token bucket are answered with\n"
       "a structured busy frame (reason + retry-after) instead of an RST,\n"
@@ -58,7 +61,7 @@ int main(int argc, char** argv) {
   using namespace ppds;
 
   std::string listen = "tcp:127.0.0.1:7441";
-  std::string scenario_text = "diabetes:linear:fast";
+  std::string scenario_text = "diabetes:linear:silent";
   std::uint64_t seed = 1;
   bool reservoir = false;
   server::DaemonOptions options;

@@ -12,17 +12,17 @@
 ///  * the paper reports "about 4 times more than the original schemes" with
 ///    precomputed random polynomials; we print the measured ratio.
 ///
-/// A second section measures the SECURE engine's multi-query throughput:
-/// the sequential baseline (per-query Naor-Pinkas OT) against the batched
-/// engine (amortized offline OT + session pool), all three legs on the
-/// shared fixed-base-tabled group, with the process-wide exponentiation
-/// counters bracketing each run. Results
-/// land in BENCH_classification.json (schema: docs/PERFORMANCE.md).
+/// A second section measures multi-query session throughput on the
+/// private engine against the loopback floor: a COLD session (fresh OT
+/// engines, so the silent OT seed agreement is billed to it) and a WARM one
+/// (the second session on the same OtBundle, as a keep-alive connection
+/// runs it), with the process-wide exponentiation counters bracketing each
+/// run. Results land in BENCH_classification.json (schema:
+/// docs/PERFORMANCE.md).
 ///
-/// A third section probes the OFFLINE phase per pad slot: the PR-2 batched
-/// DH precompute (one blinded group element per slot) against the silent
-/// PPRF engine (one-time seed agreement + 16-byte correction rows), with
-/// amortized and marginal full-exp and byte bills and the reduction ratios.
+/// A third section probes the silent engine's OFFLINE phase per pad slot:
+/// the one-time seed agreement against the 16-byte correction rows, with
+/// amortized and marginal full-exp and byte bills.
 ///
 /// Flags: --quick trims the loopback sweep to a1a and shrinks the secure
 /// batch (CI smoke); --reservoir attaches the background PadReservoir to
@@ -36,11 +36,10 @@
 #include "bench_util.hpp"
 #include "ppds/common/stopwatch.hpp"
 #include "ppds/common/thread_pool.hpp"
-#include "ppds/core/session_pool.hpp"
+#include "ppds/core/classification.hpp"
 #include "ppds/crypto/group.hpp"
 #include "ppds/crypto/ot.hpp"
 #include "ppds/crypto/reservoir.hpp"
-#include "ppds/crypto/silent_ot.hpp"
 #include "ppds/data/synthetic.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/svm/smo.hpp"
@@ -79,8 +78,6 @@ struct SecureRun {
   double queries_per_sec = 0.0;
   double exp_full_per_query = 0.0;
   double exp_fixed_base_per_query = 0.0;
-  double multi_exp_batches_per_query = 0.0;
-  double multi_exp_bases_per_query = 0.0;
 };
 
 bench::Json secure_run_json(const SecureRun& run) {
@@ -89,22 +86,19 @@ bench::Json secure_run_json(const SecureRun& run) {
   j.set("queries_per_sec", run.queries_per_sec);
   j.set("exp_full_per_query", run.exp_full_per_query);
   j.set("exp_fixed_base_per_query", run.exp_fixed_base_per_query);
-  j.set("multi_exp_batches_per_query", run.multi_exp_batches_per_query);
-  j.set("multi_exp_bases_per_query", run.multi_exp_bases_per_query);
   return j;
 }
 
-/// Which secure offline engine a throughput run exercises.
+/// Which engine and session a throughput run exercises.
 enum class SecureMode {
-  kSequential,  ///< per-query Naor-Pinkas OT
-  kBatched,     ///< amortized DH precompute
-  kSilent,      ///< PPRF seed agreement + 16-byte correction staging
+  kLoopback,    ///< loopback OT: the algebraic floor, NO privacy
+  kSilentCold,  ///< fresh silent engines: the seed agreement is billed
+  kSilentWarm,  ///< second session on the same engines (keep-alive)
 };
 
-/// Secure-engine throughput: \p queries linear classifications over real
-/// Naor-Pinkas machinery (kModp1024), offline phase selected by \p mode.
+/// Session throughput: \p queries linear classifications in one session
+/// (kModp1024), engine and warmth selected by \p mode.
 SecureRun secure_throughput(std::size_t queries, SecureMode mode) {
-  const bool batched = mode != SecureMode::kSequential;
   const std::size_t dim = 16;
   Rng setup_rng(42);
   math::Vec w(dim);
@@ -113,13 +107,10 @@ SecureRun secure_throughput(std::size_t queries, SecureMode mode) {
                             setup_rng.uniform(-0.2, 0.2));
   const auto profile = core::ClassificationProfile::make(dim, model.kernel());
 
-  core::SchemeConfig cfg;
+  core::SchemeConfig cfg = mode == SecureMode::kLoopback
+                               ? core::SchemeConfig::fast_simulation()
+                               : core::SchemeConfig::silent();
   cfg.group = crypto::GroupId::kModp1024;
-  cfg.ompe.q = 4;
-  cfg.ompe.k = 2;
-  cfg.ot_engine = batched ? core::OtEngine::kPrecomputed
-                          : core::OtEngine::kNaorPinkas;
-  cfg.silent_precompute = mode == SecureMode::kSilent;
 
   const core::ClassificationServer server(model, profile, cfg);
   const core::ClassificationClient client(profile, cfg);
@@ -134,38 +125,36 @@ SecureRun secure_throughput(std::size_t queries, SecureMode mode) {
   // steady-state throughput should not bill that one-time cost to this run.
   (void)crypto::shared_group(cfg.group).pow_g(mpz_class(3));
 
+  const bool warm = mode == SecureMode::kSilentWarm;
   crypto::reset_exp_counters();
-  Stopwatch watch;
-  if (batched) {
-    core::SessionPool pool(server, client, profile, cfg);
-    // One session per batch: the whole offline OT phase collapses into a
-    // single amortized round trip.
-    (void)pool.classify_batch(samples, /*seed=*/7, /*chunk_size=*/queries);
-  } else {
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng rng(1);
-          server.serve(ch, queries, rng);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rng(2);
-          int acc = 0;
-          for (const auto& s : samples) acc += client.classify(ch, s, rng);
-          return acc;
-        });
-    (void)outcome;
-  }
+  auto outcome = net::run_two_party(
+      [&](net::Endpoint& ch) {
+        Rng rng(1);
+        core::OtBundle ot(cfg, rng);
+        if (warm) server.serve(ch, 1, rng, &ot);
+        server.serve(ch, queries, rng, &ot);
+        return 0;
+      },
+      [&](net::Endpoint& ch) {
+        Rng rng(2);
+        core::OtBundle ot(cfg, rng);
+        if (warm) {
+          (void)client.classify_batch(ch, {samples.front()}, rng, &ot);
+          // The server's last exponentiation precedes its last send, so
+          // nothing of the warm-up session lands after this reset.
+          crypto::reset_exp_counters();
+        }
+        Stopwatch watch;
+        (void)client.classify_batch(ch, samples, rng, &ot);
+        return watch.millis();
+      });
   SecureRun run;
-  run.wall_ms = watch.millis();
+  run.wall_ms = outcome.b;
   const crypto::ExpCounters exps = crypto::exp_counters();
   const double q = static_cast<double>(queries);
   run.queries_per_sec = 1000.0 * q / run.wall_ms;
   run.exp_full_per_query = static_cast<double>(exps.full) / q;
   run.exp_fixed_base_per_query = static_cast<double>(exps.fixed_base) / q;
-  run.multi_exp_batches_per_query =
-      static_cast<double>(exps.multi_exp_batches) / q;
-  run.multi_exp_bases_per_query = static_cast<double>(exps.multi_exp_bases) / q;
   return run;
 }
 
@@ -179,33 +168,26 @@ struct OfflineRaw {
   std::uint64_t bytes = 0;  ///< payload bytes, both directions
 };
 
-OfflineRaw offline_reserve(std::size_t slots, bool silent,
-                           bool with_reservoir) {
+OfflineRaw offline_reserve(std::size_t slots, bool with_reservoir) {
   const crypto::DhGroup& group = crypto::shared_group(crypto::GroupId::kModp1024);
   (void)group.pow_g(mpz_class(3));  // one-time generator table, off the bill
   std::optional<crypto::PadReservoir> reservoir;
-  if (silent && with_reservoir) reservoir.emplace(1);
+  if (with_reservoir) reservoir.emplace(1);
   crypto::reset_exp_counters();
   Stopwatch watch;
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(11);
         crypto::BatchedOtSender sender(group, rng);
-        if (silent) {
-          sender.enable_silent(crypto::kSilentLowWater);
-          if (reservoir) sender.attach_reservoir(*reservoir);
-        }
-        sender.reserve(ch, slots);
+        if (reservoir) sender.attach_reservoir(*reservoir);
+        sender.reserve(ch, 2, slots);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(12);
         crypto::BatchedOtReceiver receiver(group, rng);
-        if (silent) {
-          receiver.enable_silent(crypto::kSilentLowWater);
-          if (reservoir) receiver.attach_reservoir(*reservoir);
-        }
-        receiver.reserve(ch, slots);
+        if (reservoir) receiver.attach_reservoir(*reservoir);
+        receiver.reserve(ch, 2, slots);
         return 0;
       });
   OfflineRaw raw;
@@ -219,8 +201,7 @@ OfflineRaw offline_reserve(std::size_t slots, bool silent,
 
 /// Per-slot offline costs derived from reservations at N and 2N: the
 /// marginal slope isolates the steady-state per-slot bill, the intercept is
-/// the one-time handshake (batched: per-batch announce; silent: the whole
-/// base-OT seed agreement — its ONLY DH traffic).
+/// the one-time base-OT seed agreement — the engine's ONLY DH traffic.
 struct OfflineCost {
   std::size_t slots = 0;
   double wall_ms = 0.0;
@@ -232,9 +213,9 @@ struct OfflineCost {
   double dh_bytes_per_slot = 0.0;  ///< group-element traffic per slot at N
 };
 
-OfflineCost offline_cost(std::size_t slots, bool silent, bool with_reservoir) {
-  const OfflineRaw at_n = offline_reserve(slots, silent, with_reservoir);
-  const OfflineRaw at_2n = offline_reserve(2 * slots, silent, with_reservoir);
+OfflineCost offline_cost(std::size_t slots, bool with_reservoir) {
+  const OfflineRaw at_n = offline_reserve(slots, with_reservoir);
+  const OfflineRaw at_2n = offline_reserve(2 * slots, with_reservoir);
   const double n = static_cast<double>(slots);
   OfflineCost cost;
   cost.slots = slots;
@@ -247,12 +228,9 @@ OfflineCost offline_cost(std::size_t slots, bool silent, bool with_reservoir) {
       static_cast<double>(at_2n.bytes - at_n.bytes) / n;
   cost.handshake_bytes =
       static_cast<double>(at_n.bytes) - cost.bytes_per_slot_marginal * n;
-  // The batched engine's per-slot traffic is entirely group elements (one
-  // blinded key each); the silent engine's group-element traffic is the
-  // handshake alone — corrections are symmetric-crypto bytes, split out by
-  // the caller via bytes_per_slot_marginal.
-  cost.dh_bytes_per_slot = silent ? cost.handshake_bytes / n
-                                  : cost.bytes_per_slot;
+  // Group-element traffic is the handshake alone; corrections are
+  // symmetric-crypto bytes (bytes_per_slot_marginal).
+  cost.dh_bytes_per_slot = cost.handshake_bytes / n;
   return cost;
 }
 
@@ -342,108 +320,66 @@ int main(int argc, char** argv) {
   }
   report.set("loopback", std::move(loopback_rows));
 
-  // --- Secure-engine throughput: sequential vs batched vs silent ---
-  bench::banner("Secure-engine multi-query throughput (kModp1024, linear)");
+  // --- Session throughput: loopback vs silent, cold vs warm ---
+  bench::banner("Session throughput (kModp1024, linear): loopback vs silent");
   bench::note(
-      "sequential = per-query Naor-Pinkas OT; "
-      "batched = amortized offline OT + session pool; "
-      "silent = PPRF seed agreement + correction staging");
+      "loopback = simulated OT, no privacy; silent cold = fresh engines, "
+      "seed agreement billed; silent warm = second session on the same "
+      "engines (keep-alive)");
 
   const bool with_reservoir = bench::has_flag(argc, argv, "--reservoir");
   const std::size_t queries = quick ? 4 : 24;
-  const SecureRun seq = secure_throughput(queries, SecureMode::kSequential);
-  const SecureRun bat = secure_throughput(queries, SecureMode::kBatched);
-  const SecureRun sil = secure_throughput(queries, SecureMode::kSilent);
-  const double speedup = seq.wall_ms / bat.wall_ms;
-  const double silent_speedup = seq.wall_ms / sil.wall_ms;
+  const SecureRun loop = secure_throughput(queries, SecureMode::kLoopback);
+  const SecureRun cold = secure_throughput(queries, SecureMode::kSilentCold);
+  const SecureRun warm = secure_throughput(queries, SecureMode::kSilentWarm);
 
-  std::printf("%-12s | %10s | %10s | %12s | %12s | %12s\n", "engine",
-              "wall ms", "q/s", "full exp/q", "fixed exp/q", "multiexp/q");
-  bench::rule(84);
-  std::printf("%-12s | %10.1f | %10.2f | %12.1f | %12.1f | %12.1f\n",
-              "sequential", seq.wall_ms, seq.queries_per_sec,
-              seq.exp_full_per_query, seq.exp_fixed_base_per_query,
-              seq.multi_exp_batches_per_query);
-  std::printf("%-12s | %10.1f | %10.2f | %12.1f | %12.1f | %12.1f\n",
-              "batched", bat.wall_ms, bat.queries_per_sec,
-              bat.exp_full_per_query, bat.exp_fixed_base_per_query,
-              bat.multi_exp_batches_per_query);
-  std::printf("%-12s | %10.1f | %10.2f | %12.1f | %12.1f | %12.1f\n",
-              "silent", sil.wall_ms, sil.queries_per_sec,
-              sil.exp_full_per_query, sil.exp_fixed_base_per_query,
-              sil.multi_exp_batches_per_query);
-  std::printf("speedup: batched %.2fx, silent %.2fx (full exps saved per "
-              "query vs sequential: %.1f / %.1f)\n",
-              speedup, silent_speedup,
-              seq.exp_full_per_query - bat.exp_full_per_query,
-              seq.exp_full_per_query - sil.exp_full_per_query);
+  std::printf("%-12s | %10s | %10s | %12s | %12s\n", "session", "wall ms",
+              "q/s", "full exp/q", "fixed exp/q");
+  bench::rule(68);
+  const auto print_run = [](const char* name, const SecureRun& run) {
+    std::printf("%-12s | %10.1f | %10.2f | %12.2f | %12.2f\n", name,
+                run.wall_ms, run.queries_per_sec, run.exp_full_per_query,
+                run.exp_fixed_base_per_query);
+  };
+  print_run("loopback", loop);
+  print_run("silent cold", cold);
+  print_run("silent warm", warm);
+  std::printf("private overhead over loopback: cold %.2fx, warm %.2fx\n",
+              cold.wall_ms / loop.wall_ms, warm.wall_ms / loop.wall_ms);
 
-  // --- Offline phase per-slot cost: PR-2 batched DH vs silent PPRF ---
-  bench::banner("Offline pad precompute: per-slot cost, batched vs silent");
+  // --- Offline phase per-slot cost of the silent engine ---
+  bench::banner("Silent offline pad precompute: per-slot cost");
   bench::note(
       "both parties reserve N arity-2 slots on fresh engines; marginal = "
       "(cost(2N) - cost(N)) / N isolates the steady-state per-slot bill" +
-      std::string(with_reservoir ? "; silent leg runs with the background "
-                                   "reservoir attached"
+      std::string(with_reservoir ? "; runs with the background reservoir "
+                                   "attached"
                                  : ""));
   const std::size_t probe_slots = quick ? 256 : 4096;
-  const OfflineCost dh_cost =
-      offline_cost(probe_slots, /*silent=*/false, /*with_reservoir=*/false);
-  const OfflineCost silent_cost =
-      offline_cost(probe_slots, /*silent=*/true, with_reservoir);
-  // Full group exps per slot: the silent engine's marginal cost is exactly
-  // zero (corrections are PRG+hash work), so the honest ratio is the
-  // amortized one — the whole seed agreement billed against N slots.
-  const double exp_reduction =
-      dh_cost.exp_full_per_slot / silent_cost.exp_full_per_slot;
-  // Offline group-element traffic per slot (the O(N) -> O(log N) claim):
-  // batched pays one 128-byte blinded key per slot forever; silent pays DH
-  // bytes only in the one-time seed agreement. The 16-byte correction
-  // stream is reported alongside as bytes_per_slot_marginal.
-  const double bandwidth_reduction =
-      dh_cost.dh_bytes_per_slot / silent_cost.dh_bytes_per_slot;
-  const double total_bandwidth_reduction =
-      dh_cost.bytes_per_slot_marginal / silent_cost.bytes_per_slot_marginal;
-
-  std::printf("%-8s | %6s | %12s | %14s | %12s | %14s\n", "engine", "N",
-              "full exp/slot", "marginal exp", "bytes/slot", "marginal bytes");
+  const OfflineCost silent_cost = offline_cost(probe_slots, with_reservoir);
+  std::printf("%6s | %12s | %14s | %12s | %14s | %10s\n", "N",
+              "full exp/slot", "marginal exp", "bytes/slot", "marginal bytes",
+              "handshake");
   bench::rule(84);
-  std::printf("%-8s | %6zu | %12.3f | %14.3f | %12.1f | %14.2f\n", "batched",
-              dh_cost.slots, dh_cost.exp_full_per_slot,
-              dh_cost.exp_full_per_slot_marginal, dh_cost.bytes_per_slot,
-              dh_cost.bytes_per_slot_marginal);
-  std::printf("%-8s | %6zu | %12.3f | %14.3f | %12.1f | %14.2f\n", "silent",
+  std::printf("%6zu | %12.3f | %14.3f | %12.1f | %14.2f | %10.0f\n",
               silent_cost.slots, silent_cost.exp_full_per_slot,
               silent_cost.exp_full_per_slot_marginal,
-              silent_cost.bytes_per_slot, silent_cost.bytes_per_slot_marginal);
-  std::printf("reductions: %.1fx full exps/slot, %.1fx offline group-element "
-              "bytes/slot (%.1fx total offline bytes/slot marginal)\n",
-              exp_reduction, bandwidth_reduction, total_bandwidth_reduction);
+              silent_cost.bytes_per_slot, silent_cost.bytes_per_slot_marginal,
+              silent_cost.handshake_bytes);
 
   auto secure = bench::Json::object();
   secure.set("group", "modp1024");
   secure.set("queries", queries);
-  secure.set("sequential", secure_run_json(seq));
-  secure.set("sequential_basis",
-             "per-query Naor-Pinkas OT on the shared fixed-base-tabled group");
-  secure.set("batched", secure_run_json(bat));
-  secure.set("silent", secure_run_json(sil));
-  secure.set("speedup", speedup);
-  secure.set("silent_speedup", silent_speedup);
-  secure.set("exp_full_saved_per_query",
-             seq.exp_full_per_query - bat.exp_full_per_query);
+  secure.set("loopback", secure_run_json(loop));
+  secure.set("silent_cold", secure_run_json(cold));
+  secure.set("silent_warm", secure_run_json(warm));
+  secure.set("cold_over_loopback", cold.wall_ms / loop.wall_ms);
+  secure.set("warm_over_loopback", warm.wall_ms / loop.wall_ms);
 
   auto offline = bench::Json::object();
   offline.set("arity", static_cast<std::uint64_t>(2));
   offline.set("reservoir", with_reservoir);
-  offline.set("batched", offline_cost_json(dh_cost));
   offline.set("silent", offline_cost_json(silent_cost));
-  offline.set("exp_reduction", exp_reduction);
-  offline.set("bandwidth_reduction", bandwidth_reduction);
-  offline.set("bandwidth_basis",
-              "offline group-element traffic per slot; the silent 16B/slot "
-              "correction stream is bytes_per_slot_marginal");
-  offline.set("total_bandwidth_reduction_marginal", total_bandwidth_reduction);
   secure.set("offline_cost", std::move(offline));
   report.set("secure_throughput", std::move(secure));
 

@@ -75,18 +75,15 @@ Row measure(const server::Daemon& daemon, const server::Scenario& scenario,
         channel->set_recv_deadline(
             net::Deadline::after(std::chrono::milliseconds{120000}));
         Rng rng(1000 + c);
-        // Silent scenarios keep one OtBundle per CONNECTION on both ends
-        // (the daemon does the same): the seed agreement runs once and
-        // later sessions reuse the PPRF ledger. With the reservoir knob on,
-        // the client mirrors the daemon's background refill thread.
+        // One OtBundle per CONNECTION on both ends (the daemon does the
+        // same): the seed agreement runs once and later sessions reuse the
+        // PPRF ledger. With the reservoir knob on, the client mirrors the
+        // daemon's background refill thread.
         std::optional<crypto::PadReservoir> reservoir;
-        std::unique_ptr<core::OtBundle> ot;
-        if (scenario.config.silent_precompute) {
-          ot = std::make_unique<core::OtBundle>(scenario.config, rng);
-          if (scenario.config.reservoir) {
-            reservoir.emplace(1);
-            ot->attach_reservoir(*reservoir);
-          }
+        core::OtBundle ot(scenario.config, rng);
+        if (scenario.config.reservoir) {
+          reservoir.emplace(1);
+          ot.attach_reservoir(*reservoir);
         }
         const std::vector<std::vector<double>> sample = {
             scenario.queries[c % scenario.queries.size()]};
@@ -94,7 +91,7 @@ Row measure(const server::Daemon& daemon, const server::Scenario& scenario,
         for (std::size_t s = 0; s < sessions_per_conn; ++s) {
           Stopwatch session;
           (void)server::client_classify(*channel, scenario, sample, rng,
-                                        ot.get());
+                                        &ot);
           latencies[c].push_back(session.millis());
         }
         server::client_goodbye(*channel);

@@ -33,9 +33,10 @@ int main() {
   // --- Public protocol agreement --------------------------------------
   // Both parties share: feature count, kernel type, scheme parameters.
   const auto profile = core::ClassificationProfile::make(2, model.kernel());
-  core::SchemeConfig config;                       // secure defaults:
-  config.ot_engine = core::OtEngine::kNaorPinkas;  // real public-key OT
-  config.group = crypto::GroupId::kModp1024;       // demo-sized group
+  // Secure defaults: the silent OT engine (one batched Naor-Pinkas seed
+  // agreement, then hash/XOR transfers) at q=8, k=3.
+  core::SchemeConfig config = core::SchemeConfig::secure_default();
+  config.group = crypto::GroupId::kModp1024;  // demo-sized group
 
   core::ClassificationServer alice(model, profile, config);
   core::ClassificationClient bob(profile, config);

@@ -118,10 +118,9 @@ class ClassificationClient {
   int classify(net::Endpoint& channel, const std::vector<double>& sample,
                Rng& rng) const;
 
-  /// Batch of queries against a server serving the same count. REQUIRED
-  /// form for OtEngine::kPrecomputed (the offline OT pool is sized and
-  /// exchanged once for the whole batch); equivalent to a loop of
-  /// query_value() for the other engines. \p external as in
+  /// Batch of queries against a server serving the same count: the OT
+  /// slots for the whole batch are staged in one block, so the server's
+  /// serve(count) must be matched by one batch call. \p external as in
   /// ClassificationServer::serve().
   std::vector<double> query_values_batch(
       net::Endpoint& channel, const std::vector<std::vector<double>>& samples,

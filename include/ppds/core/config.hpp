@@ -11,28 +11,26 @@
 /// Shared configuration of the two privacy-preserving schemes: which OMPE
 /// backend, which OT engine, which security parameters. Both parties agree
 /// on a SchemeConfig out of band (it contains only public parameters).
+///
+/// There is one private OT engine, the silent OT extension behind
+/// crypto::BatchedOt{Sender,Receiver}: one batched Naor-Pinkas seed
+/// agreement per engine, then hash/XOR transfers. The only alternative is
+/// the loopback simulation, which has no privacy and exists for benches.
 
 namespace ppds::core {
 
-/// Which OT instantiation carries the k-out-of-M transfer.
-enum class OtEngine {
-  kNaorPinkas,   ///< real public-key OT (DhGroup modexp)
-  kPrecomputed,  ///< Naor-Pinkas moved offline; online transfers are
-                 ///< hash+XOR only (the paper's precomputation remark)
-  kLoopback,     ///< trusted simulation, benchmark-only (no privacy!)
+/// Which OT instantiation carries the k-out-of-M transfer. The values are
+/// pinned: protocol_digest() hashes them.
+enum class OtEngine : std::uint8_t {
+  kPrecomputed = 1,  ///< silent OT extension over a batched Naor-Pinkas
+                     ///< seed agreement; online transfers are hash+XOR
+  kLoopback = 2,     ///< trusted simulation, benchmark-only (no privacy!)
 };
 
 struct SchemeConfig {
   ompe::OmpeParams ompe;
-  OtEngine ot_engine = OtEngine::kNaorPinkas;
+  OtEngine ot_engine = OtEngine::kPrecomputed;
   crypto::GroupId group = crypto::GroupId::kModp1536;
-
-  /// Silent-OT offline phase for OtEngine::kPrecomputed: one PPRF seed
-  /// agreement replaces the per-batch DH exponentiations, and slot refills
-  /// become 16-byte correction rows instead of group elements. CHANGES the
-  /// wire format, so both parties must agree — it is hashed into the
-  /// protocol digest (core/session.hpp).
-  bool silent_precompute = false;
 
   /// Background pad-refill service (crypto/reservoir.hpp): expand silent-OT
   /// pads off the protocol thread. Purely local scheduling — never touches
@@ -40,7 +38,8 @@ struct SchemeConfig {
   /// from the protocol digest.
   bool reservoir = false;
 
-  /// Convenience presets.
+  /// Convenience presets. The default is private: the silent engine at the
+  /// q=8, k=3 OMPE shape.
   static SchemeConfig secure_default() { return SchemeConfig{}; }
 
   /// Fast preset for throughput experiments: loopback OT, smaller q/k.
@@ -52,12 +51,10 @@ struct SchemeConfig {
     return cfg;
   }
 
-  /// Silent-precompute preset: fast_simulation's OMPE shape with the
-  /// precomputed engine running the PPRF offline phase.
+  /// fast_simulation's OMPE shape with the private (silent) OT engine.
   static SchemeConfig silent() {
     SchemeConfig cfg = fast_simulation();
     cfg.ot_engine = OtEngine::kPrecomputed;
-    cfg.silent_precompute = true;
     return cfg;
   }
 };
@@ -69,22 +66,22 @@ struct OtDemand {
   std::size_t count = 0;
 };
 
-/// Per-party OT engine bundle. Naor-Pinkas-based engines run over the
+/// Per-party OT engine bundle. The private engines run over the
 /// process-wide shared_group() so the fixed-base generator table is built
-/// once and stays warm across sessions. The precomputed engines top their
-/// pools up crypto::kRefillBatch slots at a time and, with
-/// silent_precompute, refill against crypto::kSilentLowWater.
+/// once and stays warm across sessions, and refill against
+/// crypto::kSilentLowWater.
 ///
-/// For OtEngine::kPrecomputed the engines are ready immediately and refill
-/// their slot pools on demand; calling prepare_sender() on the sender side
-/// while the receiver concurrently calls prepare_receiver() (same demand,
-/// see ot_demand_per_query()) front-loads a whole session's offline phase
-/// into one batched round trip.
+/// The engines are ready immediately: the first transfer runs the seed
+/// agreement and stages slots on demand. Calling prepare_sender() on the
+/// sender side while the receiver concurrently calls prepare_receiver()
+/// (same demand, see ot_demand_per_query()) stages a whole session's
+/// slots in one correction block. A bundle kept across sessions (one per
+/// connection) pays the seed agreement once.
 class OtBundle {
  public:
   OtBundle(const SchemeConfig& cfg, Rng& rng);
 
-  /// Offline phase (no-op unless engine == kPrecomputed): reserves the
+  /// Offline phase (no-op for the loopback engine): reserves the
   /// (arity, count) block, with \p repeat scaling a per-query demand to a
   /// whole batch. Both sides must pass the same demand.
   void prepare_sender(net::Endpoint& channel, const OtDemand& demand,
@@ -93,19 +90,19 @@ class OtBundle {
                         std::size_t repeat = 1);
 
   /// Fails the bundle closed after a mid-protocol error: wipes and poisons
-  /// any precomputed OT slot pools (see BatchedOtSender::abort — a half-
-  /// consumed batch must never be resumed). Safe to call for every engine;
-  /// the stateless engines have nothing to discard.
+  /// the OT engines (see BatchedOtSender::abort — half-consumed correlated
+  /// randomness must never be resumed). Safe to call for every engine; the
+  /// loopback engine has nothing to discard.
   void abort() noexcept;
 
-  /// Hooks both silent engines (if cfg.silent_precompute) to a background
-  /// refill reservoir. The destructor detaches; no-op otherwise.
+  /// Hooks both private engines to a background refill reservoir. The
+  /// destructor detaches; no-op for the loopback engine.
   void attach_reservoir(crypto::PadReservoir& reservoir);
 
   crypto::OtSender& sender();
   crypto::OtReceiver& receiver();
 
-  /// Batched-engine views (nullptr unless engine == kPrecomputed): the
+  /// Private-engine views (nullptr for the loopback engine): the
   /// audit/observability hooks live on the concrete types.
   crypto::BatchedOtSender* batched_sender() { return batched_sender_; }
   crypto::BatchedOtReceiver* batched_receiver() { return batched_receiver_; }
@@ -113,13 +110,13 @@ class OtBundle {
  private:
   std::unique_ptr<crypto::OtSender> sender_;
   std::unique_ptr<crypto::OtReceiver> receiver_;
-  /// Non-owning views into sender_/receiver_ when engine == kPrecomputed.
+  /// Non-owning views into sender_/receiver_ for the private engine.
   crypto::BatchedOtSender* batched_sender_ = nullptr;
   crypto::BatchedOtReceiver* batched_receiver_ = nullptr;
 };
 
-/// Demand one OMPE evaluation places on the precomputed-OT pools: m direct
-/// 1-of-M slots, one offline exponentiation per transfer. Throws
+/// Demand one OMPE evaluation places on the OT engine: m direct 1-of-M
+/// slots. Throws
 /// InvalidArgument on shapes ompe::validate() rejects (M above the direct
 /// bound among them).
 OtDemand ot_demand_per_query(const ompe::OmpeParams& params);

@@ -23,12 +23,13 @@ namespace ppds::core {
 class MulticlassServer {
  public:
   /// \p profile must match the kernel every pairwise model was trained
-  /// with. Precomputed OT is not supported here (use per-pair batching at
-  /// the call site if needed).
+  /// with.
   MulticlassServer(svm::MulticlassModel model, ClassificationProfile profile,
                    SchemeConfig config);
 
   /// Serves \p count multiclass queries (count * num_pairs binary rounds).
+  /// Each query runs its pairwise rounds over one OtBundle, so it pays one
+  /// OT seed agreement whatever the number of class pairs.
   void serve(net::Endpoint& channel, std::size_t count, Rng& rng) const;
 
   std::size_t num_pairs() const { return servers_.size(); }
@@ -50,7 +51,8 @@ class MulticlassClient {
   MulticlassClient(const svm::MulticlassModel& vote_book,
                    ClassificationProfile profile, SchemeConfig config);
 
-  /// One private multiclass query: returns the winning class label.
+  /// One private multiclass query: returns the winning class label. One
+  /// OtBundle carries every pairwise round (see MulticlassServer::serve()).
   int classify(net::Endpoint& channel, const std::vector<double>& sample,
                Rng& rng) const;
 
@@ -58,6 +60,7 @@ class MulticlassClient {
   std::vector<std::pair<int, int>> pair_labels_;
   std::vector<int> labels_;
   ClassificationClient binary_;
+  SchemeConfig config_;
 };
 
 }  // namespace ppds::core

@@ -11,7 +11,7 @@
 /// SHA-256 (FIPS 180-4), implemented from scratch.
 ///
 /// Used as the key-derivation hash of the Naor-Pinkas OT, the PRG core, and
-/// the 1-out-of-n OT key combiner. Verified against NIST test vectors in
+/// the silent-OT pad derivation. Verified against NIST test vectors in
 /// tests/crypto/sha256_test.cpp.
 
 namespace ppds::crypto {

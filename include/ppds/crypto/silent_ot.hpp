@@ -17,9 +17,11 @@
 #include "ppds/crypto/prg.hpp"
 
 /// \file silent_ot.hpp
-/// Silent OT precompute: a KK13-style OT extension that replaces the
-/// batched DH offline phase (one full exponentiation and one group element
-/// of bandwidth PER SLOT) with PPRF-expanded correlated keystreams.
+/// Silent OT precompute: a KK13-style OT extension, the engine behind every
+/// private transfer (BatchedOt{Sender,Receiver}). A batched DH phase would
+/// pay one full exponentiation and one group element of bandwidth PER
+/// SLOT; this engine pays them only for its 128 base OTs and expands every
+/// later slot from PPRF keystreams.
 ///
 /// One-round-trip seed agreement: the pad-SENDER plays base-OT *receiver*
 /// for kSilentColumns 1-of-2 transfers of 32-byte seeds (role flip), so it
@@ -64,7 +66,7 @@ inline constexpr unsigned kSilentTreeDepth = 16;
 
 /// Correction blocks are staged in multiples of this many rows — a
 /// PROTOCOL constant (both sides derive identical block sizes from the
-/// ledger), deliberately not the batched engines' kRefillBatch.
+/// ledger).
 inline constexpr std::size_t kSilentStageQuantum = 128;
 
 /// Ledger lead maintained ahead of consumption so the background expander

@@ -62,10 +62,10 @@
 /// returns the full DaemonStatsSnapshot so probes can watch queue depth
 /// and shed rates from outside the process.
 ///
-/// Silent scenarios (SchemeConfig::silent_precompute) give each connection a
-/// PERSISTENT OtBundle: the one-time base-OT seed agreement runs on the
-/// connection's first classification session, and every later session on
-/// that connection draws pads from the already-expanded PPRF ledger. With
+/// Each connection owns a PERSISTENT OtBundle: the one-time base-OT seed
+/// agreement runs on the connection's first classification session, and
+/// every later session on that connection draws pads from the
+/// already-expanded PPRF ledger. With
 /// `:reservoir` in the scenario spec the daemon additionally runs one shared
 /// crypto::PadReservoir, so a parked keep-alive connection wakes to pools the
 /// background thread refilled while it was idle.
@@ -209,12 +209,10 @@ class Daemon {
   struct Connection {
     std::unique_ptr<net::SocketEndpoint> channel;
     Rng rng;  ///< server-side randomness, sticky to the connection
-    /// Persistent OT state (silent scenarios only): created lazily on the
-    /// connection's first classification session so the PPRF seed agreement
-    /// and expanded pad pools survive across keep-alive sessions. Non-silent
-    /// scenarios keep nullptr — serve_session builds a per-session bundle,
-    /// preserving the historical transcripts bit for bit. Torn down (and
-    /// detached from the reservoir) with the connection.
+    /// Persistent OT state: created lazily on the connection's first
+    /// classification session so the PPRF seed agreement and expanded pad
+    /// pools survive across keep-alive sessions. Torn down (and detached
+    /// from the reservoir) with the connection.
     std::unique_ptr<core::OtBundle> ot;
     std::uint64_t id = 0;
     std::chrono::steady_clock::time_point last_activity;
@@ -244,7 +242,7 @@ class Daemon {
   net::SocketListener listener_;
   DaemonStats stats_;
   /// Shared background pad-refill service (scenario `:reservoir` only).
-  /// Every silent connection's OtBundle attaches here; stop() shuts it down
+  /// Every connection's OtBundle attaches here; stop() shuts it down
   /// after the session workers join (the SIGTERM drain order).
   std::unique_ptr<crypto::PadReservoir> reservoir_;
 

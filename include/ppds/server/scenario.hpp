@@ -23,16 +23,16 @@
 /// identical models, so results are checkable against the plain model).
 ///
 /// Spec grammar:
-///   <dataset>[:linear|:poly][:fast|:precomputed|:silent|:secure]
-///            [:reservoir]
+///   <dataset>[:linear|:poly][:silent|:secure|:fast][:reservoir]
 ///   dataset — any Table I synthetic dataset name (data/synthetic.hpp)
 ///   kernel  — linear (default) or the paper's polynomial kernel
-///   preset  — SchemeConfig preset: fast (loopback OT, default),
-///             precomputed (offline Naor-Pinkas + online hash/XOR),
-///             silent (precomputed engine with the PPRF silent offline
-///             phase), secure (full Naor-Pinkas per transfer)
+///   preset  — SchemeConfig preset: silent (default; the private OT engine
+///             at q=4, k=2), secure (the same engine at q=8, k=3), fast
+///             (loopback OT, NO privacy — benches and tests only)
 ///   reservoir — background pad-refill service (local-only knob; the
 ///             protocol digest ignores it, like eval_threads)
+/// Each token may appear once: a second kernel or preset token is an
+/// error, not an override.
 /// Everything downstream (trained models, query samples) is a pure
 /// function of (spec text, seed).
 
@@ -42,13 +42,14 @@ namespace ppds::server {
 struct ScenarioSpec {
   std::string dataset = "diabetes";
   bool polynomial = false;
-  enum class Preset { kFast, kPrecomputed, kSilent, kSecure };
-  Preset preset = Preset::kFast;
+  enum class Preset { kFast, kSilent, kSecure };
+  Preset preset = Preset::kSilent;
   /// Background pad-refill service (digest-excluded local knob).
   bool reservoir = false;
 
   /// Parses the grammar in the file comment; throws InvalidArgument on
-  /// unknown datasets or tokens.
+  /// unknown datasets or tokens and on a repeated kernel, preset or
+  /// reservoir token.
   static ScenarioSpec parse(const std::string& text);
 
   std::string to_string() const;

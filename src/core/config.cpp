@@ -1,38 +1,20 @@
 #include "ppds/core/config.hpp"
 
-#include "ppds/crypto/silent_ot.hpp"
-
 namespace ppds::core {
 
 OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng) {
-  const crypto::DhGroup* group = cfg.ot_engine == OtEngine::kLoopback
-                                     ? nullptr
-                                     : &crypto::shared_group(cfg.group);
-  switch (cfg.ot_engine) {
-    case OtEngine::kNaorPinkas:
-      sender_ = std::make_unique<crypto::NaorPinkasSender>(*group, rng);
-      receiver_ = std::make_unique<crypto::NaorPinkasReceiver>(*group, rng);
-      break;
-    case OtEngine::kPrecomputed: {
-      auto sender = std::make_unique<crypto::BatchedOtSender>(
-          *group, rng, crypto::kRefillBatch);
-      auto receiver = std::make_unique<crypto::BatchedOtReceiver>(
-          *group, rng, crypto::kRefillBatch);
-      if (cfg.silent_precompute) {
-        sender->enable_silent(crypto::kSilentLowWater);
-        receiver->enable_silent(crypto::kSilentLowWater);
-      }
-      batched_sender_ = sender.get();
-      batched_receiver_ = receiver.get();
-      sender_ = std::move(sender);
-      receiver_ = std::move(receiver);
-      break;
-    }
-    case OtEngine::kLoopback:
-      sender_ = std::make_unique<crypto::LoopbackSender>();
-      receiver_ = std::make_unique<crypto::LoopbackReceiver>();
-      break;
+  if (cfg.ot_engine == OtEngine::kLoopback) {
+    sender_ = std::make_unique<crypto::LoopbackSender>();
+    receiver_ = std::make_unique<crypto::LoopbackReceiver>();
+    return;
   }
+  const crypto::DhGroup& group = crypto::shared_group(cfg.group);
+  auto sender = std::make_unique<crypto::BatchedOtSender>(group, rng);
+  auto receiver = std::make_unique<crypto::BatchedOtReceiver>(group, rng);
+  batched_sender_ = sender.get();
+  batched_receiver_ = receiver.get();
+  sender_ = std::move(sender);
+  receiver_ = std::move(receiver);
 }
 
 void OtBundle::prepare_sender(net::Endpoint& channel, const OtDemand& demand,

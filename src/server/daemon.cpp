@@ -387,12 +387,11 @@ bool Daemon::run_one_session(Connection& conn) {
     in_session = true;
     switch (service) {
       case Service::kClassification:
-        // Silent scenarios keep one OtBundle per CONNECTION: the base-OT
-        // seed agreement runs once on the first session and later sessions
-        // reuse the expanded PPRF ledger (pre-filled by the reservoir while
-        // the connection was parked). Non-silent scenarios pass nullptr and
-        // keep the historical per-session bundle path.
-        if (scenario_.config.silent_precompute && conn.ot == nullptr) {
+        // One OtBundle per CONNECTION: the base-OT seed agreement runs once
+        // on the first session and later sessions reuse the expanded PPRF
+        // ledger (pre-filled by the reservoir while the connection was
+        // parked).
+        if (conn.ot == nullptr) {
           conn.ot =
               std::make_unique<core::OtBundle>(scenario_.config, conn.rng);
           if (reservoir_) conn.ot->attach_reservoir(*reservoir_);

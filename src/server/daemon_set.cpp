@@ -109,6 +109,7 @@ void DaemonSet::worker(std::size_t address_index, Batch& batch,
                        const std::vector<std::vector<double>>& samples,
                        std::uint64_t seed) {
   std::unique_ptr<net::SocketEndpoint> channel;
+  Rng ot_rng;  // outlives ot, which keeps a reference to it
   std::unique_ptr<core::OtBundle> ot;
   std::size_t consecutive_failures = 0;
   std::uint64_t connect_epoch = 0;
@@ -116,7 +117,7 @@ void DaemonSet::worker(std::size_t address_index, Batch& batch,
   const auto drop_connection = [&] {
     if (channel) channel->close();
     channel.reset();
-    ot.reset();  // a new connection renegotiates its silent OT state
+    ot.reset();  // a new connection renegotiates its OT state
   };
 
   // Requeues \p c for any worker (the failover hand-off) and wakes the
@@ -156,14 +157,12 @@ void DaemonSet::worker(std::size_t address_index, Batch& batch,
         channel = net::socket_connect(
             addresses_[address_index], options_.socket,
             net::Deadline::after(options_.connect_timeout));
-        if (scenario_.config.silent_precompute) {
-          // Persistent per-connection OT state, like any keep-alive client
-          // of a silent daemon. Connection-local randomness: labels are
-          // randomness-invariant, so reconnects cannot change results.
-          Rng ot_rng(splitmix64(core::chunk_seed(seed, 0x5e7 + address_index),
-                                connect_epoch++));
-          ot = std::make_unique<core::OtBundle>(scenario_.config, ot_rng);
-        }
+        // Persistent per-connection OT state, like any keep-alive client of
+        // ppdsd. Connection-local randomness: labels are randomness-
+        // invariant, so reconnects cannot change results.
+        ot_rng.reseed(splitmix64(core::chunk_seed(seed, 0x5e7 + address_index),
+                                 connect_epoch++));
+        ot = std::make_unique<core::OtBundle>(scenario_.config, ot_rng);
       }
       const std::size_t begin = c * options_.chunk_size;
       const std::size_t end =

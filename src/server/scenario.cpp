@@ -24,8 +24,8 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   const std::vector<std::string> tokens = split_tokens(text);
   if (tokens.empty() || tokens.front().empty()) {
     throw InvalidArgument("scenario: empty spec (want "
-                          "<dataset>[:linear|:poly][:fast|:precomputed|"
-                          ":silent|:secure][:reservoir])");
+                          "<dataset>[:linear|:poly][:silent|:secure|:fast]"
+                          "[:reservoir])");
   }
   ScenarioSpec spec;
   spec.dataset = tokens.front();
@@ -33,22 +33,27 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     throw InvalidArgument("scenario: unknown dataset '" + spec.dataset +
                           "' (see data/synthetic.hpp for the Table I names)");
   }
+  bool kernel_seen = false;
+  bool preset_seen = false;
+  const auto once = [&](bool& seen, const std::string& what) {
+    if (seen) {
+      throw InvalidArgument("scenario: second " + what + " token in '" +
+                            text + "'");
+    }
+    seen = true;
+  };
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     const std::string& t = tokens[i];
-    if (t == "linear") {
-      spec.polynomial = false;
-    } else if (t == "poly") {
-      spec.polynomial = true;
-    } else if (t == "fast") {
-      spec.preset = Preset::kFast;
-    } else if (t == "precomputed") {
-      spec.preset = Preset::kPrecomputed;
-    } else if (t == "silent") {
-      spec.preset = Preset::kSilent;
-    } else if (t == "secure") {
-      spec.preset = Preset::kSecure;
+    if (t == "linear" || t == "poly") {
+      once(kernel_seen, "kernel");
+      spec.polynomial = t == "poly";
+    } else if (t == "fast" || t == "silent" || t == "secure") {
+      once(preset_seen, "preset");
+      spec.preset = t == "fast"     ? Preset::kFast
+                    : t == "silent" ? Preset::kSilent
+                                    : Preset::kSecure;
     } else if (t == "reservoir") {
-      spec.reservoir = true;
+      once(spec.reservoir, "reservoir");
     } else {
       throw InvalidArgument("scenario: unknown token '" + t + "' in '" +
                             text + "'");
@@ -62,7 +67,6 @@ std::string ScenarioSpec::to_string() const {
   out += polynomial ? ":poly" : ":linear";
   switch (preset) {
     case Preset::kFast: out += ":fast"; break;
-    case Preset::kPrecomputed: out += ":precomputed"; break;
     case Preset::kSilent: out += ":silent"; break;
     case Preset::kSecure: out += ":secure"; break;
   }
@@ -99,10 +103,6 @@ Scenario Scenario::make(const ScenarioSpec& spec, std::uint64_t seed) {
   switch (spec.preset) {
     case ScenarioSpec::Preset::kFast:
       s.config = core::SchemeConfig::fast_simulation();
-      break;
-    case ScenarioSpec::Preset::kPrecomputed:
-      s.config = core::SchemeConfig::fast_simulation();
-      s.config.ot_engine = core::OtEngine::kPrecomputed;
       break;
     case ScenarioSpec::Preset::kSilent:
       s.config = core::SchemeConfig::silent();

@@ -9,7 +9,7 @@ namespace {
 
 TEST(SchemeConfig, DefaultsAreSecure) {
   const SchemeConfig cfg = SchemeConfig::secure_default();
-  EXPECT_EQ(cfg.ot_engine, OtEngine::kNaorPinkas);
+  EXPECT_EQ(cfg.ot_engine, OtEngine::kPrecomputed);
   EXPECT_EQ(cfg.group, crypto::GroupId::kModp1536);
   EXPECT_EQ(cfg.ompe.backend, ompe::Backend::kReal);
   EXPECT_EQ(cfg.ompe.q, 8u);
@@ -58,8 +58,9 @@ TEST(OtBundle, LoopbackReadyImmediately) {
 }
 
 TEST(OtBundle, PrecomputedReadyImmediately) {
-  // The batched engines auto-refill their pools, so the bundle is usable
-  // even before prepare_sender()/prepare_receiver().
+  // The private engines run their seed agreement and stage slots on the
+  // first transfer, so the bundle is usable even before
+  // prepare_sender()/prepare_receiver().
   Rng rng(2);
   SchemeConfig cfg;
   cfg.ot_engine = OtEngine::kPrecomputed;

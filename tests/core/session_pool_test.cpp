@@ -71,7 +71,7 @@ TEST(SessionPool, BitIdenticalAcrossPoolSizes) {
 }
 
 TEST(SessionPool, SecureBatchedEngineEndToEnd) {
-  // Real crypto path: precomputed batched OT + fixed-base tables, two
+  // Real crypto path: the silent OT engine + fixed-base tables, two
   // concurrent sessions sharing the process-wide group.
   const Fixture fx = Fixture::make(4, 4);
   SchemeConfig cfg;

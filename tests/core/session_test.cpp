@@ -44,7 +44,7 @@ crypto::Digest full_stream_digest(const ClassificationProfile& profile,
   for (const math::Exponents& exps : profile.monomials) w.raw(exps);
   w.u8(static_cast<std::uint8_t>(config.ot_engine));
   w.u8(static_cast<std::uint8_t>(config.group));
-  w.u8(config.silent_precompute ? 1 : 0);
+  w.u8(config.ot_engine == OtEngine::kPrecomputed ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(config.ompe.backend));
   w.u32(config.ompe.q);
   w.u32(config.ompe.k);
@@ -107,13 +107,11 @@ TEST(ProtocolDigest, IgnoresLocalPerformanceKnobs) {
 }
 
 TEST(ProtocolDigest, SilentPrecomputeIsHashed) {
-  // silent_precompute CHANGES the offline wire format (seed agreement +
-  // correction blocks instead of DH batches), so parties must agree on it.
+  // The silent engine and the loopback simulation put different bytes on
+  // the wire at the same OMPE shape, so parties must agree on the engine.
   const auto profile = ClassificationProfile::make(2, svm::Kernel::linear());
-  auto cfg = SchemeConfig::fast_simulation();
-  cfg.ot_engine = OtEngine::kPrecomputed;
-  auto silent = cfg;
-  silent.silent_precompute = true;
+  const auto cfg = SchemeConfig::fast_simulation();
+  const auto silent = SchemeConfig::silent();
   EXPECT_NE(protocol_digest(profile, cfg), protocol_digest(profile, silent));
 
   const auto space = DataSpace{};

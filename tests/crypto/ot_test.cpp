@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "ppds/crypto/silent_ot.hpp"
 #include "ppds/net/party.hpp"
 
 namespace ppds::crypto {
@@ -24,6 +25,30 @@ std::vector<Bytes> make_messages(std::size_t n, std::size_t len) {
     msgs.push_back(std::move(m));
   }
   return msgs;
+}
+
+/// Direct 1-of-\p arity slots from a silent engine pair (the only source of
+/// arity > 2 slots): {sender slots, receiver slots}.
+std::pair<std::vector<PrecomputedSendSlot>, std::vector<PrecomputedRecvSlot>>
+make_slots(net::Endpoint& a, net::Endpoint& b, std::size_t arity,
+           std::size_t count) {
+  Rng rng_s(51), rng_r(52);
+  SilentPadSender s(test_group(), rng_s, kSilentLowWater);
+  SilentPadReceiver r(test_group(), rng_r, kSilentLowWater);
+  std::thread peer([&] {
+    r.ensure_ready(b);
+    r.stage_to(b, arity, count);
+  });
+  s.ensure_ready(a);
+  s.stage_to(a, arity, count);
+  peer.join();
+  std::pair<std::vector<PrecomputedSendSlot>, std::vector<PrecomputedRecvSlot>>
+      out;
+  for (std::size_t i = 0; i < count; ++i) {
+    out.first.push_back(s.take(arity));
+    out.second.push_back(r.take(arity));
+  }
+  return out;
 }
 
 TEST(NaorPinkasOt, OneOfTwoBothChoices) {
@@ -52,6 +77,8 @@ TEST(NaorPinkasOt, UnequalLengthsRejected) {
   EXPECT_THROW(s.send_1of2(a, Bytes{1}, Bytes{1, 2}), InvalidArgument);
 }
 
+// 1-of-n over the private engine: Naor-Pinkas base OTs seed the silent
+// extension, whose direct slots carry every n (n == 1 is sent directly).
 class NaorPinkas1ofN : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(NaorPinkas1ofN, EveryIndexRetrievable) {
@@ -62,13 +89,13 @@ TEST_P(NaorPinkas1ofN, EveryIndexRetrievable) {
     auto outcome = net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng rng(10 + want);
-          NaorPinkasSender s(test_group(), rng);
+          BatchedOtSender s(test_group(), rng);
           s.send(ch, msgs, 1);
           return 0;
         },
         [&](net::Endpoint& ch) {
           Rng rng(20 + want);
-          NaorPinkasReceiver r(test_group(), rng);
+          BatchedOtReceiver r(test_group(), rng);
           return r.receive(ch, indices, n, 16);
         });
     ASSERT_EQ(outcome.b.size(), 1u);
@@ -86,13 +113,13 @@ TEST(NaorPinkasOt, KOutOfNRetrievesExactlyRequested) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
-        NaorPinkasSender s(test_group(), rng);
+        BatchedOtSender s(test_group(), rng);
         s.send(ch, msgs, k);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
-        NaorPinkasReceiver r(test_group(), rng);
+        BatchedOtReceiver r(test_group(), rng);
         return r.receive(ch, want, n, 8);
       });
   ASSERT_EQ(outcome.b.size(), k);
@@ -102,30 +129,18 @@ TEST(NaorPinkasOt, KOutOfNRetrievesExactlyRequested) {
 TEST(NaorPinkasOt, ZeroMessagesRejected) {
   auto [a, b] = net::make_channel();
   Rng rng(1);
-  NaorPinkasSender s(test_group(), rng);
+  BatchedOtSender s(test_group(), rng);
   const std::vector<Bytes> none;
   EXPECT_THROW(s.send(a, none, 1), Error);
 }
 
-// Regression: n == 0 used to reach bits_for(), where `n - 1` underflows to
-// SIZE_MAX and the bit count silently became 64. Every zero-n path must
-// throw instead.
+// n == 0 must throw, never wrap `n - 1` around to SIZE_MAX.
 TEST(NaorPinkasOt, ZeroNReceiveRejected) {
   auto [a, b] = net::make_channel();
   Rng rng(2);
-  NaorPinkasReceiver r(test_group(), rng);
+  BatchedOtReceiver r(test_group(), rng);
   const std::vector<std::size_t> idx{0};
   EXPECT_THROW(r.receive(b, idx, 0, 8), Error);
-}
-
-TEST(PrecomputedEngine, IndexBitsBoundaries) {
-  // n <= 1 never enters the bit decomposition (message sent directly).
-  EXPECT_EQ(index_bits(0), 0u);
-  EXPECT_EQ(index_bits(1), 0u);
-  EXPECT_EQ(index_bits(2), 1u);
-  EXPECT_EQ(index_bits(3), 2u);
-  EXPECT_EQ(index_bits(8), 3u);
-  EXPECT_EQ(index_bits(9), 4u);
 }
 
 TEST(NaorPinkasOt, IndexOutOfRangeThrows) {
@@ -134,13 +149,13 @@ TEST(NaorPinkasOt, IndexOutOfRangeThrows) {
       net::run_two_party(
           [&](net::Endpoint& ch) {
             Rng rng(1);
-            NaorPinkasSender s(test_group(), rng);
+            BatchedOtSender s(test_group(), rng);
             s.send(ch, msgs, 1);
             return 0;
           },
           [&](net::Endpoint& ch) {
             Rng rng(2);
-            NaorPinkasReceiver r(test_group(), rng);
+            BatchedOtReceiver r(test_group(), rng);
             const std::vector<std::size_t> bad{4};
             return r.receive(ch, bad, 4, 8);
           }),
@@ -241,32 +256,22 @@ TEST(PrecomputedOt, DirectOneOfNEveryIndexRetrievable) {
   // the shift correction must align every requested index.
   const std::size_t arity = 5, count = 10;
   const auto msgs = make_messages(arity, 12);
-  auto outcome = net::run_two_party(
-      [&](net::Endpoint& ch) {
-        Rng rng(51);
-        NaorPinkasSender np(test_group(), rng);
-        auto slots = precompute_ot_sender(ch, np, count, 16, rng, arity);
-        for (std::size_t i = 0; i < count; ++i) {
-          EXPECT_EQ(slots[i].pads.size(), arity);
-          precomputed_send_1ofn(ch, slots[i], msgs);
-        }
-        return 0;
-      },
-      [&](net::Endpoint& ch) {
-        Rng rng(52);
-        NaorPinkasReceiver np(test_group(), rng);
-        auto slots = precompute_ot_receiver(ch, np, count, 16, rng, arity);
-        std::vector<Bytes> got;
-        for (std::size_t i = 0; i < count; ++i) {
-          EXPECT_EQ(slots[i].arity, arity);
-          EXPECT_LT(slots[i].choice, arity);
-          got.push_back(precomputed_receive_1ofn(ch, slots[i], i % arity, 12));
-        }
-        return got;
-      });
+  auto [a, b] = net::make_channel();
+  auto [send_slots, recv_slots] = make_slots(a, b, arity, count);
+  std::thread sender([&, &a_ref = a, &slots = send_slots] {
+    for (std::size_t i = 0; i < count; ++i) {
+      precomputed_send_1ofn(a_ref, slots[i], msgs);
+    }
+  });
   for (std::size_t i = 0; i < count; ++i) {
-    EXPECT_EQ(outcome.b[i], msgs[i % arity]) << i;
+    EXPECT_EQ(send_slots[i].pads.size(), arity);
+    EXPECT_EQ(recv_slots[i].arity, arity);
+    EXPECT_LT(recv_slots[i].choice, arity);
+    EXPECT_EQ(precomputed_receive_1ofn(b, recv_slots[i], i % arity, 12),
+              msgs[i % arity])
+        << i;
   }
+  sender.join();
 }
 
 TEST(PrecomputedOt, DirectOneOfNOnlineWireCost) {
@@ -274,39 +279,43 @@ TEST(PrecomputedOt, DirectOneOfNOnlineWireCost) {
   // elements.
   const std::size_t arity = 7;
   const auto msgs = make_messages(arity, 8);
-  auto outcome = net::run_two_party(
-      [&](net::Endpoint& ch) {
-        Rng rng(53);
-        NaorPinkasSender np(test_group(), rng);
-        auto slots = precompute_ot_sender(ch, np, 1, 8, rng, arity);
-        ch.reset_stats();
-        precomputed_send_1ofn(ch, slots[0], msgs);
-        return ch.stats().bytes;
-      },
-      [&](net::Endpoint& ch) {
-        Rng rng(54);
-        NaorPinkasReceiver np(test_group(), rng);
-        auto slots = precompute_ot_receiver(ch, np, 1, 8, rng, arity);
-        ch.reset_stats();
-        precomputed_receive_1ofn(ch, slots[0], 4, 8);
-        return ch.stats().bytes;
-      });
-  EXPECT_EQ(outcome.a, arity * 8u);
-  EXPECT_EQ(outcome.b, 1u);
+  auto [a, b] = net::make_channel();
+  auto [send_slots, recv_slots] = make_slots(a, b, arity, 1);
+  a.reset_stats();
+  b.reset_stats();
+  std::thread sender([&, &a_ref = a, &slots = send_slots] {
+    precomputed_send_1ofn(a_ref, slots[0], msgs);
+  });
+  EXPECT_EQ(precomputed_receive_1ofn(b, recv_slots[0], 4, 8), msgs[4]);
+  sender.join();
+  EXPECT_EQ(a.stats().bytes, arity * 8u);
+  EXPECT_EQ(b.stats().bytes, 1u);
 }
 
 TEST(PrecomputedOt, ArityOutOfRangeRejected) {
+  // The online phase refuses a slot of arity < 2 and a message count that
+  // differs from the slot's arity, before any wire traffic.
   auto [a, b] = net::make_channel();
-  Rng rng(55);
-  NaorPinkasSender np(test_group(), rng);
-  EXPECT_THROW(precompute_ot_sender(a, np, 1, 16, rng, 1), InvalidArgument);
-  EXPECT_THROW(precompute_ot_sender(a, np, 1, 16, rng, kMaxDirectArity + 1),
-               InvalidArgument);
+  const auto msgs = make_messages(3, 8);
+  PrecomputedSendSlot unary;
+  unary.pads.assign(1, Bytes(32, 1));
+  const std::vector<Bytes> one{msgs.front()};
+  EXPECT_THROW(precomputed_send_1ofn(a, unary, one), InvalidArgument);
+  PrecomputedSendSlot quaternary;
+  quaternary.pads.assign(4, Bytes(32, 1));
+  EXPECT_THROW(precomputed_send_1ofn(a, quaternary, msgs), InvalidArgument);
+  PrecomputedRecvSlot unary_recv;
+  unary_recv.arity = 1;
+  unary_recv.pad = Bytes(32, 1);
+  EXPECT_THROW(precomputed_receive_1ofn(b, unary_recv, 0, 8), InvalidArgument);
+  EXPECT_EQ(a.stats().messages, 0u);
+  EXPECT_EQ(b.stats().messages, 0u);
 }
 
 TEST(PrecomputedEngine, KOutOfNMatchesMessages) {
-  // A 4-out-of-12 transfer served from a pool reserved to exactly k direct
-  // arity-12 slots: every requested message arrives and the pool ends empty.
+  // A 4-out-of-12 transfer served from one reservation of k direct arity-12
+  // slots (staged as one quantum): every requested message arrives and the
+  // transfer stages nothing more.
   const std::size_t n = 12, k = 4;
   const auto msgs = make_messages(n, 8);
   const std::vector<std::size_t> want{1, 5, 9, 11};
@@ -316,7 +325,7 @@ TEST(PrecomputedEngine, KOutOfNMatchesMessages) {
         BatchedOtSender s(test_group(), rng);
         s.reserve(ch, n, k);
         s.send(ch, msgs, k);
-        return s.remaining(n);
+        return s.available_slots(n);
       },
       [&](net::Endpoint& ch) {
         Rng rng(62);
@@ -326,12 +335,12 @@ TEST(PrecomputedEngine, KOutOfNMatchesMessages) {
       });
   ASSERT_EQ(outcome.b.size(), k);
   for (std::size_t i = 0; i < k; ++i) EXPECT_EQ(outcome.b[i], msgs[want[i]]);
-  EXPECT_EQ(outcome.a, 0u);  // exactly sized pool fully consumed
+  EXPECT_EQ(outcome.a, kSilentStageQuantum - k);
 }
 
 TEST(PrecomputedEngine, MultipleTransfersFromOnePool) {
-  // One up-front reservation covers three 2-out-of-6 transfers; the pool
-  // drains to zero without any refill in between.
+  // One up-front reservation covers three 2-out-of-6 transfers; the ledger
+  // drains without any restaging in between.
   const auto msgs = make_messages(6, 16);
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
@@ -339,7 +348,7 @@ TEST(PrecomputedEngine, MultipleTransfersFromOnePool) {
         BatchedOtSender s(test_group(), rng);
         s.reserve(ch, /*arity=*/6, /*count=*/6);
         for (int round = 0; round < 3; ++round) s.send(ch, msgs, 2);
-        return s.remaining(6);
+        return s.available_slots(6);
       },
       [&](net::Endpoint& ch) {
         Rng rng(66);
@@ -353,7 +362,7 @@ TEST(PrecomputedEngine, MultipleTransfersFromOnePool) {
         }
         return all;
       });
-  EXPECT_EQ(outcome.a, 0u);
+  EXPECT_EQ(outcome.a, kSilentStageQuantum - 6);
   ASSERT_EQ(outcome.b.size(), 6u);
   for (std::size_t round = 0; round < 3; ++round) {
     EXPECT_EQ(outcome.b[2 * round], msgs[round]);
@@ -408,18 +417,18 @@ TEST(BatchedPrecompute, PadLenOutOfRangeRejected) {
 }
 
 TEST(BatchedEngine, ReserveThenTransfer) {
-  // An 8-message transfer is served from DIRECT arity-8 slots: reserving
-  // exactly k of them covers a 2-out-of-8 transfer with no auto-refill.
+  // An 8-message transfer is served from DIRECT arity-8 slots: one
+  // reservation covers a 2-out-of-8 transfer with no further staging.
   const auto msgs = make_messages(8, 16);
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(75);
         BatchedOtSender s(test_group(), rng);
         s.reserve(ch, /*arity=*/8, /*count=*/2);
-        EXPECT_EQ(s.remaining(8), 2u);
-        EXPECT_GE(s.remaining(), 2u);
+        EXPECT_EQ(s.available_slots(8), kSilentStageQuantum);
+        EXPECT_GE(s.available_slots(), 2u);
         s.send(ch, msgs, 2);
-        EXPECT_EQ(s.remaining(8), 0u);  // no hidden refill happened
+        EXPECT_EQ(s.available_slots(8), kSilentStageQuantum - 2);
         return 0;
       },
       [&](net::Endpoint& ch) {
@@ -428,7 +437,7 @@ TEST(BatchedEngine, ReserveThenTransfer) {
         r.reserve(ch, /*arity=*/8, /*count=*/2);
         const std::vector<std::size_t> want{1, 6};
         auto got = r.receive(ch, want, 8, 16);
-        EXPECT_EQ(r.remaining(8), 0u);
+        EXPECT_EQ(r.available_slots(8), kSilentStageQuantum - 2);
         return got;
       });
   ASSERT_EQ(outcome.b.size(), 2u);
@@ -437,16 +446,17 @@ TEST(BatchedEngine, ReserveThenTransfer) {
 }
 
 TEST(BatchedEngine, RejectsArityBeyondDirectBound) {
-  // 300 > kMaxDirectArity: no direct slot exists, and both roles refuse the
-  // transfer before any wire traffic (ompe::validate keeps OMPE below it).
-  const auto msgs = make_messages(300, 4);
+  // reserve() for an arity no direct slot serves (1, or 300 >
+  // kMaxDirectArity) is refused in both roles before any wire traffic —
+  // including the seed agreement.
   auto [a, b] = net::make_channel();
   Rng rng(85);
-  BatchedOtSender s(test_group(), rng, /*refill_batch=*/4);
-  EXPECT_THROW(s.send(a, msgs, 1), InvalidArgument);
-  BatchedOtReceiver r(test_group(), rng, /*refill_batch=*/4);
-  const std::vector<std::size_t> want{271};
-  EXPECT_THROW(r.receive(b, want, 300, 4), InvalidArgument);
+  BatchedOtSender s(test_group(), rng);
+  EXPECT_THROW(s.reserve(a, 300, 1), InvalidArgument);
+  EXPECT_THROW(s.reserve(a, 1, 1), InvalidArgument);
+  BatchedOtReceiver r(test_group(), rng);
+  EXPECT_THROW(r.reserve(b, 300, 1), InvalidArgument);
+  EXPECT_THROW(r.reserve(b, 1, 1), InvalidArgument);
   EXPECT_EQ(a.stats().messages, 0u);
   EXPECT_EQ(b.stats().messages, 0u);
 }
@@ -456,13 +466,13 @@ TEST(BatchedEngine, AutoRefillsWithoutReserve) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(77);
-        BatchedOtSender s(test_group(), rng, /*refill_batch=*/4);
+        BatchedOtSender s(test_group(), rng);
         s.send(ch, msgs, 1);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(78);
-        BatchedOtReceiver r(test_group(), rng, /*refill_batch=*/4);
+        BatchedOtReceiver r(test_group(), rng);
         const std::vector<std::size_t> want{3};
         return r.receive(ch, want, 4, 8);
       });
@@ -471,7 +481,7 @@ TEST(BatchedEngine, AutoRefillsWithoutReserve) {
 }
 
 TEST(BatchedEngine, AbortWipesPoolAndRefusesFurtherUse) {
-  // Fill both pools via a reserve round trip, then abort mid-session: the
+  // Stage slots via a reserve round trip, then abort mid-session: the
   // unconsumed correlated randomness must be zeroed IN PLACE (pool_wiped
   // audits the live buffers) and every later operation must throw a typed
   // ProtocolError — a half-consumed batch is never resumed.
@@ -479,12 +489,13 @@ TEST(BatchedEngine, AbortWipesPoolAndRefusesFurtherUse) {
   Rng rng_s(91), rng_r(92);
   BatchedOtSender s(test_group(), rng_s);
   BatchedOtReceiver r(test_group(), rng_r);
-  std::thread peer([&r, &b_ref = b] { r.reserve(b_ref, 6); });
-  s.reserve(a, 6);
+  std::thread peer([&r, &b_ref = b] { r.reserve(b_ref, 2, 6); });
+  s.reserve(a, 2, 6);
   peer.join();
-  ASSERT_GE(s.remaining(), 6u);
-  ASSERT_GE(r.remaining(), 6u);
-  EXPECT_FALSE(s.pool_wiped());  // pads are random key material
+  ASSERT_GE(s.available_slots(), 6u);
+  ASSERT_GE(r.available_slots(), 6u);
+  EXPECT_FALSE(s.pool_wiped());  // staged corrections are live material
+  EXPECT_FALSE(r.pool_wiped());  // so are the receiver's pads
   EXPECT_FALSE(s.aborted());
 
   s.abort();
@@ -496,10 +507,10 @@ TEST(BatchedEngine, AbortWipesPoolAndRefusesFurtherUse) {
 
   const auto msgs = make_messages(4, 8);
   EXPECT_THROW(s.send(a, msgs, 1), ProtocolError);
-  EXPECT_THROW(s.reserve(a, 1), ProtocolError);
+  EXPECT_THROW(s.reserve(a, 2, 1), ProtocolError);
   const std::vector<std::size_t> want{0};
   EXPECT_THROW(r.receive(b, want, 4, 8), ProtocolError);
-  EXPECT_THROW(r.reserve(b, 1), ProtocolError);
+  EXPECT_THROW(r.reserve(b, 2, 1), ProtocolError);
 }
 
 TEST(BatchedEngine, AbortIsIdempotent) {
@@ -521,32 +532,37 @@ TEST(BatchedEngine, EmptyPoolReportsWiped) {
 }
 
 TEST(BatchedEngine, RefillsMidSessionAcrossManyTransfers) {
-  // refill_batch smaller than a transfer's need forces repeated symmetric
-  // top-ups across rounds.
+  // 64 rounds of 2-out-of-6 outrun the first staged quantum, forcing a
+  // symmetric restage mid-session (both sides derive it from the ledger).
+  constexpr std::size_t kRounds = 64;
   const auto msgs = make_messages(6, 16);
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(79);
-        BatchedOtSender s(test_group(), rng, /*refill_batch=*/2);
-        for (int round = 0; round < 3; ++round) s.send(ch, msgs, 2);
-        return 0;
+        BatchedOtSender s(test_group(), rng);
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          s.send(ch, msgs, 2);
+        }
+        return s.available_slots(6);
       },
       [&](net::Endpoint& ch) {
         Rng rng(80);
-        BatchedOtReceiver r(test_group(), rng, /*refill_batch=*/2);
+        BatchedOtReceiver r(test_group(), rng);
         std::vector<Bytes> all;
-        for (std::size_t round = 0; round < 3; ++round) {
-          const std::vector<std::size_t> want{round, round + 3};
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          const std::vector<std::size_t> want{round % 3, round % 3 + 3};
           auto got = r.receive(ch, want, 6, 16);
           all.insert(all.end(), got.begin(), got.end());
         }
         return all;
       });
-  ASSERT_EQ(outcome.b.size(), 6u);
-  for (std::size_t round = 0; round < 3; ++round) {
-    EXPECT_EQ(outcome.b[2 * round], msgs[round]);
-    EXPECT_EQ(outcome.b[2 * round + 1], msgs[round + 3]);
+  ASSERT_EQ(outcome.b.size(), 2 * kRounds);
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    EXPECT_EQ(outcome.b[2 * round], msgs[round % 3]);
+    EXPECT_EQ(outcome.b[2 * round + 1], msgs[round % 3 + 3]);
   }
+  // Two quanta staged, 2 * kRounds consumed.
+  EXPECT_EQ(outcome.a, 2 * kSilentStageQuantum - 2 * kRounds);
 }
 
 }  // namespace

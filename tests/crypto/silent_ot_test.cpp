@@ -147,14 +147,12 @@ TEST(BatchedSilent, OnlineTransferMatchesMessages) {
       [&](net::Endpoint& ch) {
         Rng rng(111);
         BatchedOtSender s(test_group(), rng);
-        s.enable_silent(/*low_water=*/4);
         for (int round = 0; round < 3; ++round) s.send(ch, msgs, 2);
         return s.available_slots(8);
       },
       [&](net::Endpoint& ch) {
         Rng rng(112);
         BatchedOtReceiver r(test_group(), rng);
-        r.enable_silent(/*low_water=*/4);
         std::vector<Bytes> all;
         for (std::size_t round = 0; round < 3; ++round) {
           const std::vector<std::size_t> want{round, round + 5};
@@ -178,10 +176,8 @@ TEST(BatchedSilent, RejectsArityBeyondDirectBound) {
   auto [a, b] = net::make_channel();
   Rng rng(113);
   BatchedOtSender s(test_group(), rng);
-  s.enable_silent(4);
   EXPECT_THROW(s.send(a, msgs, 1), InvalidArgument);
   BatchedOtReceiver r(test_group(), rng);
-  r.enable_silent(4);
   const std::vector<std::size_t> want{271};
   EXPECT_THROW(r.receive(b, want, 300, 4), InvalidArgument);
   EXPECT_EQ(a.stats().messages, 0u);
@@ -195,7 +191,6 @@ TEST(BatchedSilent, WarmReservoirMakesTakeNonBlocking) {
         Rng rng(115);
         PadReservoir reservoir(1);
         BatchedOtSender s(test_group(), rng);
-        s.enable_silent(/*low_water=*/8);
         s.attach_reservoir(reservoir);
         s.reserve(ch, 8, 4);
         // Let the background worker finish expanding the staged block, then
@@ -216,7 +211,6 @@ TEST(BatchedSilent, WarmReservoirMakesTakeNonBlocking) {
         Rng rng(116);
         PadReservoir reservoir(1);
         BatchedOtReceiver r(test_group(), rng);
-        r.enable_silent(/*low_water=*/8);
         r.attach_reservoir(reservoir);
         r.reserve(ch, 8, 4);
         std::vector<Bytes> all;
@@ -247,7 +241,6 @@ TEST(BatchedSilent, TranscriptIndependentOfReservoir) {
           Rng rng(117);
           PadReservoir reservoir(1);
           BatchedOtSender s(test_group(), rng);
-          s.enable_silent(4);
           if (with_reservoir) s.attach_reservoir(reservoir);
           for (int round = 0; round < 3; ++round) s.send(ch, msgs, 2);
           return ch.stats().bytes;
@@ -256,7 +249,6 @@ TEST(BatchedSilent, TranscriptIndependentOfReservoir) {
           Rng rng(118);
           PadReservoir reservoir(1);
           BatchedOtReceiver r(test_group(), rng);
-          r.enable_silent(4);
           if (with_reservoir) r.attach_reservoir(reservoir);
           std::vector<Bytes> all;
           for (std::size_t round = 0; round < 3; ++round) {
@@ -285,7 +277,6 @@ TEST(BatchedSilent, AbortWipesFrontierAndPads) {
       [&](net::Endpoint& ch) {
         Rng rng(121);
         auto s = std::make_unique<BatchedOtSender>(test_group(), rng);
-        s->enable_silent(4);
         s->reserve(ch, 6, 8);  // staged ledger + pending correction bytes
         s->abort();
         EXPECT_TRUE(s->aborted());
@@ -298,7 +289,6 @@ TEST(BatchedSilent, AbortWipesFrontierAndPads) {
       [&](net::Endpoint& ch) {
         Rng rng(122);
         auto r = std::make_unique<BatchedOtReceiver>(test_group(), rng);
-        r->enable_silent(4);
         r->reserve(ch, 6, 8);
         r->abort();
         EXPECT_TRUE(r->aborted());
@@ -330,7 +320,6 @@ TEST(BatchedSilent, AbortRacesBackgroundRefill) {
         [&](net::Endpoint& ch) {
           Rng rng(131 + static_cast<std::uint64_t>(round));
           BatchedOtSender s(test_group(), rng);
-          s.enable_silent(4);
           s.attach_reservoir(reservoir);
           s.reserve(ch, 6, 64);  // plenty of pending expansion work
           s.abort();             // while the worker may be mid-step
@@ -343,7 +332,6 @@ TEST(BatchedSilent, AbortRacesBackgroundRefill) {
         [&](net::Endpoint& ch) {
           Rng rng(161 + static_cast<std::uint64_t>(round));
           BatchedOtReceiver r(test_group(), rng);
-          r.enable_silent(4);
           r.attach_reservoir(reservoir);
           r.reserve(ch, 6, 64);
           r.abort();
@@ -370,7 +358,6 @@ TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
         Rng rng(141);
         PadReservoir reservoir(1);
         BatchedOtSender s(test_group(), rng);
-        s.enable_silent(4);
         s.attach_reservoir(reservoir);
         std::atomic<bool> done{false};
         std::thread hammer([&] {
@@ -383,7 +370,7 @@ TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
             // protocol thread legitimately stages between them.
             ASSERT_LE(s.available_slots(), bound);
             ASSERT_LE(s.available_slots(8), bound);
-            (void)s.remaining();
+            (void)s.available_slots();
           }
         });
         for (int round = 0; round < 6; ++round) s.send(ch, msgs, 2);
@@ -396,7 +383,6 @@ TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
         Rng rng(142);
         PadReservoir reservoir(1);
         BatchedOtReceiver r(test_group(), rng);
-        r.enable_silent(4);
         r.attach_reservoir(reservoir);
         std::atomic<bool> done{false};
         std::thread hammer([&] {
@@ -405,7 +391,7 @@ TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
           while (!done.load()) {
             ASSERT_LE(r.available_slots(), bound);
             ASSERT_LE(r.available_slots(8), bound);
-            (void)r.remaining();
+            (void)r.available_slots();
           }
         });
         std::vector<Bytes> all;

@@ -318,10 +318,10 @@ TEST(Chaos, PrecomputedEngineAbortsWipeOtPools) {
   crypto::BatchedOtSender sender(group, rng_s);
   crypto::BatchedOtReceiver receiver(group, rng_r);
 
-  std::thread peer([&receiver, &b = end_b] { receiver.reserve(b, 4); });
-  sender.reserve(end_a, 4);
+  std::thread peer([&receiver, &b = end_b] { receiver.reserve(b, 2, 4); });
+  sender.reserve(end_a, 2, 4);
   peer.join();
-  ASSERT_GE(sender.remaining(), 4u);
+  ASSERT_GE(sender.available_slots(), 4u);
   ASSERT_FALSE(sender.pool_wiped());  // live key material present
 
   // Tear the link down mid-protocol, as an injected disconnect would.
@@ -403,8 +403,6 @@ TEST(Chaos, SilentAbortsWipeWithRefillThreadRacing) {
     Rng rng_s(splitmix64(seed, 2)), rng_r(splitmix64(seed, 3));
     crypto::BatchedOtSender sender(group, rng_s);
     crypto::BatchedOtReceiver receiver(group, rng_r);
-    sender.enable_silent(4);
-    receiver.enable_silent(4);
     sender.attach_reservoir(reservoir);
     receiver.attach_reservoir(reservoir);
 
@@ -457,7 +455,7 @@ TEST(Chaos, SilentAbortsWipeWithRefillThreadRacing) {
 }
 
 TEST(Chaos, SecureEngineSurvivesShortFaultSweep) {
-  // A few seeds through the REAL crypto stack (precomputed batched OT over
+  // A few seeds through the REAL crypto stack (the silent OT engine over
   // modp1024): exercises the session-layer ot.abort() paths and fresh-engine
   // retry under faults. Kept small — each attempt costs exponentiations.
   ClassFixture fx = ClassFixture::make(2, 1, svm::Kernel::linear(), 2027);

@@ -225,7 +225,8 @@ TEST(Ompe, SenderRejectsRepeatedNodes) {
 }
 
 TEST(Ompe, ResultWithNaorPinkasOtMatches) {
-  // Full cryptographic stack once (small q/k to keep modexp count low).
+  // Full cryptographic stack once: the private OT engine, whose silent
+  // extension is seeded by one batched Naor-Pinkas round trip.
   const auto p = math::MultiPoly::affine({0.9, -0.4}, 0.2);
   OmpeParams params;
   params.q = 2;
@@ -235,13 +236,13 @@ TEST(Ompe, ResultWithNaorPinkasOtMatches) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(11);
-        crypto::NaorPinkasSender ot(group, rng);
+        crypto::BatchedOtSender ot(group, rng);
         run_sender(ch, std::vector<double>{0.9, -0.4}, 0.2, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(12);
-        crypto::NaorPinkasReceiver ot(group, rng);
+        crypto::BatchedOtReceiver ot(group, rng);
         return run_receiver(ch, alpha, params, ot, rng);
       });
   EXPECT_NEAR(outcome.b, p.evaluate(alpha), 1e-9);

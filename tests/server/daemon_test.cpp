@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -16,6 +17,7 @@
 #include "ppds/core/session.hpp"
 #include "ppds/crypto/ot.hpp"
 #include "ppds/crypto/reservoir.hpp"
+#include "ppds/crypto/sha256.hpp"
 #include "ppds/net/socket.hpp"
 #include "ppds/server/client.hpp"
 
@@ -38,8 +40,8 @@ const Scenario& fast_scenario() {
   return s;
 }
 
-const Scenario& precomputed_scenario() {
-  static const Scenario s = Scenario::make("diabetes:linear:precomputed", 2029);
+const Scenario& private_scenario() {
+  static const Scenario s = Scenario::make("diabetes:linear:silent", 2029);
   return s;
 }
 
@@ -85,22 +87,44 @@ TEST(ScenarioSpec, SilentAndReservoirTokensRoundTrip) {
   EXPECT_TRUE(spec.reservoir);
   EXPECT_EQ(spec.to_string(), "diabetes:poly:silent:reservoir");
 
-  // The knob lands in the config; silent implies the precomputed engine
-  // with the PPRF offline phase.
+  // The knob lands in the config; silent is the private engine.
   const Scenario s = Scenario::make(spec, 1);
-  EXPECT_TRUE(s.config.silent_precompute);
   EXPECT_TRUE(s.config.reservoir);
   EXPECT_EQ(s.config.ot_engine, core::OtEngine::kPrecomputed);
 
   EXPECT_THROW(ScenarioSpec::parse("diabetes:resevoir"), InvalidArgument);
   // The refill batch is a protocol-side constant, not a spec token.
   EXPECT_THROW(ScenarioSpec::parse("diabetes:refill=32"), InvalidArgument);
+  // The deleted DH-pool preset is gone, not silently mapped elsewhere.
+  EXPECT_THROW(ScenarioSpec::parse("diabetes:precomputed"), InvalidArgument);
+  // A second kernel, preset or reservoir token is an error, never an
+  // override.
+  EXPECT_THROW(ScenarioSpec::parse("diabetes:linear:poly"), InvalidArgument);
+  EXPECT_THROW(ScenarioSpec::parse("diabetes:fast:secure"), InvalidArgument);
+  EXPECT_THROW(ScenarioSpec::parse("diabetes:silent:silent"),
+               InvalidArgument);
+  EXPECT_THROW(ScenarioSpec::parse("diabetes:reservoir:reservoir"),
+               InvalidArgument);
+}
+
+TEST(ScenarioSpec, NoPresetTokenIsPrivate) {
+  // A spec without a preset token runs the private OT engine, never the
+  // loopback simulation.
+  const ScenarioSpec spec = ScenarioSpec::parse("diabetes:linear");
+  EXPECT_EQ(spec.preset, ScenarioSpec::Preset::kSilent);
+  EXPECT_EQ(spec.to_string(), "diabetes:linear:silent");
+  EXPECT_EQ(Scenario::make(spec, 1).config.ot_engine,
+            core::OtEngine::kPrecomputed);
+  EXPECT_EQ(Scenario::make("diabetes", 1).config.ot_engine,
+            core::OtEngine::kPrecomputed);
 }
 
 TEST(ScenarioSpec, GoldenProtocolDigests) {
   // The handshake identity of every served preset, pinned to recorded
   // values. Local tuning changes must leave these untouched; a change that
   // moves one is a protocol change both parties have to take together.
+  // (The secure rows moved when secure became the silent engine at q=8,
+  // k=3; the fast and silent rows kept their bytes.)
   struct Golden {
     const char* spec;
     const char* protocol;
@@ -110,27 +134,21 @@ TEST(ScenarioSpec, GoldenProtocolDigests) {
       {"diabetes:linear:fast",
        "462d56f7f79c681d221841f1a2963a386a360189397ba4ee8e92c020c2c93836",
        "a9b760475f3c8f126d542059a35143b4d45bd3d57445c4d71146ff8d8335896a"},
-      {"diabetes:linear:precomputed",
-       "3490f8bcea5fdec7c403b8d05ca518493a53dc9ac1d63348be1bff3d034f6d46",
-       "27dcfd953f99f4f05eed0303d77a5b325ddd9c686f7160cfbbdb947deeae12de"},
       {"diabetes:linear:silent",
        "7723f4a6e30c6ac137ea296e162ce2fec33df8b84b36ee0d8f71e8701136000c",
        "5f4e0c5160cddb89668a28234412263382fe93084b21f74b73fee7444b9f7044"},
       {"diabetes:linear:secure",
-       "165af63514cdfbf4174e9d395ce25c2d3bc537ea3f9dd1b675bd64e6c7ab8271",
-       "5fc4dc49223724c745c7638a07fbdf2611792dfd751c05d8a2fe90646dd82804"},
+       "c087c75c26ea8edf71d6a47a7baa836494669f26bc391f05c74d52ff22b3847d",
+       "3fd366b311b15e6cac3039ca02aaea2c092040fed53784358596ce0425db4a87"},
       {"diabetes:poly:fast",
        "6f04115b8190bbe1e0f1bfcea895d1009ccff29b120ea5fc2e37bf5c1296332d",
        "1d142d075be63a79b4a77c07e7ed78064361ed073e52ea13fb41b992fb540fbe"},
-      {"diabetes:poly:precomputed",
-       "01bdc8399dc1f1e786d15c4f3c80726b8cf8fc6e0111a47f37356cadf63c4b7a",
-       "481ae3f4dbb109e195841c54bf0638774c93b3473f0d1cabd9f96ea70317072d"},
       {"diabetes:poly:silent",
        "10f6c601bd88275b9ee5013d1535037d762489caca0b65eea7902e2eb55612d5",
        "a9abdfa96fe7289db4be8ef780b2286b3d8549b990d56cc0d2c18436dfac40b4"},
       {"diabetes:poly:secure",
-       "05ba0b0b11fbfd26161bed4edcde15fdff4bcbe6798e873b06730b6a3b5641e3",
-       "7eca553b1a0c83109633784306c735d91c00a10f60ca2b4f852449ee06d5d525"},
+       "d207f4d68a749e90bbb6340139d74584484ca9723dacfd39512346751ae6a5bb",
+       "3ed1342d41690d89d17f29f5a0b50932e619ce2c15587ec928bd507f5997add6"},
   };
   for (const Golden& g : golden) {
     SCOPED_TRACE(g.spec);
@@ -140,6 +158,75 @@ TEST(ScenarioSpec, GoldenProtocolDigests) {
                                              s.config)),
               g.similarity);
   }
+}
+
+/// Test-local transport decorator: SHA-256 over every payload it sends and
+/// receives, each length-prefixed, so a golden value pins the exact bytes
+/// of both transcript directions.
+class HashingEndpoint final : public net::Endpoint {
+ public:
+  explicit HashingEndpoint(net::Endpoint&& inner)
+      : net::Endpoint(std::move(inner)) {}
+
+  std::string sent_hex() { return to_hex(sent_.finish()); }
+  std::string received_hex() { return to_hex(received_.finish()); }
+
+ protected:
+  void deliver(net::detail::Frame&& frame) override {
+    absorb(sent_, frame.payload);
+    Endpoint::deliver(std::move(frame));
+  }
+
+  net::detail::Frame fetch(const net::Deadline& deadline) override {
+    net::detail::Frame frame = Endpoint::fetch(deadline);
+    absorb(received_, frame.payload);
+    return frame;
+  }
+
+ private:
+  static void absorb(crypto::Sha256& hash, const Bytes& payload) {
+    std::array<std::uint8_t, 8> len{};
+    for (std::size_t b = 0; b < len.size(); ++b) {
+      len[b] = static_cast<std::uint8_t>(payload.size() >> (8 * b));
+    }
+    hash.update(len);
+    hash.update(payload);
+  }
+
+  crypto::Sha256 sent_;
+  crypto::Sha256 received_;
+};
+
+TEST(ScenarioSpec, GoldenSilentClassificationTranscript) {
+  // The silent engine's wire bytes, pinned: a seeded in-process
+  // classification session at diabetes:linear:silent. Both directions are
+  // hashed at the client. A change that moves either value changes what
+  // the silent engine puts on the wire.
+  const Scenario& s = private_scenario();
+  const std::vector<std::vector<double>> samples(s.queries.begin(),
+                                                 s.queries.begin() + 3);
+  auto [server_end, client_raw] = net::make_channel();
+  HashingEndpoint client_end(std::move(client_raw));
+  auto server = std::async(std::launch::async, [&, &server_end = server_end] {
+    const core::ClassificationServer classification(s.server_model, s.profile,
+                                                    s.config);
+    Rng rng(0xfeed);
+    core::serve_session(classification, s.profile, s.config, server_end, rng);
+  });
+  const core::ClassificationClient client(s.profile, s.config);
+  Rng rng(7);
+  const std::vector<int> labels = core::classify_session(
+      client, s.profile, s.config, client_end, samples, rng);
+  server.get();
+
+  ASSERT_EQ(labels.size(), samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(labels[i], s.server_model.predict(samples[i]));
+  }
+  EXPECT_EQ(client_end.sent_hex(),
+            "b632ee2ad5beb2bc4e5f0934014ca5f158578f6cb938c0dc163b39322343c49c");
+  EXPECT_EQ(client_end.received_hex(),
+            "d46d6fc6eac1e3dccef18cdcada6c28fc515f6b07b10dc8ea26f0f384a72bb01");
 }
 
 TEST(Daemon, ServesClassificationAndSimilarityOverTcpLoopback) {
@@ -295,10 +382,10 @@ TEST(Daemon, Multiplexes64ConcurrentConnectionsOverEightWorkers) {
 
 TEST(Daemon, DisconnectMidProtocolWipesOtPoolsAndFreesTheWorker) {
   // A client that completes the handshake and VANISHES: the serve() unwind
-  // must abort-and-wipe the precomputed OT pools (audited process-wide by
-  // crypto::ot_abort_audit — every abort must observe wiped pools), count
+  // must abort-and-wipe the OT engines (audited process-wide by
+  // crypto::ot_abort_audit — every abort must observe wiped pads), count
   // one failed session, and leave the worker serving the next client.
-  const Scenario& scenario = precomputed_scenario();
+  const Scenario& scenario = private_scenario();
   DaemonOptions options = loopback_options();
   options.workers = 1;  // the surviving worker IS the disconnected one
   Daemon daemon(scenario, options);
@@ -362,7 +449,7 @@ TEST(Daemon, SilentReservoirKeepAliveReusesTheSeedAgreement) {
   // OtBundle on both ends) and the parked gap lets the background refill
   // thread pre-expand pads for the next session.
   const Scenario& scenario = silent_scenario();
-  ASSERT_TRUE(scenario.config.silent_precompute);
+  ASSERT_EQ(scenario.config.ot_engine, core::OtEngine::kPrecomputed);
   ASSERT_TRUE(scenario.config.reservoir);
   Daemon daemon(scenario, loopback_options());
   daemon.start();

@@ -580,7 +580,7 @@ TEST(ChaosDaemon, ChurnStormOverSilentReservoirKeepsTheWipeAudit) {
   // and all). The daemon must survive the storm with every abort wiped,
   // serve a clean session afterwards, and balance its books.
   const Scenario& scenario = silent_scenario();
-  ASSERT_TRUE(scenario.config.silent_precompute);
+  ASSERT_EQ(scenario.config.ot_engine, core::OtEngine::kPrecomputed);
   ASSERT_TRUE(scenario.config.reservoir);
   DaemonOptions options = loopback_options();
   options.workers = 2;
