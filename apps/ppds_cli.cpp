@@ -20,11 +20,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "ppds/crypto/reservoir.hpp"
 #include "ppds/net/socket.hpp"
 #include "ppds/server/client.hpp"
 #include "ppds/server/daemon_set.hpp"
@@ -37,10 +35,9 @@ int usage(const char* argv0) {
       "usage: %s --connect <addr>[,<addr>...]   (tcp:<host>:<port>|"
       "unix:<path>)\n"
       "          [--scenario <spec>] [--seed N] [--rng N]\n"
-      "          (spec: <dataset>[:linear|:poly][:silent|:secure|:fast]\n"
-      "           [:reservoir]; default diabetes:linear:silent)\n"
+      "          (spec: <dataset>[:linear|:poly][:silent|:secure|:fast];\n"
+      "           default diabetes:linear:silent)\n"
       "          [--recv-timeout-ms N] [--chunk-size N]\n"
-      "          [--reservoir]\n"
       "          <command>...\n"
       "commands:\n"
       "  classify [--count N]   classify N held-out samples (default 4)\n"
@@ -48,10 +45,7 @@ int usage(const char* argv0) {
       "  health                 print each daemon's counter snapshot\n"
       "With several --connect addresses, classify shards its batch across\n"
       "the replicas (chunks of --chunk-size) and fails over on busy frames\n"
-      "or dead daemons; labels are identical to a single-daemon run.\n"
-      "--reservoir is a local tuning knob (equivalent to the :reservoir\n"
-      "scenario token): the handshake digest excludes it, so it never has\n"
-      "to match the daemon's.\n",
+      "or dead daemons; labels are identical to a single-daemon run.\n",
       argv0);
   return 2;
 }
@@ -113,7 +107,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::uint64_t rng_seed = 42;
   std::chrono::milliseconds recv_timeout{30000};
-  bool reservoir = false;
   std::size_t chunk_size = 8;  // fleet mode: queries per sharded session
 
   struct Command {
@@ -142,8 +135,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--recv-timeout-ms") {
       recv_timeout =
           std::chrono::milliseconds(std::strtoll(next(), nullptr, 10));
-    } else if (arg == "--reservoir") {
-      reservoir = true;
     } else if (arg == "--chunk-size") {
       chunk_size = std::strtoull(next(), nullptr, 10);
       if (chunk_size == 0) {
@@ -166,10 +157,8 @@ int main(int argc, char** argv) {
   if (connect.empty() || commands.empty()) return usage(argv[0]);
 
   try {
-    server::Scenario scenario = server::Scenario::make(scenario_text, seed);
-    // The flag overrides the (digest-excluded) local tuning knob; the
-    // scenario text itself may also carry :reservoir.
-    if (reservoir) scenario.config.reservoir = true;
+    const server::Scenario scenario =
+        server::Scenario::make(scenario_text, seed);
     Rng rng(rng_seed);
 
     const std::vector<net::SocketAddress> addresses = parse_connect(connect);
@@ -252,14 +241,8 @@ int main(int argc, char** argv) {
 
     // One OtBundle for the whole connection, so the one-round seed
     // agreement runs once and every classify command after the first draws
-    // from the persistent pad ledger. A local reservoir (when asked for)
-    // refills that ledger between commands.
-    std::unique_ptr<crypto::PadReservoir> refill_service;
+    // from the persistent pad ledger.
     core::OtBundle ot(scenario.config, rng);
-    if (scenario.config.reservoir) {
-      refill_service = std::make_unique<crypto::PadReservoir>(1);
-      ot.attach_reservoir(*refill_service);
-    }
 
     for (const Command& cmd : commands) {
       if (cmd.kind == "classify") {

@@ -34,23 +34,18 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [--listen tcp:<host>:<port>|unix:<path>]\n"
       "          [--scenario <dataset>[:linear|:poly][:silent|:secure|"
-      ":fast][:reservoir]]\n"
+      ":fast]]\n"
       "          [--seed N] [--workers N] [--idle-timeout-ms N]\n"
       "          [--recv-timeout-ms N] [--max-queries N]\n"
       "          [--max-connections N] [--accept-rate N] [--accept-burst N]\n"
       "          [--max-ready N] [--drain-grace-ms N]\n"
-      "          [--reservoir]\n"
       "--scenario defaults to diabetes:linear:silent. silent and secure run\n"
       "the private OT engine (q=4,k=2 and q=8,k=3); fast is loopback OT\n"
       "with NO privacy, for benches only.\n"
       "--max-connections / --accept-rate bound admission: connections past\n"
       "the live cap or the accept-per-second token bucket are answered with\n"
       "a structured busy frame (reason + retry-after) instead of an RST,\n"
-      "and a kHealth probe (ppds-cli health) reports the shed counters.\n"
-      "--reservoir is a local tuning knob (same as the :reservoir scenario\n"
-      "token, digest-excluded): the daemon runs a shared background\n"
-      "pad-refill thread so parked silent connections wake to pre-filled\n"
-      "OT pools.\n",
+      "and a kHealth probe (ppds-cli health) reports the shed counters.\n",
       argv0);
   return 2;
 }
@@ -63,7 +58,6 @@ int main(int argc, char** argv) {
   std::string listen = "tcp:127.0.0.1:7441";
   std::string scenario_text = "diabetes:linear:silent";
   std::uint64_t seed = 1;
-  bool reservoir = false;
   server::DaemonOptions options;
 
   for (int i = 1; i < argc; ++i) {
@@ -102,8 +96,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--drain-grace-ms") {
       options.drain_grace = std::chrono::milliseconds(
           std::strtoll(next(), nullptr, 10));
-    } else if (arg == "--reservoir") {
-      reservoir = true;
     } else {
       return usage(argv[0]);
     }
@@ -116,11 +108,8 @@ int main(int argc, char** argv) {
     std::printf("ppdsd: building scenario %s (seed %llu)...\n",
                 scenario_text.c_str(),
                 static_cast<unsigned long long>(seed));
-    server::Scenario scenario = server::Scenario::make(scenario_text, seed);
-    // The flag overrides the (digest-excluded) local knob from the spec.
-    if (reservoir) scenario.config.reservoir = true;
-
-    server::Daemon daemon(std::move(scenario), options);
+    server::Daemon daemon(server::Scenario::make(scenario_text, seed),
+                          options);
     daemon.start();
     std::printf("ppdsd: serving %s on %s with %zu workers\n",
                 daemon.scenario().spec.to_string().c_str(),
@@ -161,11 +150,10 @@ int main(int argc, char** argv) {
         s.books_balance() ? "balance" : "DO NOT BALANCE");
     std::printf(
         "ppdsd: ot abort audit: %llu aborts, %llu wiped clean "
-        "(%llu frontier wipes, %llu reservoir wipes)%s\n",
+        "(%llu frontier wipes)%s\n",
         static_cast<unsigned long long>(audit.aborts.load()),
         static_cast<unsigned long long>(audit.wiped.load()),
         static_cast<unsigned long long>(audit.frontier_wipes.load()),
-        static_cast<unsigned long long>(audit.reservoir_wipes.load()),
         audit.aborts.load() == audit.wiped.load() ? " (all pools zeroed)"
                                                   : " (WIPE FAILURE)");
     return audit.aborts.load() == audit.wiped.load() ? 0 : 1;

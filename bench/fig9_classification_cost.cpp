@@ -25,11 +25,9 @@
 /// amortized and marginal full-exp and byte bills.
 ///
 /// Flags: --quick trims the loopback sweep to a1a and shrinks the secure
-/// batch (CI smoke); --reservoir attaches the background PadReservoir to
-/// the silent offline probe; the JSON records both.
+/// batch (CI smoke).
 
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,7 +37,6 @@
 #include "ppds/core/classification.hpp"
 #include "ppds/crypto/group.hpp"
 #include "ppds/crypto/ot.hpp"
-#include "ppds/crypto/reservoir.hpp"
 #include "ppds/data/synthetic.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/svm/smo.hpp"
@@ -168,25 +165,21 @@ struct OfflineRaw {
   std::uint64_t bytes = 0;  ///< payload bytes, both directions
 };
 
-OfflineRaw offline_reserve(std::size_t slots, bool with_reservoir) {
+OfflineRaw offline_reserve(std::size_t slots) {
   const crypto::DhGroup& group = crypto::shared_group(crypto::GroupId::kModp1024);
   (void)group.pow_g(mpz_class(3));  // one-time generator table, off the bill
-  std::optional<crypto::PadReservoir> reservoir;
-  if (with_reservoir) reservoir.emplace(1);
   crypto::reset_exp_counters();
   Stopwatch watch;
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(11);
         crypto::BatchedOtSender sender(group, rng);
-        if (reservoir) sender.attach_reservoir(*reservoir);
         sender.reserve(ch, 2, slots);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(12);
         crypto::BatchedOtReceiver receiver(group, rng);
-        if (reservoir) receiver.attach_reservoir(*reservoir);
         receiver.reserve(ch, 2, slots);
         return 0;
       });
@@ -213,9 +206,9 @@ struct OfflineCost {
   double dh_bytes_per_slot = 0.0;  ///< group-element traffic per slot at N
 };
 
-OfflineCost offline_cost(std::size_t slots, bool with_reservoir) {
-  const OfflineRaw at_n = offline_reserve(slots, with_reservoir);
-  const OfflineRaw at_2n = offline_reserve(2 * slots, with_reservoir);
+OfflineCost offline_cost(std::size_t slots) {
+  const OfflineRaw at_n = offline_reserve(slots);
+  const OfflineRaw at_2n = offline_reserve(2 * slots);
   const double n = static_cast<double>(slots);
   OfflineCost cost;
   cost.slots = slots;
@@ -327,7 +320,6 @@ int main(int argc, char** argv) {
       "seed agreement billed; silent warm = second session on the same "
       "engines (keep-alive)");
 
-  const bool with_reservoir = bench::has_flag(argc, argv, "--reservoir");
   const std::size_t queries = quick ? 4 : 24;
   const SecureRun loop = secure_throughput(queries, SecureMode::kLoopback);
   const SecureRun cold = secure_throughput(queries, SecureMode::kSilentCold);
@@ -351,12 +343,9 @@ int main(int argc, char** argv) {
   bench::banner("Silent offline pad precompute: per-slot cost");
   bench::note(
       "both parties reserve N arity-2 slots on fresh engines; marginal = "
-      "(cost(2N) - cost(N)) / N isolates the steady-state per-slot bill" +
-      std::string(with_reservoir ? "; runs with the background reservoir "
-                                   "attached"
-                                 : ""));
+      "(cost(2N) - cost(N)) / N isolates the steady-state per-slot bill");
   const std::size_t probe_slots = quick ? 256 : 4096;
-  const OfflineCost silent_cost = offline_cost(probe_slots, with_reservoir);
+  const OfflineCost silent_cost = offline_cost(probe_slots);
   std::printf("%6s | %12s | %14s | %12s | %14s | %10s\n", "N",
               "full exp/slot", "marginal exp", "bytes/slot", "marginal bytes",
               "handshake");
@@ -378,7 +367,6 @@ int main(int argc, char** argv) {
 
   auto offline = bench::Json::object();
   offline.set("arity", static_cast<std::uint64_t>(2));
-  offline.set("reservoir", with_reservoir);
   offline.set("silent", offline_cost_json(silent_cost));
   secure.set("offline_cost", std::move(offline));
   report.set("secure_throughput", std::move(secure));

@@ -22,14 +22,13 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "ppds/common/stopwatch.hpp"
+#include "ppds/common/thread_pool.hpp"
 #include "ppds/core/session.hpp"
-#include "ppds/crypto/reservoir.hpp"
 #include "ppds/net/control.hpp"
 #include "ppds/net/socket.hpp"
 #include "ppds/server/client.hpp"
@@ -77,14 +76,8 @@ Row measure(const server::Daemon& daemon, const server::Scenario& scenario,
         Rng rng(1000 + c);
         // One OtBundle per CONNECTION on both ends (the daemon does the
         // same): the seed agreement runs once and later sessions reuse the
-        // PPRF ledger. With the reservoir knob on, the client mirrors the
-        // daemon's background refill thread.
-        std::optional<crypto::PadReservoir> reservoir;
+        // PPRF ledger.
         core::OtBundle ot(scenario.config, rng);
-        if (scenario.config.reservoir) {
-          reservoir.emplace(1);
-          ot.attach_reservoir(*reservoir);
-        }
         const std::vector<std::vector<double>> sample = {
             scenario.queries[c % scenario.queries.size()]};
         latencies[c].reserve(sessions_per_conn);
@@ -178,47 +171,41 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.sessions_failed.load()),
               static_cast<unsigned long long>(stats.connections_reaped.load()));
 
-  // --- Silent keep-alive: cold engines vs daemon-level warm reservoir ---
-  // Real precomputed crypto (kModp1024) on keep-alive connections; the
-  // persistent per-connection bundle reuses one seed agreement, and the
-  // :reservoir leg lets the daemon's background thread pre-expand pads
-  // between sessions, so a waking connection finds warm pools.
-  bench::banner("silent keep-alive: cold engines vs warm reservoir");
-  const std::string cold_spec = "diabetes:linear:silent";
-  const std::string warm_spec = "diabetes:linear:silent:reservoir";
+  // --- Silent keep-alive ---
+  // The private OT engine on keep-alive connections: the persistent
+  // per-connection bundle reuses one seed agreement (the first session's
+  // p99), and every later session stages and expands its pads inline.
+  bench::banner("silent keep-alive: one seed agreement per connection");
+  const std::string silent_spec = "diabetes:linear:silent";
   const std::vector<std::size_t> silent_sweep =
       quick ? std::vector<std::size_t>{1, 4} : std::vector<std::size_t>{1, 4, 8};
   const std::size_t silent_sessions = quick ? 3 : 10;
-  std::uint64_t silent_failed = 0;
 
-  std::printf("%-10s %12s %10s %14s %9s %9s\n", "engines", "connections",
-              "sessions", "sessions/sec", "p50_ms", "p99_ms");
-  bench::rule(70);
+  std::printf("%12s %10s %14s %9s %9s\n", "connections", "sessions",
+              "sessions/sec", "p50_ms", "p99_ms");
+  bench::rule(60);
   auto silent_rows = bench::Json::array();
-  for (const bool warm : {false, true}) {
-    const server::Scenario silent_scenario =
-        server::Scenario::make(warm ? warm_spec : cold_spec, 2031);
-    server::Daemon silent_daemon(silent_scenario, options);
-    silent_daemon.start();
-    for (const std::size_t connections : silent_sweep) {
-      const Row row =
-          measure(silent_daemon, silent_scenario, connections, silent_sessions);
-      std::printf("%-10s %12zu %10zu %14.1f %9.3f %9.3f\n",
-                  warm ? "warm" : "cold", row.connections, row.sessions,
-                  row.sessions_per_sec, row.p50_ms, row.p99_ms);
-      auto j = bench::Json::object();
-      j.set("reservoir", warm);
-      j.set("connections", static_cast<std::uint64_t>(row.connections));
-      j.set("sessions", static_cast<std::uint64_t>(row.sessions));
-      j.set("wall_ms", row.wall_ms);
-      j.set("sessions_per_sec", row.sessions_per_sec);
-      j.set("p50_ms", row.p50_ms);
-      j.set("p99_ms", row.p99_ms);
-      silent_rows.push(std::move(j));
-    }
-    silent_daemon.stop();
-    silent_failed += silent_daemon.stats().sessions_failed.load();
+  const server::Scenario silent_scenario =
+      server::Scenario::make(silent_spec, 2031);
+  server::Daemon silent_daemon(silent_scenario, options);
+  silent_daemon.start();
+  for (const std::size_t connections : silent_sweep) {
+    const Row row =
+        measure(silent_daemon, silent_scenario, connections, silent_sessions);
+    std::printf("%12zu %10zu %14.1f %9.3f %9.3f\n", row.connections,
+                row.sessions, row.sessions_per_sec, row.p50_ms, row.p99_ms);
+    auto j = bench::Json::object();
+    j.set("connections", static_cast<std::uint64_t>(row.connections));
+    j.set("sessions", static_cast<std::uint64_t>(row.sessions));
+    j.set("wall_ms", row.wall_ms);
+    j.set("sessions_per_sec", row.sessions_per_sec);
+    j.set("p50_ms", row.p50_ms);
+    j.set("p99_ms", row.p99_ms);
+    silent_rows.push(std::move(j));
   }
+  silent_daemon.stop();
+  const std::uint64_t silent_failed =
+      silent_daemon.stats().sessions_failed.load();
 
   // --- Overload: offered load at 4x the admission cap ---
   // A small daemon (max_connections = capacity) is hit by 4x as many
@@ -341,8 +328,9 @@ int main(int argc, char** argv) {
   doc.set("sessions_failed", stats.sessions_failed.load());
   doc.set("rows", std::move(rows));
   auto silent_doc = bench::Json::object();
-  silent_doc.set("cold_scenario", cold_spec);
-  silent_doc.set("warm_scenario", warm_spec);
+  silent_doc.set("scenario", silent_spec);
+  silent_doc.set("hardware_threads",
+                 static_cast<std::uint64_t>(ThreadPool::default_concurrency()));
   silent_doc.set("sessions_per_connection",
                  static_cast<std::uint64_t>(silent_sessions));
   silent_doc.set("sessions_failed", silent_failed);

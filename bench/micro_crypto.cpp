@@ -1,17 +1,14 @@
 /// Micro-benchmarks of the cryptographic substrate (google-benchmark):
 /// SHA-256 throughput, PRG stream, DH-group exponentiation per MODP size,
-/// Naor-Pinkas 1-out-of-2 and cold k-out-of-n oblivious transfers, GGM/PPRF
-/// tree expansion, and the silent-OT background refill cycle.
+/// Naor-Pinkas 1-out-of-2 and cold k-out-of-n oblivious transfers, and
+/// GGM/PPRF tree expansion.
 
 #include <benchmark/benchmark.h>
-
-#include <thread>
 
 #include "ppds/crypto/group.hpp"
 #include "ppds/crypto/ot.hpp"
 #include "ppds/crypto/pprf.hpp"
 #include "ppds/crypto/prg.hpp"
-#include "ppds/crypto/reservoir.hpp"
 #include "ppds/crypto/sha256.hpp"
 #include "ppds/crypto/silent_ot.hpp"
 #include "ppds/net/party.hpp"
@@ -209,8 +206,8 @@ void BM_OtPrecomputedOnline(benchmark::State& state) {
 BENCHMARK(BM_OtPrecomputedOnline)->Iterations(400)->Unit(benchmark::kMicrosecond);
 
 /// Frontier walk over a GGM tree: the raw keystream-generation rate behind
-/// every silent-OT refill (one 32-byte leaf = kSilentRowsPerLeaf rows of one
-/// column's keystream).
+/// every silent-OT expansion (one 32-byte leaf = kSilentRowsPerLeaf rows of
+/// one column's keystream).
 void BM_PprfExpand(benchmark::State& state) {
   crypto::Digest root{};
   root.fill(0x5a);
@@ -231,48 +228,6 @@ void BM_PprfExpand(benchmark::State& state) {
                           static_cast<std::int64_t>(leaves) * 32);
 }
 BENCHMARK(BM_PprfExpand)->Arg(64)->Arg(1024)->Arg(16384);
-
-/// One full silent-OT refill cycle per iteration: stage kSilentStageQuantum
-/// arity-2 slots (receiver sends the 16-byte correction rows, sender
-/// receives them), let the background PadReservoir expand, and consume every
-/// slot. The one-time seed agreement runs outside the timed loop — after
-/// it, the cycle is pure PRG/hash work plus 16 bytes of wire per slot.
-void BM_ReservoirRefill(benchmark::State& state) {
-  const crypto::DhGroup group(crypto::GroupId::kModp1024);
-  auto [ch_a, ch_b] = net::make_channel();
-  Rng rng_a(1), rng_b(2);
-  crypto::PadReservoir reservoir(1);
-  crypto::SilentPadSender sender(group, rng_a, /*low_water=*/16);
-  crypto::SilentPadReceiver receiver(group, rng_b, /*low_water=*/16);
-  {
-    std::thread peer([&] { receiver.ensure_ready(ch_b); });
-    sender.ensure_ready(ch_a);
-    peer.join();
-  }
-  // Attach through the engines (not PadReservoir::attach directly) so their
-  // destructors detach before the worker can touch a dead object.
-  sender.attach_reservoir(&reservoir);
-  receiver.attach_reservoir(&reservoir);
-  const std::size_t batch = crypto::kSilentStageQuantum;
-  for (auto _ : state) {
-    // The in-memory channel buffers, so the receiver can stage (send) before
-    // the sender stages (recv) on one thread.
-    receiver.stage_to(ch_b, 2, batch);
-    sender.stage_to(ch_a, 2, batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      benchmark::DoNotOptimize(receiver.take(2));
-      benchmark::DoNotOptimize(sender.take(2));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-  state.counters["sync_expansions"] = benchmark::Counter(
-      static_cast<double>(sender.sync_expansions() +
-                          receiver.sync_expansions()));
-  state.counters["reservoir_steps"] =
-      benchmark::Counter(static_cast<double>(reservoir.steps()));
-}
-BENCHMARK(BM_ReservoirRefill)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -83,7 +83,7 @@ class ClassificationServer {
 
   /// Serves \p count queries over the channel. \p external, when given, is
   /// a caller-owned OtBundle reused across sessions (persistent silent-OT
-  /// pools: the seed agreement and pad reservoir survive the session); by
+  /// pools: the seed agreement and staged pads survive the session); by
   /// default a session-local bundle is built and torn down here.
   void serve(net::Endpoint& channel, std::size_t count, Rng& rng,
              OtBundle* external = nullptr) const;

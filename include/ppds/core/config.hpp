@@ -32,12 +32,6 @@ struct SchemeConfig {
   OtEngine ot_engine = OtEngine::kPrecomputed;
   crypto::GroupId group = crypto::GroupId::kModp1536;
 
-  /// Background pad-refill service (crypto/reservoir.hpp): expand silent-OT
-  /// pads off the protocol thread. Purely local scheduling — never touches
-  /// the wire (transcripts are bit-identical either way), so it is EXCLUDED
-  /// from the protocol digest.
-  bool reservoir = false;
-
   /// Convenience presets. The default is private: the silent engine at the
   /// q=8, k=3 OMPE shape.
   static SchemeConfig secure_default() { return SchemeConfig{}; }
@@ -68,8 +62,7 @@ struct OtDemand {
 
 /// Per-party OT engine bundle. The private engines run over the
 /// process-wide shared_group() so the fixed-base generator table is built
-/// once and stays warm across sessions, and refill against
-/// crypto::kSilentLowWater.
+/// once and stays warm across sessions.
 ///
 /// The engines are ready immediately: the first transfer runs the seed
 /// agreement and stages slots on demand. Calling prepare_sender() on the
@@ -94,10 +87,6 @@ class OtBundle {
   /// randomness must never be resumed). Safe to call for every engine; the
   /// loopback engine has nothing to discard.
   void abort() noexcept;
-
-  /// Hooks both private engines to a background refill reservoir. The
-  /// destructor detaches; no-op for the loopback engine.
-  void attach_reservoir(crypto::PadReservoir& reservoir);
 
   crypto::OtSender& sender();
   crypto::OtReceiver& receiver();

@@ -150,11 +150,10 @@ struct PrecomputedRecvSlot {
 /// ompe::validate() keeps every OMPE round below it.
 inline constexpr std::size_t kMaxDirectArity = 256;
 
-// Silent-OT machinery (crypto/silent_ot.hpp, crypto/reservoir.hpp) — kept
-// behind forward declarations so the base OT header stays cycle-free.
+// Silent-OT machinery (crypto/silent_ot.hpp) — kept behind forward
+// declarations so the base OT header stays cycle-free.
 class SilentPadSender;
 class SilentPadReceiver;
-class PadReservoir;
 
 /// Runs \p count 1-out-of-2 OTs of \p pad_len-byte random pads in ONE
 /// channel round trip (the batched base phase above; pad_len <= 32).
@@ -175,17 +174,15 @@ std::vector<PrecomputedRecvSlot> precompute_ot_receiver(
 /// every mid-protocol failure in the process zeroed its pads, without
 /// reaching into engines owned by other threads' dead sessions.
 ///
-/// The engines also report their GGM state: `frontier_wipes` counts aborts
-/// whose post-wipe frontier scan (every tree root seed zeroed, the
-/// column-choice mask zeroed) came back clean, and `reservoir_wipes` counts
-/// aborts whose staged correction bytes, pre-expanded row material and
-/// unconsumed pads all scanned zero — with the background refill thread
-/// racing the abort. Disconnect tests assert both equal the aborts.
+/// The pool_wiped() scan covers staged correction bytes, expanded row
+/// material and unconsumed pads. The engines also report their GGM state:
+/// `frontier_wipes` counts aborts whose post-wipe frontier scan (every tree
+/// root seed zeroed, the column-choice mask zeroed) came back clean.
+/// Disconnect tests assert both counts equal the aborts.
 struct OtAbortAudit {
   std::atomic<std::uint64_t> aborts{0};
   std::atomic<std::uint64_t> wiped{0};
   std::atomic<std::uint64_t> frontier_wipes{0};
-  std::atomic<std::uint64_t> reservoir_wipes{0};
 };
 
 OtAbortAudit& ot_abort_audit();
@@ -197,8 +194,7 @@ OtAbortAudit& ot_abort_audit();
 /// every later slot costs a 16-byte correction row. An n-message transfer
 /// consumes one direct arity-n slot; n > kMaxDirectArity throws
 /// InvalidArgument. The slot ledger is protocol-deterministic, so both
-/// sides stage identical correction blocks whatever a background reservoir
-/// has expanded.
+/// sides stage identical correction blocks.
 
 class BatchedOtSender : public OtSender {
  public:
@@ -234,12 +230,6 @@ class BatchedOtSender : public OtSender {
   SilentPadSender* silent_engine() { return silent_.get(); }
   const SilentPadSender* silent_engine() const { return silent_.get(); }
 
-  /// Hooks the engine to a background reservoir. detach_reservoir() blocks
-  /// until the reservoir's workers have left the engine; the destructor
-  /// detaches automatically.
-  void attach_reservoir(PadReservoir& reservoir);
-  void detach_reservoir() noexcept;
-
  private:
   std::unique_ptr<SilentPadSender> silent_;
 };
@@ -269,9 +259,6 @@ class BatchedOtReceiver : public OtReceiver {
 
   SilentPadReceiver* silent_engine() { return silent_.get(); }
   const SilentPadReceiver* silent_engine() const { return silent_.get(); }
-
-  void attach_reservoir(PadReservoir& reservoir);
-  void detach_reservoir() noexcept;
 
  private:
   std::unique_ptr<SilentPadReceiver> silent_;

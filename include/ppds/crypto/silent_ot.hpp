@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -11,7 +10,6 @@
 #include "ppds/common/bytes.hpp"
 #include "ppds/common/rng.hpp"
 #include "ppds/common/secret_taint.hpp"
-#include "ppds/common/watermark.hpp"
 #include "ppds/crypto/ot.hpp"
 #include "ppds/crypto/pprf.hpp"
 #include "ppds/crypto/prg.hpp"
@@ -43,11 +41,11 @@
 ///             distance 64; see docs/PROTOCOL.md).
 ///
 /// The column streams t^b_j are the leaves of per-column GgmTrees expanded
-/// frontier-style in blocks, so refills are PRG+hash work a background
-/// PadReservoir performs off the protocol thread; the wire carries only the
+/// frontier-style in blocks, on the thread that runs the protocol: the
+/// receiver expands when it stages a correction block, the sender when
+/// take() first needs a staged block's pads. The wire carries only the
 /// deterministic correction blocks, sized by the shared staged/consumed
-/// ledger — never by locally-timed pool levels — so transcripts are
-/// independent of reservoir scheduling.
+/// ledger.
 
 namespace ppds::crypto {
 
@@ -69,13 +67,10 @@ inline constexpr unsigned kSilentTreeDepth = 16;
 /// ledger).
 inline constexpr std::size_t kSilentStageQuantum = 128;
 
-/// Ledger lead maintained ahead of consumption so the background expander
-/// has runway; also a protocol constant for the same reason.
+/// Slots a transfer stages beyond its own need whenever the ledger runs
+/// short. A protocol constant: it fixes where both sides cut the
+/// correction blocks, so changing it changes the transcript.
 inline constexpr std::size_t kSilentLeadSlots = 16;
-
-/// Per-arity pool mark a background PadReservoir refills silent pads
-/// against. Purely local scheduling: it never changes the wire.
-inline constexpr std::size_t kSilentLowWater = 16;
 
 using SilentRow = std::array<std::uint8_t, kSilentRowBytes>;
 
@@ -87,28 +82,14 @@ SilentRow silent_codeword_ct(std::uint32_t v);
 /// Cached codeword table — PUBLIC indices only (the sender's pads loop).
 const std::array<SilentRow, kMaxDirectArity>& silent_codewords();
 
-class PadReservoir;
-
-/// One unit of background work the PadReservoir can drive. Implementations
-/// are internally synchronized; refill_step() never touches a channel.
-class RefillTarget {
- public:
-  virtual ~RefillTarget() = default;
-
-  /// Performs one block of expansion work. Returns false when nothing was
-  /// pending (the reservoir then sleeps until kicked).
-  virtual bool refill_step() = 0;
-
-  /// Cheap (locking) check whether refill_step() has work.
-  virtual bool needs_refill() = 0;
-};
-
 /// --- Sender half -------------------------------------------------------------
 
-class SilentPadSender : public RefillTarget {
+/// Both halves are driven by the one thread running their protocol; the
+/// mutex only lets other threads read the accessors and call abort().
+class SilentPadSender {
  public:
-  SilentPadSender(const DhGroup& group, Rng& rng, std::size_t low_water);
-  ~SilentPadSender() override;
+  SilentPadSender(const DhGroup& group, Rng& rng);
+  ~SilentPadSender();
 
   SilentPadSender(const SilentPadSender&) = delete;
   SilentPadSender& operator=(const SilentPadSender&) = delete;
@@ -119,27 +100,17 @@ class SilentPadSender : public RefillTarget {
 
   /// Protocol thread: receives correction blocks until the ledger covers
   /// \p count unconsumed arity-\p arity slots. Pure bookkeeping + recv —
-  /// the expansion happens in refill_step() (or lazily in take()).
+  /// the expansion happens lazily in take().
   void stage_to(net::Endpoint& channel, std::size_t arity, std::size_t count);
 
-  /// Protocol thread: pops one finished slot (ledger must cover it). Waits
-  /// for the reservoir when attached, expands inline otherwise.
+  /// Protocol thread: pops one finished slot (ledger must cover it),
+  /// expanding the oldest staged block first when none is ready.
   PrecomputedSendSlot take(std::size_t arity);
 
   /// Slots staged on the wire ledger and not yet consumed (the
   /// protocol-deterministic quantity reserve() sizes from).
   std::size_t ledger_available(std::size_t arity) const;
   std::size_t ledger_available_total() const;
-
-  /// Slots fully expanded and ready for take() without any work.
-  std::size_t expanded_available(std::size_t arity) const;
-
-  // RefillTarget:
-  bool refill_step() override;
-  bool needs_refill() override;
-
-  void attach_reservoir(PadReservoir* reservoir);
-  void detach_reservoir() noexcept;
 
   /// Wipes frontier seeds, staged corrections and unconsumed pads; poisons
   /// the engine. The caller (BatchedOtSender::abort) feeds the audit.
@@ -150,11 +121,8 @@ class SilentPadSender : public RefillTarget {
   bool frontier_clean() const;  ///< every GGM root seed zeroed
   bool pads_clean() const;      ///< every staged byte + unconsumed pad zeroed
 
-  /// Times the protocol thread had to expand synchronously (cold path);
-  /// zero when a warm reservoir keeps up.
+  /// Staged blocks take() has expanded into pads.
   std::uint64_t sync_expansions() const;
-  /// Times take() had to sleep for the background expander.
-  std::uint64_t take_waits() const;
 
  private:
   struct Ledger {
@@ -170,28 +138,20 @@ class SilentPadSender : public RefillTarget {
   };
   struct Pool {
     std::size_t arity = 2;
-    LowWaterQueue<PrecomputedSendSlot> slots;
+    std::deque<PrecomputedSendSlot> slots;
   };
 
   Ledger& ledger_for(std::size_t arity);
   Pool& pool_for(std::size_t arity);
-  /// Expands \p block into finished slots (pure PRG+hash; call UNLOCKED —
-  /// reads only the immutable-after-setup trees).
+  /// Expands \p block into finished slots (pure PRG+hash).
   std::vector<PrecomputedSendSlot> expand_block(const PendingBlock& block) const;
-  /// Pops + expands the oldest pending block; \p lk held on entry and exit.
-  void expand_front_locked(std::unique_lock<std::mutex>& lk);
-  void kick_reservoir();
 
   const DhGroup& group_;
   Rng& rng_;
-  std::size_t low_water_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool busy_ = false;
   bool ready_ = false;
   bool aborted_ = false;
-  PadReservoir* reservoir_ = nullptr;
 
   /// Per-column keystream trees t^{Delta_j}_j and the secret column choice
   /// mask Delta (the sender's correlation secret).
@@ -204,15 +164,14 @@ class SilentPadSender : public RefillTarget {
   std::vector<Pool> pools_;
 
   std::uint64_t sync_expansions_ = 0;
-  std::uint64_t take_waits_ = 0;
 };
 
 /// --- Receiver half -----------------------------------------------------------
 
-class SilentPadReceiver : public RefillTarget {
+class SilentPadReceiver {
  public:
-  SilentPadReceiver(const DhGroup& group, Rng& rng, std::size_t low_water);
-  ~SilentPadReceiver() override;
+  SilentPadReceiver(const DhGroup& group, Rng& rng);
+  ~SilentPadReceiver();
 
   SilentPadReceiver(const SilentPadReceiver&) = delete;
   SilentPadReceiver& operator=(const SilentPadReceiver&) = delete;
@@ -222,8 +181,8 @@ class SilentPadReceiver : public RefillTarget {
 
   /// Protocol thread: draws choices, builds + SENDS correction blocks until
   /// the ledger covers \p count unconsumed arity-\p arity slots, and pushes
-  /// the matching finished recv slots. Consumes pre-expanded row material;
-  /// a cold engine expands it inline (counted in sync_expansions()).
+  /// the matching finished recv slots, expanding row material as needed
+  /// (counted in sync_expansions()).
   void stage_to(net::Endpoint& channel, std::size_t arity, std::size_t count);
 
   /// Protocol thread: pops one finished slot. Receiver slots are built at
@@ -232,20 +191,13 @@ class SilentPadReceiver : public RefillTarget {
 
   std::size_t ledger_available(std::size_t arity) const;
   std::size_t ledger_available_total() const;
-  std::size_t expanded_available(std::size_t arity) const;
-
-  // RefillTarget (pre-expands row material ahead of the staging cursor):
-  bool refill_step() override;
-  bool needs_refill() override;
-
-  void attach_reservoir(PadReservoir* reservoir);
-  void detach_reservoir() noexcept;
 
   void abort() noexcept;
   bool aborted() const;
   bool frontier_clean() const;
   bool pads_clean() const;
 
+  /// GGM leaf chunks (kSilentRowsPerLeaf rows each) expanded so far.
   std::uint64_t sync_expansions() const;
 
  private:
@@ -262,38 +214,29 @@ class SilentPadReceiver : public RefillTarget {
   };
   struct Pool {
     std::size_t arity = 2;
-    LowWaterQueue<PrecomputedRecvSlot> slots;
+    std::deque<PrecomputedRecvSlot> slots;
   };
 
   Ledger& ledger_for(std::size_t arity);
   Pool& pool_for(std::size_t arity);
-  /// Expands GGM leaf chunk \p chunk (kSilentRowsPerLeaf rows) of both
-  /// column trees into row material (pure; call UNLOCKED).
-  std::vector<RowMaterial> expand_chunk(std::uint64_t chunk) const;
-  /// Appends one chunk of row material; \p lk held on entry and exit.
-  void expand_next_chunk_locked(std::unique_lock<std::mutex>& lk);
+  /// Appends the next GGM leaf chunk (kSilentRowsPerLeaf rows) of both
+  /// column trees as row material.
+  void expand_next_chunk();
   std::uint64_t material_through() const;
-  void kick_reservoir();
 
   const DhGroup& group_;
   Rng& rng_;
-  std::size_t low_water_;
-  std::size_t ahead_rows_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool busy_ = false;
   bool ready_ = false;
   bool aborted_ = false;
-  PadReservoir* reservoir_ = nullptr;
 
   /// Both column keystream trees per column (the receiver ran the base OTs
   /// as sender, so it knows k0_j AND k1_j).
   std::vector<GgmTree> trees0_;
   std::vector<GgmTree> trees1_;
-  /// Secret choice stream: alpha draws come from a dedicated PRG forked
-  /// from the session rng at setup, so the background thread never touches
-  /// the shared Rng.
+  /// Secret choice stream: alpha draws come from a dedicated PRG seeded
+  /// from the session rng at setup (the transcript depends on this fork).
   std::optional<Prg> choice_prg_;
 
   std::uint64_t next_row_ = 0;

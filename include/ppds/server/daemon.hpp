@@ -12,7 +12,6 @@
 
 #include "ppds/core/classification.hpp"
 #include "ppds/core/similarity.hpp"
-#include "ppds/crypto/reservoir.hpp"
 #include "ppds/net/control.hpp"
 #include "ppds/net/socket.hpp"
 #include "ppds/server/scenario.hpp"
@@ -47,9 +46,7 @@
 /// Shutdown (stop(), the SIGTERM path) drains gracefully: the listener
 /// closes first (no new connections), in-flight sessions run to completion
 /// under their recv deadlines, parked connections are closed, and every
-/// thread is joined before stop() returns — including the shared pad
-/// reservoir's refill thread, which is stopped AFTER the session workers so
-/// no in-flight session loses its background expander mid-drain.
+/// thread is joined before stop() returns.
 ///
 /// Overload protection: admission control happens AT THE ACCEPT, before a
 /// connection costs anything but a pollfd. A connection past
@@ -64,11 +61,13 @@
 ///
 /// Each connection owns a PERSISTENT OtBundle: the one-time base-OT seed
 /// agreement runs on the connection's first classification session, and
-/// every later session on that connection draws pads from the
-/// already-expanded PPRF ledger. With
-/// `:reservoir` in the scenario spec the daemon additionally runs one shared
-/// crypto::PadReservoir, so a parked keep-alive connection wakes to pools the
-/// background thread refilled while it was idle.
+/// every later session on that connection stages and expands pads from
+/// the same PPRF seeds, on the worker running that session.
+///
+/// Service state is built on first use: the SimilarityServer (whose
+/// boundary enumeration refuses more than 20 dimensions) is constructed by
+/// the first similarity session, so a scenario it cannot serve still serves
+/// classification, and only the similarity sessions fail.
 
 namespace ppds::server {
 
@@ -211,8 +210,8 @@ class Daemon {
     Rng rng;  ///< server-side randomness, sticky to the connection
     /// Persistent OT state: created lazily on the connection's first
     /// classification session so the PPRF seed agreement and expanded pad
-    /// pools survive across keep-alive sessions. Torn down (and detached
-    /// from the reservoir) with the connection.
+    /// pools survive across keep-alive sessions. Torn down with the
+    /// connection.
     std::unique_ptr<core::OtBundle> ot;
     std::uint64_t id = 0;
     std::chrono::steady_clock::time_point last_activity;
@@ -234,17 +233,17 @@ class Daemon {
   /// Refreshes the depth gauges and their high-water marks; call under mu_
   /// after any queue change.
   void note_queue_depths();
+  /// The similarity service, built by the first caller. A failed build
+  /// throws to that caller and is retried by the next.
+  const core::SimilarityServer& similarity_server();
 
   Scenario scenario_;
   DaemonOptions options_;
   core::ClassificationServer classification_;
-  core::SimilarityServer similarity_;
+  std::mutex similarity_mu_;
+  std::unique_ptr<core::SimilarityServer> similarity_;
   net::SocketListener listener_;
   DaemonStats stats_;
-  /// Shared background pad-refill service (scenario `:reservoir` only).
-  /// Every connection's OtBundle attaches here; stop() shuts it down
-  /// after the session workers join (the SIGTERM drain order).
-  std::unique_ptr<crypto::PadReservoir> reservoir_;
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};

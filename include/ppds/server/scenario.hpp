@@ -23,14 +23,12 @@
 /// identical models, so results are checkable against the plain model).
 ///
 /// Spec grammar:
-///   <dataset>[:linear|:poly][:silent|:secure|:fast][:reservoir]
+///   <dataset>[:linear|:poly][:silent|:secure|:fast]
 ///   dataset — any Table I synthetic dataset name (data/synthetic.hpp)
 ///   kernel  — linear (default) or the paper's polynomial kernel
 ///   preset  — SchemeConfig preset: silent (default; the private OT engine
 ///             at q=4, k=2), secure (the same engine at q=8, k=3), fast
 ///             (loopback OT, NO privacy — benches and tests only)
-///   reservoir — background pad-refill service (local-only knob; the
-///             protocol digest ignores it, like eval_threads)
 /// Each token may appear once: a second kernel or preset token is an
 /// error, not an override.
 /// Everything downstream (trained models, query samples) is a pure
@@ -44,12 +42,9 @@ struct ScenarioSpec {
   bool polynomial = false;
   enum class Preset { kFast, kSilent, kSecure };
   Preset preset = Preset::kSilent;
-  /// Background pad-refill service (digest-excluded local knob).
-  bool reservoir = false;
 
   /// Parses the grammar in the file comment; throws InvalidArgument on
-  /// unknown datasets or tokens and on a repeated kernel, preset or
-  /// reservoir token.
+  /// unknown datasets or tokens and on a repeated kernel or preset token.
   static ScenarioSpec parse(const std::string& text);
 
   std::string to_string() const;

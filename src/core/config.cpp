@@ -34,13 +34,6 @@ void OtBundle::abort() noexcept {
   if (batched_receiver_ != nullptr) batched_receiver_->abort();
 }
 
-void OtBundle::attach_reservoir(crypto::PadReservoir& reservoir) {
-  if (batched_sender_ != nullptr) batched_sender_->attach_reservoir(reservoir);
-  if (batched_receiver_ != nullptr) {
-    batched_receiver_->attach_reservoir(reservoir);
-  }
-}
-
 crypto::OtSender& OtBundle::sender() {
   detail::require(sender_ != nullptr, "OtBundle: no sender engine");
   return *sender_;

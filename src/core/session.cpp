@@ -126,9 +126,9 @@ crypto::Digest protocol_digest(const ClassificationProfile& profile,
   w.u32(config.ompe.frac_bits);
   w.f64(config.ompe.node_lo);
   w.f64(config.ompe.node_hi);
-  // Local performance knobs (ompe.eval_threads, ompe.use_simd_field,
-  // reservoir) are deliberately NOT hashed: they never change wire bytes,
-  // so the parties need not agree on them.
+  // Local performance knobs (ompe.eval_threads, ompe.use_simd_field) are
+  // deliberately NOT hashed: they never change wire bytes, so the parties
+  // need not agree on them.
   h.update(w.data());
   return h.finish();
 }

@@ -5,7 +5,6 @@
 #include "ppds/common/ct.hpp"
 #include "ppds/common/error.hpp"
 #include "ppds/crypto/prg.hpp"
-#include "ppds/crypto/reservoir.hpp"
 #include "ppds/crypto/silent_ot.hpp"
 
 namespace ppds::crypto {
@@ -337,30 +336,18 @@ template <typename Silent>
 void audit_abort(const Silent& silent) {
   OtAbortAudit& audit = ot_abort_audit();
   audit.aborts.fetch_add(1);
-  const bool pads_clean = silent.pads_clean();
-  if (pads_clean) {
-    audit.wiped.fetch_add(1);
-    audit.reservoir_wipes.fetch_add(1);
-  }
+  if (silent.pads_clean()) audit.wiped.fetch_add(1);
   if (silent.frontier_clean()) audit.frontier_wipes.fetch_add(1);
 }
 
 }  // namespace
 
 BatchedOtSender::BatchedOtSender(const DhGroup& group, Rng& rng)
-    : silent_(std::make_unique<SilentPadSender>(group, rng, kSilentLowWater)) {}
+    : silent_(std::make_unique<SilentPadSender>(group, rng)) {}
 
-// unique_ptr destruction detaches any reservoir and wipes the silent
-// engine's state (see SilentPadSender::~SilentPadSender).
+// unique_ptr destruction wipes the silent engine's state (see
+// SilentPadSender::~SilentPadSender).
 BatchedOtSender::~BatchedOtSender() = default;
-
-void BatchedOtSender::attach_reservoir(PadReservoir& reservoir) {
-  silent_->attach_reservoir(&reservoir);
-}
-
-void BatchedOtSender::detach_reservoir() noexcept {
-  silent_->detach_reservoir();
-}
 
 void BatchedOtSender::abort() noexcept {
   silent_->abort();
@@ -383,8 +370,8 @@ void BatchedOtSender::reserve(net::Endpoint& channel, std::size_t arity,
                               std::size_t count) {
   require_live(*silent_);
   check_slot_arity(arity);
-  // Non-blocking fast path: stage_to is ledger bookkeeping plus at most one
-  // correction-block recv; all expansion stays off this thread.
+  // stage_to is ledger bookkeeping plus the correction-block recvs; the
+  // pads expand later, in send()'s take().
   silent_->ensure_ready(channel);
   silent_->stage_to(channel, arity, count);
 }
@@ -403,8 +390,7 @@ void BatchedOtSender::send(net::Endpoint& channel,
   }
   silent_->ensure_ready(channel);
   // Auto-staging keyed on the shared ledger and PROTOCOL constants, so both
-  // sides stage identically and the transcript is independent of
-  // background-refill timing.
+  // sides stage identical correction blocks.
   if (silent_->ledger_available(n) < k + kSilentLeadSlots) {
     silent_->stage_to(channel, n, k + kSilentLeadSlots);
   }
@@ -416,18 +402,9 @@ void BatchedOtSender::send(net::Endpoint& channel,
 }
 
 BatchedOtReceiver::BatchedOtReceiver(const DhGroup& group, Rng& rng)
-    : silent_(
-          std::make_unique<SilentPadReceiver>(group, rng, kSilentLowWater)) {}
+    : silent_(std::make_unique<SilentPadReceiver>(group, rng)) {}
 
 BatchedOtReceiver::~BatchedOtReceiver() = default;
-
-void BatchedOtReceiver::attach_reservoir(PadReservoir& reservoir) {
-  silent_->attach_reservoir(&reservoir);
-}
-
-void BatchedOtReceiver::detach_reservoir() noexcept {
-  silent_->detach_reservoir();
-}
 
 void BatchedOtReceiver::abort() noexcept {
   silent_->abort();

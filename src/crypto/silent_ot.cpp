@@ -6,7 +6,6 @@
 
 #include "ppds/common/ct.hpp"
 #include "ppds/common/error.hpp"
-#include "ppds/crypto/reservoir.hpp"
 
 namespace ppds::crypto {
 
@@ -44,12 +43,6 @@ std::uint32_t bounded_choice(std::uint64_t word, std::size_t arity) {
   return static_cast<std::uint32_t>((static_cast<u128>(word) * arity) >> 64);
 }
 
-void wipe_send_slots(std::vector<PrecomputedSendSlot>& slots) {
-  for (PrecomputedSendSlot& slot : slots) {
-    for (Bytes& pad : slot.pads) secure_wipe(std::span(pad));
-  }
-}
-
 }  // namespace
 
 SilentRow silent_codeword_ct(std::uint32_t v) {
@@ -80,19 +73,16 @@ const std::array<SilentRow, kMaxDirectArity>& silent_codewords() {
 
 /// --- Sender half -------------------------------------------------------------
 
-SilentPadSender::SilentPadSender(const DhGroup& group, Rng& rng,
-                                 std::size_t low_water)
-    : group_(group), rng_(rng), low_water_(std::max<std::size_t>(low_water, 1)) {}
+SilentPadSender::SilentPadSender(const DhGroup& group, Rng& rng)
+    : group_(group), rng_(rng) {}
 
 SilentPadSender::~SilentPadSender() {
-  detach_reservoir();
-  std::unique_lock lk(mu_);
-  cv_.wait(lk, [&] { return !busy_; });
+  std::lock_guard lk(mu_);
   for (GgmTree& tree : trees_) tree.wipe();
   secure_wipe(std::span(delta_));
   for (PendingBlock& block : pending_) secure_wipe(std::span(block.u));
   for (Pool& pool : pools_) {
-    for (PrecomputedSendSlot& slot : pool.slots.items()) {
+    for (PrecomputedSendSlot& slot : pool.slots) {
       for (Bytes& pad : slot.pads) secure_wipe(std::span(pad));
     }
   }
@@ -150,7 +140,7 @@ SilentPadSender::Pool& SilentPadSender::pool_for(std::size_t arity) {
   for (Pool& pool : pools_) {
     if (pool.arity == arity) return pool;
   }
-  pools_.push_back(Pool{arity, LowWaterQueue<PrecomputedSendSlot>(low_water_)});
+  pools_.push_back(Pool{arity, {}});
   return pools_.back();
 }
 
@@ -159,7 +149,6 @@ void SilentPadSender::stage_to(net::Endpoint& channel, std::size_t arity,
   std::unique_lock lk(mu_);
   if (aborted_) throw ProtocolError("silent ot: aborted engine");
   detail::require(ready_, "silent ot: stage before seed agreement");
-  bool staged_any = false;
   for (;;) {
     Ledger& led = ledger_for(arity);
     if (led.staged - led.consumed >= count) break;
@@ -187,10 +176,7 @@ void SilentPadSender::stage_to(net::Endpoint& channel, std::size_t arity,
     pending_.push_back(std::move(block));
     ledger_for(arity).staged += rows;
     next_row_ += rows;
-    staged_any = true;
   }
-  lk.unlock();
-  if (staged_any) kick_reservoir();
 }
 
 std::vector<PrecomputedSendSlot> SilentPadSender::expand_block(
@@ -248,54 +234,30 @@ std::vector<PrecomputedSendSlot> SilentPadSender::expand_block(
   return out;
 }
 
-void SilentPadSender::expand_front_locked(std::unique_lock<std::mutex>& lk) {
-  // Serialize expanders (worker vs inline fallback) through busy_.
-  cv_.wait(lk, [&] { return !busy_; });
-  if (aborted_ || pending_.empty()) return;
-  busy_ = true;
-  PendingBlock block = std::move(pending_.front());
-  pending_.pop_front();
-  lk.unlock();
-  std::vector<PrecomputedSendSlot> slots = expand_block(block);
-  secure_wipe(std::span(block.u));
-  lk.lock();
-  busy_ = false;
-  if (aborted_) {
-    wipe_send_slots(slots);
-  } else {
-    Pool& pool = pool_for(block.arity);
-    for (PrecomputedSendSlot& slot : slots) pool.slots.push(std::move(slot));
-  }
-  cv_.notify_all();
-}
-
 PrecomputedSendSlot SilentPadSender::take(std::size_t arity) {
-  std::unique_lock lk(mu_);
+  std::lock_guard lk(mu_);
   if (aborted_) throw ProtocolError("silent ot: aborted engine");
   Ledger& led = ledger_for(arity);
   detail::require(led.consumed < led.staged,
                   "silent ot: take outruns the staged ledger");
-  for (;;) {
-    Pool& pool = pool_for(arity);
-    if (!pool.slots.empty()) break;
-    if (aborted_) throw ProtocolError("silent ot: aborted engine");
-    if (reservoir_ != nullptr) {
-      ++take_waits_;
-      cv_.wait(lk, [&] {
-        return aborted_ || reservoir_ == nullptr ||
-               !pool_for(arity).slots.empty();
-      });
-    } else {
-      ++sync_expansions_;
-      expand_front_locked(lk);
+  // Staged blocks expand in wire order, whatever their arity, until this
+  // arity's pool holds the slot the ledger promised.
+  while (pool_for(arity).slots.empty()) {
+    detail::require(!pending_.empty(), "silent ot: ledger without a block");
+    ++sync_expansions_;
+    PendingBlock block = std::move(pending_.front());
+    pending_.pop_front();
+    std::vector<PrecomputedSendSlot> slots = expand_block(block);
+    secure_wipe(std::span(block.u));
+    Pool& pool = pool_for(block.arity);
+    for (PrecomputedSendSlot& slot : slots) {
+      pool.slots.push_back(std::move(slot));
     }
   }
   Pool& pool = pool_for(arity);
-  PrecomputedSendSlot slot = pool.slots.pop();
+  PrecomputedSendSlot slot = std::move(pool.slots.front());
+  pool.slots.pop_front();
   ledger_for(arity).consumed += 1;
-  const bool low = pool.slots.below_low_water() && !pending_.empty();
-  lk.unlock();
-  if (low) kick_reservoir();
   return slot;
 }
 
@@ -314,60 +276,17 @@ std::size_t SilentPadSender::ledger_available_total() const {
   return total;
 }
 
-std::size_t SilentPadSender::expanded_available(std::size_t arity) const {
-  std::lock_guard lk(mu_);
-  for (const Pool& pool : pools_) {
-    if (pool.arity == arity) return pool.slots.size();
-  }
-  return 0;
-}
-
-bool SilentPadSender::refill_step() {
-  std::unique_lock lk(mu_);
-  if (aborted_ || !ready_ || pending_.empty()) return false;
-  expand_front_locked(lk);
-  return true;
-}
-
-bool SilentPadSender::needs_refill() {
-  std::lock_guard lk(mu_);
-  return ready_ && !aborted_ && !pending_.empty();
-}
-
-void SilentPadSender::attach_reservoir(PadReservoir* reservoir) {
-  {
-    std::lock_guard lk(mu_);
-    reservoir_ = reservoir;
-  }
-  if (reservoir != nullptr) reservoir->attach(*this);
-}
-
-void SilentPadSender::detach_reservoir() noexcept {
-  PadReservoir* reservoir = nullptr;
-  {
-    std::lock_guard lk(mu_);
-    reservoir = reservoir_;
-    reservoir_ = nullptr;
-    cv_.notify_all();
-  }
-  if (reservoir != nullptr) reservoir->detach(*this);
-}
-
 void SilentPadSender::abort() noexcept {
-  std::unique_lock lk(mu_);
+  std::lock_guard lk(mu_);
   aborted_ = true;
-  cv_.notify_all();
-  // Let an in-flight background expansion finish on its local copy (it
-  // discards and wipes its product on seeing aborted_), then zero every
-  // live secret: frontier seeds, the column-choice mask, staged correction
-  // bytes and unconsumed pads.
-  cv_.wait(lk, [&] { return !busy_; });
+  // Zero every live secret: frontier seeds, the column-choice mask, staged
+  // correction bytes and unconsumed pads.
   for (GgmTree& tree : trees_) tree.wipe();
   secure_wipe(std::span(delta_));
   for (PendingBlock& block : pending_) secure_wipe(std::span(block.u));
   pending_.clear();
   for (Pool& pool : pools_) {
-    for (PrecomputedSendSlot& slot : pool.slots.items()) {
+    for (PrecomputedSendSlot& slot : pool.slots) {
       for (Bytes& pad : slot.pads) secure_wipe(std::span(pad));
     }
   }
@@ -396,7 +315,7 @@ bool SilentPadSender::pads_clean() const {
   std::lock_guard lk(mu_);
   if (!pending_.empty()) return false;
   for (const Pool& pool : pools_) {
-    for (const PrecomputedSendSlot& slot : pool.slots.items()) {
+    for (const PrecomputedSendSlot& slot : pool.slots) {
       for (const Bytes& pad : slot.pads) {
         for (std::uint8_t b : pad) {
           // Post-abort audit scan over zeroed pads (dead key material).
@@ -414,34 +333,13 @@ std::uint64_t SilentPadSender::sync_expansions() const {
   return sync_expansions_;
 }
 
-std::uint64_t SilentPadSender::take_waits() const {
-  std::lock_guard lk(mu_);
-  return take_waits_;
-}
-
-void SilentPadSender::kick_reservoir() {
-  PadReservoir* reservoir = nullptr;
-  {
-    std::lock_guard lk(mu_);
-    reservoir = reservoir_;
-  }
-  if (reservoir != nullptr) reservoir->kick();
-}
-
 /// --- Receiver half -----------------------------------------------------------
 
-SilentPadReceiver::SilentPadReceiver(const DhGroup& group, Rng& rng,
-                                     std::size_t low_water)
-    : group_(group),
-      rng_(rng),
-      low_water_(std::max<std::size_t>(low_water, 1)),
-      ahead_rows_(std::max(low_water_, kSilentLeadSlots) +
-                  2 * kSilentStageQuantum) {}
+SilentPadReceiver::SilentPadReceiver(const DhGroup& group, Rng& rng)
+    : group_(group), rng_(rng) {}
 
 SilentPadReceiver::~SilentPadReceiver() {
-  detach_reservoir();
-  std::unique_lock lk(mu_);
-  cv_.wait(lk, [&] { return !busy_; });
+  std::lock_guard lk(mu_);
   for (GgmTree& tree : trees0_) tree.wipe();
   for (GgmTree& tree : trees1_) tree.wipe();
   for (RowMaterial& mat : material_) {
@@ -449,7 +347,7 @@ SilentPadReceiver::~SilentPadReceiver() {
     secure_wipe(std::span(mat.ubase));
   }
   for (Pool& pool : pools_) {
-    for (PrecomputedRecvSlot& slot : pool.slots.items()) {
+    for (PrecomputedRecvSlot& slot : pool.slots) {
       secure_wipe(std::span(slot.pad));
       slot.choice = 0;
     }
@@ -485,8 +383,7 @@ void SilentPadReceiver::ensure_ready(net::Endpoint& channel) {
     secure_wipe(std::span(base_slots[j].pads[0]));
     secure_wipe(std::span(base_slots[j].pads[1]));
   }
-  // Fork the secret choice stream off the session rng ON the protocol
-  // thread; the background expander never touches the shared Rng.
+  // Seed the secret choice stream from the session rng.
   PPDS_SECRET Digest choice_seed{};
   rng_.fill_bytes(std::span(choice_seed));
   std::lock_guard lk(mu_);
@@ -514,7 +411,7 @@ SilentPadReceiver::Pool& SilentPadReceiver::pool_for(std::size_t arity) {
   for (Pool& pool : pools_) {
     if (pool.arity == arity) return pool;
   }
-  pools_.push_back(Pool{arity, LowWaterQueue<PrecomputedRecvSlot>(low_water_)});
+  pools_.push_back(Pool{arity, {}});
   return pools_.back();
 }
 
@@ -522,53 +419,28 @@ std::uint64_t SilentPadReceiver::material_through() const {
   return material_from_ + material_.size();
 }
 
-std::vector<SilentPadReceiver::RowMaterial> SilentPadReceiver::expand_chunk(
-    std::uint64_t chunk) const {
-  std::vector<RowMaterial> out(kSilentRowsPerLeaf);
-  for (std::size_t j = 0; j < kSilentColumns; ++j) {
-    PPDS_SECRET Digest leaf0 = trees0_[j].leaf(chunk);
-    PPDS_SECRET Digest leaf1 = trees1_[j].leaf(chunk);
-    for (std::size_t r = 0; r < kSilentRowsPerLeaf; ++r) {
-      const std::uint8_t bit0 = (leaf0[r >> 3] >> (r & 7)) & 1U;
-      const std::uint8_t bit1 = (leaf1[r >> 3] >> (r & 7)) & 1U;
-      out[r].t0[j >> 3] |= static_cast<std::uint8_t>(bit0 << (j & 7));
-      out[r].ubase[j >> 3] |=
-          static_cast<std::uint8_t>((bit0 ^ bit1) << (j & 7));
-    }
-    secure_wipe(std::span(leaf0));
-    secure_wipe(std::span(leaf1));
-  }
-  return out;
-}
-
-void SilentPadReceiver::expand_next_chunk_locked(
-    std::unique_lock<std::mutex>& lk) {
-  cv_.wait(lk, [&] { return !busy_; });
-  if (aborted_) return;
+void SilentPadReceiver::expand_next_chunk() {
   const std::uint64_t through = material_through();
   detail::require(through % kSilentRowsPerLeaf == 0,
                   "silent ot: material tail misaligned");
   const std::uint64_t chunk = through / kSilentRowsPerLeaf;
   detail::require(chunk < (std::uint64_t{1} << kSilentTreeDepth),
                   "silent ot: pad domain exhausted");
-  busy_ = true;
-  lk.unlock();
-  std::vector<RowMaterial> rows = expand_chunk(chunk);
-  lk.lock();
-  busy_ = false;
-  if (aborted_) {
-    for (RowMaterial& mat : rows) {
-      secure_wipe(std::span(mat.t0));
-      secure_wipe(std::span(mat.ubase));
+  const std::size_t first = material_.size();
+  material_.resize(first + kSilentRowsPerLeaf);
+  for (std::size_t j = 0; j < kSilentColumns; ++j) {
+    PPDS_SECRET Digest leaf0 = trees0_[j].leaf(chunk);
+    PPDS_SECRET Digest leaf1 = trees1_[j].leaf(chunk);
+    for (std::size_t r = 0; r < kSilentRowsPerLeaf; ++r) {
+      const std::uint8_t bit0 = (leaf0[r >> 3] >> (r & 7)) & 1U;
+      const std::uint8_t bit1 = (leaf1[r >> 3] >> (r & 7)) & 1U;
+      RowMaterial& mat = material_[first + r];
+      mat.t0[j >> 3] |= static_cast<std::uint8_t>(bit0 << (j & 7));
+      mat.ubase[j >> 3] |= static_cast<std::uint8_t>((bit0 ^ bit1) << (j & 7));
     }
-  } else {
-    for (RowMaterial& mat : rows) material_.push_back(mat);
-    for (RowMaterial& mat : rows) {
-      secure_wipe(std::span(mat.t0));
-      secure_wipe(std::span(mat.ubase));
-    }
+    secure_wipe(std::span(leaf0));
+    secure_wipe(std::span(leaf1));
   }
-  cv_.notify_all();
 }
 
 void SilentPadReceiver::stage_to(net::Endpoint& channel, std::size_t arity,
@@ -576,7 +448,6 @@ void SilentPadReceiver::stage_to(net::Endpoint& channel, std::size_t arity,
   std::unique_lock lk(mu_);
   if (aborted_) throw ProtocolError("silent ot: aborted engine");
   detail::require(ready_, "silent ot: stage before seed agreement");
-  bool staged_any = false;
   for (;;) {
     Ledger& led = ledger_for(arity);
     if (led.staged - led.consumed >= count) break;
@@ -587,9 +458,8 @@ void SilentPadReceiver::stage_to(net::Endpoint& channel, std::size_t arity,
     detail::require(material_from_ == next_row_,
                     "silent ot: material cursor desynchronized");
     while (material_through() < next_row_ + rows) {
-      if (aborted_) throw ProtocolError("silent ot: aborted engine");
-      ++sync_expansions_;  // cold path: the reservoir did not keep up
-      expand_next_chunk_locked(lk);
+      ++sync_expansions_;
+      expand_next_chunk();
     }
     ByteWriter w;
     w.u32(static_cast<std::uint32_t>(arity));
@@ -614,7 +484,7 @@ void SilentPadReceiver::stage_to(net::Endpoint& channel, std::size_t arity,
       slot.choice = alpha;
       slot.arity = static_cast<std::uint32_t>(arity);
       slot.pad.assign(pad.begin(), pad.end());
-      pool.slots.push(std::move(slot));
+      pool.slots.push_back(std::move(slot));
       secure_wipe(std::span(pad));
       secure_wipe(std::span(code));
       secure_wipe(std::span(mat.t0));
@@ -632,10 +502,7 @@ void SilentPadReceiver::stage_to(net::Endpoint& channel, std::size_t arity,
         "alpha without Delta"));
     lk.lock();
     if (aborted_) throw ProtocolError("silent ot: aborted engine");
-    staged_any = true;
   }
-  lk.unlock();
-  if (staged_any) kick_reservoir();
 }
 
 PrecomputedRecvSlot SilentPadReceiver::take(std::size_t arity) {
@@ -647,11 +514,9 @@ PrecomputedRecvSlot SilentPadReceiver::take(std::size_t arity) {
   Pool& pool = pool_for(arity);
   // Receiver slots are built at staging time, so the ledger guarantee means
   // the pool is never empty here.
-  PrecomputedRecvSlot slot = pool.slots.pop();
+  PrecomputedRecvSlot slot = std::move(pool.slots.front());
+  pool.slots.pop_front();
   led.consumed += 1;
-  const bool low = material_through() < next_row_ + ahead_rows_;
-  lk.unlock();
-  if (low) kick_reservoir();
   return slot;
 }
 
@@ -670,51 +535,9 @@ std::size_t SilentPadReceiver::ledger_available_total() const {
   return total;
 }
 
-std::size_t SilentPadReceiver::expanded_available(std::size_t arity) const {
-  std::lock_guard lk(mu_);
-  for (const Pool& pool : pools_) {
-    if (pool.arity == arity) return pool.slots.size();
-  }
-  return 0;
-}
-
-bool SilentPadReceiver::refill_step() {
-  std::unique_lock lk(mu_);
-  if (aborted_ || !ready_) return false;
-  if (material_through() >= next_row_ + ahead_rows_) return false;
-  expand_next_chunk_locked(lk);
-  return true;
-}
-
-bool SilentPadReceiver::needs_refill() {
-  std::lock_guard lk(mu_);
-  return ready_ && !aborted_ && material_through() < next_row_ + ahead_rows_;
-}
-
-void SilentPadReceiver::attach_reservoir(PadReservoir* reservoir) {
-  {
-    std::lock_guard lk(mu_);
-    reservoir_ = reservoir;
-  }
-  if (reservoir != nullptr) reservoir->attach(*this);
-}
-
-void SilentPadReceiver::detach_reservoir() noexcept {
-  PadReservoir* reservoir = nullptr;
-  {
-    std::lock_guard lk(mu_);
-    reservoir = reservoir_;
-    reservoir_ = nullptr;
-    cv_.notify_all();
-  }
-  if (reservoir != nullptr) reservoir->detach(*this);
-}
-
 void SilentPadReceiver::abort() noexcept {
-  std::unique_lock lk(mu_);
+  std::lock_guard lk(mu_);
   aborted_ = true;
-  cv_.notify_all();
-  cv_.wait(lk, [&] { return !busy_; });
   for (GgmTree& tree : trees0_) tree.wipe();
   for (GgmTree& tree : trees1_) tree.wipe();
   for (RowMaterial& mat : material_) {
@@ -723,7 +546,7 @@ void SilentPadReceiver::abort() noexcept {
   }
   material_.clear();
   for (Pool& pool : pools_) {
-    for (PrecomputedRecvSlot& slot : pool.slots.items()) {
+    for (PrecomputedRecvSlot& slot : pool.slots) {
       secure_wipe(std::span(slot.pad));
       slot.choice = 0;
     }
@@ -751,7 +574,7 @@ bool SilentPadReceiver::pads_clean() const {
   std::lock_guard lk(mu_);
   if (!material_.empty()) return false;
   for (const Pool& pool : pools_) {
-    for (const PrecomputedRecvSlot& slot : pool.slots.items()) {
+    for (const PrecomputedRecvSlot& slot : pool.slots) {
       for (std::uint8_t b : slot.pad) {
         // Post-abort audit scan over zeroed pads (dead key material).
         // taint: allow(secret-branch)
@@ -765,15 +588,6 @@ bool SilentPadReceiver::pads_clean() const {
 std::uint64_t SilentPadReceiver::sync_expansions() const {
   std::lock_guard lk(mu_);
   return sync_expansions_;
-}
-
-void SilentPadReceiver::kick_reservoir() {
-  PadReservoir* reservoir = nullptr;
-  {
-    std::lock_guard lk(mu_);
-    reservoir = reservoir_;
-  }
-  if (reservoir != nullptr) reservoir->kick();
 }
 
 }  // namespace ppds::crypto

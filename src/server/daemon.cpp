@@ -46,7 +46,6 @@ Daemon::Daemon(Scenario scenario, DaemonOptions options)
       options_(options),
       classification_(scenario_.server_model, scenario_.profile,
                       scenario_.config),
-      similarity_(scenario_.server_model, scenario_.space, scenario_.config),
       listener_(options_.address) {
   if (options_.workers == 0) {
     throw InvalidArgument("daemon: need at least one worker");
@@ -58,12 +57,6 @@ Daemon::~Daemon() { stop(); }
 void Daemon::start() {
   if (started_) return;
   started_ = true;
-  if (scenario_.config.reservoir) {
-    // One shared refill worker serves every connection's silent engines:
-    // refill steps are chunky (a PPRF block expansion each), so a single
-    // thread keeps many parked connections' pools at their low-water marks.
-    reservoir_ = std::make_unique<crypto::PadReservoir>(1);
-  }
   if (::pipe(poller_wake_fds_) != 0) {
     throw ProtocolError("daemon: self-pipe creation failed: " +
                         std::string(std::strerror(errno)));
@@ -118,13 +111,9 @@ void Daemon::stop() {
     stats_.connections_reaped.fetch_add(leftovers);
     stats_.live_connections.fetch_sub(leftovers);
     parked_.clear();  // unique_ptr teardown closes the sockets
-    ready_.clear();   // (and their OtBundles detach from the reservoir)
+    ready_.clear();
     note_queue_depths();
   }
-  // SIGTERM drain order: the refill thread joins AFTER the session workers
-  // (none of them can be mid-refill-handoff any more) and after every
-  // connection's OtBundle has detached.
-  if (reservoir_) reservoir_->stop();
   ::close(poller_wake_fds_[0]);
   ::close(poller_wake_fds_[1]);
   poller_wake_fds_[0] = poller_wake_fds_[1] = -1;
@@ -147,6 +136,15 @@ void Daemon::note_queue_depths() {
   stats_.ready_depth.store(ready);
   update_peak(stats_.parked_peak, parked);
   update_peak(stats_.ready_peak, ready);
+}
+
+const core::SimilarityServer& Daemon::similarity_server() {
+  std::lock_guard<std::mutex> lock(similarity_mu_);
+  if (similarity_ == nullptr) {
+    similarity_ = std::make_unique<core::SimilarityServer>(
+        scenario_.server_model, scenario_.space, scenario_.config);
+  }
+  return *similarity_;
 }
 
 void Daemon::park(std::unique_ptr<Connection> conn) {
@@ -388,20 +386,18 @@ bool Daemon::run_one_session(Connection& conn) {
     switch (service) {
       case Service::kClassification:
         // One OtBundle per CONNECTION: the base-OT seed agreement runs once
-        // on the first session and later sessions reuse the expanded PPRF
-        // ledger (pre-filled by the reservoir while the connection was
-        // parked).
+        // on the first session and later sessions reuse its PPRF seeds.
         if (conn.ot == nullptr) {
           conn.ot =
               std::make_unique<core::OtBundle>(scenario_.config, conn.rng);
-          if (reservoir_) conn.ot->attach_reservoir(*reservoir_);
         }
         core::serve_session(classification_, scenario_.profile,
                             scenario_.config, channel, conn.rng,
                             options_.max_queries, conn.ot.get());
         break;
       case Service::kSimilarity:
-        core::serve_similarity_session(similarity_, scenario_.profile.kernel,
+        core::serve_similarity_session(similarity_server(),
+                                       scenario_.profile.kernel,
                                        scenario_.space, scenario_.config,
                                        channel, conn.rng);
         break;

@@ -24,8 +24,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   const std::vector<std::string> tokens = split_tokens(text);
   if (tokens.empty() || tokens.front().empty()) {
     throw InvalidArgument("scenario: empty spec (want "
-                          "<dataset>[:linear|:poly][:silent|:secure|:fast]"
-                          "[:reservoir])");
+                          "<dataset>[:linear|:poly][:silent|:secure|:fast])");
   }
   ScenarioSpec spec;
   spec.dataset = tokens.front();
@@ -52,8 +51,6 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
       spec.preset = t == "fast"     ? Preset::kFast
                     : t == "silent" ? Preset::kSilent
                                     : Preset::kSecure;
-    } else if (t == "reservoir") {
-      once(spec.reservoir, "reservoir");
     } else {
       throw InvalidArgument("scenario: unknown token '" + t + "' in '" +
                             text + "'");
@@ -70,7 +67,6 @@ std::string ScenarioSpec::to_string() const {
     case Preset::kSilent: out += ":silent"; break;
     case Preset::kSecure: out += ":secure"; break;
   }
-  if (reservoir) out += ":reservoir";
   return out;
 }
 
@@ -111,9 +107,6 @@ Scenario Scenario::make(const ScenarioSpec& spec, std::uint64_t seed) {
       s.config = core::SchemeConfig::secure_default();
       break;
   }
-  // Local-only scheduling knob: excluded from the protocol digest, so the
-  // two parties may disagree.
-  s.config.reservoir = spec.reservoir;
   s.space = core::DataSpace{};
 
   s.queries.reserve(test.x.size());

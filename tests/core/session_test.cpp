@@ -100,9 +100,6 @@ TEST(ProtocolDigest, IgnoresLocalPerformanceKnobs) {
   auto tuned = cfg;
   tuned.ompe.eval_threads = 1;
   tuned.ompe.use_simd_field = false;
-  // The silent-OT reservoir is local too: it only moves pad expansion off
-  // the protocol thread (staging is sized by protocol constants).
-  tuned.reservoir = true;
   EXPECT_EQ(protocol_digest(profile, cfg), protocol_digest(profile, tuned));
 }
 
@@ -117,10 +114,6 @@ TEST(ProtocolDigest, SilentPrecomputeIsHashed) {
   const auto space = DataSpace{};
   EXPECT_NE(similarity_digest(svm::Kernel::linear(), space, cfg),
             similarity_digest(svm::Kernel::linear(), space, silent));
-  auto tuned = silent;
-  tuned.reservoir = true;
-  EXPECT_EQ(similarity_digest(svm::Kernel::linear(), space, silent),
-            similarity_digest(svm::Kernel::linear(), space, tuned));
 }
 
 TEST(Session, AgreedParametersClassifyEndToEnd) {

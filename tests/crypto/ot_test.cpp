@@ -33,8 +33,8 @@ std::pair<std::vector<PrecomputedSendSlot>, std::vector<PrecomputedRecvSlot>>
 make_slots(net::Endpoint& a, net::Endpoint& b, std::size_t arity,
            std::size_t count) {
   Rng rng_s(51), rng_r(52);
-  SilentPadSender s(test_group(), rng_s, kSilentLowWater);
-  SilentPadReceiver r(test_group(), rng_r, kSilentLowWater);
+  SilentPadSender s(test_group(), rng_s);
+  SilentPadReceiver r(test_group(), rng_r);
   std::thread peer([&] {
     r.ensure_ready(b);
     r.stage_to(b, arity, count);

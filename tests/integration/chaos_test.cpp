@@ -8,7 +8,6 @@
 
 #include "ppds/core/session_pool.hpp"
 #include "ppds/crypto/ot.hpp"
-#include "ppds/crypto/reservoir.hpp"
 #include "ppds/crypto/silent_ot.hpp"
 #include "ppds/net/fault.hpp"
 
@@ -371,20 +370,16 @@ TEST(Chaos, SilentEngineSurvivesShortFaultSweep) {
   }
 }
 
-TEST(Chaos, SilentAbortsWipeWithRefillThreadRacing) {
-  // The acceptance sweep for the background-refill service: every seed runs
-  // silent batched engines over faulty channels WITH a live reservoir
-  // thread, and every disconnect-triggered abort must leave the frontier
-  // seeds and unconsumed pads provably zeroed while that thread races the
-  // wipe. ot_abort_audit() proves aborts == wiped == frontier/reservoir
-  // wipes across the whole sweep.
+TEST(Chaos, SilentAbortsWipeOverFaultyChannels) {
+  // Every seed runs silent batched engines over faulty channels, and every
+  // disconnect-triggered abort must leave the frontier seeds, staged
+  // corrections and unconsumed pads provably zeroed. ot_abort_audit()
+  // proves aborts == wiped == frontier wipes across the whole sweep.
   const crypto::DhGroup group(crypto::GroupId::kModp1024);
   const crypto::OtAbortAudit& audit = crypto::ot_abort_audit();
   const std::uint64_t aborts0 = audit.aborts.load();
   const std::uint64_t wiped0 = audit.wiped.load();
   const std::uint64_t frontier0 = audit.frontier_wipes.load();
-  const std::uint64_t reservoir0 = audit.reservoir_wipes.load();
-  crypto::PadReservoir reservoir(2);
 
   const std::vector<Bytes> msgs{Bytes{1, 2}, Bytes{3, 4}, Bytes{5, 6},
                                 Bytes{7, 8}};
@@ -403,8 +398,6 @@ TEST(Chaos, SilentAbortsWipeWithRefillThreadRacing) {
     Rng rng_s(splitmix64(seed, 2)), rng_r(splitmix64(seed, 3));
     crypto::BatchedOtSender sender(group, rng_s);
     crypto::BatchedOtReceiver receiver(group, rng_r);
-    sender.attach_reservoir(reservoir);
-    receiver.attach_reservoir(reservoir);
 
     bool sender_aborted = false, receiver_aborted = false;
     std::thread peer([&] {
@@ -446,12 +439,10 @@ TEST(Chaos, SilentAbortsWipeWithRefillThreadRacing) {
       EXPECT_TRUE(receiver.silent_engine()->frontier_clean());
       EXPECT_TRUE(receiver.silent_engine()->pads_clean());
     }
-    // BatchedOt destructors detach from the shared reservoir on their own.
   }
   EXPECT_EQ(audit.aborts.load(), aborts0 + silent_aborts);
   EXPECT_EQ(audit.wiped.load(), wiped0 + silent_aborts);
   EXPECT_EQ(audit.frontier_wipes.load(), frontier0 + silent_aborts);
-  EXPECT_EQ(audit.reservoir_wipes.load(), reservoir0 + silent_aborts);
 }
 
 TEST(Chaos, SecureEngineSurvivesShortFaultSweep) {

@@ -16,8 +16,8 @@
 #include "ppds/common/hex.hpp"
 #include "ppds/core/session.hpp"
 #include "ppds/crypto/ot.hpp"
-#include "ppds/crypto/reservoir.hpp"
 #include "ppds/crypto/sha256.hpp"
+#include "ppds/crypto/silent_ot.hpp"
 #include "ppds/net/socket.hpp"
 #include "ppds/server/client.hpp"
 
@@ -42,12 +42,6 @@ const Scenario& fast_scenario() {
 
 const Scenario& private_scenario() {
   static const Scenario s = Scenario::make("diabetes:linear:silent", 2029);
-  return s;
-}
-
-const Scenario& silent_scenario() {
-  static const Scenario s =
-      Scenario::make("diabetes:linear:silent:reservoir", 2029);
   return s;
 }
 
@@ -80,30 +74,28 @@ bool eventually(const Pred& done,
   return true;
 }
 
-TEST(ScenarioSpec, SilentAndReservoirTokensRoundTrip) {
-  const ScenarioSpec spec =
-      ScenarioSpec::parse("diabetes:poly:silent:reservoir");
+TEST(ScenarioSpec, SilentTokenRoundTripsAndReservoirIsUnknown) {
+  const ScenarioSpec spec = ScenarioSpec::parse("diabetes:poly:silent");
   EXPECT_EQ(spec.preset, ScenarioSpec::Preset::kSilent);
-  EXPECT_TRUE(spec.reservoir);
-  EXPECT_EQ(spec.to_string(), "diabetes:poly:silent:reservoir");
+  EXPECT_EQ(spec.to_string(), "diabetes:poly:silent");
 
-  // The knob lands in the config; silent is the private engine.
+  // Silent is the private engine.
   const Scenario s = Scenario::make(spec, 1);
-  EXPECT_TRUE(s.config.reservoir);
   EXPECT_EQ(s.config.ot_engine, core::OtEngine::kPrecomputed);
+
+  // `reservoir` is not a spec token.
+  EXPECT_THROW(ScenarioSpec::parse("diabetes:linear:silent:reservoir"),
+               InvalidArgument);
 
   EXPECT_THROW(ScenarioSpec::parse("diabetes:resevoir"), InvalidArgument);
   // The refill batch is a protocol-side constant, not a spec token.
   EXPECT_THROW(ScenarioSpec::parse("diabetes:refill=32"), InvalidArgument);
   // The deleted DH-pool preset is gone, not silently mapped elsewhere.
   EXPECT_THROW(ScenarioSpec::parse("diabetes:precomputed"), InvalidArgument);
-  // A second kernel, preset or reservoir token is an error, never an
-  // override.
+  // A second kernel or preset token is an error, never an override.
   EXPECT_THROW(ScenarioSpec::parse("diabetes:linear:poly"), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::parse("diabetes:fast:secure"), InvalidArgument);
   EXPECT_THROW(ScenarioSpec::parse("diabetes:silent:silent"),
-               InvalidArgument);
-  EXPECT_THROW(ScenarioSpec::parse("diabetes:reservoir:reservoir"),
                InvalidArgument);
 }
 
@@ -227,6 +219,52 @@ TEST(ScenarioSpec, GoldenSilentClassificationTranscript) {
             "b632ee2ad5beb2bc4e5f0934014ca5f158578f6cb938c0dc163b39322343c49c");
   EXPECT_EQ(client_end.received_hex(),
             "d46d6fc6eac1e3dccef18cdcada6c28fc515f6b07b10dc8ea26f0f384a72bb01");
+}
+
+TEST(ScenarioSpec, GoldenSilentRestageTranscript) {
+  // The silent engine's wire bytes across restages, pinned: one persistent
+  // OtBundle per side (as ppdsd keeps per connection) carries kSessions
+  // one-query sessions over one in-process channel, so the staged ledger
+  // runs dry and is restaged several times mid-connection. Both directions
+  // are hashed at the client.
+  constexpr std::size_t kSessions = 60;
+  const Scenario& s = private_scenario();
+  const core::OtDemand demand = core::ot_demand_per_query(s.config.ompe);
+  ASSERT_GE(kSessions * demand.count,
+            2 * crypto::kSilentStageQuantum + crypto::kSilentLeadSlots)
+      << "too few sessions to cross two restages";
+  auto [server_end, client_raw] = net::make_channel();
+  HashingEndpoint client_end(std::move(client_raw));
+  auto server = std::async(std::launch::async, [&, &server_end = server_end] {
+    const core::ClassificationServer classification(s.server_model, s.profile,
+                                                    s.config);
+    Rng rng(0xfeed);
+    core::OtBundle ot(s.config, rng);
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      core::serve_session(classification, s.profile, s.config, server_end,
+                          rng, 1, &ot);
+      server_end.set_stage(net::Stage::kNone);
+      server_end.set_session_id(0);
+    }
+  });
+  const core::ClassificationClient client(s.profile, s.config);
+  Rng rng(7);
+  core::OtBundle ot(s.config, rng);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    const std::vector<double>& query = s.queries[i % s.queries.size()];
+    const std::vector<int> labels = core::classify_session(
+        client, s.profile, s.config, client_end, {query}, rng, &ot);
+    ASSERT_EQ(labels.size(), 1u);
+    EXPECT_EQ(labels[0], s.server_model.predict(query)) << i;
+    client_end.set_stage(net::Stage::kNone);
+    client_end.set_session_id(0);
+  }
+  server.get();
+
+  EXPECT_EQ(client_end.sent_hex(),
+            "4f22cb0d6bf5abc05d15cfccdc2c978d628befcf1d26057b9f26eb0c06ca0245");
+  EXPECT_EQ(client_end.received_hex(),
+            "aaa137d5a91072cb79b6618f48c84c8784aa7ed8361e1cec752354b2d64e46cc");
 }
 
 TEST(Daemon, ServesClassificationAndSimilarityOverTcpLoopback) {
@@ -442,30 +480,26 @@ TEST(Daemon, DisconnectMidProtocolWipesOtPoolsAndFreesTheWorker) {
   EXPECT_EQ(daemon.stats().sessions_failed.load(), 1u);
 }
 
-TEST(Daemon, SilentReservoirKeepAliveReusesTheSeedAgreement) {
-  // Silent scenario with the daemon-level reservoir: one connection runs
-  // several classification sessions; the base-OT seed agreement happens
-  // ONCE per direction on the first session (persistent per-connection
-  // OtBundle on both ends) and the parked gap lets the background refill
-  // thread pre-expand pads for the next session.
-  const Scenario& scenario = silent_scenario();
+TEST(Daemon, SilentKeepAliveReusesTheSeedAgreement) {
+  // Silent scenario: one connection runs several classification sessions;
+  // the base-OT seed agreement happens ONCE per direction on the first
+  // session (persistent per-connection OtBundle on both ends), and the
+  // second session, after a parked gap, reuses it.
+  const Scenario& scenario = private_scenario();
   ASSERT_EQ(scenario.config.ot_engine, core::OtEngine::kPrecomputed);
-  ASSERT_TRUE(scenario.config.reservoir);
   Daemon daemon(scenario, loopback_options());
   daemon.start();
 
   auto channel = connect_to(daemon);
   Rng rng(21);
-  crypto::PadReservoir reservoir(1);
   core::OtBundle ot(scenario.config, rng);
-  ot.attach_reservoir(reservoir);
 
   const std::vector<std::vector<double>> samples(scenario.queries.begin(),
                                                  scenario.queries.begin() + 2);
   const std::vector<int> first =
       client_classify(*channel, scenario, samples, rng, &ot);
   ASSERT_EQ(first.size(), samples.size());
-  std::this_thread::sleep_for(50ms);  // parked; the refill threads work
+  std::this_thread::sleep_for(50ms);  // parked between the sessions
   const std::vector<int> second =
       client_classify(*channel, scenario, samples, rng, &ot);
   EXPECT_EQ(second, first);  // sign(d(t~)) is randomness-invariant
@@ -480,12 +514,12 @@ TEST(Daemon, SilentReservoirKeepAliveReusesTheSeedAgreement) {
   EXPECT_EQ(daemon.stats().sessions_failed.load(), 0u);
 }
 
-TEST(Daemon, SilentDisconnectAbortsWipeWithReservoirRunning) {
+TEST(Daemon, SilentDisconnectAbortsWipeFrontierAndPads) {
   // The silent flavor of the disconnect guarantee: the vanished peer's
-  // unwind must abort the persistent bundle while the DAEMON's shared
-  // refill thread is live, and the audit must prove every abort wiped both
-  // the PPRF frontier seeds and the unconsumed reservoir pads.
-  const Scenario& scenario = silent_scenario();
+  // unwind must abort the persistent bundle, and the audit must prove every
+  // abort wiped both the PPRF frontier seeds and the staged and unconsumed
+  // pads.
+  const Scenario& scenario = private_scenario();
   DaemonOptions options = loopback_options();
   options.workers = 1;
   Daemon daemon(scenario, options);
@@ -495,7 +529,6 @@ TEST(Daemon, SilentDisconnectAbortsWipeWithReservoirRunning) {
   const std::uint64_t aborts_before = audit.aborts.load();
   const std::uint64_t wiped_before = audit.wiped.load();
   const std::uint64_t frontier_before = audit.frontier_wipes.load();
-  const std::uint64_t reservoir_before = audit.reservoir_wipes.load();
 
   {
     auto channel = connect_to(daemon);
@@ -525,15 +558,13 @@ TEST(Daemon, SilentDisconnectAbortsWipeWithReservoirRunning) {
   const std::uint64_t aborts_delta = audit.aborts.load() - aborts_before;
   EXPECT_GE(aborts_delta, 1u);
   EXPECT_EQ(audit.wiped.load() - wiped_before, aborts_delta)
-      << "an OT abort left pad material unwiped";
-  // Every aborted engine here is a silent one, so the two silent-specific
-  // wipe proofs must track the abort count exactly.
+      << "an OT abort left staged/expanded pads unwiped";
+  // Every aborted engine here is a silent one, so the frontier wipe proof
+  // must track the abort count exactly.
   EXPECT_EQ(audit.frontier_wipes.load() - frontier_before, aborts_delta)
       << "an abort left PPRF frontier seeds unwiped";
-  EXPECT_EQ(audit.reservoir_wipes.load() - reservoir_before, aborts_delta)
-      << "an abort left staged/expanded pads unwiped";
 
-  // The worker and the shared reservoir both survived the abort.
+  // The worker survived the abort.
   auto channel = connect_to(daemon);
   Rng rng(23);
   core::OtBundle ot(scenario.config, rng);
@@ -544,6 +575,62 @@ TEST(Daemon, SilentDisconnectAbortsWipeWithReservoirRunning) {
   daemon.stop();
   EXPECT_EQ(daemon.stats().sessions_ok.load(), 1u);
   EXPECT_EQ(daemon.stats().sessions_failed.load(), 1u);
+}
+
+TEST(Daemon, ServesClassificationAboveTheSimilarityDimensionBound) {
+  // ionosphere has 34 features; the similarity service's boundary
+  // enumeration refuses more than 20. The daemon must still serve
+  // classification, and fail only the similarity session, closed.
+  const Scenario scenario = Scenario::make("ionosphere:linear:fast", 2029);
+  ASSERT_GT(scenario.dataset.dim, 20u);
+  Daemon daemon(scenario, loopback_options());
+  daemon.start();
+
+  auto channel = connect_to(daemon);
+  Rng rng(31);
+  const std::vector<std::vector<double>> samples(scenario.queries.begin(),
+                                                 scenario.queries.begin() + 4);
+  const auto expect_plain_labels = [&](const std::vector<int>& labels) {
+    ASSERT_EQ(labels.size(), samples.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      EXPECT_EQ(labels[i], scenario.server_model.predict(samples[i])) << i;
+    }
+  };
+  expect_plain_labels(client_classify(*channel, scenario, samples, rng));
+
+  {
+    // A similarity session on a second connection: the daemon cannot build
+    // the service, so it fails the session and closes the connection.
+    auto doomed = connect_to(daemon);
+    doomed->send(Bytes{static_cast<std::uint8_t>(Service::kSimilarity)});
+    try {
+      (void)doomed->recv(net::Deadline::after(10000ms));
+      ADD_FAILURE() << "the daemon answered a similarity session it cannot "
+                       "serve";
+    } catch (const TimeoutError&) {
+      ADD_FAILURE() << "the daemon left the failed connection open";
+    } catch (const ProtocolError&) {
+      // closed by peer: the session failed closed
+    }
+  }
+  ASSERT_TRUE(eventually([&] {
+    return daemon.stats().sessions_failed.load() >= 1;
+  }));
+
+  // The classification connection keeps working.
+  expect_plain_labels(client_classify(*channel, scenario, samples, rng));
+  client_goodbye(*channel);
+
+  EXPECT_TRUE(eventually([&] {
+    return daemon.stats().connections_closed.load() >= 1;
+  }));
+  daemon.stop();
+  const DaemonStatsSnapshot s = daemon.stats().snapshot();
+  EXPECT_EQ(s.sessions_ok, 2u);
+  EXPECT_EQ(s.sessions_failed, 1u);
+  EXPECT_EQ(s.connections_failed, 1u);
+  EXPECT_EQ(s.connections_closed, 1u);
+  EXPECT_TRUE(s.books_balance());
 }
 
 TEST(Daemon, ReapsIdleConnections) {

@@ -27,7 +27,7 @@
 /// idle-reap race fix, two-phase drain accounting, and the DaemonSet
 /// failover client completing sharded batches with replicas dying under
 /// it. The ChaosDaemon suite is daemon-level fault injection (kill
-/// mid-batch, dead replicas, churn storms over silent reservoirs) with
+/// mid-batch, dead replicas, churn storms over silent connections) with
 /// the abort-wipe audit held throughout.
 
 namespace ppds::server {
@@ -41,8 +41,7 @@ const Scenario& fast_scenario() {
 }
 
 const Scenario& silent_scenario() {
-  static const Scenario s =
-      Scenario::make("diabetes:linear:silent:reservoir", 2029);
+  static const Scenario s = Scenario::make("diabetes:linear:silent", 2029);
   return s;
 }
 
@@ -573,15 +572,14 @@ TEST(ChaosDaemon, FailoverSkipsDeadReplicaInTheSet) {
   EXPECT_TRUE(daemon.stats().snapshot().books_balance());
 }
 
-TEST(ChaosDaemon, ChurnStormOverSilentReservoirKeepsTheWipeAudit) {
-  // Connection churn against a silent :reservoir daemon: every round one
+TEST(ChaosDaemon, ChurnStormOverSilentConnectionsKeepsTheWipeAudit) {
+  // Connection churn against a silent daemon: every round one
   // client completes a session and says goodbye while another vanishes
   // mid-protocol (forcing an abort of its persistent silent OT state, pads
   // and all). The daemon must survive the storm with every abort wiped,
   // serve a clean session afterwards, and balance its books.
   const Scenario& scenario = silent_scenario();
   ASSERT_EQ(scenario.config.ot_engine, core::OtEngine::kPrecomputed);
-  ASSERT_TRUE(scenario.config.reservoir);
   DaemonOptions options = loopback_options();
   options.workers = 2;
   options.poll_slice = 10ms;
@@ -591,6 +589,7 @@ TEST(ChaosDaemon, ChurnStormOverSilentReservoirKeepsTheWipeAudit) {
   const auto& audit = crypto::ot_abort_audit();
   const std::uint64_t aborts_before = audit.aborts.load();
   const std::uint64_t wiped_before = audit.wiped.load();
+  const std::uint64_t frontier_before = audit.frontier_wipes.load();
 
   constexpr std::size_t kRounds = 6;
   const crypto::Digest digest =
@@ -632,11 +631,13 @@ TEST(ChaosDaemon, ChurnStormOverSilentReservoirKeepsTheWipeAudit) {
     return daemon.stats().sessions_failed.load() >= kRounds;
   })) << "vanished sessions were not all counted";
 
-  // Every churn abort wiped its pads, with the shared refill thread live.
+  // Every churn abort wiped its pads and its PPRF frontier.
   const std::uint64_t aborts_delta = audit.aborts.load() - aborts_before;
   EXPECT_GE(aborts_delta, kRounds);
   EXPECT_EQ(audit.wiped.load() - wiped_before, aborts_delta)
       << "an OT abort left pad material unwiped";
+  EXPECT_EQ(audit.frontier_wipes.load() - frontier_before, aborts_delta)
+      << "an abort left PPRF frontier seeds unwiped";
 
   // The storm is over; the daemon still serves.
   auto channel = connect_to(daemon);
