@@ -36,7 +36,7 @@
 #include "ppds/common/thread_pool.hpp"
 #include "ppds/core/classification.hpp"
 #include "ppds/crypto/group.hpp"
-#include "ppds/crypto/ot.hpp"
+#include "ppds/crypto/silent_ot.hpp"
 #include "ppds/data/synthetic.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/svm/smo.hpp"
@@ -173,13 +173,13 @@ OfflineRaw offline_reserve(std::size_t slots) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(11);
-        crypto::BatchedOtSender sender(group, rng);
+        crypto::SilentPadSender sender(group, rng);
         sender.reserve(ch, 2, slots);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(12);
-        crypto::BatchedOtReceiver receiver(group, rng);
+        crypto::SilentPadReceiver receiver(group, rng);
         receiver.reserve(ch, 2, slots);
         return 0;
       });

@@ -1,9 +1,11 @@
 /// Micro-benchmarks of the cryptographic substrate (google-benchmark):
 /// SHA-256 throughput, PRG stream, DH-group exponentiation per MODP size,
-/// Naor-Pinkas 1-out-of-2 and cold k-out-of-n oblivious transfers, and
+/// cold k-out-of-n oblivious transfers, the precomputed online phase, and
 /// GGM/PPRF tree expansion.
 
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 #include "ppds/crypto/group.hpp"
 #include "ppds/crypto/ot.hpp"
@@ -53,84 +55,6 @@ BENCHMARK(BM_GroupExp)
     ->Arg(1)   // MODP-1536
     ->Arg(2);  // MODP-2048
 
-/// Joint product prod_i bases[i]^exps[i] the "before" way: one full
-/// exponentiation per base. Pairs with BM_MultiExp below at the same batch
-/// sizes; the counter deltas show the exchange rate (n full exps -> one
-/// multi-exp batch).
-void BM_MultiExpNaive(benchmark::State& state) {
-  const crypto::DhGroup group(crypto::GroupId::kModp1024);
-  Rng rng(3);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<mpz_class> bases(n), exps(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    bases[i] = group.random_element(rng);
-    exps[i] = group.random_exponent(rng);
-  }
-  crypto::reset_exp_counters();
-  for (auto _ : state) {
-    mpz_class acc = 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc = group.mul(acc, group.pow(bases[i], exps[i]));
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  const crypto::ExpCounters c = crypto::exp_counters();
-  state.counters["full_exps_per_batch"] = benchmark::Counter(
-      static_cast<double>(c.full) / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_MultiExpNaive)->Arg(4)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
-
-/// Same joint product through DhGroup::multi_exp — Straus interleaving
-/// below kPippengerThreshold bases, Pippenger buckets above. The counters
-/// confirm zero full exponentiations: the whole batch rides one shared
-/// squaring chain.
-void BM_MultiExp(benchmark::State& state) {
-  const crypto::DhGroup group(crypto::GroupId::kModp1024);
-  Rng rng(3);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<mpz_class> bases(n), exps(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    bases[i] = group.random_element(rng);
-    exps[i] = group.random_exponent(rng);
-  }
-  crypto::reset_exp_counters();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(group.multi_exp(bases, exps));
-  }
-  const crypto::ExpCounters c = crypto::exp_counters();
-  const double iters = static_cast<double>(state.iterations());
-  state.counters["full_exps_per_batch"] =
-      benchmark::Counter(static_cast<double>(c.full) / iters);
-  state.counters["multi_exp_batches"] =
-      benchmark::Counter(static_cast<double>(c.multi_exp_batches) / iters);
-  state.counters["bases_folded"] =
-      benchmark::Counter(static_cast<double>(c.multi_exp_bases) / iters);
-  state.SetLabel(n >= crypto::DhGroup::kPippengerThreshold ? "pippenger"
-                                                           : "straus");
-}
-BENCHMARK(BM_MultiExp)->Arg(4)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
-
-void BM_Ot1of2(benchmark::State& state) {
-  const crypto::DhGroup group(crypto::GroupId::kModp1024);
-  const Bytes m0(32, 1), m1(32, 2);
-  for (auto _ : state) {
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng rng(1);
-          crypto::NaorPinkasSender s(group, rng);
-          s.send_1of2(ch, m0, m1);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rng(2);
-          crypto::NaorPinkasReceiver r(group, rng);
-          return r.receive_1of2(ch, true, 32);
-        });
-    benchmark::DoNotOptimize(outcome.b);
-  }
-}
-BENCHMARK(BM_Ot1of2)->Unit(benchmark::kMillisecond);
-
 void BM_OtKofN(benchmark::State& state) {
   // A cold k-of-n transfer on fresh private engines: the silent OT seed
   // agreement plus k direct 1-of-n slots.
@@ -145,13 +69,13 @@ void BM_OtKofN(benchmark::State& state) {
     auto outcome = net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng rng(1);
-          crypto::BatchedOtSender s(group, rng);
+          crypto::SilentPadSender s(group, rng);
           s.send(ch, msgs, k);
           return 0;
         },
         [&](net::Endpoint& ch) {
           Rng rng(2);
-          crypto::BatchedOtReceiver r(group, rng);
+          crypto::SilentPadReceiver r(group, rng);
           return r.receive(ch, want, n, 8);
         });
     benchmark::DoNotOptimize(outcome.b);
@@ -172,17 +96,15 @@ BENCHMARK(BM_OtKofN)
 void BM_OtPrecomputedOnline(benchmark::State& state) {
   // Online phase only: the argument for OT precomputation.
   const crypto::DhGroup group(crypto::GroupId::kModp1024);
-  const Bytes m0(32, 1), m1(32, 2);
+  const std::array<Bytes, 2> messages{Bytes(32, 1), Bytes(32, 2)};
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
-        crypto::NaorPinkasSender np(group, rng);
-        return crypto::precompute_ot_sender(ch, np, 512, 32, rng);
+        return crypto::precompute_ot_sender(ch, group, 512, 32, rng);
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
-        crypto::NaorPinkasReceiver np(group, rng);
-        return crypto::precompute_ot_receiver(ch, np, 512, 32, rng);
+        return crypto::precompute_ot_receiver(ch, group, 512, 32, rng);
       });
   std::size_t slot = 0;
   for (auto _ : state) {
@@ -192,11 +114,11 @@ void BM_OtPrecomputedOnline(benchmark::State& state) {
     }
     auto online = net::run_two_party(
         [&](net::Endpoint& ch) {
-          crypto::precomputed_send_1of2(ch, outcome.a[slot], m0, m1);
+          crypto::precomputed_send_1ofn(ch, outcome.a[slot], messages);
           return 0;
         },
         [&](net::Endpoint& ch) {
-          return crypto::precomputed_receive_1of2(ch, outcome.b[slot], true);
+          return crypto::precomputed_receive_1ofn(ch, outcome.b[slot], 1, 32);
         });
     benchmark::DoNotOptimize(online.b);
     ++slot;

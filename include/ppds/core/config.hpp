@@ -5,6 +5,7 @@
 
 #include "ppds/crypto/group.hpp"
 #include "ppds/crypto/ot.hpp"
+#include "ppds/crypto/silent_ot.hpp"
 #include "ppds/ompe/ompe.hpp"
 
 /// \file config.hpp
@@ -12,8 +13,8 @@
 /// backend, which OT engine, which security parameters. Both parties agree
 /// on a SchemeConfig out of band (it contains only public parameters).
 ///
-/// There is one private OT engine, the silent OT extension behind
-/// crypto::BatchedOt{Sender,Receiver}: one batched Naor-Pinkas seed
+/// There is one private OT engine, the silent OT extension
+/// crypto::SilentPad{Sender,Receiver}: one batched Naor-Pinkas seed
 /// agreement per engine, then hash/XOR transfers. The only alternative is
 /// the loopback simulation, which has no privacy and exists for benches.
 
@@ -83,25 +84,23 @@ class OtBundle {
                         std::size_t repeat = 1);
 
   /// Fails the bundle closed after a mid-protocol error: wipes and poisons
-  /// the OT engines (see BatchedOtSender::abort — half-consumed correlated
+  /// the OT engines (see SilentPadSender::abort — half-consumed correlated
   /// randomness must never be resumed). Safe to call for every engine; the
   /// loopback engine has nothing to discard.
   void abort() noexcept;
 
-  crypto::OtSender& sender();
-  crypto::OtReceiver& receiver();
+  crypto::OtSender& sender() { return *sender_; }
+  crypto::OtReceiver& receiver() { return *receiver_; }
 
-  /// Private-engine views (nullptr for the loopback engine): the
-  /// audit/observability hooks live on the concrete types.
-  crypto::BatchedOtSender* batched_sender() { return batched_sender_; }
-  crypto::BatchedOtReceiver* batched_receiver() { return batched_receiver_; }
+  /// The silent receiver engine (nullptr for the loopback engine). Kept
+  /// for the benchmark harness, which reads its sync_expansions().
+  crypto::SilentPadReceiver* batched_receiver() {
+    return dynamic_cast<crypto::SilentPadReceiver*>(receiver_.get());
+  }
 
  private:
   std::unique_ptr<crypto::OtSender> sender_;
   std::unique_ptr<crypto::OtReceiver> receiver_;
-  /// Non-owning views into sender_/receiver_ for the private engine.
-  crypto::BatchedOtSender* batched_sender_ = nullptr;
-  crypto::BatchedOtReceiver* batched_receiver_ = nullptr;
 };
 
 /// Demand one OMPE evaluation places on the OT engine: m direct 1-of-M

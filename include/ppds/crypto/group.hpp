@@ -14,7 +14,8 @@
 #include "ppds/crypto/sha256.hpp"
 
 /// \file group.hpp
-/// Prime-order subgroup of Z_p^* used by the Naor-Pinkas oblivious transfer.
+/// Prime-order subgroup of Z_p^* used by the batched Naor-Pinkas base OTs
+/// that seed the silent OT extension.
 ///
 /// p is a safe prime (p = 2q + 1) from the standard MODP groups
 /// (RFC 2409 / RFC 3526); the generator g = 4 generates the order-q subgroup
@@ -48,8 +49,6 @@ enum class GroupId {
 struct ExpCounters {
   std::uint64_t full = 0;        ///< full mpz_powm exponentiations
   std::uint64_t fixed_base = 0;  ///< table-served exponentiations
-  std::uint64_t multi_exp_batches = 0;  ///< multi_exp() invocations
-  std::uint64_t multi_exp_bases = 0;    ///< bases folded across those batches
 };
 
 /// Reads the process-wide counters (monotonic since process start or the
@@ -124,21 +123,6 @@ class DhGroup {
   /// a^{-1} mod p.
   mpz_class invert(const mpz_class& a) const;
 
-  /// Joint multi-exponentiation: prod_i bases[i]^exps[i] mod p, all
-  /// exponents >= 0. One shared squaring chain serves every base (Straus
-  /// interleaving with 4-bit per-base windows); batches larger than
-  /// kPippengerThreshold switch to Pippenger's bucket method, whose window
-  /// precompute is shared across ALL bases instead of per base. Bases equal
-  /// to g are factored out and served from the generator FixedBaseTable
-  /// (zero squarings), then multiplied into the joint result. Counted in
-  /// exp_counters().multi_exp_batches / multi_exp_bases rather than .full —
-  /// a k-base batch replaces k full exponentiations with one chain.
-  mpz_class multi_exp(std::span<const mpz_class> bases,
-                      std::span<const mpz_class> exps) const;
-
-  /// Batch size at which multi_exp switches from Straus to Pippenger.
-  static constexpr std::size_t kPippengerThreshold = 16;
-
   /// In-place Montgomery batch inversion: xs[i] <- xs[i]^{-1} mod p using
   /// 3(n-1) multiplications and ONE modular inversion. Throws CryptoError if
   /// any element is non-invertible (and leaves xs unspecified in that case).
@@ -146,9 +130,6 @@ class DhGroup {
 
   /// Uniform exponent in [1, q).
   mpz_class random_exponent(Rng& rng) const;
-
-  /// Uniform group element g^r for secret r (used as the sender's "C").
-  mpz_class random_element(Rng& rng) const;
 
   /// Fixed-width big-endian serialization.
   Bytes serialize(const mpz_class& x) const;

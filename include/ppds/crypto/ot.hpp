@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <vector>
 
 #include "ppds/common/bytes.hpp"
@@ -28,7 +27,7 @@
 /// protocols speak over a net::Endpoint so every run has an exact, countable
 /// wire footprint. Two engines implement the k-out-of-n interface:
 ///
-///   BatchedOt* — the cryptographic instantiation (silent OT extension).
+///   SilentPad* — the cryptographic instantiation (silent OT extension).
 ///   Loopback*  — a trusted-simulation engine that transfers the selected
 ///                messages directly. It provides NO privacy and exists so
 ///                large benches can isolate the algebraic OMPE cost from
@@ -46,6 +45,16 @@ class OtSender {
   /// receiver's secret. All messages must have equal length.
   virtual void send(net::Endpoint& channel,
                     std::span<const Bytes> messages, std::size_t k) = 0;
+
+  /// Offline phase: ensures at least \p count unconsumed arity-\p arity
+  /// transfers are prepared (the receiver mirrors with its own reserve()).
+  /// A no-op for engines with no offline phase (loopback).
+  virtual void reserve(net::Endpoint& /*channel*/, std::size_t /*arity*/,
+                       std::size_t /*count*/) {}
+
+  /// Fails the engine closed after a mid-protocol error: wipes its secret
+  /// state and refuses further use. A no-op for engines that hold none.
+  virtual void abort() noexcept {}
 };
 
 /// Receiver half of a k-out-of-n OT engine.
@@ -58,42 +67,13 @@ class OtReceiver {
                                      std::span<const std::size_t> indices,
                                      std::size_t n,
                                      std::size_t message_len) = 0;
-};
 
-/// --- Naor-Pinkas 1-out-of-2 ------------------------------------------------
+  /// See OtSender::reserve().
+  virtual void reserve(net::Endpoint& /*channel*/, std::size_t /*arity*/,
+                       std::size_t /*count*/) {}
 
-/// Naor-Pinkas OT sender over a DhGroup shared with the receiver (public
-/// parameters). The silent engine's seed agreement runs its batched form,
-/// precompute_ot_sender().
-class NaorPinkasSender {
- public:
-  NaorPinkasSender(const DhGroup& group, Rng& rng)
-      : group_(group), rng_(rng) {}
-
-  /// Single 1-out-of-2 OT of two equal-length messages.
-  void send_1of2(net::Endpoint& channel, const Bytes& m0, const Bytes& m1);
-
-  const DhGroup& group() const { return group_; }
-
- private:
-  const DhGroup& group_;
-  Rng& rng_;
-};
-
-/// Naor-Pinkas OT receiver.
-class NaorPinkasReceiver {
- public:
-  NaorPinkasReceiver(const DhGroup& group, Rng& rng)
-      : group_(group), rng_(rng) {}
-
-  Bytes receive_1of2(net::Endpoint& channel, PPDS_SECRET bool choice,
-                     std::size_t message_len);
-
-  const DhGroup& group() const { return group_; }
-
- private:
-  const DhGroup& group_;
-  Rng& rng_;
+  /// See OtSender::abort().
+  virtual void abort() noexcept {}
 };
 
 /// --- Loopback (trusted simulation) engine ----------------------------------
@@ -146,38 +126,34 @@ struct PrecomputedRecvSlot {
 };
 
 /// Largest arity served by direct 1-of-n slots (the online correction shift
-/// must fit one byte). The batched engines refuse larger transfers;
+/// must fit one byte). The silent engine refuses larger transfers;
 /// ompe::validate() keeps every OMPE round below it.
 inline constexpr std::size_t kMaxDirectArity = 256;
-
-// Silent-OT machinery (crypto/silent_ot.hpp) — kept behind forward
-// declarations so the base OT header stays cycle-free.
-class SilentPadSender;
-class SilentPadReceiver;
 
 /// Runs \p count 1-out-of-2 OTs of \p pad_len-byte random pads in ONE
 /// channel round trip (the batched base phase above; pad_len <= 32).
 /// Returns the sender-side slots; receiver-side slots come out of the
 /// matching call on the other thread.
 std::vector<PrecomputedSendSlot> precompute_ot_sender(
-    net::Endpoint& channel, NaorPinkasSender& sender, std::size_t count,
+    net::Endpoint& channel, const DhGroup& group, std::size_t count,
     std::size_t pad_len, Rng& rng);
 
 std::vector<PrecomputedRecvSlot> precompute_ot_receiver(
-    net::Endpoint& channel, NaorPinkasReceiver& receiver, std::size_t count,
+    net::Endpoint& channel, const DhGroup& group, std::size_t count,
     std::size_t pad_len, Rng& rng);
 
-/// Process-wide abort-and-wipe audit. Every BatchedOt{Sender,Receiver}::
-/// abort() increments `aborts` and — when the post-wipe pool_wiped() scan
+/// Process-wide abort-and-wipe audit. Every SilentPad{Sender,Receiver}::
+/// abort() increments `aborts` and — when the post-wipe pads_clean() scan
 /// comes back clean — `wiped`. A supervisor (the daemon tests, an operator
 /// reading ppdsd's shutdown stats) asserts wiped == aborts to PROVE that
 /// every mid-protocol failure in the process zeroed its pads, without
 /// reaching into engines owned by other threads' dead sessions.
 ///
-/// The pool_wiped() scan covers staged correction bytes, expanded row
+/// The pads_clean() scan covers staged correction bytes, expanded row
 /// material and unconsumed pads. The engines also report their GGM state:
-/// `frontier_wipes` counts aborts whose post-wipe frontier scan (every tree
-/// root seed zeroed, the column-choice mask zeroed) came back clean.
+/// `frontier_wipes` counts aborts whose post-wipe frontier_clean() scan
+/// came back clean: every tree root seed zeroed, plus the sender's
+/// column-choice mask zeroed and the receiver's choice-stream seed gone.
 /// Disconnect tests assert both counts equal the aborts.
 struct OtAbortAudit {
   std::atomic<std::uint64_t> aborts{0};
@@ -187,82 +163,9 @@ struct OtAbortAudit {
 
 OtAbortAudit& ot_abort_audit();
 
-/// --- Batched session facade --------------------------------------------------
-///
-/// OtSender/OtReceiver implementation over the silent OT extension: the
-/// first reserve() or transfer runs the one-round-trip seed agreement, and
-/// every later slot costs a 16-byte correction row. An n-message transfer
-/// consumes one direct arity-n slot; n > kMaxDirectArity throws
-/// InvalidArgument. The slot ledger is protocol-deterministic, so both
-/// sides stage identical correction blocks.
-
-class BatchedOtSender : public OtSender {
- public:
-  BatchedOtSender(const DhGroup& group, Rng& rng);
-  ~BatchedOtSender() override;
-
-  /// Ensures at least \p count unconsumed arity-\p arity slots on the
-  /// shared ledger (the receiver must mirror with its own reserve()).
-  void reserve(net::Endpoint& channel, std::size_t arity, std::size_t count);
-
-  void send(net::Endpoint& channel, std::span<const Bytes> messages,
-            std::size_t k) override;
-
-  /// Poisons the engine after a failed round trip: wipes every seed and pad
-  /// IN PLACE and refuses all further use (ProtocolError). Correlated
-  /// randomness must never be resumed once the two sides may disagree on
-  /// how much of it was consumed — a retried query runs on a FRESH engine.
-  void abort() noexcept;
-
-  bool aborted() const;
-
-  /// Abort-audit hook: true when every staged byte and unconsumed pad is
-  /// zero (the post-abort hygiene check of the chaos tests reads this
-  /// instead of poking freed memory).
-  bool pool_wiped() const;
-
-  /// Unconsumed slots on the staged/consumed LEDGER (the protocol-
-  /// deterministic quantity, not the locally-timed expansion level), summed
-  /// across arities or for one arity.
-  std::size_t available_slots() const;
-  std::size_t available_slots(std::size_t arity) const;
-
-  SilentPadSender* silent_engine() { return silent_.get(); }
-  const SilentPadSender* silent_engine() const { return silent_.get(); }
-
- private:
-  std::unique_ptr<SilentPadSender> silent_;
-};
-
-class BatchedOtReceiver : public OtReceiver {
- public:
-  BatchedOtReceiver(const DhGroup& group, Rng& rng);
-  ~BatchedOtReceiver() override;
-
-  void reserve(net::Endpoint& channel, std::size_t arity, std::size_t count);
-
-  std::vector<Bytes> receive(net::Endpoint& channel,
-                             std::span<const std::size_t> indices,
-                             std::size_t n, std::size_t message_len) override;
-
-  /// See BatchedOtSender::abort().
-  void abort() noexcept;
-
-  bool aborted() const;
-
-  /// See BatchedOtSender::pool_wiped().
-  bool pool_wiped() const;
-
-  /// See BatchedOtSender::available_slots().
-  std::size_t available_slots() const;
-  std::size_t available_slots(std::size_t arity) const;
-
-  SilentPadReceiver* silent_engine() { return silent_.get(); }
-  const SilentPadReceiver* silent_engine() const { return silent_.get(); }
-
- private:
-  std::unique_ptr<SilentPadReceiver> silent_;
-};
+/// Throws InvalidArgument unless \p messages is non-empty and every message
+/// has the same length (what every engine's send() requires).
+void check_equal_lengths(std::span<const Bytes> messages);
 
 /// Online phase: consumes one slot per transfer. The receiver
 /// announces the public shift s = (index - choice) mod n, the sender
@@ -276,14 +179,5 @@ void precomputed_send_1ofn(net::Endpoint& channel,
 Bytes precomputed_receive_1ofn(net::Endpoint& channel,
                                const PrecomputedRecvSlot& slot,
                                std::size_t index, std::size_t message_len);
-
-/// Arity-2 wrappers (the Beaver online phase).
-void precomputed_send_1of2(net::Endpoint& channel,
-                           const PrecomputedSendSlot& slot, const Bytes& m0,
-                           const Bytes& m1);
-
-Bytes precomputed_receive_1of2(net::Endpoint& channel,
-                               const PrecomputedRecvSlot& slot,
-                               PPDS_SECRET bool choice);
 
 }  // namespace ppds::crypto

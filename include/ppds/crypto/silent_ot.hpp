@@ -15,8 +15,9 @@
 #include "ppds/crypto/prg.hpp"
 
 /// \file silent_ot.hpp
-/// Silent OT precompute: a KK13-style OT extension, the engine behind every
-/// private transfer (BatchedOt{Sender,Receiver}). A batched DH phase would
+/// Silent OT precompute: a KK13-style OT extension, the engine of every
+/// private transfer (SilentPad{Sender,Receiver} are the OtSender/OtReceiver
+/// implementations behind core::OtBundle). A batched DH phase would
 /// pay one full exponentiation and one group element of bandwidth PER
 /// SLOT; this engine pays them only for its 128 base OTs and expands every
 /// later slot from PPRF keystreams.
@@ -83,43 +84,59 @@ SilentRow silent_codeword_ct(std::uint32_t v);
 const std::array<SilentRow, kMaxDirectArity>& silent_codewords();
 
 /// --- Sender half -------------------------------------------------------------
-
+///
+/// The first reserve() or transfer runs the one-round-trip seed agreement,
+/// and every later slot costs a 16-byte correction row. An n-message
+/// transfer consumes one direct arity-n slot; n > kMaxDirectArity throws
+/// InvalidArgument. The slot ledger is protocol-deterministic, so both
+/// sides stage identical correction blocks.
+///
 /// Both halves are driven by the one thread running their protocol; the
-/// mutex only lets other threads read the accessors and call abort().
-class SilentPadSender {
+/// mutex only lets other threads read the accessors and call abort(). It
+/// is never held across channel I/O.
+class SilentPadSender final : public OtSender {
  public:
   SilentPadSender(const DhGroup& group, Rng& rng);
-  ~SilentPadSender();
+  ~SilentPadSender() override;
 
   SilentPadSender(const SilentPadSender&) = delete;
   SilentPadSender& operator=(const SilentPadSender&) = delete;
 
+  /// Ensures at least \p count unconsumed arity-\p arity slots on the
+  /// shared ledger (the receiver must mirror with its own reserve()). Pure
+  /// bookkeeping plus the correction-block recvs; the pads expand lazily
+  /// in send().
+  void reserve(net::Endpoint& channel, std::size_t arity,
+               std::size_t count) override;
+
+  void send(net::Endpoint& channel, std::span<const Bytes> messages,
+            std::size_t k) override;
+
   /// One-round-trip seed agreement (lazy; protocol thread). No-op once run.
   void ensure_ready(net::Endpoint& channel);
-  bool ready() const;
-
-  /// Protocol thread: receives correction blocks until the ledger covers
-  /// \p count unconsumed arity-\p arity slots. Pure bookkeeping + recv —
-  /// the expansion happens lazily in take().
-  void stage_to(net::Endpoint& channel, std::size_t arity, std::size_t count);
 
   /// Protocol thread: pops one finished slot (ledger must cover it),
-  /// expanding the oldest staged block first when none is ready.
+  /// expanding the oldest staged block first when none is ready. The
+  /// caller owns wiping the returned pads (send() does).
   PrecomputedSendSlot take(std::size_t arity);
 
-  /// Slots staged on the wire ledger and not yet consumed (the
-  /// protocol-deterministic quantity reserve() sizes from).
-  std::size_t ledger_available(std::size_t arity) const;
-  std::size_t ledger_available_total() const;
-
-  /// Wipes frontier seeds, staged corrections and unconsumed pads; poisons
-  /// the engine. The caller (BatchedOtSender::abort) feeds the audit.
-  void abort() noexcept;
+  /// Poisons the engine after a failed round trip: wipes every seed and pad
+  /// IN PLACE, refuses all further use (ProtocolError) and feeds
+  /// ot_abort_audit(). Correlated randomness must never be resumed once the
+  /// two sides may disagree on how much of it was consumed — a retried
+  /// query runs on a FRESH engine.
+  void abort() noexcept override;
   bool aborted() const;
 
   /// Post-abort hygiene scans (audit hooks).
-  bool frontier_clean() const;  ///< every GGM root seed zeroed
+  bool frontier_clean() const;  ///< every GGM root seed + Delta zeroed
   bool pads_clean() const;      ///< every staged byte + unconsumed pad zeroed
+
+  /// Unconsumed slots on the staged/consumed LEDGER (the protocol-
+  /// deterministic quantity reserve() sizes from, not the locally-timed
+  /// expansion level), summed across arities or for one arity.
+  std::size_t ledger_available() const;
+  std::size_t ledger_available(std::size_t arity) const;
 
   /// Staged blocks take() has expanded into pads.
   std::uint64_t sync_expansions() const;
@@ -141,10 +158,15 @@ class SilentPadSender {
     std::deque<PrecomputedSendSlot> slots;
   };
 
+  /// Protocol thread: receives correction blocks until the ledger covers
+  /// \p count unconsumed arity-\p arity slots.
+  void stage_to(net::Endpoint& channel, std::size_t arity, std::size_t count);
   Ledger& ledger_for(std::size_t arity);
   Pool& pool_for(std::size_t arity);
   /// Expands \p block into finished slots (pure PRG+hash).
   std::vector<PrecomputedSendSlot> expand_block(const PendingBlock& block) const;
+  /// Zeroes every live secret (caller holds mu_).
+  void wipe_secrets() noexcept;
 
   const DhGroup& group_;
   Rng& rng_;
@@ -168,37 +190,46 @@ class SilentPadSender {
 
 /// --- Receiver half -----------------------------------------------------------
 
-class SilentPadReceiver {
+class SilentPadReceiver final : public OtReceiver {
  public:
   SilentPadReceiver(const DhGroup& group, Rng& rng);
-  ~SilentPadReceiver();
+  ~SilentPadReceiver() override;
 
   SilentPadReceiver(const SilentPadReceiver&) = delete;
   SilentPadReceiver& operator=(const SilentPadReceiver&) = delete;
 
-  void ensure_ready(net::Endpoint& channel);
-  bool ready() const;
+  /// See SilentPadSender::reserve(). The receiver draws the choices and
+  /// builds, sends and expands into finished slots at staging time.
+  void reserve(net::Endpoint& channel, std::size_t arity,
+               std::size_t count) override;
 
-  /// Protocol thread: draws choices, builds + SENDS correction blocks until
-  /// the ledger covers \p count unconsumed arity-\p arity slots, and pushes
-  /// the matching finished recv slots, expanding row material as needed
-  /// (counted in sync_expansions()).
-  void stage_to(net::Endpoint& channel, std::size_t arity, std::size_t count);
+  std::vector<Bytes> receive(net::Endpoint& channel,
+                             std::span<const std::size_t> indices,
+                             std::size_t n, std::size_t message_len) override;
+
+  void ensure_ready(net::Endpoint& channel);
 
   /// Protocol thread: pops one finished slot. Receiver slots are built at
   /// staging time, so this never blocks.
   PrecomputedRecvSlot take(std::size_t arity);
 
-  std::size_t ledger_available(std::size_t arity) const;
-  std::size_t ledger_available_total() const;
-
-  void abort() noexcept;
+  /// See SilentPadSender::abort(). Also drops the choice stream, whose
+  /// seed would regenerate every past alpha_r.
+  void abort() noexcept override;
   bool aborted() const;
-  bool frontier_clean() const;
+  bool frontier_clean() const;  ///< every GGM root seed zeroed, no choice
+                                ///< stream left
   bool pads_clean() const;
+
+  std::size_t ledger_available() const;
+  std::size_t ledger_available(std::size_t arity) const;
 
   /// GGM leaf chunks (kSilentRowsPerLeaf rows each) expanded so far.
   std::uint64_t sync_expansions() const;
+
+  /// Returns this. Kept for the benchmark harness, which reads
+  /// sync_expansions() through core::OtBundle::batched_receiver().
+  const SilentPadReceiver* silent_engine() const { return this; }
 
  private:
   struct Ledger {
@@ -217,12 +248,20 @@ class SilentPadReceiver {
     std::deque<PrecomputedRecvSlot> slots;
   };
 
+  /// Protocol thread: draws choices, builds + SENDS correction blocks until
+  /// the ledger covers \p count unconsumed arity-\p arity slots, and pushes
+  /// the matching finished recv slots, expanding row material as needed
+  /// (counted in sync_expansions()).
+  void stage_to(net::Endpoint& channel, std::size_t arity, std::size_t count);
   Ledger& ledger_for(std::size_t arity);
   Pool& pool_for(std::size_t arity);
   /// Appends the next GGM leaf chunk (kSilentRowsPerLeaf rows) of both
   /// column trees as row material.
   void expand_next_chunk();
   std::uint64_t material_through() const;
+  /// Zeroes every live secret and drops the choice stream (caller holds
+  /// mu_).
+  void wipe_secrets() noexcept;
 
   const DhGroup& group_;
   Rng& rng_;

@@ -57,14 +57,20 @@ namespace ppds::ompe {
 
 enum class Backend : std::uint8_t { kReal = 0, kField = 1 };
 
+/// Fixed-point scale of the field backend: fractional bits of one encoded
+/// factor. A protocol constant (the session digests hash it).
+inline constexpr unsigned kFracBits = 20;
+
+/// |v| bounds of the real backend's interpolation nodes. Protocol constants
+/// (the session digests hash them).
+inline constexpr double kNodeLo = 0.3;
+inline constexpr double kNodeHi = 1.5;
+
 /// Public protocol parameters (shared by both parties out of band).
 struct OmpeParams {
   unsigned q = 8;        ///< masking-degree security parameter of the paper
   unsigned k = 3;        ///< cover blow-up; M = (q + 1) * k
   Backend backend = Backend::kReal;
-  unsigned frac_bits = 20;  ///< fixed-point scale (field backend only)
-  double node_lo = 0.3;  ///< |v| lower bound for real-backend nodes
-  double node_hi = 1.5;  ///< |v| upper bound for real-backend nodes
 
   // --- Local performance knobs --------------------------------------------
   // NOT protocol parameters: they never change wire bytes (transcripts are

@@ -9,39 +9,25 @@ OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng) {
     return;
   }
   const crypto::DhGroup& group = crypto::shared_group(cfg.group);
-  auto sender = std::make_unique<crypto::BatchedOtSender>(group, rng);
-  auto receiver = std::make_unique<crypto::BatchedOtReceiver>(group, rng);
-  batched_sender_ = sender.get();
-  batched_receiver_ = receiver.get();
-  sender_ = std::move(sender);
-  receiver_ = std::move(receiver);
+  sender_ = std::make_unique<crypto::SilentPadSender>(group, rng);
+  receiver_ = std::make_unique<crypto::SilentPadReceiver>(group, rng);
 }
 
 void OtBundle::prepare_sender(net::Endpoint& channel, const OtDemand& demand,
                               std::size_t repeat) {
-  if (batched_sender_ == nullptr || demand.count == 0) return;
-  batched_sender_->reserve(channel, demand.arity, demand.count * repeat);
+  if (demand.count == 0) return;
+  sender_->reserve(channel, demand.arity, demand.count * repeat);
 }
 
 void OtBundle::prepare_receiver(net::Endpoint& channel, const OtDemand& demand,
                                 std::size_t repeat) {
-  if (batched_receiver_ == nullptr || demand.count == 0) return;
-  batched_receiver_->reserve(channel, demand.arity, demand.count * repeat);
+  if (demand.count == 0) return;
+  receiver_->reserve(channel, demand.arity, demand.count * repeat);
 }
 
 void OtBundle::abort() noexcept {
-  if (batched_sender_ != nullptr) batched_sender_->abort();
-  if (batched_receiver_ != nullptr) batched_receiver_->abort();
-}
-
-crypto::OtSender& OtBundle::sender() {
-  detail::require(sender_ != nullptr, "OtBundle: no sender engine");
-  return *sender_;
-}
-
-crypto::OtReceiver& OtBundle::receiver() {
-  detail::require(receiver_ != nullptr, "OtBundle: no receiver engine");
-  return *receiver_;
+  sender_->abort();
+  receiver_->abort();
 }
 
 OtDemand ot_demand_per_query(const ompe::OmpeParams& params) {

@@ -123,9 +123,9 @@ crypto::Digest protocol_digest(const ClassificationProfile& profile,
   w.u8(static_cast<std::uint8_t>(config.ompe.backend));
   w.u32(config.ompe.q);
   w.u32(config.ompe.k);
-  w.u32(config.ompe.frac_bits);
-  w.f64(config.ompe.node_lo);
-  w.f64(config.ompe.node_hi);
+  w.u32(ompe::kFracBits);
+  w.f64(ompe::kNodeLo);
+  w.f64(ompe::kNodeHi);
   // Local performance knobs (ompe.eval_threads, ompe.use_simd_field) are
   // deliberately NOT hashed: they never change wire bytes, so the parties
   // need not agree on them.
@@ -169,8 +169,8 @@ crypto::Digest similarity_digest(const svm::Kernel& kernel,
   w.u8(config.ot_engine == OtEngine::kPrecomputed ? 1 : 0);  // as above
   w.u32(config.ompe.q);
   w.u32(config.ompe.k);
-  w.f64(config.ompe.node_lo);
-  w.f64(config.ompe.node_hi);
+  w.f64(ompe::kNodeLo);
+  w.f64(ompe::kNodeHi);
   return crypto::sha256(w.data());
 }
 

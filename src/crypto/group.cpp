@@ -1,7 +1,6 @@
 #include "ppds/crypto/group.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "ppds/common/ct.hpp"
 #include "ppds/common/error.hpp"
@@ -67,30 +66,16 @@ std::atomic<std::uint64_t>& fixed_base_exp_counter() {
   return counter;
 }
 
-std::atomic<std::uint64_t>& multi_exp_batch_counter() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter;
-}
-
-std::atomic<std::uint64_t>& multi_exp_base_counter() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter;
-}
-
 }  // namespace
 
 ExpCounters exp_counters() {
   return {full_exp_counter().load(std::memory_order_relaxed),
-          fixed_base_exp_counter().load(std::memory_order_relaxed),
-          multi_exp_batch_counter().load(std::memory_order_relaxed),
-          multi_exp_base_counter().load(std::memory_order_relaxed)};
+          fixed_base_exp_counter().load(std::memory_order_relaxed)};
 }
 
 void reset_exp_counters() {
   full_exp_counter().store(0, std::memory_order_relaxed);
   fixed_base_exp_counter().store(0, std::memory_order_relaxed);
-  multi_exp_batch_counter().store(0, std::memory_order_relaxed);
-  multi_exp_base_counter().store(0, std::memory_order_relaxed);
 }
 
 FixedBaseTable::FixedBaseTable(const mpz_class& base, const mpz_class& modulus,
@@ -193,95 +178,6 @@ mpz_class DhGroup::invert(const mpz_class& a) const {
   return out;
 }
 
-namespace {
-
-/// w-bit window of \p e starting at bit \p lo (little-endian bit order).
-std::size_t exp_window(const mpz_class& e, std::size_t lo, unsigned w) {
-  std::size_t window = 0;
-  for (unsigned b = 0; b < w; ++b) {
-    if (mpz_tstbit(e.get_mpz_t(), lo + b) != 0) window |= std::size_t{1} << b;
-  }
-  return window;
-}
-
-}  // namespace
-
-mpz_class DhGroup::multi_exp(std::span<const mpz_class> bases,
-                             std::span<const mpz_class> exps) const {
-  detail::require(bases.size() == exps.size(),
-                  "DhGroup::multi_exp: bases/exps size mismatch");
-  multi_exp_batch_counter().fetch_add(1, std::memory_order_relaxed);
-  multi_exp_base_counter().fetch_add(bases.size(), std::memory_order_relaxed);
-  if (bases.empty()) return 1;
-
-  // Generator bases don't join the squaring chain at all: the window table
-  // already holds every g^(j * 2^(w*i)), so their contribution is a pure
-  // table product, multiplied into the joint result at the end.
-  mpz_class g_part = 1;
-  std::vector<std::size_t> chain;  // indices of non-generator bases
-  chain.reserve(bases.size());
-  std::size_t max_bits = 0;
-  for (std::size_t i = 0; i < bases.size(); ++i) {
-    detail::require(exps[i] >= 0, "DhGroup::multi_exp: negative exponent");
-    if (bases[i] == g_) {
-      g_part = mul(g_part, pow_g(exps[i]));
-      continue;
-    }
-    chain.push_back(i);
-    max_bits = std::max(max_bits, mpz_sizeinbase(exps[i].get_mpz_t(), 2));
-  }
-  if (chain.empty()) return g_part;
-
-  constexpr unsigned kWindow = 4;
-  constexpr std::size_t kSlots = std::size_t{1} << kWindow;
-  const std::size_t top =
-      (max_bits + kWindow - 1) / kWindow * kWindow;  // first window's high bit
-  mpz_class acc = 1;
-
-  if (chain.size() <= kPippengerThreshold) {
-    // Straus interleaving: per-base digit tables, one shared squaring chain.
-    std::vector<std::array<mpz_class, kSlots>> tables(chain.size());
-    for (std::size_t t = 0; t < chain.size(); ++t) {
-      tables[t][0] = 1;
-      for (std::size_t j = 1; j < kSlots; ++j) {
-        tables[t][j] = mul(tables[t][j - 1], bases[chain[t]]);
-      }
-    }
-    for (std::size_t lo = top; lo >= kWindow; lo -= kWindow) {
-      if (acc != 1) {
-        for (unsigned s = 0; s < kWindow; ++s) acc = mul(acc, acc);
-      }
-      for (std::size_t t = 0; t < chain.size(); ++t) {
-        const std::size_t d = exp_window(exps[chain[t]], lo - kWindow, kWindow);
-        if (d != 0) acc = mul(acc, tables[t][d]);
-      }
-    }
-  } else {
-    // Pippenger buckets: per window, group bases by digit and fold each
-    // bucket once — the window precompute is shared across ALL bases.
-    std::vector<mpz_class> buckets(kSlots);
-    for (std::size_t lo = top; lo >= kWindow; lo -= kWindow) {
-      if (acc != 1) {
-        for (unsigned s = 0; s < kWindow; ++s) acc = mul(acc, acc);
-      }
-      for (auto& b : buckets) b = 1;
-      for (const std::size_t i : chain) {
-        const std::size_t d = exp_window(exps[i], lo - kWindow, kWindow);
-        if (d != 0) buckets[d] = mul(buckets[d], bases[i]);
-      }
-      // sum_j bucket[j]^j via the running-product trick.
-      mpz_class run = 1;
-      mpz_class sum = 1;
-      for (std::size_t j = kSlots - 1; j >= 1; --j) {
-        run = mul(run, buckets[j]);
-        sum = mul(sum, run);
-      }
-      acc = mul(acc, sum);
-    }
-  }
-  return mul(acc, g_part);
-}
-
 void DhGroup::batch_invert(std::span<mpz_class> xs) const {
   if (xs.empty()) return;
   // Montgomery's trick: one inversion of the running product, then peel the
@@ -318,10 +214,6 @@ mpz_class DhGroup::random_exponent(Rng& rng) const {
     candidate %= (mpz_class(1) << bits);
     if (candidate >= 1 && candidate < q_) return candidate;
   }
-}
-
-mpz_class DhGroup::random_element(Rng& rng) const {
-  return pow_g(random_exponent(rng));
 }
 
 Bytes DhGroup::serialize(const mpz_class& x) const {

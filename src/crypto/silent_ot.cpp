@@ -43,6 +43,33 @@ std::uint32_t bounded_choice(std::uint64_t word, std::size_t arity) {
   return static_cast<std::uint32_t>((static_cast<u128>(word) * arity) >> 64);
 }
 
+[[noreturn]] void fail_aborted() {
+  throw ProtocolError("silent ot: aborted engine cannot be resumed");
+}
+
+void check_slot_arity(std::size_t arity) {
+  detail::require(arity >= 2 && arity <= kMaxDirectArity,
+                  "ot: slot arity must be in [2, kMaxDirectArity]");
+}
+
+void wipe_slot(PrecomputedSendSlot& slot) {
+  for (Bytes& pad : slot.pads) secure_wipe(std::span(pad));
+}
+
+void wipe_slot(PrecomputedRecvSlot& slot) {
+  secure_wipe(std::span(slot.pad));
+  slot.choice = 0;
+}
+
+/// Feeds the process-wide audit after an engine's abort() has wiped it.
+template <typename Engine>
+void audit_abort(const Engine& engine) {
+  OtAbortAudit& audit = ot_abort_audit();
+  audit.aborts.fetch_add(1);
+  if (engine.pads_clean()) audit.wiped.fetch_add(1);
+  if (engine.frontier_clean()) audit.frontier_wipes.fetch_add(1);
+}
+
 }  // namespace
 
 SilentRow silent_codeword_ct(std::uint32_t v) {
@@ -78,29 +105,67 @@ SilentPadSender::SilentPadSender(const DhGroup& group, Rng& rng)
 
 SilentPadSender::~SilentPadSender() {
   std::lock_guard lk(mu_);
+  wipe_secrets();
+}
+
+void SilentPadSender::wipe_secrets() noexcept {
+  // Zero every live secret: frontier seeds, the column-choice mask, staged
+  // correction bytes and unconsumed pads.
   for (GgmTree& tree : trees_) tree.wipe();
   secure_wipe(std::span(delta_));
   for (PendingBlock& block : pending_) secure_wipe(std::span(block.u));
+  pending_.clear();
   for (Pool& pool : pools_) {
-    for (PrecomputedSendSlot& slot : pool.slots) {
-      for (Bytes& pad : slot.pads) secure_wipe(std::span(pad));
-    }
+    for (PrecomputedSendSlot& slot : pool.slots) wipe_slot(slot);
+  }
+  for (Ledger& led : ledgers_) led.consumed = led.staged;
+}
+
+void SilentPadSender::reserve(net::Endpoint& channel, std::size_t arity,
+                              std::size_t count) {
+  if (aborted()) fail_aborted();
+  check_slot_arity(arity);
+  ensure_ready(channel);
+  stage_to(channel, arity, count);
+}
+
+void SilentPadSender::send(net::Endpoint& channel,
+                           std::span<const Bytes> messages, std::size_t k) {
+  if (aborted()) fail_aborted();
+  check_equal_lengths(messages);
+  detail::require(k >= 1 && k <= messages.size(), "ot: bad k");
+  const std::size_t n = messages.size();
+  detail::require(n <= kMaxDirectArity,
+                  "ot: transfer arity above kMaxDirectArity");
+  if (n == 1) {
+    for (std::size_t i = 0; i < k; ++i) channel.send(messages.front());
+    return;
+  }
+  ensure_ready(channel);
+  // Auto-staging keyed on the shared ledger and PROTOCOL constants, so both
+  // sides stage identical correction blocks.
+  if (ledger_available(n) < k + kSilentLeadSlots) {
+    stage_to(channel, n, k + kSilentLeadSlots);
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    PrecomputedSendSlot slot = take(n);
+    precomputed_send_1ofn(channel, slot, messages);
+    wipe_slot(slot);
   }
 }
 
 void SilentPadSender::ensure_ready(net::Endpoint& channel) {
   {
     std::lock_guard lk(mu_);
-    if (aborted_) throw ProtocolError("silent ot: aborted engine");
+    if (aborted_) fail_aborted();
     if (ready_) return;
   }
   // Role flip: the pad-sender is the base-OT RECEIVER, ending up with one
   // seed per column plus the secret choice bit Delta_j. One amortized round
   // trip of kSilentColumns 1-of-2 transfers is the engine's entire
   // public-key bill.
-  NaorPinkasReceiver base(group_, rng_);
   auto base_slots =
-      precompute_ot_receiver(channel, base, kSilentColumns, 32, rng_);
+      precompute_ot_receiver(channel, group_, kSilentColumns, 32, rng_);
   std::vector<GgmTree> trees;
   trees.reserve(kSilentColumns);
   PPDS_SECRET SilentRow delta{};
@@ -123,11 +188,6 @@ void SilentPadSender::ensure_ready(net::Endpoint& channel) {
   ready_ = true;
 }
 
-bool SilentPadSender::ready() const {
-  std::lock_guard lk(mu_);
-  return ready_;
-}
-
 SilentPadSender::Ledger& SilentPadSender::ledger_for(std::size_t arity) {
   for (Ledger& led : ledgers_) {
     if (led.arity == arity) return led;
@@ -147,7 +207,7 @@ SilentPadSender::Pool& SilentPadSender::pool_for(std::size_t arity) {
 void SilentPadSender::stage_to(net::Endpoint& channel, std::size_t arity,
                                std::size_t count) {
   std::unique_lock lk(mu_);
-  if (aborted_) throw ProtocolError("silent ot: aborted engine");
+  if (aborted_) fail_aborted();
   detail::require(ready_, "silent ot: stage before seed agreement");
   for (;;) {
     Ledger& led = ledger_for(arity);
@@ -159,7 +219,7 @@ void SilentPadSender::stage_to(net::Endpoint& channel, std::size_t arity,
     lk.unlock();
     Bytes msg = channel.recv();
     lk.lock();
-    if (aborted_) throw ProtocolError("silent ot: aborted engine");
+    if (aborted_) fail_aborted();
     ByteReader rd(msg);
     const std::uint32_t block_arity = rd.u32();
     const std::uint64_t first_row = rd.u64();
@@ -236,7 +296,7 @@ std::vector<PrecomputedSendSlot> SilentPadSender::expand_block(
 
 PrecomputedSendSlot SilentPadSender::take(std::size_t arity) {
   std::lock_guard lk(mu_);
-  if (aborted_) throw ProtocolError("silent ot: aborted engine");
+  if (aborted_) fail_aborted();
   Ledger& led = ledger_for(arity);
   detail::require(led.consumed < led.staged,
                   "silent ot: take outruns the staged ledger");
@@ -269,7 +329,7 @@ std::size_t SilentPadSender::ledger_available(std::size_t arity) const {
   return 0;
 }
 
-std::size_t SilentPadSender::ledger_available_total() const {
+std::size_t SilentPadSender::ledger_available() const {
   std::lock_guard lk(mu_);
   std::size_t total = 0;
   for (const Ledger& led : ledgers_) total += led.staged - led.consumed;
@@ -277,20 +337,12 @@ std::size_t SilentPadSender::ledger_available_total() const {
 }
 
 void SilentPadSender::abort() noexcept {
-  std::lock_guard lk(mu_);
-  aborted_ = true;
-  // Zero every live secret: frontier seeds, the column-choice mask, staged
-  // correction bytes and unconsumed pads.
-  for (GgmTree& tree : trees_) tree.wipe();
-  secure_wipe(std::span(delta_));
-  for (PendingBlock& block : pending_) secure_wipe(std::span(block.u));
-  pending_.clear();
-  for (Pool& pool : pools_) {
-    for (PrecomputedSendSlot& slot : pool.slots) {
-      for (Bytes& pad : slot.pads) secure_wipe(std::span(pad));
-    }
+  {
+    std::lock_guard lk(mu_);
+    aborted_ = true;
+    wipe_secrets();
   }
-  for (Ledger& led : ledgers_) led.consumed = led.staged;
+  audit_abort(*this);
 }
 
 bool SilentPadSender::aborted() const {
@@ -340,31 +392,73 @@ SilentPadReceiver::SilentPadReceiver(const DhGroup& group, Rng& rng)
 
 SilentPadReceiver::~SilentPadReceiver() {
   std::lock_guard lk(mu_);
+  wipe_secrets();
+}
+
+void SilentPadReceiver::wipe_secrets() noexcept {
   for (GgmTree& tree : trees0_) tree.wipe();
   for (GgmTree& tree : trees1_) tree.wipe();
+  // The Prg destructor wipes the choice seed and its buffered block.
+  choice_prg_.reset();
   for (RowMaterial& mat : material_) {
     secure_wipe(std::span(mat.t0));
     secure_wipe(std::span(mat.ubase));
   }
+  material_.clear();
   for (Pool& pool : pools_) {
-    for (PrecomputedRecvSlot& slot : pool.slots) {
-      secure_wipe(std::span(slot.pad));
-      slot.choice = 0;
-    }
+    for (PrecomputedRecvSlot& slot : pool.slots) wipe_slot(slot);
   }
+  for (Ledger& led : ledgers_) led.consumed = led.staged;
+}
+
+void SilentPadReceiver::reserve(net::Endpoint& channel, std::size_t arity,
+                                std::size_t count) {
+  if (aborted()) fail_aborted();
+  check_slot_arity(arity);
+  ensure_ready(channel);
+  stage_to(channel, arity, count);
+}
+
+std::vector<Bytes> SilentPadReceiver::receive(
+    net::Endpoint& channel, std::span<const std::size_t> indices,
+    std::size_t n, std::size_t message_len) {
+  if (aborted()) fail_aborted();
+  detail::require(!indices.empty() && indices.size() <= n, "ot: bad indices");
+  detail::require(n <= kMaxDirectArity,
+                  "ot: transfer arity above kMaxDirectArity");
+  for (std::size_t index : indices) {
+    detail::require(index < n, "ot_1ofn: index out of range");
+  }
+  std::vector<Bytes> out;
+  out.reserve(indices.size());
+  if (n == 1) {
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      out.push_back(channel.recv());
+    }
+    return out;
+  }
+  ensure_ready(channel);
+  if (ledger_available(n) < indices.size() + kSilentLeadSlots) {
+    stage_to(channel, n, indices.size() + kSilentLeadSlots);
+  }
+  for (std::size_t index : indices) {
+    PrecomputedRecvSlot slot = take(n);
+    out.push_back(precomputed_receive_1ofn(channel, slot, index, message_len));
+    wipe_slot(slot);
+  }
+  return out;
 }
 
 void SilentPadReceiver::ensure_ready(net::Endpoint& channel) {
   {
     std::lock_guard lk(mu_);
-    if (aborted_) throw ProtocolError("silent ot: aborted engine");
+    if (aborted_) fail_aborted();
     if (ready_) return;
   }
   // Role flip: the pad-receiver is the base-OT SENDER and keeps BOTH
   // 32-byte seeds per column, hence both keystream trees.
-  NaorPinkasSender base(group_, rng_);
   auto base_slots =
-      precompute_ot_sender(channel, base, kSilentColumns, 32, rng_);
+      precompute_ot_sender(channel, group_, kSilentColumns, 32, rng_);
   std::vector<GgmTree> trees0;
   std::vector<GgmTree> trees1;
   trees0.reserve(kSilentColumns);
@@ -392,11 +486,6 @@ void SilentPadReceiver::ensure_ready(net::Endpoint& channel) {
   choice_prg_.emplace(choice_seed);
   secure_wipe(std::span(choice_seed));
   ready_ = true;
-}
-
-bool SilentPadReceiver::ready() const {
-  std::lock_guard lk(mu_);
-  return ready_;
 }
 
 SilentPadReceiver::Ledger& SilentPadReceiver::ledger_for(std::size_t arity) {
@@ -446,7 +535,7 @@ void SilentPadReceiver::expand_next_chunk() {
 void SilentPadReceiver::stage_to(net::Endpoint& channel, std::size_t arity,
                                  std::size_t count) {
   std::unique_lock lk(mu_);
-  if (aborted_) throw ProtocolError("silent ot: aborted engine");
+  if (aborted_) fail_aborted();
   detail::require(ready_, "silent ot: stage before seed agreement");
   for (;;) {
     Ledger& led = ledger_for(arity);
@@ -501,13 +590,13 @@ void SilentPadReceiver::stage_to(net::Endpoint& channel, std::size_t arity,
         "column where Delta_j = 0 (resp. 1), so u reveals nothing about "
         "alpha without Delta"));
     lk.lock();
-    if (aborted_) throw ProtocolError("silent ot: aborted engine");
+    if (aborted_) fail_aborted();
   }
 }
 
 PrecomputedRecvSlot SilentPadReceiver::take(std::size_t arity) {
   std::unique_lock lk(mu_);
-  if (aborted_) throw ProtocolError("silent ot: aborted engine");
+  if (aborted_) fail_aborted();
   Ledger& led = ledger_for(arity);
   detail::require(led.consumed < led.staged,
                   "silent ot: take outruns the staged ledger");
@@ -528,7 +617,7 @@ std::size_t SilentPadReceiver::ledger_available(std::size_t arity) const {
   return 0;
 }
 
-std::size_t SilentPadReceiver::ledger_available_total() const {
+std::size_t SilentPadReceiver::ledger_available() const {
   std::lock_guard lk(mu_);
   std::size_t total = 0;
   for (const Ledger& led : ledgers_) total += led.staged - led.consumed;
@@ -536,22 +625,12 @@ std::size_t SilentPadReceiver::ledger_available_total() const {
 }
 
 void SilentPadReceiver::abort() noexcept {
-  std::lock_guard lk(mu_);
-  aborted_ = true;
-  for (GgmTree& tree : trees0_) tree.wipe();
-  for (GgmTree& tree : trees1_) tree.wipe();
-  for (RowMaterial& mat : material_) {
-    secure_wipe(std::span(mat.t0));
-    secure_wipe(std::span(mat.ubase));
+  {
+    std::lock_guard lk(mu_);
+    aborted_ = true;
+    wipe_secrets();
   }
-  material_.clear();
-  for (Pool& pool : pools_) {
-    for (PrecomputedRecvSlot& slot : pool.slots) {
-      secure_wipe(std::span(slot.pad));
-      slot.choice = 0;
-    }
-  }
-  for (Ledger& led : ledgers_) led.consumed = led.staged;
+  audit_abort(*this);
 }
 
 bool SilentPadReceiver::aborted() const {
@@ -567,7 +646,7 @@ bool SilentPadReceiver::frontier_clean() const {
   for (const GgmTree& tree : trees1_) {
     if (!tree.wiped()) return false;
   }
-  return true;
+  return !choice_prg_.has_value();
 }
 
 bool SilentPadReceiver::pads_clean() const {

@@ -485,9 +485,9 @@ void run_sender(net::Endpoint& channel, PPDS_SECRET std::span<const double> w,
   const ScopedWipe w_enc_guard(w_enc);
   PPDS_SECRET M61 b_enc;
   if (params.backend == Backend::kField) {
-    const double w_scale = std::ldexp(1.0, static_cast<int>(params.frac_bits));
+    const double w_scale = std::ldexp(1.0, static_cast<int>(kFracBits));
     const double b_scale =
-        std::ldexp(1.0, 2 * static_cast<int>(params.frac_bits));
+        std::ldexp(1.0, 2 * static_cast<int>(kFracBits));
     w_enc.reserve(arity);
     for (double wi : w) {
       const double scaled = wi * w_scale;
@@ -682,7 +682,7 @@ double run_receiver(net::Endpoint& channel,
         }
       }
       const std::vector<double> nodes =
-          real_nodes(rng, big_m, params.node_lo, params.node_hi);
+          real_nodes(rng, big_m, kNodeLo, kNodeHi);
       // Disguise tuples are drawn from SplitMix64-derived per-point streams
       // (seeded once from the caller's rng), so the parallel sweep emits
       // bit-identical bytes for every eval_threads setting.
@@ -752,7 +752,7 @@ double run_receiver(net::Endpoint& channel,
   }
 
   // Field backend.
-  const FixedPoint fp{params.frac_bits};
+  const FixedPoint fp{kFracBits};
   std::vector<M61> kept_nodes;
   kept_nodes.reserve(m);
   {

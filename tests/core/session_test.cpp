@@ -48,9 +48,9 @@ crypto::Digest full_stream_digest(const ClassificationProfile& profile,
   w.u8(static_cast<std::uint8_t>(config.ompe.backend));
   w.u32(config.ompe.q);
   w.u32(config.ompe.k);
-  w.u32(config.ompe.frac_bits);
-  w.f64(config.ompe.node_lo);
-  w.f64(config.ompe.node_hi);
+  w.u32(ompe::kFracBits);
+  w.f64(ompe::kNodeLo);
+  w.f64(ompe::kNodeHi);
   return crypto::sha256(w.data());
 }
 

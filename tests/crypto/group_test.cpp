@@ -8,6 +8,11 @@
 namespace ppds::crypto {
 namespace {
 
+/// Uniform group element g^r for a fresh exponent r.
+mpz_class random_group_element(const DhGroup& g, Rng& rng) {
+  return g.pow_g(g.random_exponent(rng));
+}
+
 TEST(DhGroup, ParametersAreSafePrimeShaped) {
   const DhGroup g(GroupId::kModp1024);
   EXPECT_EQ(g.p(), g.q() * 2 + 1);
@@ -33,7 +38,7 @@ TEST(DhGroup, DiffieHellmanAgreement) {
 TEST(DhGroup, InvertIsInverse) {
   const DhGroup g(GroupId::kModp1024);
   Rng rng(2);
-  const mpz_class x = g.random_element(rng);
+  const mpz_class x = random_group_element(g, rng);
   EXPECT_EQ(g.mul(x, g.invert(x)), mpz_class(1));
 }
 
@@ -41,7 +46,7 @@ TEST(DhGroup, SerializeRoundTrip) {
   const DhGroup g(GroupId::kModp1024);
   Rng rng(3);
   for (int i = 0; i < 10; ++i) {
-    const mpz_class x = g.random_element(rng);
+    const mpz_class x = random_group_element(g, rng);
     const Bytes bytes = g.serialize(x);
     EXPECT_EQ(bytes.size(), g.element_bytes());
     EXPECT_EQ(g.deserialize(bytes), x);
@@ -82,8 +87,8 @@ TEST(DhGroup, RandomExponentInRange) {
 TEST(DhGroup, HashToKeyDependsOnElementAndTag) {
   const DhGroup g(GroupId::kModp1024);
   Rng rng(5);
-  const mpz_class x = g.random_element(rng);
-  const mpz_class y = g.random_element(rng);
+  const mpz_class x = random_group_element(g, rng);
+  const mpz_class y = random_group_element(g, rng);
   EXPECT_EQ(g.hash_to_key(x, 0), g.hash_to_key(x, 0));
   EXPECT_NE(g.hash_to_key(x, 0), g.hash_to_key(x, 1));
   EXPECT_NE(g.hash_to_key(x, 0), g.hash_to_key(y, 0));
@@ -112,7 +117,7 @@ TEST(FixedBaseTable, EdgeExponents) {
 TEST(FixedBaseTable, MakeTableServesArbitraryBase) {
   const DhGroup g(GroupId::kModp1024);
   Rng rng(8);
-  const mpz_class base = g.random_element(rng);
+  const mpz_class base = random_group_element(g, rng);
   const auto table = g.make_table(base);
   ASSERT_NE(table, nullptr);
   for (int i = 0; i < 5; ++i) {
@@ -165,75 +170,6 @@ TEST(FixedBaseTable, ConcurrentFirstUseIsSafe) {
   }
 }
 
-TEST(DhGroup, MultiExpMatchesProductOfPows) {
-  const DhGroup g(GroupId::kModp1024);
-  Rng rng(11);
-  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                        std::size_t{8}}) {
-    std::vector<mpz_class> bases;
-    std::vector<mpz_class> exps;
-    mpz_class expected = 1;
-    for (std::size_t i = 0; i < n; ++i) {
-      bases.push_back(g.random_element(rng));
-      exps.push_back(g.random_exponent(rng));
-      expected = g.mul(expected, g.pow(bases.back(), exps.back()));
-    }
-    EXPECT_EQ(g.multi_exp(bases, exps), expected) << "n=" << n;
-  }
-}
-
-TEST(DhGroup, MultiExpPippengerPathMatches) {
-  const DhGroup g(GroupId::kModp1024);
-  Rng rng(12);
-  const std::size_t n = DhGroup::kPippengerThreshold + 9;
-  std::vector<mpz_class> bases;
-  std::vector<mpz_class> exps;
-  mpz_class expected = 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    bases.push_back(g.random_element(rng));
-    exps.push_back(g.random_exponent(rng));
-    expected = g.mul(expected, g.pow(bases.back(), exps.back()));
-  }
-  EXPECT_EQ(g.multi_exp(bases, exps), expected);
-}
-
-TEST(DhGroup, MultiExpServesGeneratorBasesFromTable) {
-  const DhGroup g(GroupId::kModp1024);
-  Rng rng(13);
-  const mpz_class b = g.random_element(rng);
-  const mpz_class e1 = g.random_exponent(rng);
-  const mpz_class e2 = g.random_exponent(rng);
-  const std::vector<mpz_class> bases = {g.g(), b, g.g()};
-  const std::vector<mpz_class> exps = {e1, e2, e1};
-  const mpz_class expected = g.mul(
-      g.mul(g.pow_g(e1), g.pow(b, e2)), g.pow_g(e1));
-
-  reset_exp_counters();
-  const mpz_class got = g.multi_exp(bases, exps);
-  const ExpCounters after = exp_counters();
-  EXPECT_EQ(got, expected);
-  EXPECT_EQ(after.multi_exp_batches, 1u);
-  EXPECT_EQ(after.multi_exp_bases, 3u);
-  // The generator bases ride the window table, not full exponentiations.
-  EXPECT_EQ(after.full, 0u);
-  EXPECT_EQ(after.fixed_base, 2u);
-}
-
-TEST(DhGroup, MultiExpEdgeCases) {
-  const DhGroup g(GroupId::kModp1024);
-  Rng rng(14);
-  const mpz_class b = g.random_element(rng);
-  // Empty batch is the empty product.
-  EXPECT_EQ(g.multi_exp({}, {}), mpz_class(1));
-  // Zero exponents contribute 1.
-  const std::vector<mpz_class> bases = {b, b};
-  const std::vector<mpz_class> exps = {mpz_class(0), mpz_class(5)};
-  EXPECT_EQ(g.multi_exp(bases, exps), g.pow(b, mpz_class(5)));
-  // Size mismatch throws.
-  const std::vector<mpz_class> one = {b};
-  EXPECT_THROW((void)g.multi_exp(one, exps), InvalidArgument);
-}
-
 TEST(DhGroup, BatchInvertMatchesInvert) {
   const DhGroup g(GroupId::kModp1024);
   Rng rng(15);
@@ -242,7 +178,7 @@ TEST(DhGroup, BatchInvertMatchesInvert) {
     std::vector<mpz_class> xs;
     std::vector<mpz_class> expected;
     for (std::size_t i = 0; i < n; ++i) {
-      xs.push_back(g.random_element(rng));
+      xs.push_back(random_group_element(g, rng));
       expected.push_back(g.invert(xs.back()));
     }
     reset_exp_counters();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <thread>
 
 #include "ppds/crypto/silent_ot.hpp"
@@ -35,12 +36,8 @@ make_slots(net::Endpoint& a, net::Endpoint& b, std::size_t arity,
   Rng rng_s(51), rng_r(52);
   SilentPadSender s(test_group(), rng_s);
   SilentPadReceiver r(test_group(), rng_r);
-  std::thread peer([&] {
-    r.ensure_ready(b);
-    r.stage_to(b, arity, count);
-  });
-  s.ensure_ready(a);
-  s.stage_to(a, arity, count);
+  std::thread peer([&] { r.reserve(b, arity, count); });
+  s.reserve(a, arity, count);
   peer.join();
   std::pair<std::vector<PrecomputedSendSlot>, std::vector<PrecomputedRecvSlot>>
       out;
@@ -49,32 +46,6 @@ make_slots(net::Endpoint& a, net::Endpoint& b, std::size_t arity,
     out.second.push_back(r.take(arity));
   }
   return out;
-}
-
-TEST(NaorPinkasOt, OneOfTwoBothChoices) {
-  for (bool choice : {false, true}) {
-    const Bytes m0{1, 2, 3, 4}, m1{5, 6, 7, 8};
-    auto outcome = net::run_two_party(
-        [&](net::Endpoint& ch) {
-          Rng rng(1);
-          NaorPinkasSender s(test_group(), rng);
-          s.send_1of2(ch, m0, m1);
-          return 0;
-        },
-        [&](net::Endpoint& ch) {
-          Rng rng(2);
-          NaorPinkasReceiver r(test_group(), rng);
-          return r.receive_1of2(ch, choice, 4);
-        });
-    EXPECT_EQ(outcome.b, choice ? m1 : m0) << choice;
-  }
-}
-
-TEST(NaorPinkasOt, UnequalLengthsRejected) {
-  auto [a, b] = net::make_channel();
-  Rng rng(1);
-  NaorPinkasSender s(test_group(), rng);
-  EXPECT_THROW(s.send_1of2(a, Bytes{1}, Bytes{1, 2}), InvalidArgument);
 }
 
 // 1-of-n over the private engine: Naor-Pinkas base OTs seed the silent
@@ -89,13 +60,13 @@ TEST_P(NaorPinkas1ofN, EveryIndexRetrievable) {
     auto outcome = net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng rng(10 + want);
-          BatchedOtSender s(test_group(), rng);
+          SilentPadSender s(test_group(), rng);
           s.send(ch, msgs, 1);
           return 0;
         },
         [&](net::Endpoint& ch) {
           Rng rng(20 + want);
-          BatchedOtReceiver r(test_group(), rng);
+          SilentPadReceiver r(test_group(), rng);
           return r.receive(ch, indices, n, 16);
         });
     ASSERT_EQ(outcome.b.size(), 1u);
@@ -113,13 +84,13 @@ TEST(NaorPinkasOt, KOutOfNRetrievesExactlyRequested) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
-        BatchedOtSender s(test_group(), rng);
+        SilentPadSender s(test_group(), rng);
         s.send(ch, msgs, k);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
-        BatchedOtReceiver r(test_group(), rng);
+        SilentPadReceiver r(test_group(), rng);
         return r.receive(ch, want, n, 8);
       });
   ASSERT_EQ(outcome.b.size(), k);
@@ -129,7 +100,7 @@ TEST(NaorPinkasOt, KOutOfNRetrievesExactlyRequested) {
 TEST(NaorPinkasOt, ZeroMessagesRejected) {
   auto [a, b] = net::make_channel();
   Rng rng(1);
-  BatchedOtSender s(test_group(), rng);
+  SilentPadSender s(test_group(), rng);
   const std::vector<Bytes> none;
   EXPECT_THROW(s.send(a, none, 1), Error);
 }
@@ -138,7 +109,7 @@ TEST(NaorPinkasOt, ZeroMessagesRejected) {
 TEST(NaorPinkasOt, ZeroNReceiveRejected) {
   auto [a, b] = net::make_channel();
   Rng rng(2);
-  BatchedOtReceiver r(test_group(), rng);
+  SilentPadReceiver r(test_group(), rng);
   const std::vector<std::size_t> idx{0};
   EXPECT_THROW(r.receive(b, idx, 0, 8), Error);
 }
@@ -149,13 +120,13 @@ TEST(NaorPinkasOt, IndexOutOfRangeThrows) {
       net::run_two_party(
           [&](net::Endpoint& ch) {
             Rng rng(1);
-            BatchedOtSender s(test_group(), rng);
+            SilentPadSender s(test_group(), rng);
             s.send(ch, msgs, 1);
             return 0;
           },
           [&](net::Endpoint& ch) {
             Rng rng(2);
-            BatchedOtReceiver r(test_group(), rng);
+            SilentPadReceiver r(test_group(), rng);
             const std::vector<std::size_t> bad{4};
             return r.receive(ch, bad, 4, 8);
           }),
@@ -202,22 +173,21 @@ TEST(PrecomputedOt, OnlinePhaseCorrectForAllChoiceCombos) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(31);
-        NaorPinkasSender np(test_group(), rng);
-        auto slots = precompute_ot_sender(ch, np, count, 16, rng);
+        auto slots = precompute_ot_sender(ch, test_group(), count, 16, rng);
         for (std::size_t i = 0; i < count; ++i) {
-          Bytes m0(16, static_cast<std::uint8_t>(i));
-          Bytes m1(16, static_cast<std::uint8_t>(100 + i));
-          precomputed_send_1of2(ch, slots[i], m0, m1);
+          const std::array<Bytes, 2> messages{
+              Bytes(16, static_cast<std::uint8_t>(i)),
+              Bytes(16, static_cast<std::uint8_t>(100 + i))};
+          precomputed_send_1ofn(ch, slots[i], messages);
         }
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(32);
-        NaorPinkasReceiver np(test_group(), rng);
-        auto slots = precompute_ot_receiver(ch, np, count, 16, rng);
+        auto slots = precompute_ot_receiver(ch, test_group(), count, 16, rng);
         std::vector<Bytes> got;
         for (std::size_t i = 0; i < count; ++i) {
-          got.push_back(precomputed_receive_1of2(ch, slots[i], i % 2 == 1));
+          got.push_back(precomputed_receive_1ofn(ch, slots[i], i % 2, 16));
         }
         return got;
       });
@@ -235,17 +205,16 @@ TEST(PrecomputedOt, OnlineWireCostIsTiny) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(41);
-        NaorPinkasSender np(test_group(), rng);
-        auto slots = precompute_ot_sender(ch, np, 1, 8, rng);
+        auto slots = precompute_ot_sender(ch, test_group(), 1, 8, rng);
         ch.reset_stats();
-        precomputed_send_1of2(ch, slots[0], Bytes(8, 1), Bytes(8, 2));
+        const std::array<Bytes, 2> messages{Bytes(8, 1), Bytes(8, 2)};
+        precomputed_send_1ofn(ch, slots[0], messages);
         return ch.stats().bytes;
       },
       [&](net::Endpoint& ch) {
         Rng rng(42);
-        NaorPinkasReceiver np(test_group(), rng);
-        auto slots = precompute_ot_receiver(ch, np, 1, 8, rng);
-        precomputed_receive_1of2(ch, slots[0], true);
+        auto slots = precompute_ot_receiver(ch, test_group(), 1, 8, rng);
+        precomputed_receive_1ofn(ch, slots[0], 1, 8);
         return 0;
       });
   EXPECT_EQ(outcome.a, 16u);
@@ -322,14 +291,14 @@ TEST(PrecomputedEngine, KOutOfNMatchesMessages) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(61);
-        BatchedOtSender s(test_group(), rng);
+        SilentPadSender s(test_group(), rng);
         s.reserve(ch, n, k);
         s.send(ch, msgs, k);
-        return s.available_slots(n);
+        return s.ledger_available(n);
       },
       [&](net::Endpoint& ch) {
         Rng rng(62);
-        BatchedOtReceiver r(test_group(), rng);
+        SilentPadReceiver r(test_group(), rng);
         r.reserve(ch, n, k);
         return r.receive(ch, want, n, 8);
       });
@@ -345,14 +314,14 @@ TEST(PrecomputedEngine, MultipleTransfersFromOnePool) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(65);
-        BatchedOtSender s(test_group(), rng);
+        SilentPadSender s(test_group(), rng);
         s.reserve(ch, /*arity=*/6, /*count=*/6);
         for (int round = 0; round < 3; ++round) s.send(ch, msgs, 2);
-        return s.available_slots(6);
+        return s.ledger_available(6);
       },
       [&](net::Endpoint& ch) {
         Rng rng(66);
-        BatchedOtReceiver r(test_group(), rng);
+        SilentPadReceiver r(test_group(), rng);
         r.reserve(ch, /*arity=*/6, /*count=*/6);
         std::vector<Bytes> all;
         for (std::size_t round = 0; round < 3; ++round) {
@@ -376,14 +345,12 @@ TEST(BatchedPrecompute, OfflinePhaseIsOneRoundTrip) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(70);
-        NaorPinkasSender np(test_group(), rng);
-        auto slots = precompute_ot_sender(ch, np, 64, 32, rng);
+        auto slots = precompute_ot_sender(ch, test_group(), 64, 32, rng);
         return ch.stats().messages;
       },
       [&](net::Endpoint& ch) {
         Rng rng(71);
-        NaorPinkasReceiver np(test_group(), rng);
-        auto slots = precompute_ot_receiver(ch, np, 64, 32, rng);
+        auto slots = precompute_ot_receiver(ch, test_group(), 64, 32, rng);
         return ch.stats().messages;
       });
   EXPECT_EQ(outcome.a, 1u);
@@ -394,14 +361,12 @@ TEST(BatchedPrecompute, ZeroSlotsExchangesNothing) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(72);
-        NaorPinkasSender np(test_group(), rng);
-        auto slots = precompute_ot_sender(ch, np, 0, 16, rng);
+        auto slots = precompute_ot_sender(ch, test_group(), 0, 16, rng);
         return slots.size() + ch.stats().messages;
       },
       [&](net::Endpoint& ch) {
         Rng rng(73);
-        NaorPinkasReceiver np(test_group(), rng);
-        auto slots = precompute_ot_receiver(ch, np, 0, 16, rng);
+        auto slots = precompute_ot_receiver(ch, test_group(), 0, 16, rng);
         return slots.size() + ch.stats().messages;
       });
   EXPECT_EQ(outcome.a, 0u);
@@ -411,9 +376,10 @@ TEST(BatchedPrecompute, ZeroSlotsExchangesNothing) {
 TEST(BatchedPrecompute, PadLenOutOfRangeRejected) {
   auto [a, b] = net::make_channel();
   Rng rng(74);
-  NaorPinkasSender np(test_group(), rng);
-  EXPECT_THROW(precompute_ot_sender(a, np, 1, 0, rng), InvalidArgument);
-  EXPECT_THROW(precompute_ot_sender(a, np, 1, 33, rng), InvalidArgument);
+  EXPECT_THROW(precompute_ot_sender(a, test_group(), 1, 0, rng),
+               InvalidArgument);
+  EXPECT_THROW(precompute_ot_sender(a, test_group(), 1, 33, rng),
+               InvalidArgument);
 }
 
 TEST(BatchedEngine, ReserveThenTransfer) {
@@ -423,21 +389,21 @@ TEST(BatchedEngine, ReserveThenTransfer) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(75);
-        BatchedOtSender s(test_group(), rng);
+        SilentPadSender s(test_group(), rng);
         s.reserve(ch, /*arity=*/8, /*count=*/2);
-        EXPECT_EQ(s.available_slots(8), kSilentStageQuantum);
-        EXPECT_GE(s.available_slots(), 2u);
+        EXPECT_EQ(s.ledger_available(8), kSilentStageQuantum);
+        EXPECT_GE(s.ledger_available(), 2u);
         s.send(ch, msgs, 2);
-        EXPECT_EQ(s.available_slots(8), kSilentStageQuantum - 2);
+        EXPECT_EQ(s.ledger_available(8), kSilentStageQuantum - 2);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(76);
-        BatchedOtReceiver r(test_group(), rng);
+        SilentPadReceiver r(test_group(), rng);
         r.reserve(ch, /*arity=*/8, /*count=*/2);
         const std::vector<std::size_t> want{1, 6};
         auto got = r.receive(ch, want, 8, 16);
-        EXPECT_EQ(r.available_slots(8), kSilentStageQuantum - 2);
+        EXPECT_EQ(r.ledger_available(8), kSilentStageQuantum - 2);
         return got;
       });
   ASSERT_EQ(outcome.b.size(), 2u);
@@ -451,10 +417,10 @@ TEST(BatchedEngine, RejectsArityBeyondDirectBound) {
   // including the seed agreement.
   auto [a, b] = net::make_channel();
   Rng rng(85);
-  BatchedOtSender s(test_group(), rng);
+  SilentPadSender s(test_group(), rng);
   EXPECT_THROW(s.reserve(a, 300, 1), InvalidArgument);
   EXPECT_THROW(s.reserve(a, 1, 1), InvalidArgument);
-  BatchedOtReceiver r(test_group(), rng);
+  SilentPadReceiver r(test_group(), rng);
   EXPECT_THROW(r.reserve(b, 300, 1), InvalidArgument);
   EXPECT_THROW(r.reserve(b, 1, 1), InvalidArgument);
   EXPECT_EQ(a.stats().messages, 0u);
@@ -466,13 +432,13 @@ TEST(BatchedEngine, AutoRefillsWithoutReserve) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(77);
-        BatchedOtSender s(test_group(), rng);
+        SilentPadSender s(test_group(), rng);
         s.send(ch, msgs, 1);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(78);
-        BatchedOtReceiver r(test_group(), rng);
+        SilentPadReceiver r(test_group(), rng);
         const std::vector<std::size_t> want{3};
         return r.receive(ch, want, 4, 8);
       });
@@ -482,28 +448,28 @@ TEST(BatchedEngine, AutoRefillsWithoutReserve) {
 
 TEST(BatchedEngine, AbortWipesPoolAndRefusesFurtherUse) {
   // Stage slots via a reserve round trip, then abort mid-session: the
-  // unconsumed correlated randomness must be zeroed IN PLACE (pool_wiped
+  // unconsumed correlated randomness must be zeroed IN PLACE (pads_clean
   // audits the live buffers) and every later operation must throw a typed
   // ProtocolError — a half-consumed batch is never resumed.
   auto [a, b] = net::make_channel();
   Rng rng_s(91), rng_r(92);
-  BatchedOtSender s(test_group(), rng_s);
-  BatchedOtReceiver r(test_group(), rng_r);
+  SilentPadSender s(test_group(), rng_s);
+  SilentPadReceiver r(test_group(), rng_r);
   std::thread peer([&r, &b_ref = b] { r.reserve(b_ref, 2, 6); });
   s.reserve(a, 2, 6);
   peer.join();
-  ASSERT_GE(s.available_slots(), 6u);
-  ASSERT_GE(r.available_slots(), 6u);
-  EXPECT_FALSE(s.pool_wiped());  // staged corrections are live material
-  EXPECT_FALSE(r.pool_wiped());  // so are the receiver's pads
+  ASSERT_GE(s.ledger_available(), 6u);
+  ASSERT_GE(r.ledger_available(), 6u);
+  EXPECT_FALSE(s.pads_clean());  // staged corrections are live material
+  EXPECT_FALSE(r.pads_clean());  // so are the receiver's pads
   EXPECT_FALSE(s.aborted());
 
   s.abort();
   r.abort();
   EXPECT_TRUE(s.aborted());
   EXPECT_TRUE(r.aborted());
-  EXPECT_TRUE(s.pool_wiped());
-  EXPECT_TRUE(r.pool_wiped());
+  EXPECT_TRUE(s.pads_clean());
+  EXPECT_TRUE(r.pads_clean());
 
   const auto msgs = make_messages(4, 8);
   EXPECT_THROW(s.send(a, msgs, 1), ProtocolError);
@@ -515,20 +481,20 @@ TEST(BatchedEngine, AbortWipesPoolAndRefusesFurtherUse) {
 
 TEST(BatchedEngine, AbortIsIdempotent) {
   Rng rng(93);
-  BatchedOtSender s(test_group(), rng);
+  SilentPadSender s(test_group(), rng);
   s.abort();
   s.abort();
   EXPECT_TRUE(s.aborted());
-  EXPECT_TRUE(s.pool_wiped());
+  EXPECT_TRUE(s.pads_clean());
 }
 
 TEST(BatchedEngine, EmptyPoolReportsWiped) {
   // Vacuous truth: a never-reserved engine holds no secret bytes.
   Rng rng(94);
-  const BatchedOtSender s(test_group(), rng);
-  EXPECT_TRUE(s.pool_wiped());
-  const BatchedOtReceiver r(test_group(), rng);
-  EXPECT_TRUE(r.pool_wiped());
+  const SilentPadSender s(test_group(), rng);
+  EXPECT_TRUE(s.pads_clean());
+  const SilentPadReceiver r(test_group(), rng);
+  EXPECT_TRUE(r.pads_clean());
 }
 
 TEST(BatchedEngine, RefillsMidSessionAcrossManyTransfers) {
@@ -539,15 +505,15 @@ TEST(BatchedEngine, RefillsMidSessionAcrossManyTransfers) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(79);
-        BatchedOtSender s(test_group(), rng);
+        SilentPadSender s(test_group(), rng);
         for (std::size_t round = 0; round < kRounds; ++round) {
           s.send(ch, msgs, 2);
         }
-        return s.available_slots(6);
+        return s.ledger_available(6);
       },
       [&](net::Endpoint& ch) {
         Rng rng(80);
-        BatchedOtReceiver r(test_group(), rng);
+        SilentPadReceiver r(test_group(), rng);
         std::vector<Bytes> all;
         for (std::size_t round = 0; round < kRounds; ++round) {
           const std::vector<std::size_t> want{round % 3, round % 3 + 3};

@@ -5,7 +5,9 @@
 #include <atomic>
 #include <thread>
 
+#include "ppds/core/config.hpp"
 #include "ppds/net/party.hpp"
+#include "../support/hashing_endpoint.hpp"
 
 namespace ppds::crypto {
 namespace {
@@ -58,8 +60,7 @@ TEST(SilentPads, SenderReceiverPadsCorrelate) {
       [&](net::Endpoint& ch) {
         Rng rng(101);
         SilentPadSender s(test_group(), rng);
-        s.ensure_ready(ch);
-        s.stage_to(ch, arity, count);
+        s.reserve(ch, arity, count);
         std::vector<PrecomputedSendSlot> slots;
         for (std::size_t i = 0; i < count; ++i) slots.push_back(s.take(arity));
         return slots;
@@ -67,8 +68,7 @@ TEST(SilentPads, SenderReceiverPadsCorrelate) {
       [&](net::Endpoint& ch) {
         Rng rng(102);
         SilentPadReceiver r(test_group(), rng);
-        r.ensure_ready(ch);
-        r.stage_to(ch, arity, count);
+        r.reserve(ch, arity, count);
         std::vector<PrecomputedRecvSlot> slots;
         for (std::size_t i = 0; i < count; ++i) slots.push_back(r.take(arity));
         return slots;
@@ -112,7 +112,7 @@ TEST(SilentPads, MarginalOfflineBandwidthIs16BytesPerSlot) {
         SilentPadSender s(test_group(), rng);
         s.ensure_ready(ch);
         ch.reset_stats();
-        s.stage_to(ch, 2, count);
+        s.reserve(ch, 2, count);
         return ch.stats().bytes;  // sender sends nothing during staging
       },
       [&](net::Endpoint& ch) {
@@ -120,7 +120,7 @@ TEST(SilentPads, MarginalOfflineBandwidthIs16BytesPerSlot) {
         SilentPadReceiver r(test_group(), rng);
         r.ensure_ready(ch);
         ch.reset_stats();
-        r.stage_to(ch, 2, count);
+        r.reserve(ch, 2, count);
         return ch.stats().bytes;
       });
   EXPECT_EQ(outcome.a, 0u);
@@ -132,13 +132,13 @@ TEST(BatchedSilent, OnlineTransferMatchesMessages) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(111);
-        BatchedOtSender s(test_group(), rng);
+        SilentPadSender s(test_group(), rng);
         for (int round = 0; round < 3; ++round) s.send(ch, msgs, 2);
-        return s.available_slots(8);
+        return s.ledger_available(8);
       },
       [&](net::Endpoint& ch) {
         Rng rng(112);
-        BatchedOtReceiver r(test_group(), rng);
+        SilentPadReceiver r(test_group(), rng);
         std::vector<Bytes> all;
         for (std::size_t round = 0; round < 3; ++round) {
           const std::vector<std::size_t> want{round, round + 5};
@@ -161,9 +161,9 @@ TEST(BatchedSilent, RejectsArityBeyondDirectBound) {
   const auto msgs = make_messages(300, 4);
   auto [a, b] = net::make_channel();
   Rng rng(113);
-  BatchedOtSender s(test_group(), rng);
+  SilentPadSender s(test_group(), rng);
   EXPECT_THROW(s.send(a, msgs, 1), InvalidArgument);
-  BatchedOtReceiver r(test_group(), rng);
+  SilentPadReceiver r(test_group(), rng);
   const std::vector<std::size_t> want{271};
   EXPECT_THROW(r.receive(b, want, 300, 4), InvalidArgument);
   EXPECT_EQ(a.stats().messages, 0u);
@@ -179,25 +179,23 @@ TEST(BatchedSilent, AbortWipesFrontierAndPads) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(121);
-        auto s = std::make_unique<BatchedOtSender>(test_group(), rng);
+        auto s = std::make_unique<SilentPadSender>(test_group(), rng);
         s->reserve(ch, 6, 8);  // staged ledger + pending correction bytes
         s->abort();
         EXPECT_TRUE(s->aborted());
-        EXPECT_TRUE(s->pool_wiped());
-        EXPECT_TRUE(s->silent_engine()->frontier_clean());
-        EXPECT_TRUE(s->silent_engine()->pads_clean());
+        EXPECT_TRUE(s->frontier_clean());
+        EXPECT_TRUE(s->pads_clean());
         EXPECT_THROW(s->send(ch, make_messages(4, 8), 1), ProtocolError);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(122);
-        auto r = std::make_unique<BatchedOtReceiver>(test_group(), rng);
+        auto r = std::make_unique<SilentPadReceiver>(test_group(), rng);
         r->reserve(ch, 6, 8);
         r->abort();
         EXPECT_TRUE(r->aborted());
-        EXPECT_TRUE(r->pool_wiped());
-        EXPECT_TRUE(r->silent_engine()->frontier_clean());
-        EXPECT_TRUE(r->silent_engine()->pads_clean());
+        EXPECT_TRUE(r->frontier_clean());
+        EXPECT_TRUE(r->pads_clean());
         const std::vector<std::size_t> want{0};
         EXPECT_THROW(r->receive(ch, want, 4, 8), ProtocolError);
         return 0;
@@ -209,7 +207,7 @@ TEST(BatchedSilent, AbortWipesFrontierAndPads) {
 }
 
 TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
-  // Regression: available_slots() used to sum per-arity pools with no
+  // Regression: ledger_available() used to sum per-arity pools with no
   // lock. A hammer thread reading the accessors while the protocol thread
   // stages, expands and consumes is what tsan needs to prove the snapshot
   // is coherent.
@@ -217,7 +215,7 @@ TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(141);
-        BatchedOtSender s(test_group(), rng);
+        SilentPadSender s(test_group(), rng);
         std::atomic<bool> done{false};
         std::thread hammer([&] {
           const std::size_t bound =
@@ -227,9 +225,9 @@ TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
             // see a torn staged/consumed pair (which would underflow to
             // ~2^64). No ordering is asserted ACROSS the two calls — the
             // protocol thread legitimately stages between them.
-            ASSERT_LE(s.available_slots(), bound);
-            ASSERT_LE(s.available_slots(8), bound);
-            (void)s.available_slots();
+            ASSERT_LE(s.ledger_available(), bound);
+            ASSERT_LE(s.ledger_available(8), bound);
+            (void)s.ledger_available();
           }
         });
         for (int round = 0; round < 6; ++round) s.send(ch, msgs, 2);
@@ -239,15 +237,15 @@ TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
       },
       [&](net::Endpoint& ch) {
         Rng rng(142);
-        BatchedOtReceiver r(test_group(), rng);
+        SilentPadReceiver r(test_group(), rng);
         std::atomic<bool> done{false};
         std::thread hammer([&] {
           const std::size_t bound =
               kSilentRowsPerLeaf << kSilentTreeDepth;
           while (!done.load()) {
-            ASSERT_LE(r.available_slots(), bound);
-            ASSERT_LE(r.available_slots(8), bound);
-            (void)r.available_slots();
+            ASSERT_LE(r.ledger_available(), bound);
+            ASSERT_LE(r.ledger_available(8), bound);
+            (void)r.ledger_available();
           }
         });
         std::vector<Bytes> all;
@@ -261,6 +259,66 @@ TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {
         return all;
       });
   ASSERT_EQ(outcome.b.size(), 12u);
+}
+
+TEST(SilentOt, GoldenTransferTranscript) {
+  // The OT layer's wire bytes, pinned below the session goldens (which only
+  // reach the session arity M = 10): seeded engines reserve and then run
+  // k-of-n transfers at arities 2, 10 and 256, enough arity-10 transfers to
+  // exhaust the reserved 128-row block and restage mid-stream. Both
+  // directions are hashed at the receiver.
+  core::SchemeConfig cfg;
+  cfg.group = GroupId::kModp1024;
+  constexpr std::size_t kRounds = 50;
+  auto [sender_end, receiver_raw] = net::make_channel();
+  test::HashingEndpoint receiver_end(std::move(receiver_raw));
+  auto outcome = net::run_two_party_on(
+      sender_end, receiver_end,
+      [&](net::Endpoint& ch) {
+        Rng rng(131);
+        core::OtBundle ot(cfg, rng);
+        ot.prepare_sender(ch, core::OtDemand{10, 20});
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          ot.sender().send(ch, make_messages(2, 8), 1);
+          ot.sender().send(ch, make_messages(10, 12), 3);
+          if (round % 10 == 0) {
+            ot.sender().send(ch, make_messages(256, 4), 2);
+          }
+        }
+        return 0;
+      },
+      [&](net::Endpoint& ch) {
+        Rng rng(132);
+        core::OtBundle ot(cfg, rng);
+        ot.prepare_receiver(ch, core::OtDemand{10, 20});
+        std::size_t mismatches = 0;
+        for (std::size_t round = 0; round < kRounds; ++round) {
+          const std::vector<std::size_t> two{round % 2};
+          const std::vector<std::size_t> ten{round % 3, 4, 9 - round % 4};
+          const std::vector<std::size_t> wide{round, 255 - round};
+          const auto msgs2 = make_messages(2, 8);
+          const auto msgs10 = make_messages(10, 12);
+          const auto got2 = ot.receiver().receive(ch, two, 2, 8);
+          mismatches += got2[0] != msgs2[two[0]];
+          const auto got10 = ot.receiver().receive(ch, ten, 10, 12);
+          for (std::size_t i = 0; i < ten.size(); ++i) {
+            mismatches += got10[i] != msgs10[ten[i]];
+          }
+          if (round % 10 == 0) {
+            const auto msgs256 = make_messages(256, 4);
+            const auto got = ot.receiver().receive(ch, wide, 256, 4);
+            for (std::size_t i = 0; i < wide.size(); ++i) {
+              mismatches += got[i] != msgs256[wide[i]];
+            }
+          }
+        }
+        return mismatches;
+      });
+  EXPECT_EQ(outcome.b, 0u);
+  EXPECT_EQ(receiver_end.sent_hex(),
+            "13be5ab08560c72298f97aea07780d4dce54b53fef57da85908601f383acef55");
+  EXPECT_EQ(receiver_end.received_hex(),
+            "634599cc781cfad5a43906867abd268c7441c024749b81f67eb4f5a961d7d33b");
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 namespace ppds::field {
 namespace {
 
-M61 random_element(Rng& rng) {
+M61 random_m61(Rng& rng) {
   for (;;) {
     const std::uint64_t v = rng() >> 3;
     if (v < M61::kP) return M61(v);
@@ -41,8 +41,8 @@ TEST(M61, MultiplicationKnownValues) {
 TEST(M61, FieldAxiomsOnRandomElements) {
   Rng rng(1);
   for (int i = 0; i < 200; ++i) {
-    const M61 a = random_element(rng), b = random_element(rng),
-              c = random_element(rng);
+    const M61 a = random_m61(rng), b = random_m61(rng),
+              c = random_m61(rng);
     EXPECT_EQ(a + b, b + a);
     EXPECT_EQ(a * b, b * a);
     EXPECT_EQ((a + b) + c, a + (b + c));
@@ -55,7 +55,7 @@ TEST(M61, FieldAxiomsOnRandomElements) {
 TEST(M61, InverseIsCorrect) {
   Rng rng(2);
   for (int i = 0; i < 100; ++i) {
-    M61 a = random_element(rng);
+    M61 a = random_m61(rng);
     if (a.is_zero()) continue;
     EXPECT_EQ((a * a.inverse()).value(), 1u);
     EXPECT_EQ((a / a).value(), 1u);
@@ -78,7 +78,7 @@ TEST(M61, PowMatchesRepeatedMultiply) {
 TEST(M61, FermatLittleTheorem) {
   Rng rng(3);
   for (int i = 0; i < 20; ++i) {
-    const M61 a = random_element(rng);
+    const M61 a = random_m61(rng);
     if (a.is_zero()) continue;
     EXPECT_EQ(a.pow(M61::kP - 1).value(), 1u);
   }

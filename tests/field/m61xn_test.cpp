@@ -21,7 +21,7 @@
 namespace ppds::field {
 namespace {
 
-M61 random_element(Rng& rng) {
+M61 random_m61(Rng& rng) {
   for (;;) {
     const std::uint64_t v = rng() >> 3;
     if (v < M61::kP) return M61(v);
@@ -132,8 +132,8 @@ TEST(M61x8, AddMatchesScalarRandom) {
   for (int iter = 0; iter < 10000 / 8; ++iter) {
     std::array<M61, kM61Lanes> xs{}, ys{};
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      xs[i] = random_element(rng);
-      ys[i] = random_element(rng);
+      xs[i] = random_m61(rng);
+      ys[i] = random_m61(rng);
     }
     const M61x8 r = add(M61x8::load(xs.data()), M61x8::load(ys.data()));
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
@@ -147,8 +147,8 @@ TEST(M61x8, SubMatchesScalarRandom) {
   for (int iter = 0; iter < 10000 / 8; ++iter) {
     std::array<M61, kM61Lanes> xs{}, ys{};
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      xs[i] = random_element(rng);
-      ys[i] = random_element(rng);
+      xs[i] = random_m61(rng);
+      ys[i] = random_m61(rng);
     }
     const M61x8 r = sub(M61x8::load(xs.data()), M61x8::load(ys.data()));
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
@@ -162,8 +162,8 @@ TEST(M61x8, MulMatchesScalarRandom) {
   for (int iter = 0; iter < 10000 / 8; ++iter) {
     std::array<M61, kM61Lanes> xs{}, ys{};
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      xs[i] = random_element(rng);
-      ys[i] = random_element(rng);
+      xs[i] = random_m61(rng);
+      ys[i] = random_m61(rng);
     }
     const M61x8 r = mul(M61x8::load(xs.data()), M61x8::load(ys.data()));
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
@@ -179,8 +179,8 @@ TEST(M61x8, SelectIsBranchFreeTwoWay) {
     std::array<bool, kM61Lanes> take_a{};
     M61x8 mask = M61x8::zero();
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      xs[i] = random_element(rng);
-      ys[i] = random_element(rng);
+      xs[i] = random_m61(rng);
+      ys[i] = random_m61(rng);
       take_a[i] = (rng() & 1) != 0;
       mask.v[i] = take_a[i] ? ~std::uint64_t{0} : 0;
     }
@@ -196,8 +196,8 @@ TEST(M61x8, CmpEqBuildsFullLaneMasks) {
   for (int iter = 0; iter < 1000; ++iter) {
     std::array<M61, kM61Lanes> xs{}, ys{};
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      xs[i] = random_element(rng);
-      ys[i] = (rng() & 1) != 0 ? xs[i] : random_element(rng);
+      xs[i] = random_m61(rng);
+      ys[i] = (rng() & 1) != 0 ? xs[i] : random_m61(rng);
     }
     const M61x8 m = cmp_eq(M61x8::load(xs.data()), M61x8::load(ys.data()));
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
@@ -213,7 +213,7 @@ TEST(M61x8, HaddMatchesScalarSum) {
     std::array<M61, kM61Lanes> xs{};
     M61 expect(0);
     for (std::size_t i = 0; i < kM61Lanes; ++i) {
-      xs[i] = random_element(rng);
+      xs[i] = random_m61(rng);
       expect = expect + xs[i];
     }
     ASSERT_EQ(M61x8::load(xs.data()).hadd(), expect);
@@ -230,8 +230,8 @@ TEST(M61x8, CompiledKernelsAgreeWithPortable) {
       M61x8 a = M61x8::zero(), b = M61x8::zero();
       std::array<std::uint64_t, kM61Lanes> raw{};
       for (std::size_t i = 0; i < kM61Lanes; ++i) {
-        a.v[i] = random_element(rng).value();
-        b.v[i] = random_element(rng).value();
+        a.v[i] = random_m61(rng).value();
+        b.v[i] = random_m61(rng).value();
         raw[i] = rng();
       }
       ASSERT_EQ(detail::add_avx2(a, b), detail::add_portable(a, b));
@@ -259,10 +259,10 @@ TEST(M61Kernels, Horner8MatchesScalarChain) {
                         std::size_t{9}, std::size_t{33}}) {
     for (int iter = 0; iter < 200; ++iter) {
       std::vector<M61> c(n);
-      for (auto& ci : c) ci = random_element(rng);
+      for (auto& ci : c) ci = random_m61(rng);
       M61x8 x = M61x8::zero();
       for (std::size_t l = 0; l < kM61Lanes; ++l) {
-        x.v[l] = random_element(rng).value();
+        x.v[l] = random_m61(rng).value();
       }
       const M61x8 got = horner8(c.data(), n, x);
       for (std::size_t l = 0; l < kM61Lanes; ++l) {
@@ -281,11 +281,11 @@ TEST(M61Kernels, Dot8ReduceMatchesScalarChain) {
     for (int iter = 0; iter < 100; ++iter) {
       std::vector<M61> w(n);
       std::vector<std::uint64_t> raw(n * kM61Lanes);
-      for (auto& wi : w) wi = random_element(rng);
+      for (auto& wi : w) wi = random_m61(rng);
       for (auto& r : raw) r = rng();  // full 64-bit words: reduce in the loop
       M61x8 init = M61x8::zero();
       for (std::size_t l = 0; l < kM61Lanes; ++l) {
-        init.v[l] = random_element(rng).value();
+        init.v[l] = random_m61(rng).value();
       }
       const M61x8 got = dot8_reduce(init, w.data(), raw.data(), n);
       for (std::size_t l = 0; l < kM61Lanes; ++l) {
@@ -307,7 +307,7 @@ TEST(M61Kernels, Dot8ReduceStridedMatchesDenseChain) {
   const std::size_t stride = 8 * n + 13;
   for (int iter = 0; iter < 100; ++iter) {
     std::vector<M61> w(n);
-    for (auto& wi : w) wi = random_element(rng);
+    for (auto& wi : w) wi = random_m61(rng);
     std::vector<std::uint8_t> buf(kM61Lanes * stride);
     for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
     std::vector<std::uint64_t> dense(n * kM61Lanes);
@@ -318,7 +318,7 @@ TEST(M61Kernels, Dot8ReduceStridedMatchesDenseChain) {
         dense[i * kM61Lanes + l] = word;
       }
     }
-    const M61x8 init = M61x8::broadcast(random_element(rng));
+    const M61x8 init = M61x8::broadcast(random_m61(rng));
     const M61x8 got = dot8_reduce_strided(init, w.data(), buf.data(), stride, n);
     const M61x8 want = dot8_reduce(init, w.data(), dense.data(), n);
     for (std::size_t l = 0; l < kM61Lanes; ++l) {
@@ -333,10 +333,10 @@ TEST(M61Kernels, Horner8ScatterStoresScalarHornerValues) {
                              std::size_t{9}}) {
     const std::size_t n = 17;
     std::vector<M61> c(n * deg_p1);
-    for (auto& ci : c) ci = random_element(rng);
+    for (auto& ci : c) ci = random_m61(rng);
     M61x8 x = M61x8::zero();
     for (std::size_t l = 0; l < kM61Lanes; ++l) {
-      x.v[l] = random_element(rng).value();
+      x.v[l] = random_m61(rng).value();
     }
     // Per-lane destination records at staggered offsets, like the kept
     // subset of a request body.
@@ -369,8 +369,8 @@ TEST(M61Kernels, HornerGroupsStoresScalarHornerValues) {
     for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
                           std::size_t{21}}) {
       std::vector<M61> c(n * deg_p1);
-      for (auto& ci : c) ci = random_element(rng);
-      const M61 x = random_element(rng);
+      for (auto& ci : c) ci = random_m61(rng);
+      const M61 x = random_m61(rng);
       std::vector<std::uint8_t> out(8 * n, 0xee);
       horner_groups(c.data(), deg_p1, n, x, out.data());
       for (std::size_t g = 0; g < n; ++g) {
@@ -398,10 +398,10 @@ TEST(M61Kernels, FusedAvx2AgreesWithPortable) {
   const std::size_t n = 23;
   for (int iter = 0; iter < 200; ++iter) {
     std::vector<M61> c(n);
-    for (auto& ci : c) ci = random_element(rng);
+    for (auto& ci : c) ci = random_m61(rng);
     M61x8 x = M61x8::zero();
     for (std::size_t l = 0; l < kM61Lanes; ++l) {
-      x.v[l] = random_element(rng).value();
+      x.v[l] = random_m61(rng).value();
     }
     const M61x8 ha = detail::horner8_avx2(c.data(), n, x);
     const M61x8 hp = detail::horner8_portable(c.data(), n, x);

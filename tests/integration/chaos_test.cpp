@@ -310,18 +310,18 @@ TEST(Chaos, SeedsReproduceExactly) {
 TEST(Chaos, PrecomputedEngineAbortsWipeOtPools) {
   // Real batched-OT path: a mid-transfer disconnect must abort both
   // engines, and the abort must leave ZERO secret pad bytes behind
-  // (pool_wiped audits the live buffers in place).
+  // (pads_clean audits the live buffers in place).
   const crypto::DhGroup group(crypto::GroupId::kModp1024);
   auto [end_a, end_b] = net::make_channel();
   Rng rng_s(61), rng_r(62);
-  crypto::BatchedOtSender sender(group, rng_s);
-  crypto::BatchedOtReceiver receiver(group, rng_r);
+  crypto::SilentPadSender sender(group, rng_s);
+  crypto::SilentPadReceiver receiver(group, rng_r);
 
   std::thread peer([&receiver, &b = end_b] { receiver.reserve(b, 2, 4); });
   sender.reserve(end_a, 2, 4);
   peer.join();
-  ASSERT_GE(sender.available_slots(), 4u);
-  ASSERT_FALSE(sender.pool_wiped());  // live key material present
+  ASSERT_GE(sender.ledger_available(), 4u);
+  ASSERT_FALSE(sender.pads_clean());  // live key material present
 
   // Tear the link down mid-protocol, as an injected disconnect would.
   end_a.close();
@@ -342,8 +342,8 @@ TEST(Chaos, PrecomputedEngineAbortsWipeOtPools) {
 
   EXPECT_TRUE(sender.aborted());
   EXPECT_TRUE(receiver.aborted());
-  EXPECT_TRUE(sender.pool_wiped());
-  EXPECT_TRUE(receiver.pool_wiped());
+  EXPECT_TRUE(sender.pads_clean());
+  EXPECT_TRUE(receiver.pads_clean());
   EXPECT_THROW(sender.send(end_a, msgs, 1), ProtocolError);
 }
 
@@ -396,8 +396,8 @@ TEST(Chaos, SilentAbortsWipeOverFaultyChannels) {
     end_b.set_recv_deadline(net::Deadline::after(std::chrono::seconds(5)));
 
     Rng rng_s(splitmix64(seed, 2)), rng_r(splitmix64(seed, 3));
-    crypto::BatchedOtSender sender(group, rng_s);
-    crypto::BatchedOtReceiver receiver(group, rng_r);
+    crypto::SilentPadSender sender(group, rng_s);
+    crypto::SilentPadReceiver receiver(group, rng_r);
 
     bool sender_aborted = false, receiver_aborted = false;
     std::thread peer([&] {
@@ -429,15 +429,13 @@ TEST(Chaos, SilentAbortsWipeOverFaultyChannels) {
 
     if (sender_aborted) {
       ++silent_aborts;
-      EXPECT_TRUE(sender.pool_wiped());
-      EXPECT_TRUE(sender.silent_engine()->frontier_clean());
-      EXPECT_TRUE(sender.silent_engine()->pads_clean());
+      EXPECT_TRUE(sender.frontier_clean());
+      EXPECT_TRUE(sender.pads_clean());
     }
     if (receiver_aborted) {
       ++silent_aborts;
-      EXPECT_TRUE(receiver.pool_wiped());
-      EXPECT_TRUE(receiver.silent_engine()->frontier_clean());
-      EXPECT_TRUE(receiver.silent_engine()->pads_clean());
+      EXPECT_TRUE(receiver.frontier_clean());
+      EXPECT_TRUE(receiver.pads_clean());
     }
   }
   EXPECT_EQ(audit.aborts.load(), aborts0 + silent_aborts);

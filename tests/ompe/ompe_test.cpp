@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "ppds/crypto/silent_ot.hpp"
 #include "ppds/math/multipoly.hpp"
 #include "ppds/net/party.hpp"
 
@@ -236,13 +237,13 @@ TEST(Ompe, ResultWithNaorPinkasOtMatches) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(11);
-        crypto::BatchedOtSender ot(group, rng);
+        crypto::SilentPadSender ot(group, rng);
         run_sender(ch, std::vector<double>{0.9, -0.4}, 0.2, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(12);
-        crypto::BatchedOtReceiver ot(group, rng);
+        crypto::SilentPadReceiver ot(group, rng);
         return run_receiver(ch, alpha, params, ot, rng);
       });
   EXPECT_NEAR(outcome.b, p.evaluate(alpha), 1e-9);
