@@ -13,8 +13,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "ppds/common/stopwatch.hpp"
-#include "ppds/field/m61xn.hpp"
 #include "ppds/math/multipoly.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/ompe/ompe.hpp"
@@ -107,70 +105,5 @@ int main() {
       "\nThe field backend's error is the fixed-point grid, independent of "
       "q;\nthe real backend's error grows with the interpolation degree "
       "q.\n");
-
-  // --- scalar vs SIMD lane engine, exact-field backend ---------------------
-  // Same protocol round with use_simd_field off/on. The lane kernels are
-  // proven bit-identical to the scalar chain (same transcripts, same
-  // residues), so the returned values must match EXACTLY — the row is both
-  // a timing ablation and an end-to-end equivalence check.
-  bench::banner("ABLATION: field-backend engine, scalar vs SIMD lanes");
-  std::printf("active engine: %s\n", field::simd_caps().active);
-
-  const std::size_t wide_n = 512;
-  Rng wrng(7);
-  std::vector<double> w(wide_n), alpha(wide_n);
-  const double grid = 1.0 / (1 << 12);
-  for (std::size_t i = 0; i < wide_n; ++i) {
-    w[i] = wrng.uniform_nonzero(-1, 1);
-    alpha[i] = std::round(wrng.uniform(-1, 1) / grid) * grid;
-  }
-  const math::MultiPoly wide = math::MultiPoly::affine(w, 0.01);
-  // Degree-1 secret over raw inputs: the 2^-12 grid is exact at 20 bits.
-
-  ompe::OmpeParams params;
-  params.q = 8;
-  params.k = 3;
-  params.backend = ompe::Backend::kField;
-  params.eval_threads = 1;
-
-  // Whole-round time includes OT serialization and interpolation, which the
-  // engine does not touch — so the mask/cover stage times (where the lane
-  // kernels actually run) are reported alongside. Best-of-reps minima filter
-  // scheduler noise.
-  const int reps = 9;
-  double round_ms[2] = {0.0, 0.0};
-  double mask_ms[2] = {0.0, 0.0};
-  double cover_ms[2] = {0.0, 0.0};
-  double got[2] = {0.0, 0.0};
-  for (int simd = 0; simd < 2; ++simd) {
-    params.use_simd_field = simd != 0;
-    double best = 1e30, best_mask = 1e30, best_cover = 1e30;
-    for (int rep = 0; rep < reps; ++rep) {
-      ompe::reset_stage_counters();
-      Stopwatch watch;
-      got[simd] = one_round(wide, alpha, params, 9000 + rep);
-      best = std::min(best, watch.millis());
-      const ompe::StageCounters stages = ompe::stage_counters();
-      best_mask =
-          std::min(best_mask, static_cast<double>(stages.mask_eval_ns) / 1e6);
-      best_cover =
-          std::min(best_cover, static_cast<double>(stages.cover_eval_ns) / 1e6);
-    }
-    round_ms[simd] = best;
-    mask_ms[simd] = best_mask;
-    cover_ms[simd] = best_cover;
-  }
-  std::printf("%-14s | %10s %10s %10s | %12s\n", "engine", "round ms",
-              "mask ms", "cover ms", "value");
-  bench::rule(66);
-  std::printf("%-14s | %10.3f %10.3f %10.3f | %12.6f\n", "scalar", round_ms[0],
-              mask_ms[0], cover_ms[0], got[0]);
-  std::printf("%-14s | %10.3f %10.3f %10.3f | %12.6f\n",
-              field::simd_caps().active, round_ms[1], mask_ms[1], cover_ms[1],
-              got[1]);
-  std::printf(
-      "mask speedup: %.2fx, cover speedup: %.2fx; results identical: %s\n",
-      mask_ms[0] / mask_ms[1], cover_ms[0] / cover_ms[1],
-      got[0] == got[1] ? "yes" : "NO (BUG)");
-  return got[0] == got[1] ? 0 : 1;
+  return 0;
 }

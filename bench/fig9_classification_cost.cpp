@@ -247,10 +247,10 @@ int main(int argc, char** argv) {
   auto report = bench::Json::object();
   report.set("figure", "fig9_classification_cost");
   report.set("quick", quick);
-  // The masked-point evaluation loops parallelize across this many worker
-  // threads (OmpeParams::eval_threads = 0 — one task per hardware thread),
-  // so runs from different machines are comparable.
-  report.set("eval_threads",
+  // The masked-point evaluation loops split into one task per hardware
+  // thread; recording the count keeps runs from different machines
+  // comparable.
+  report.set("worker_threads",
              static_cast<std::uint64_t>(ThreadPool::default_concurrency()));
 
   bench::banner("FIG. 9: Classification cost vs data size (a1a..a9a)");

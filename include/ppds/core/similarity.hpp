@@ -95,6 +95,18 @@ double ordinary_similarity_kernel(const svm::SvmModel& a,
 
 /// --- Private two-party protocol --------------------------------------------
 
+/// What each similarity role derives from its own model before any
+/// evaluation; both constructors build it the same way.
+struct SimilarityGeometry {
+  bool kernelized = false;  ///< polynomial-kernel path (else linear)
+  math::Vec w;         ///< linear weights, or the aggregate kernel direction
+  math::Vec centroid;  ///< centroid of the bounded decision surface
+  /// Stage-1 feature map of the kernel path: monomials_up_to(n, p).
+  std::vector<math::Exponents> basis;
+  double w_norm2 = 0.0;  ///< ||w||^2 resp. K(w, w)
+  double m_norm2 = 0.0;  ///< ||centroid||^2 resp. K(centroid, centroid)
+};
+
 /// Alice's side of one similarity evaluation. Learns only ||mB||^2, ||wB||^2.
 class SimilarityServer {
  public:
@@ -104,18 +116,13 @@ class SimilarityServer {
   /// Serves one evaluation over the channel.
   void serve(net::Endpoint& channel, Rng& rng) const;
 
-  const math::Vec& centroid() const { return centroid_; }
+  const math::Vec& centroid() const { return geometry_.centroid; }
 
  private:
   DataSpace space_;
   SchemeConfig config_;
   svm::Kernel kernel_;
-  math::Vec w_;         ///< linear weights (linear kernel path)
-  double bias_ = 0.0;
-  math::Vec centroid_;
-  bool kernelized_ = false;
-  /// Stage-1 feature map of the kernel path: monomials_up_to(n, p).
-  std::vector<math::Exponents> basis_;
+  SimilarityGeometry geometry_;
 };
 
 /// Bob's side; learns T.
@@ -129,15 +136,8 @@ class SimilarityClient {
   double evaluate(net::Endpoint& channel, Rng& rng) const;
 
  private:
-  DataSpace space_;
   SchemeConfig config_;
-  svm::Kernel kernel_;
-  math::Vec w_;
-  math::Vec centroid_;
-  bool kernelized_ = false;
-  std::vector<math::Exponents> basis_;  ///< as SimilarityServer::basis_
-  double w_norm2_ = 0.0;  ///< ||wB||^2 resp. K(wB, wB)
-  double m_norm2_ = 0.0;  ///< ||mB||^2 resp. K(mB, mB)
+  SimilarityGeometry geometry_;
 };
 
 }  // namespace ppds::core

@@ -10,8 +10,8 @@
 /// Hash-based pseudo-random generator (SHA-256 in counter mode).
 ///
 /// Keyed by a 32-byte seed; produces an unbounded keystream. Used to
-/// (a) stretch OT pad keys to message length, and (b) derive the random
-/// masking/cover polynomial coefficients in deterministic protocol tests.
+/// expand the silent-OT GGM tree seeds (crypto/pprf.hpp) and to draw the
+/// silent receiver's choice words.
 
 namespace ppds::crypto {
 
@@ -28,9 +28,6 @@ class Prg {
   /// Next \p n keystream bytes.
   Bytes next(std::size_t n);
 
-  /// XORs the keystream into \p data in place (stream cipher use).
-  void xor_into(std::span<std::uint8_t> data);
-
   /// Uniform 64-bit word.
   std::uint64_t next_u64();
 
@@ -42,8 +39,5 @@ class Prg {
   PPDS_SECRET Digest block_{};
   std::size_t block_pos_ = sizeof(Digest);
 };
-
-/// One-shot pad: PRG(seed) XOR data (used by the OT encryptions).
-Bytes xor_pad(PPDS_SECRET const Digest& seed, std::span<const std::uint8_t> data);
 
 }  // namespace ppds::crypto

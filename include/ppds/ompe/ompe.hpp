@@ -50,8 +50,10 @@
 ///  * kField — exact arithmetic in F_{2^61-1} over fixed-point encodings;
 ///    masking coefficients are uniform field elements (information-
 ///    theoretic, matching the original OMPE construction). The decoded
-///    result is exact to the fixed-point grid — the backend of choice when
-///    only the SIGN of the result matters (classification).
+///    result is exact to the fixed-point grid. No served scenario selects
+///    it; it stays as the exact reference that checks the real backend's
+///    numerics (tests, bench/ablation_backend, examples/medical_network).
+///    Its sweeps are scalar loops with the same shape as the real backend's.
 
 namespace ppds::ompe {
 
@@ -66,30 +68,14 @@ inline constexpr unsigned kFracBits = 20;
 inline constexpr double kNodeLo = 0.3;
 inline constexpr double kNodeHi = 1.5;
 
-/// Public protocol parameters (shared by both parties out of band).
+/// Public protocol parameters (shared by both parties out of band; the
+/// session digest hashes all three). The point sweeps take no local knobs:
+/// they split into one worker task per hardware thread above 2^14 elements
+/// and run inline below, and the chunking never changes a wire byte.
 struct OmpeParams {
   unsigned q = 8;        ///< masking-degree security parameter of the paper
   unsigned k = 3;        ///< cover blow-up; M = (q + 1) * k
   Backend backend = Backend::kReal;
-
-  // --- Local performance knobs --------------------------------------------
-  // NOT protocol parameters: they never change wire bytes (transcripts are
-  // bit-identical for every setting, enforced by tests), so they are
-  // excluded from the session digest and the parties need not agree on them.
-
-  /// Worker-task budget for the per-point masked evaluation loops (the
-  /// sender's M-point A(v, z) sweep and the receiver's M-point cover /
-  /// disguise sweep). 0 = one task per hardware thread; 1 = run inline.
-  /// Small workloads stay inline regardless — see docs/PERFORMANCE.md §1.4.
-  unsigned eval_threads = 0;
-
-  /// Run the field-backend point sweeps on packed Mersenne-61 lanes
-  /// (field::M61x8 — AVX2 when the CPU has it, bit-identical portable
-  /// kernels otherwise; see field/m61xn.hpp for the dispatch rules).
-  /// Transcripts are unchanged for every setting; off pins the scalar
-  /// reference path for A/B tests and benchmarks. Real-backend sweeps
-  /// ignore it.
-  bool use_simd_field = true;
 
   /// Number of pairs the receiver keeps.
   std::size_t m() const { return static_cast<std::size_t>(q) + 1; }

@@ -126,9 +126,8 @@ crypto::Digest protocol_digest(const ClassificationProfile& profile,
   w.u32(ompe::kFracBits);
   w.f64(ompe::kNodeLo);
   w.f64(ompe::kNodeHi);
-  // Local performance knobs (ompe.eval_threads, ompe.use_simd_field) are
-  // deliberately NOT hashed: they never change wire bytes, so the parties
-  // need not agree on them.
+  // That is every OmpeParams field: the OMPE point sweeps have no local
+  // knobs, and how they chunk across cores never changes a wire byte.
   h.update(w.data());
   return h.finish();
 }

@@ -108,6 +108,40 @@ double kernel_self(const svm::Kernel& kernel, const math::Vec& v) {
   return kernel(v, v);
 }
 
+/// Eq. (7) expanded over its monomials cancels to a small T^2, which the
+/// fixed-point grid of the exact backend cannot resolve; similarity always
+/// runs the real backend (DESIGN.md §5).
+SchemeConfig similarity_config(SchemeConfig config) {
+  config.ompe.backend = ompe::Backend::kReal;
+  ompe::validate(config.ompe);
+  return config;
+}
+
+SimilarityGeometry build_geometry(const svm::SvmModel& model,
+                                  const DataSpace& space) {
+  const svm::Kernel& kernel = model.kernel();
+  SimilarityGeometry g;
+  g.kernelized = kernel.type != svm::KernelType::kLinear;
+  detail::require(!g.kernelized || kernel.type == svm::KernelType::kPolynomial,
+                  "similarity: kernel path supports polynomial kernels");
+  std::optional<math::Vec> c;
+  if (g.kernelized) {
+    g.basis = math::monomials_up_to(model.dim(), kernel.degree);
+    g.w = aggregate_direction(model);
+    c = bounded_centroid(kernel_boundary_points(model, space));
+  } else {
+    g.w = model.linear_weights();
+    c = bounded_centroid(linear_boundary_points(g.w, model.bias(), space));
+  }
+  detail::require(c.has_value(),
+                  "similarity: decision surface misses the data space");
+  g.centroid = std::move(*c);
+  g.m_norm2 = g.kernelized ? kernel(g.centroid, g.centroid)
+                           : math::norm2(g.centroid);
+  g.w_norm2 = g.kernelized ? kernel(g.w, g.w) : math::norm2(g.w);
+  return g;
+}
+
 }  // namespace
 
 std::vector<math::Vec> linear_boundary_points(const math::Vec& w, double b,
@@ -216,32 +250,10 @@ double ordinary_similarity_kernel(const svm::SvmModel& a,
 
 SimilarityServer::SimilarityServer(const svm::SvmModel& model, DataSpace space,
                                    SchemeConfig config)
-    : space_(space), config_(config), kernel_(model.kernel()) {
-  // Eq. (7) expanded over its monomials cancels to a small T^2, which the
-  // fixed-point grid of the exact backend cannot resolve; similarity always
-  // runs the real backend (DESIGN.md §5).
-  config_.ompe.backend = ompe::Backend::kReal;
-  ompe::validate(config_.ompe);
-  kernelized_ = kernel_.type != svm::KernelType::kLinear;
-  detail::require(!kernelized_ || kernel_.type == svm::KernelType::kPolynomial,
-                  "SimilarityServer: kernel path supports polynomial kernels");
-  if (kernelized_) {
-    basis_ = math::monomials_up_to(model.dim(), kernel_.degree);
-    w_ = aggregate_direction(model);
-    const auto c = bounded_centroid(kernel_boundary_points(model, space_));
-    detail::require(c.has_value(),
-                    "SimilarityServer: surface misses the data space");
-    centroid_ = *c;
-  } else {
-    w_ = model.linear_weights();
-    bias_ = model.bias();
-    const auto c =
-        bounded_centroid(linear_boundary_points(w_, bias_, space_));
-    detail::require(c.has_value(),
-                    "SimilarityServer: plane misses the data space");
-    centroid_ = *c;
-  }
-}
+    : space_(space),
+      config_(similarity_config(config)),
+      kernel_(model.kernel()),
+      geometry_(build_geometry(model, space)) {}
 
 void SimilarityServer::serve(net::Endpoint& channel, Rng& rng) const {
   OtBundle ot(config_, rng);
@@ -265,28 +277,26 @@ void SimilarityServer::serve(net::Endpoint& channel, Rng& rng) const {
 
     // Stage 1a: x1 = ram * (mA . mB)   (kernelized: ram * K(mA, mB)).
     // Stage 1b: x2 = raw * (wA . wB) + rb.
-    if (kernelized_) {
-      serve_linearized(channel, kernel_stage1_poly(centroid_, kernel_, ram, 0.0),
-                       basis_, config_.ompe, ot.sender(), rng);
-      serve_linearized(channel, kernel_stage1_poly(w_, kernel_, raw, rb),
-                       basis_, config_.ompe, ot.sender(), rng);
+    const SimilarityGeometry& g = geometry_;
+    if (g.kernelized) {
+      serve_linearized(channel, kernel_stage1_poly(g.centroid, kernel_, ram, 0.0),
+                       g.basis, config_.ompe, ot.sender(), rng);
+      serve_linearized(channel, kernel_stage1_poly(g.w, kernel_, raw, rb),
+                       g.basis, config_.ompe, ot.sender(), rng);
     } else {
-      math::Vec ma = centroid_;
+      math::Vec ma = g.centroid;
       math::scale(ma, ram);
       ompe::run_sender(channel, ma, 0.0, config_.ompe, ot.sender(), rng);
-      math::Vec wa = w_;
+      math::Vec wa = g.w;
       math::scale(wa, raw);
       ompe::run_sender(channel, wa, rb, config_.ompe, ot.sender(), rng);
     }
 
     // Stage 2: Eq. (7) with Alice's private constants.
-    const double kmm_a = kernelized_ ? kernel_(centroid_, centroid_)
-                                     : math::norm2(centroid_);
-    const double kww_a = kernelized_ ? kernel_(w_, w_) : math::norm2(w_);
-    detail::require(kww_a > 0.0, "similarity: degenerate own weights");
-    const double c1 = kmm_a + m_norm2_b;
+    detail::require(g.w_norm2 > 0.0, "similarity: degenerate own weights");
+    const double c1 = g.m_norm2 + m_norm2_b;
     const double c2 = std::pow(space_.l0, 4.0);
-    const double c3 = 1.0 / (kww_a * w_norm2_b);
+    const double c3 = 1.0 / (g.w_norm2 * w_norm2_b);
     const double c4 = 1.0 + std::pow(std::sin(space_.theta0), 2.0);
     const double d1 = 1.0 / ram;
     const double d2 = 1.0 / raw;
@@ -301,30 +311,8 @@ void SimilarityServer::serve(net::Endpoint& channel, Rng& rng) const {
 
 SimilarityClient::SimilarityClient(const svm::SvmModel& model, DataSpace space,
                                    SchemeConfig config)
-    : space_(space), config_(config), kernel_(model.kernel()) {
-  config_.ompe.backend = ompe::Backend::kReal;
-  ompe::validate(config_.ompe);
-  kernelized_ = kernel_.type != svm::KernelType::kLinear;
-  detail::require(!kernelized_ || kernel_.type == svm::KernelType::kPolynomial,
-                  "SimilarityClient: kernel path supports polynomial kernels");
-  if (kernelized_) {
-    basis_ = math::monomials_up_to(model.dim(), kernel_.degree);
-    w_ = aggregate_direction(model);
-    const auto c = bounded_centroid(kernel_boundary_points(model, space_));
-    detail::require(c.has_value(),
-                    "SimilarityClient: surface misses the data space");
-    centroid_ = *c;
-  } else {
-    w_ = model.linear_weights();
-    const auto c = bounded_centroid(
-        linear_boundary_points(w_, model.bias(), space_));
-    detail::require(c.has_value(),
-                    "SimilarityClient: plane misses the data space");
-    centroid_ = *c;
-  }
-  m_norm2_ = kernelized_ ? kernel_(centroid_, centroid_) : math::norm2(centroid_);
-  w_norm2_ = kernelized_ ? kernel_(w_, w_) : math::norm2(w_);
-}
+    : config_(similarity_config(config)),
+      geometry_(build_geometry(model, space)) {}
 
 double SimilarityClient::evaluate(net::Endpoint& channel, Rng& rng) const {
   OtBundle ot(config_, rng);
@@ -334,17 +322,18 @@ double SimilarityClient::evaluate(net::Endpoint& channel, Rng& rng) const {
 
     channel.set_stage(net::Stage::kNorms);
     ByteWriter w;
-    w.f64(m_norm2_);
-    w.f64(w_norm2_);
+    w.f64(geometry_.m_norm2);
+    w.f64(geometry_.w_norm2);
     channel.send(w.take());
 
     // Stage 1 features: the raw vectors, or their monomials for the kernel.
-    const auto features = [this](const math::Vec& v) {
-      return kernelized_ ? math::monomial_transform(basis_, v) : v;
+    const SimilarityGeometry& g = geometry_;
+    const auto features = [&g](const math::Vec& v) {
+      return g.kernelized ? math::monomial_transform(g.basis, v) : v;
     };
-    const double x1 = ompe::run_receiver(channel, features(centroid_),
+    const double x1 = ompe::run_receiver(channel, features(g.centroid),
                                          config_.ompe, ot.receiver(), rng);
-    const double x2 = ompe::run_receiver(channel, features(w_), config_.ompe,
+    const double x2 = ompe::run_receiver(channel, features(g.w), config_.ompe,
                                          ot.receiver(), rng);
     const double t2 = ompe::run_receiver(
         channel, math::monomial_transform(stage2_basis(), {x1, x2}),

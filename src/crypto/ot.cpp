@@ -158,7 +158,14 @@ std::vector<PrecomputedRecvSlot> precompute_ot_receiver(
                     key.begin() + static_cast<std::ptrdiff_t>(pad_len));
     secure_wipe(std::span(key));
   }
-  channel.send(w.take());
+  try {
+    channel.send(w.take());
+  } catch (...) {
+    // The pads exist before the blinded keys leave; a failed send must not
+    // strand them in freed heap pages.
+    for (PrecomputedRecvSlot& slot : slots) secure_wipe(std::span(slot.pad));
+    throw;
+  }
   return slots;
 }
 

@@ -34,24 +34,11 @@ Bytes Prg::next(std::size_t n) {
   return out;
 }
 
-void Prg::xor_into(std::span<std::uint8_t> data) {
-  Bytes stream = next(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) data[i] ^= stream[i];
-  secure_wipe(std::span(stream));
-}
-
 std::uint64_t Prg::next_u64() {
   const Bytes b = next(8);
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
   return v;
-}
-
-Bytes xor_pad(PPDS_SECRET const Digest& seed, std::span<const std::uint8_t> data) {
-  Bytes out(data.begin(), data.end());
-  Prg prg(seed);
-  prg.xor_into(out);
-  return out;
 }
 
 }  // namespace ppds::crypto

@@ -61,6 +61,28 @@ void wipe_slot(PrecomputedRecvSlot& slot) {
   slot.choice = 0;
 }
 
+template <typename Slot>
+void wipe_slot(std::vector<Slot>& slots) {
+  for (Slot& slot : slots) wipe_slot(slot);
+}
+
+/// wipe_slot on scope exit, the exception path included: a pad taken for a
+/// transfer, or a batch of base-OT seeds, must not outlive a round that
+/// throws. (ScopedWipe in common/ct.hpp does the same for byte buffers.)
+template <typename T>
+class ScopedWipeSlot {
+ public:
+  explicit ScopedWipeSlot(T& target) noexcept : target_(&target) {}
+
+  ScopedWipeSlot(const ScopedWipeSlot&) = delete;
+  ScopedWipeSlot& operator=(const ScopedWipeSlot&) = delete;
+
+  ~ScopedWipeSlot() { wipe_slot(*target_); }
+
+ private:
+  T* target_;
+};
+
 /// Feeds the process-wide audit after an engine's abort() has wiped it.
 template <typename Engine>
 void audit_abort(const Engine& engine) {
@@ -149,8 +171,8 @@ void SilentPadSender::send(net::Endpoint& channel,
   }
   for (std::size_t i = 0; i < k; ++i) {
     PrecomputedSendSlot slot = take(n);
+    const ScopedWipeSlot slot_guard(slot);
     precomputed_send_1ofn(channel, slot, messages);
-    wipe_slot(slot);
   }
 }
 
@@ -166,9 +188,11 @@ void SilentPadSender::ensure_ready(net::Endpoint& channel) {
   // public-key bill.
   auto base_slots =
       precompute_ot_receiver(channel, group_, kSilentColumns, 32, rng_);
-  std::vector<GgmTree> trees;
+  const ScopedWipeSlot base_guard(base_slots);
+  std::vector<GgmTree> trees;  // ~GgmTree wipes each root
   trees.reserve(kSilentColumns);
   PPDS_SECRET SilentRow delta{};
+  const ScopedWipe delta_guard(delta);
   for (std::size_t j = 0; j < kSilentColumns; ++j) {
     delta[j >> 3] |= static_cast<std::uint8_t>((base_slots[j].choice & 1U)
                                                << (j & 7));
@@ -178,13 +202,14 @@ void SilentPadSender::ensure_ready(net::Endpoint& channel) {
     std::memcpy(root.data(), base_slots[j].pad.data(), sizeof(Digest));
     trees.emplace_back(root, kSilentTreeDepth);
     secure_wipe(std::span(root));
-    secure_wipe(std::span(base_slots[j].pad));
-    base_slots[j].choice = 0;
   }
   std::lock_guard lk(mu_);
+  // abort() may have run during the seed agreement. The seeds built since
+  // then must die with the engine, not land in it: throwing leaves them to
+  // the guards and the GgmTree destructors.
+  if (aborted_) fail_aborted();
   trees_ = std::move(trees);
   delta_ = delta;
-  secure_wipe(std::span(delta));
   ready_ = true;
 }
 
@@ -443,8 +468,8 @@ std::vector<Bytes> SilentPadReceiver::receive(
   }
   for (std::size_t index : indices) {
     PrecomputedRecvSlot slot = take(n);
+    const ScopedWipeSlot slot_guard(slot);
     out.push_back(precomputed_receive_1ofn(channel, slot, index, message_len));
-    wipe_slot(slot);
   }
   return out;
 }
@@ -459,7 +484,8 @@ void SilentPadReceiver::ensure_ready(net::Endpoint& channel) {
   // 32-byte seeds per column, hence both keystream trees.
   auto base_slots =
       precompute_ot_sender(channel, group_, kSilentColumns, 32, rng_);
-  std::vector<GgmTree> trees0;
+  const ScopedWipeSlot base_guard(base_slots);
+  std::vector<GgmTree> trees0;  // ~GgmTree wipes each root
   std::vector<GgmTree> trees1;
   trees0.reserve(kSilentColumns);
   trees1.reserve(kSilentColumns);
@@ -474,17 +500,18 @@ void SilentPadReceiver::ensure_ready(net::Endpoint& channel) {
     std::memcpy(root.data(), base_slots[j].pads[1].data(), sizeof(Digest));
     trees1.emplace_back(root, kSilentTreeDepth);
     secure_wipe(std::span(root));
-    secure_wipe(std::span(base_slots[j].pads[0]));
-    secure_wipe(std::span(base_slots[j].pads[1]));
   }
   // Seed the secret choice stream from the session rng.
   PPDS_SECRET Digest choice_seed{};
+  const ScopedWipe choice_seed_guard(choice_seed);
   rng_.fill_bytes(std::span(choice_seed));
   std::lock_guard lk(mu_);
+  // See SilentPadSender::ensure_ready: an abort() during the seed agreement
+  // leaves nothing live behind.
+  if (aborted_) fail_aborted();
   trees0_ = std::move(trees0);
   trees1_ = std::move(trees1);
   choice_prg_.emplace(choice_seed);
-  secure_wipe(std::span(choice_seed));
   ready_ = true;
 }
 

@@ -12,7 +12,7 @@
 #include "ppds/common/error.hpp"
 #include "ppds/common/thread_pool.hpp"
 #include "ppds/field/encoding.hpp"
-#include "ppds/field/m61xn.hpp"
+#include "ppds/field/m61.hpp"
 #include "ppds/math/interpolate.hpp"
 #include "ppds/math/poly.hpp"
 #include "ppds/net/framing.hpp"
@@ -21,9 +21,7 @@ namespace ppds::ompe {
 
 namespace {
 
-using field::kM61Lanes;
 using field::M61;
-using field::M61x8;
 
 // Version 2: every evaluation is degree 1, so the header no longer carries
 // a degree field and m = q + 1.
@@ -83,7 +81,7 @@ void count_points(std::atomic<std::uint64_t>& counter, std::uint64_t n) {
 // here too; tasks are pure compute, so the two pools compose without
 // deadlock). Determinism contract: per-point work depends only on the point
 // index (and a per-call seed), NEVER on the chunking, so transcripts are
-// bit-identical across eval_threads settings.
+// bit-identical on every host (tests/ompe/ompe_parallel_test.cpp pins them).
 
 ThreadPool& eval_pool() {
   static ThreadPool pool;
@@ -91,11 +89,10 @@ ThreadPool& eval_pool() {
 }
 
 /// Task count for a sweep of \p points points costing \p per_point elements
-/// each. Small sweeps run inline: a pool handoff costs more than the loop.
-std::size_t plan_tasks(unsigned requested, std::size_t points,
-                       std::size_t per_point) {
-  const std::size_t budget =
-      requested == 0 ? ThreadPool::default_concurrency() : requested;
+/// each: one task per hardware thread. Small sweeps run inline: a pool
+/// handoff costs more than the loop.
+std::size_t plan_tasks(std::size_t points, std::size_t per_point) {
+  const std::size_t budget = ThreadPool::default_concurrency();
   if (budget <= 1 || points <= 1) return 1;
   if (points * per_point < (std::size_t{1} << 14)) return 1;
   return std::min(budget, points);
@@ -170,175 +167,6 @@ M61 random_nonzero_field_element(Rng& rng) {
     const M61 v = random_field_element(rng);
     if (!v.is_zero()) return v;
   }
-}
-
-/// Fills eight disguise records with their per-point Rng streams: lane l
-/// writes nwords field elements from Rng(seeds[l]) little-endian at
-/// ptrs[l] + 8*j — exactly the bytes random_field_element produces in the
-/// scalar disguise loop.
-void disguise_block_scalar(const std::uint64_t* seeds, std::size_t nwords,
-                           std::uint8_t* const* ptrs) {
-  for (std::size_t lane = 0; lane < kM61Lanes; ++lane) {
-    Rng point_rng(seeds[lane]);
-    for (std::size_t j = 0; j < nwords; ++j) {
-      store_le64(ptrs[lane] + 8 * j, random_field_element(point_rng).value());
-    }
-  }
-}
-
-#if PPDS_M61XN_HAVE_AVX2_TARGET
-
-__attribute__((target("avx2"))) inline __m256i rotl64x4(__m256i x, int k) {
-  return _mm256_or_si256(_mm256_slli_epi64(x, k), _mm256_srli_epi64(x, 64 - k));
-}
-
-/// Lane-parallel disguise fill: the eight xoshiro256** streams advance in
-/// two 4-wide state vectors (the scrambler s1*5, rotl 7, *9 is shifts and
-/// adds throughout, so the whole draw vectorizes). random_field_element's
-/// rejection (draw >> 3 == kP, probability 2^-61 per draw) cannot proceed
-/// lane-parallel — one lane re-draws, the others must not — so on any hit
-/// the kernel bails and the caller replays the whole block scalar; stores
-/// up to that point are simply overwritten (the streams are replayed from
-/// the seeds, so the result is bit-identical either way).
-__attribute__((target("avx2"))) bool disguise_block_avx2(
-    const std::uint64_t* seeds, std::size_t nwords,
-    std::uint8_t* const* ptrs) {
-  // SplitMix64 seed expansion (Rng::reseed), scalar per lane — amortized
-  // over the nwords vector draws that follow.
-  alignas(32) std::uint64_t st[4][kM61Lanes];
-  for (std::size_t lane = 0; lane < kM61Lanes; ++lane) {
-    std::uint64_t x = seeds[lane];
-    for (std::size_t w = 0; w < 4; ++w) {
-      x += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      st[w][lane] = z ^ (z >> 31);
-    }
-  }
-  const auto* p0 = reinterpret_cast<const __m256i*>(st[0]);
-  const auto* p1 = reinterpret_cast<const __m256i*>(st[1]);
-  const auto* p2 = reinterpret_cast<const __m256i*>(st[2]);
-  const auto* p3 = reinterpret_cast<const __m256i*>(st[3]);
-  __m256i s0a = _mm256_load_si256(p0), s0b = _mm256_load_si256(p0 + 1);
-  __m256i s1a = _mm256_load_si256(p1), s1b = _mm256_load_si256(p1 + 1);
-  __m256i s2a = _mm256_load_si256(p2), s2b = _mm256_load_si256(p2 + 1);
-  __m256i s3a = _mm256_load_si256(p3), s3b = _mm256_load_si256(p3 + 1);
-  const __m256i kp = _mm256_set1_epi64x(static_cast<long long>(M61::kP));
-  alignas(32) std::uint64_t out[kM61Lanes];
-  __m256i da[4], db[4];
-  std::size_t j = 0;
-  // Main loop: four draw steps per iteration, then a 4x4 in-register
-  // transpose so every lane takes one contiguous 32-byte store instead of
-  // four scattered word stores.
-  for (; j + 4 <= nwords; j += 4) {
-    __m256i bad = _mm256_setzero_si256();
-    for (int s = 0; s < 4; ++s) {
-      // result = rotl(s1 * 5, 7) * 9; draw = result >> 3.
-      const __m256i m5a = _mm256_add_epi64(_mm256_slli_epi64(s1a, 2), s1a);
-      const __m256i m5b = _mm256_add_epi64(_mm256_slli_epi64(s1b, 2), s1b);
-      const __m256i ra = rotl64x4(m5a, 7);
-      const __m256i rb = rotl64x4(m5b, 7);
-      const __m256i resa = _mm256_add_epi64(_mm256_slli_epi64(ra, 3), ra);
-      const __m256i resb = _mm256_add_epi64(_mm256_slli_epi64(rb, 3), rb);
-      da[s] = _mm256_srli_epi64(resa, 3);
-      db[s] = _mm256_srli_epi64(resb, 3);
-      bad = _mm256_or_si256(bad, _mm256_cmpeq_epi64(da[s], kp));
-      bad = _mm256_or_si256(bad, _mm256_cmpeq_epi64(db[s], kp));
-      // State transition: t = s1 << 17; s2 ^= s0; s3 ^= s1; s1 ^= s2;
-      // s0 ^= s3; s2 ^= t; s3 = rotl(s3, 45).
-      const __m256i ta = _mm256_slli_epi64(s1a, 17);
-      const __m256i tb = _mm256_slli_epi64(s1b, 17);
-      s2a = _mm256_xor_si256(s2a, s0a);
-      s2b = _mm256_xor_si256(s2b, s0b);
-      s3a = _mm256_xor_si256(s3a, s1a);
-      s3b = _mm256_xor_si256(s3b, s1b);
-      s1a = _mm256_xor_si256(s1a, s2a);
-      s1b = _mm256_xor_si256(s1b, s2b);
-      s0a = _mm256_xor_si256(s0a, s3a);
-      s0b = _mm256_xor_si256(s0b, s3b);
-      s2a = _mm256_xor_si256(s2a, ta);
-      s2b = _mm256_xor_si256(s2b, tb);
-      s3a = rotl64x4(s3a, 45);
-      s3b = rotl64x4(s3b, 45);
-    }
-    if (!_mm256_testz_si256(bad, bad)) return false;
-    // Rows are draw steps, columns are lanes; transpose each 4-lane half so
-    // row r becomes lane r's words j..j+3.
-    const __m256i t0 = _mm256_unpacklo_epi64(da[0], da[1]);
-    const __m256i t1 = _mm256_unpackhi_epi64(da[0], da[1]);
-    const __m256i t2 = _mm256_unpacklo_epi64(da[2], da[3]);
-    const __m256i t3 = _mm256_unpackhi_epi64(da[2], da[3]);
-    const __m256i u0 = _mm256_unpacklo_epi64(db[0], db[1]);
-    const __m256i u1 = _mm256_unpackhi_epi64(db[0], db[1]);
-    const __m256i u2 = _mm256_unpacklo_epi64(db[2], db[3]);
-    const __m256i u3 = _mm256_unpackhi_epi64(db[2], db[3]);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ptrs[0] + 8 * j),
-                        _mm256_permute2x128_si256(t0, t2, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ptrs[1] + 8 * j),
-                        _mm256_permute2x128_si256(t1, t3, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ptrs[2] + 8 * j),
-                        _mm256_permute2x128_si256(t0, t2, 0x31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ptrs[3] + 8 * j),
-                        _mm256_permute2x128_si256(t1, t3, 0x31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ptrs[4] + 8 * j),
-                        _mm256_permute2x128_si256(u0, u2, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ptrs[5] + 8 * j),
-                        _mm256_permute2x128_si256(u1, u3, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ptrs[6] + 8 * j),
-                        _mm256_permute2x128_si256(u0, u2, 0x31));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ptrs[7] + 8 * j),
-                        _mm256_permute2x128_si256(u1, u3, 0x31));
-  }
-  for (; j < nwords; ++j) {
-    const __m256i m5a = _mm256_add_epi64(_mm256_slli_epi64(s1a, 2), s1a);
-    const __m256i m5b = _mm256_add_epi64(_mm256_slli_epi64(s1b, 2), s1b);
-    const __m256i ra = rotl64x4(m5a, 7);
-    const __m256i rb = rotl64x4(m5b, 7);
-    const __m256i resa = _mm256_add_epi64(_mm256_slli_epi64(ra, 3), ra);
-    const __m256i resb = _mm256_add_epi64(_mm256_slli_epi64(rb, 3), rb);
-    const __m256i va = _mm256_srli_epi64(resa, 3);
-    const __m256i vb = _mm256_srli_epi64(resb, 3);
-    const __m256i bad = _mm256_or_si256(_mm256_cmpeq_epi64(va, kp),
-                                        _mm256_cmpeq_epi64(vb, kp));
-    if (!_mm256_testz_si256(bad, bad)) return false;
-    const __m256i ta = _mm256_slli_epi64(s1a, 17);
-    const __m256i tb = _mm256_slli_epi64(s1b, 17);
-    s2a = _mm256_xor_si256(s2a, s0a);
-    s2b = _mm256_xor_si256(s2b, s0b);
-    s3a = _mm256_xor_si256(s3a, s1a);
-    s3b = _mm256_xor_si256(s3b, s1b);
-    s1a = _mm256_xor_si256(s1a, s2a);
-    s1b = _mm256_xor_si256(s1b, s2b);
-    s0a = _mm256_xor_si256(s0a, s3a);
-    s0b = _mm256_xor_si256(s0b, s3b);
-    s2a = _mm256_xor_si256(s2a, ta);
-    s2b = _mm256_xor_si256(s2b, tb);
-    s3a = rotl64x4(s3a, 45);
-    s3b = rotl64x4(s3b, 45);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(out), va);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(out + 4), vb);
-    for (std::size_t lane = 0; lane < kM61Lanes; ++lane) {
-      store_le64(ptrs[lane] + 8 * j, out[lane]);
-    }
-  }
-  return true;
-}
-
-#endif  // PPDS_M61XN_HAVE_AVX2_TARGET
-
-/// Dispatching front for the disguise fill; the rare AVX2 rejection bail
-/// (see above) falls through to the scalar replay, so the written bytes are
-/// identical across paths.
-void disguise_block(const std::uint64_t* seeds, std::size_t nwords,
-                    std::uint8_t* const* ptrs) {
-#if PPDS_M61XN_HAVE_AVX2_TARGET
-  if (field::detail::use_avx2() &&
-      disguise_block_avx2(seeds, nwords, ptrs)) {
-    return;
-  }
-#endif
-  disguise_block_scalar(seeds, nwords, ptrs);
 }
 
 /// Evaluation nodes for the real backend: one node per jittered slot across
@@ -547,8 +375,8 @@ void run_sender(net::Endpoint& channel, PPDS_SECRET std::span<const double> w,
 
     // The M disguised points are swept in parallel across the process-wide
     // pool; per-point work depends only on the point index, so the values
-    // are bit-identical for every eval_threads setting.
-    const std::size_t tasks = plan_tasks(params.eval_threads, big_m, arity + 1);
+    // are bit-identical for every chunking.
+    const std::size_t tasks = plan_tasks(big_m, arity + 1);
     if (params.backend == Backend::kReal) {
       // Masking polynomial h, degree q, h(0) = 0. The coefficient bound
       // trades masking magnitude against the conditioning of the receiver's
@@ -573,48 +401,16 @@ void run_sender(net::Endpoint& channel, PPDS_SECRET std::span<const double> w,
         h_coeffs[i] = random_field_element(rng);
       }
       const math::Poly<M61> h(std::move(h_coeffs));
-      const bool lanes = params.use_simd_field;
       for_each_chunk(big_m, tasks, [&](std::size_t begin, std::size_t end) {
-        const auto scalar_run = [&](std::size_t from, std::size_t to) {
-          for (std::size_t i = from; i < to; ++i) {
-            const std::span<const std::uint8_t> pair = body.subspan(i * stride, stride);
-            M61 acc = b_enc;
-            for (std::size_t j = 0; j < arity; ++j) {
-              const M61 z(load_le64(pair.subspan(8 + 8 * j, 8).data()));
-              acc = acc + w_enc[j] * z;
-            }
-            values[i] = encode_value_field(h(M61(load_le64(pair.data()))) + acc);
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::span<const std::uint8_t> pair = body.subspan(i * stride, stride);
+          M61 acc = b_enc;
+          for (std::size_t j = 0; j < arity; ++j) {
+            const M61 z(load_le64(pair.subspan(8 + 8 * j, 8).data()));
+            acc = acc + w_enc[j] * z;
           }
-        };
-        if (!lanes) {
-          scalar_run(begin, end);
-          return;
+          values[i] = encode_value_field(h(M61(load_le64(pair.data()))) + acc);
         }
-        // Lane path: eight disguised points per step. The raw node/z words
-        // are folded exactly like the reducing M61 constructor — inside the
-        // fused strided dot kernel, so the chain stays in vector registers
-        // and the wire records are walked in place — and h is the same
-        // Horner chain on lanes, so every lane reproduces the scalar bytes
-        // exactly.
-        const std::vector<M61>& hc = h.coeffs();
-        std::uint64_t raw[kM61Lanes];
-        std::size_t i0 = begin;
-        for (; i0 + kM61Lanes <= end; i0 += kM61Lanes) {
-          const std::uint8_t* block = body.subspan(i0 * stride).data();
-          for (std::size_t lane = 0; lane < kM61Lanes; ++lane) {
-            raw[lane] = load_le64(block + lane * stride);
-          }
-          const M61x8 v8 = M61x8::reduce(raw);
-          const M61x8 h8 = field::horner8(hc.data(), hc.size(), v8);
-          const M61x8 w8 = field::add(
-              h8, field::dot8_reduce_strided(M61x8::broadcast(b_enc),
-                                             w_enc.data(), block + 8, stride,
-                                             arity));
-          for (std::size_t lane = 0; lane < kM61Lanes; ++lane) {
-            values[i0 + lane] = encode_value_field(M61(w8.v[lane]));
-          }
-        }
-        scalar_run(i0, end);
       });
     }
   }
@@ -685,10 +481,10 @@ double run_receiver(net::Endpoint& channel,
           real_nodes(rng, big_m, kNodeLo, kNodeHi);
       // Disguise tuples are drawn from SplitMix64-derived per-point streams
       // (seeded once from the caller's rng), so the parallel sweep emits
-      // bit-identical bytes for every eval_threads setting.
+      // bit-identical bytes for every chunking.
       const Secret<std::uint64_t> disguise_seed(rng());
 
-      const std::size_t tasks = plan_tasks(params.eval_threads, big_m, arity + 1);
+      const std::size_t tasks = plan_tasks(big_m, arity + 1);
       for_each_chunk(big_m, tasks, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const std::span<std::uint8_t> slot = body.subspan(i * stride, stride);
@@ -772,100 +568,30 @@ double run_receiver(net::Endpoint& channel,
     const std::vector<M61> nodes = field_nodes(rng, big_m);
     const Secret<std::uint64_t> disguise_seed(rng());
 
-    const std::size_t tasks = plan_tasks(params.eval_threads, big_m, arity + 1);
+    const std::size_t tasks = plan_tasks(big_m, arity + 1);
     for_each_chunk(big_m, tasks, [&](std::size_t begin, std::size_t end) {
-      const auto scalar_run = [&](std::size_t from, std::size_t to) {
-        for (std::size_t i = from; i < to; ++i) {
-          const std::span<std::uint8_t> slot = body.subspan(i * stride, stride);
-          const M61 v = nodes[i];
-          store_le64(slot.data(), v.value());
-          if (is_kept[i]) {
-            for (std::size_t j = 0; j < arity; ++j) {
-              const std::size_t base = j * (cq + 1);
-              M61 acc = covers[base + cq];
-              for (std::size_t l = cq; l-- > 0;) acc = acc * v + covers[base + l];
-              store_le64(slot.subspan(8 + 8 * j, 8).data(), acc.value());
-            }
-          } else {
-            Rng point_rng(splitmix64(disguise_seed.value(), i));
-            for (std::size_t j = 0; j < arity; ++j) {
-              store_le64(slot.subspan(8 + 8 * j, 8).data(),
-                         random_field_element(point_rng).value());
-            }
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::span<std::uint8_t> slot = body.subspan(i * stride, stride);
+        const M61 v = nodes[i];
+        store_le64(slot.data(), v.value());
+        if (is_kept[i]) {
+          for (std::size_t j = 0; j < arity; ++j) {
+            const std::size_t base = j * (cq + 1);
+            M61 acc = covers[base + cq];
+            for (std::size_t l = cq; l-- > 0;) acc = acc * v + covers[base + l];
+            store_le64(slot.subspan(8 + 8 * j, 8).data(), acc.value());
           }
-        }
-      };
-      if (!params.use_simd_field) {
-        scalar_run(begin, end);
-        return;
-      }
-      // Lane path, first pass: every point gets its node and a full
-      // disguise tuple with no branch on the kept set (the per-point
-      // SplitMix64 streams are independent, so drawing disguises for kept
-      // points too leaves all non-kept bytes unchanged; kept slots are
-      // overwritten by the packed cover sweep below). The extra draws cost
-      // only the kept fraction of the rng work, unlike evaluating the
-      // cover Horner on all M points would — and the eight per-point
-      // streams of a block advance lane-parallel inside disguise_block.
-      std::uint64_t seeds[kM61Lanes];
-      std::uint8_t* dptrs[kM61Lanes];
-      std::size_t i0 = begin;
-      for (; i0 + kM61Lanes <= end; i0 += kM61Lanes) {
-        for (std::size_t lane = 0; lane < kM61Lanes; ++lane) {
-          const std::size_t i = i0 + lane;
-          const std::span<std::uint8_t> slot = body.subspan(i * stride, stride);
-          store_le64(slot.data(), nodes[i].value());
-          seeds[lane] = splitmix64(disguise_seed.value(), i);
-          dptrs[lane] = slot.subspan(8).data();
-        }
-        disguise_block(seeds, arity, dptrs);
-      }
-      for (; i0 < end; ++i0) {
-        const std::span<std::uint8_t> slot = body.subspan(i0 * stride, stride);
-        store_le64(slot.data(), nodes[i0].value());
-        Rng point_rng(splitmix64(disguise_seed.value(), i0));
-        for (std::size_t j = 0; j < arity; ++j) {
-          store_le64(slot.subspan(8 + 8 * j, 8).data(),
-                     random_field_element(point_rng).value());
+        } else {
+          Rng point_rng(splitmix64(disguise_seed.value(), i));
+          for (std::size_t j = 0; j < arity; ++j) {
+            store_le64(slot.subspan(8 + 8 * j, 8).data(),
+                       random_field_element(point_rng).value());
+          }
         }
       }
     });
-    std::vector<std::size_t> kept_idx;
-    kept_idx.reserve(m);
     for (std::size_t i = 0; i < big_m; ++i) {
-      if (is_kept[i]) {
-        kept_nodes.push_back(nodes[i]);
-        kept_idx.push_back(i);
-      }
-    }
-    if (params.use_simd_field) {
-      // Lane path, second pass: the m kept points packed eight per block.
-      // The fused scatter kernel runs the cover Horner on lanes and stores
-      // lane l's evaluations straight into record kept_idx[b + l], exactly
-      // the bytes the scalar path writes in its kept branch. Points left
-      // over from a partial block lane over the arity cover groups instead
-      // (horner_groups), so no point ever pays a scalar sweep.
-      const std::size_t ktasks =
-          plan_tasks(params.eval_threads, kept_idx.size(), arity + 1);
-      for_each_chunk(
-          kept_idx.size(), ktasks, [&](std::size_t begin, std::size_t end) {
-            std::uint8_t* ptrs[kM61Lanes];
-            std::size_t b = begin;
-            for (; b + kM61Lanes <= end; b += kM61Lanes) {
-              M61x8 v8;
-              for (std::size_t lane = 0; lane < kM61Lanes; ++lane) {
-                const std::size_t i = kept_idx[b + lane];
-                v8.v[lane] = nodes[i].value();
-                ptrs[lane] = body.subspan(i * stride + 8).data();
-              }
-              field::horner8_scatter(covers.data(), cq + 1, arity, v8, ptrs);
-            }
-            for (; b < end; ++b) {
-              const std::size_t i = kept_idx[b];
-              field::horner_groups(covers.data(), cq + 1, arity, nodes[i],
-                                   body.subspan(i * stride + 8).data());
-            }
-          });
+      if (is_kept[i]) kept_nodes.push_back(nodes[i]);
     }
   }
   channel.set_stage(net::Stage::kOmpeRequest);

@@ -93,7 +93,12 @@ void Daemon::stop() {
   }
   // Phase 2 — hard stop.
   joined_ = true;
-  stopping_.store(true);
+  {
+    // Under mu_: a worker between its predicate check and its sleep would
+    // otherwise miss the notify below and never wake to be joined.
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_.store(true);
+  }
   wake_poller();
   ready_cv_.notify_all();
   // Acceptor and poller run bounded poll slices; workers drain their

@@ -105,25 +105,6 @@ TEST(ClassificationProfile, DagTransformMatchesNaiveBitwise) {
   }
 }
 
-TEST(Classification, ValuesInvariantUnderEvalThreads) {
-  // eval_threads is a local knob: with identical seeds the whole protocol —
-  // and hence Bob's randomized values — must come out identical.
-  const auto model = svm::SvmModel(
-      svm::Kernel::paper_polynomial(2),
-      {{0.8, -0.6, 0.2}, {-0.3, 0.5, 0.9}}, {1.0, -0.7}, 0.1);
-  const auto profile = ClassificationProfile::make(3, model.kernel());
-  const std::vector<math::Vec> samples{{0.2, -0.4, 0.6}, {-0.1, 0.3, -0.5}};
-  auto cfg = SchemeConfig::fast_simulation();
-  cfg.ompe.eval_threads = 1;
-  const auto sequential = private_values(model, profile, cfg, samples, 77);
-  cfg.ompe.eval_threads = 8;
-  const auto parallel = private_values(model, profile, cfg, samples, 77);
-  ASSERT_EQ(sequential.size(), parallel.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(sequential[i], parallel[i]) << i;
-  }
-}
-
 TEST(ClassificationProfile, SampleDimensionChecked) {
   const auto profile = ClassificationProfile::make(3, svm::Kernel::linear());
   EXPECT_THROW(profile.transform({1.0}), InvalidArgument);

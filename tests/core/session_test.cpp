@@ -91,18 +91,6 @@ TEST(ProtocolDigest, RejectsProfileNotBuiltByMake) {
                InvalidArgument);
 }
 
-TEST(ProtocolDigest, IgnoresLocalPerformanceKnobs) {
-  // eval_threads / use_simd_field never change wire bytes, so two parties
-  // with different settings must still agree on the digest.
-  const auto profile =
-      ClassificationProfile::make(2, svm::Kernel::paper_polynomial(2));
-  const auto cfg = SchemeConfig::fast_simulation();
-  auto tuned = cfg;
-  tuned.ompe.eval_threads = 1;
-  tuned.ompe.use_simd_field = false;
-  EXPECT_EQ(protocol_digest(profile, cfg), protocol_digest(profile, tuned));
-}
-
 TEST(ProtocolDigest, SilentPrecomputeIsHashed) {
   // The silent engine and the loopback simulation put different bytes on
   // the wire at the same OMPE shape, so parties must agree on the engine.

@@ -32,24 +32,6 @@ TEST(Prg, ChunkingDoesNotChangeStream) {
   EXPECT_EQ(whole, parts);
 }
 
-TEST(Prg, XorIntoIsInvolution) {
-  Bytes data{10, 20, 30, 40, 50};
-  const Bytes original = data;
-  Prg a(seed_of(4));
-  a.xor_into(data);
-  EXPECT_NE(data, original);
-  Prg b(seed_of(4));
-  b.xor_into(data);
-  EXPECT_EQ(data, original);
-}
-
-TEST(Prg, XorPadRoundTrip) {
-  const Bytes msg{1, 2, 3, 4, 5, 6, 7, 8, 9};
-  const Bytes cipher = xor_pad(seed_of(5), msg);
-  EXPECT_NE(cipher, msg);
-  EXPECT_EQ(xor_pad(seed_of(5), cipher), msg);
-}
-
 TEST(Prg, StreamLooksBalanced) {
   // Crude randomness sanity: bit balance within 1%.
   Prg a(seed_of(6));

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
+#include <utility>
 
 #include "ppds/core/config.hpp"
 #include "ppds/net/party.hpp"
@@ -204,6 +206,79 @@ TEST(BatchedSilent, AbortWipesFrontierAndPads) {
   EXPECT_EQ(audit.aborts.load(), aborts0 + 2);
   EXPECT_EQ(audit.wiped.load(), wiped0 + 2);
   EXPECT_EQ(audit.frontier_wipes.load(), frontier0 + 2);
+}
+
+/// Test-local transport that runs a hook (once) inside its first recv — a
+/// deterministic stand-in for a watchdog or a peer thread aborting the
+/// engine while the protocol thread waits on the wire.
+class AbortOnRecvEndpoint final : public net::Endpoint {
+ public:
+  explicit AbortOnRecvEndpoint(net::Endpoint&& inner)
+      : net::Endpoint(std::move(inner)) {}
+
+  std::function<void()> on_recv;
+
+ protected:
+  net::detail::Frame fetch(const net::Deadline& deadline) override {
+    if (on_recv) std::exchange(on_recv, nullptr)();
+    return Endpoint::fetch(deadline);
+  }
+};
+
+TEST(BatchedSilent, AbortDuringSeedAgreementInstallsNoSeeds) {
+  // Regression: ensure_ready used to install the fresh GGM trees (and the
+  // receiver's choice stream) without re-checking aborted_, so an abort()
+  // that landed during the base-OT round left live seeds in a dead engine.
+  // Each engine's own abort() runs from inside its first recv of the seed
+  // agreement; the engine mutex is never held across I/O, so this cannot
+  // deadlock.
+  {
+    auto [raw, peer_end] = net::make_channel();
+    AbortOnRecvEndpoint sender_end(std::move(raw));
+    Rng rng(151);
+    SilentPadSender s(test_group(), rng);
+    sender_end.on_recv = [&s] { s.abort(); };
+    net::run_two_party_on(
+        sender_end, peer_end,
+        [&](net::Endpoint& ch) {
+          EXPECT_THROW(s.reserve(ch, 6, 8), ProtocolError);
+          return 0;
+        },
+        [&](net::Endpoint& ch) {
+          Rng peer_rng(152);
+          SilentPadReceiver r(test_group(), peer_rng);
+          r.reserve(ch, 6, 8);  // sends only: completes either way
+          return 0;
+        });
+    EXPECT_TRUE(s.aborted());
+    EXPECT_TRUE(s.frontier_clean());
+    EXPECT_TRUE(s.pads_clean());
+  }
+  {
+    auto [peer_end, raw] = net::make_channel();
+    AbortOnRecvEndpoint receiver_end(std::move(raw));
+    Rng rng(153);
+    SilentPadReceiver r(test_group(), rng);
+    receiver_end.on_recv = [&r] { r.abort(); };
+    net::run_two_party_on(
+        peer_end, receiver_end,
+        [&](net::Endpoint& ch) {
+          Rng peer_rng(154);
+          SilentPadSender s(test_group(), peer_rng);
+          // Waits for a correction block the aborted receiver never sends;
+          // the receiver closes the channel instead.
+          EXPECT_THROW(s.reserve(ch, 6, 8), ProtocolError);
+          return 0;
+        },
+        [&](net::Endpoint& ch) {
+          EXPECT_THROW(r.reserve(ch, 6, 8), ProtocolError);
+          ch.close();
+          return 0;
+        });
+    EXPECT_TRUE(r.aborted());
+    EXPECT_TRUE(r.frontier_clean());
+    EXPECT_TRUE(r.pads_clean());
+  }
 }
 
 TEST(BatchedSilent, AvailableSlotsCoherentUnderHammer) {

@@ -1,22 +1,29 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "ppds/common/hex.hpp"
+#include "ppds/crypto/sha256.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/ompe/ompe.hpp"
 
 /// \file ompe_parallel_test.cpp
-/// The performance knobs in OmpeParams (eval_threads, use_simd_field) are
-/// LOCAL: they must never change a single wire byte.
-/// These tests pin that contract down bit for bit — run them under tsan to
-/// also race the worker pool against itself.
+/// Golden OMPE wire bytes. The point sweeps split into worker tasks by the
+/// host's hardware concurrency, and the chunking must never change a wire
+/// byte. The goldens below were recorded with every sweep inline and
+/// reproduced unchanged across task budgets and sweep engines, so a host
+/// that chunks differently — or a sweep rewrite — that moves a byte fails
+/// here. Run them under tsan to also race the worker pool against itself.
 
 namespace ppds::ompe {
 namespace {
 
-// Wide enough that big_m * (arity + 1) crosses the inline threshold, so the
-// eval_threads > 1 runs genuinely go through the worker pool.
+// Wide enough that big_m * (arity + 1) = 27 * 701 crosses the 2^14-element
+// inline threshold, so on a multi-core host the sweeps genuinely go through
+// the worker pool. The default q = 8, k = 3 gives M = 27 points, which split
+// unevenly across the tasks.
 constexpr std::size_t kWideArity = 700;
 
 std::vector<double> wide_alpha() {
@@ -28,13 +35,10 @@ std::vector<double> wide_alpha() {
 }
 
 /// Captures the receiver's request bytes (the only message it sends before
-/// the OT) for a given thread setting.
-Bytes capture_request(Backend backend, unsigned eval_threads,
-                      std::uint64_t seed, bool use_simd_field = true) {
+/// the OT).
+Bytes capture_request(Backend backend, std::uint64_t seed) {
   OmpeParams params;
   params.backend = backend;
-  params.eval_threads = eval_threads;
-  params.use_simd_field = use_simd_field;
   const std::vector<double> alpha = wide_alpha();
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
@@ -55,19 +59,8 @@ Bytes capture_request(Backend backend, unsigned eval_threads,
   return outcome.a;
 }
 
-TEST(OmpeParallel, ReceiverTranscriptBitIdenticalAcrossThreadCounts) {
-  for (Backend backend : {Backend::kReal, Backend::kField}) {
-    const Bytes sequential = capture_request(backend, 1, 90210);
-    const Bytes parallel = capture_request(backend, 8, 90210);
-    ASSERT_FALSE(sequential.empty());
-    EXPECT_EQ(sequential, parallel)
-        << "backend " << static_cast<int>(backend);
-  }
-}
-
 /// Builds a well-formed wide request by hand so the sender's reply can be
-/// compared across thread settings without involving a (randomized)
-/// receiver.
+/// pinned without involving a (randomized) receiver.
 Bytes canned_request(const OmpeParams& params, Backend backend) {
   const std::size_t m = params.m();
   const std::size_t big_m = params.big_m();
@@ -94,12 +87,9 @@ Bytes canned_request(const OmpeParams& params, Backend backend) {
   return w.take();
 }
 
-Bytes capture_sender_reply(Backend backend, unsigned eval_threads,
-                           std::uint64_t seed, bool use_simd_field = true) {
+Bytes capture_sender_reply(Backend backend, std::uint64_t seed) {
   OmpeParams params;
   params.backend = backend;
-  params.eval_threads = eval_threads;
-  params.use_simd_field = use_simd_field;
   std::vector<double> weights(kWideArity);
   for (std::size_t i = 0; i < weights.size(); ++i) {
     weights[i] = 0.01 * static_cast<double>(i % 31) - 0.15;
@@ -121,44 +111,30 @@ Bytes capture_sender_reply(Backend backend, unsigned eval_threads,
   return outcome.b;
 }
 
-TEST(OmpeParallel, SenderTranscriptBitIdenticalAcrossThreadCounts) {
-  for (Backend backend : {Backend::kReal, Backend::kField}) {
-    const Bytes sequential = capture_sender_reply(backend, 1, 777);
-    const Bytes parallel = capture_sender_reply(backend, 8, 777);
-    ASSERT_FALSE(sequential.empty());
-    EXPECT_EQ(sequential, parallel)
-        << "backend " << static_cast<int>(backend);
-  }
+std::string digest_hex(const Bytes& bytes) {
+  return to_hex(crypto::sha256(bytes));
 }
 
-// ---------------------------------------------------------------------------
-// use_simd_field: the packed M61 lane path (field/m61xn.hpp) must reproduce
-// the scalar sweeps bit for bit — on this host's best engine AND under every
-// eval_threads setting (lane blocks and scalar tails land differently per
-// chunking). Combined with the forced-scalar CI leg (PPDS_FORCE_SCALAR=1
-// reruns this whole binary on the portable kernels), this pins transcripts
-// across scalar, portable-lane, and vector-lane execution.
-
-TEST(OmpeParallel, ReceiverTranscriptBitIdenticalScalarVsSimd) {
-  for (unsigned threads : {1u, 8u}) {
-    const Bytes scalar =
-        capture_request(Backend::kField, threads, 31337, /*use_simd_field=*/false);
-    const Bytes simd =
-        capture_request(Backend::kField, threads, 31337, /*use_simd_field=*/true);
-    ASSERT_FALSE(scalar.empty());
-    EXPECT_EQ(scalar, simd) << "eval_threads " << threads;
-  }
+TEST(OmpeParallel, GoldenReceiverRequest) {
+  const Bytes real = capture_request(Backend::kReal, 90210);
+  const Bytes field = capture_request(Backend::kField, 90210);
+  ASSERT_FALSE(real.empty());
+  ASSERT_FALSE(field.empty());
+  EXPECT_EQ(digest_hex(real),
+            "46fafe2d5f9c84664a8cb752e66375d85b355b7ff9e36bbef04717bde8e3446d");
+  EXPECT_EQ(digest_hex(field),
+            "3b35f3472efce2bc9d953d860e72592db0bb99d997a7164bbc04b9e0bc9b028b");
 }
 
-TEST(OmpeParallel, SenderTranscriptBitIdenticalScalarVsSimd) {
-  for (unsigned threads : {1u, 8u}) {
-    const Bytes scalar = capture_sender_reply(Backend::kField, threads, 424242,
-                                              /*use_simd_field=*/false);
-    const Bytes simd = capture_sender_reply(Backend::kField, threads, 424242,
-                                            /*use_simd_field=*/true);
-    ASSERT_FALSE(scalar.empty());
-    EXPECT_EQ(scalar, simd) << "eval_threads " << threads;
-  }
+TEST(OmpeParallel, GoldenSenderReply) {
+  const Bytes real = capture_sender_reply(Backend::kReal, 777);
+  const Bytes field = capture_sender_reply(Backend::kField, 777);
+  ASSERT_FALSE(real.empty());
+  ASSERT_FALSE(field.empty());
+  EXPECT_EQ(digest_hex(real),
+            "bd9e16ad6837e9551cb7076b66cf6a2943a48019cc5c16b1aa957795f55db92a");
+  EXPECT_EQ(digest_hex(field),
+            "27fb5b2f9068b7120a727bc89225b3d4d32aae59b462f9051a041508a815414d");
 }
 
 TEST(OmpeParallel, StageCountersCountProtocolElementsExactly) {

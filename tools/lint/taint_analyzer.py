@@ -33,7 +33,7 @@ reveal pattern is two-step::
 
 Sanitizers (hash-shaped functions whose output is safe to treat as public
 unless explicitly re-rooted) mask both value and timing taint at the call
-site: sha256, sha256_tagged, hash_to_key, xor_pad, finish, protocol_digest,
+site: sha256, sha256_tagged, hash_to_key, finish, protocol_digest,
 similarity_digest.
 
 Frontends:
@@ -78,9 +78,9 @@ SCAN_DIRS = [
     "include/ppds/core",
     "include/ppds/net",
     "include/ppds/server",
-    # SIMD field backend: the packed-lane kernels (field/m61xn.hpp) carry
-    # secret residues through branch-free select/cmp masks — scan them so a
-    # future secret-dependent branch in a lane op cannot slip in unseen.
+    # Exact field backend: M61 arithmetic (field/m61.hpp) and the fixed-point
+    # encoding carry secret residues — scan them so a secret-dependent branch
+    # in a field op cannot slip in unseen.
     "include/ppds/field",
     "include/ppds/math",
 ]
@@ -103,7 +103,6 @@ SANITIZERS = {
     "sha256",
     "sha256_tagged",
     "hash_to_key",
-    "xor_pad",
     "finish",
     "protocol_digest",
     "similarity_digest",
