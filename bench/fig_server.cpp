@@ -251,9 +251,11 @@ int main(int argc, char** argv) {
                   net::Deadline::after(std::chrono::milliseconds{10000}));
               channel->set_recv_deadline(
                   net::Deadline::after(std::chrono::milliseconds{120000}));
+              core::OtBundle ot(scenario.config, rng);
               for (; done < overload_sessions; ++done) {
                 Stopwatch session;
-                (void)server::client_classify(*channel, scenario, sample, rng);
+                (void)server::client_classify(*channel, scenario, sample, rng,
+                                              &ot);
                 overload_latencies[c].push_back(session.millis());
               }
               server::client_goodbye(*channel);

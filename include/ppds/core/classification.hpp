@@ -36,13 +36,12 @@ struct ClassificationProfile {
   std::size_t input_dim = 0;       ///< n, Bob's feature count
   std::size_t poly_arity = 0;      ///< r, features of the OMPE linear form
   svm::Kernel kernel;              ///< public kernel hyperparameters
-  /// Monomial basis for kernels that need an input transform: every
-  /// monomial up to the kernel degree (polynomial) or the Taylor order
-  /// (RBF, sigmoid). Empty for the linear kernel: tau == t.
-  std::vector<math::Exponents> monomials;
-  /// Evaluation DAG over `monomials` (built once in make()): tau_j =
-  /// tau_parent(j) * t_var(j), so the client transform costs one multiply
-  /// per monomial instead of a per-monomial power walk. Bitwise-identical
+  /// The feature map, held only as the evaluation DAG of every monomial up
+  /// to the kernel degree (polynomial) or Taylor order (RBF, sigmoid) in
+  /// math::monomials_up_to's order; empty for the linear kernel: tau == t.
+  /// make() builds that exponent list, absorbs it into the digest, derives
+  /// the DAG and drops it (a1a: 325,499 entries of 123 bytes). tau_j =
+  /// tau_parent(j) * t_var(j), one multiply per monomial, bitwise-identical
   /// to math::monomial_transform (same ascending-variable product order).
   math::MonomialDag monomial_dag;
 
@@ -77,8 +76,10 @@ struct ClassificationProfile {
 /// Alice: serves private classification queries from her model.
 class ClassificationServer {
  public:
-  /// \p model must use the same kernel the profile was built from.
-  ClassificationServer(svm::SvmModel model, ClassificationProfile profile,
+  /// \p model must use the same kernel the profile was built from. Only
+  /// the decision function's expansion over the profile's features is kept.
+  ClassificationServer(const svm::SvmModel& model,
+                       const ClassificationProfile& profile,
                        SchemeConfig config);
 
   /// Serves \p count queries over the channel. \p external, when given, is
@@ -89,8 +90,6 @@ class ClassificationServer {
              OtBundle* external = nullptr) const;
 
  private:
-  PPDS_SECRET svm::SvmModel model_;
-  ClassificationProfile profile_;
   SchemeConfig config_;
   /// The decision function as a linear form over the profile's features.
   PPDS_SECRET math::LinearExpansion expansion_;
@@ -98,8 +97,9 @@ class ClassificationServer {
 
 /// The coefficient form of the decision function over the profile's
 /// features: d(tau) = coeffs . tau + constant. The polynomial kernel uses a
-/// closed form (a MultiPoly of a1a's 325k monomials is what it avoids);
-/// RBF and sigmoid linearize their Taylor MultiPoly over the basis.
+/// closed form, one DAG sweep per support vector (a MultiPoly of a1a's 325k
+/// monomials is what it avoids); RBF and sigmoid linearize their Taylor
+/// MultiPoly over the basis, regenerated by math::monomials_up_to.
 math::LinearExpansion expand_decision_coefficients(
     const svm::SvmModel& model, const ClassificationProfile& profile);
 

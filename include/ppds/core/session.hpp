@@ -40,10 +40,12 @@ namespace ppds::core {
 crypto::Digest protocol_digest(const ClassificationProfile& profile,
                                const SchemeConfig& config);
 
-/// The profile half of protocol_digest(): SHA-256 over the protocol
-/// version, profile shape, kernel and monomial exponent stream.
-/// ClassificationProfile::make() calls it once and keeps the midstate.
-crypto::Sha256 absorb_profile_parameters(const ClassificationProfile& profile);
+/// The profile half of protocol_digest(): SHA-256 over the protocol version,
+/// profile shape, kernel and \p monomials, the exponent list make() builds
+/// the DAG from (empty for the linear kernel); make() keeps the midstate.
+crypto::Sha256 absorb_profile_parameters(
+    const ClassificationProfile& profile,
+    const std::vector<math::Exponents>& monomials);
 
 /// Server side: performs the handshake, then serves the negotiated number
 /// of queries. Throws ProtocolError on any mismatch (after sending the

@@ -69,15 +69,16 @@ struct MonomialDag {
   std::size_t size() const { return parent.size(); }
   bool empty() const { return parent.empty(); }
 
-  /// Evaluates every monomial at \p x into \p out (both sized size()).
-  /// Works over any ring with operator* (double, field::M61, ...).
+  /// Evaluates every monomial at \p x, times \p seed (the first factor; 1 is
+  /// exact), into \p out (both sized size()). Works over any ring with
+  /// operator* (double, field::M61, ...).
   template <typename R>
-  void evaluate(std::span<const R> x, std::span<R> out) const {
+  void evaluate(std::span<const R> x, std::span<R> out,
+                const R& seed = R(1)) const {
     detail::require(out.size() == parent.size(),
                     "MonomialDag: output size mismatch");
     for (std::size_t i = 0; i < parent.size(); ++i) {
-      const R& xv = x[var[i]];
-      out[i] = parent[i] == kOne ? xv : out[parent[i]] * xv;
+      out[i] = (parent[i] == kOne ? seed : out[parent[i]]) * x[var[i]];
     }
   }
 };

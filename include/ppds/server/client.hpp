@@ -21,14 +21,14 @@
 namespace ppds::server {
 
 /// One classification session: returns the class labels for \p samples.
-/// \p ot, when given, is a caller-owned OtBundle reused across sessions on
-/// this connection (silent scenarios: the PPRF seed agreement runs once and
-/// later sessions draw from the persistent pad ledger — see
-/// core::classify_session).
+/// \p ot is the connection's OtBundle, reused by every session on it as the
+/// daemon reuses its own (silent scenarios: the PPRF seed agreement runs
+/// once — see core::classify_session). Throws InvalidArgument on a null
+/// bundle, before anything is sent.
 std::vector<int> client_classify(
     net::Endpoint& channel, const Scenario& scenario,
     const std::vector<std::vector<double>>& samples, Rng& rng,
-    core::OtBundle* ot = nullptr);
+    core::OtBundle* ot);
 
 /// One similarity session: returns T between the scenario's client model
 /// and the daemon's server model (smaller = more similar).

@@ -66,11 +66,10 @@ math::MultiPoly sigmoid_term_poly(const math::Vec& x, double a0, double c0,
   return acc;
 }
 
-/// Highest monomial degree of the profile's graded basis: the kernel degree
-/// or the Taylor order the profile was built with.
-unsigned basis_degree(const ClassificationProfile& profile) {
+/// The kernel degree or Taylor order of a graded basis: its last node's depth.
+unsigned basis_degree(const math::MonomialDag& dag) {
   unsigned d = 0;
-  for (unsigned e : profile.monomials.back()) d += e;
+  for (std::size_t i = dag.size() - 1; i != dag.kOne; i = dag.parent[i]) ++d;
   return d;
 }
 
@@ -105,12 +104,13 @@ ClassificationProfile ClassificationProfile::make(std::size_t input_dim,
       break;
   }
   profile.poly_arity = input_dim;
+  std::vector<math::Exponents> monomials;  // for the digest and the DAG only
   if (basis != 0) {
-    profile.monomials = math::monomials_up_to(input_dim, basis);
-    profile.monomial_dag = math::build_monomial_dag(profile.monomials);
-    profile.poly_arity = profile.monomials.size();
+    monomials = math::monomials_up_to(input_dim, basis);
+    profile.monomial_dag = math::build_monomial_dag(monomials);
+    profile.poly_arity = monomials.size();
   }
-  profile.parameter_midstate_ = absorb_profile_parameters(profile);
+  profile.parameter_midstate_ = absorb_profile_parameters(profile, monomials);
   return profile;
 }
 
@@ -124,9 +124,7 @@ std::vector<double> ClassificationProfile::transform(
     const std::vector<double>& sample) const {
   detail::require(sample.size() == input_dim,
                   "ClassificationProfile: sample dimension mismatch");
-  if (monomials.empty()) return sample;
-  // Graded basis: each monomial is its divisor parent times one variable,
-  // so the full transform costs one multiplication per monomial.
+  if (monomial_dag.empty()) return sample;
   std::vector<double> tau(monomial_dag.size());
   monomial_dag.evaluate(std::span<const double>(sample), std::span<double>(tau));
   return tau;
@@ -136,11 +134,9 @@ std::vector<std::vector<double>> ClassificationProfile::transform_batch(
     const std::vector<std::vector<double>>& samples) const {
   std::vector<std::vector<double>> out;
   out.reserve(samples.size());
-  if (monomials.empty()) {
+  if (monomial_dag.empty()) {
     for (const std::vector<double>& sample : samples) {
-      detail::require(sample.size() == input_dim,
-                      "ClassificationProfile: sample dimension mismatch");
-      out.push_back(sample);
+      out.push_back(transform(sample));
     }
     return out;
   }
@@ -210,26 +206,17 @@ math::MultiPoly expand_decision_function(const svm::SvmModel& model,
       poly.add_constant(expansion.constant);
       return poly;
     }
-    case svm::KernelType::kRbf: {
+    case svm::KernelType::kRbf:
+    case svm::KernelType::kSigmoid: {
+      const unsigned order = basis_degree(profile.monomial_dag);
       math::MultiPoly acc(profile.input_dim);
       const auto& svs = model.support_vectors();
       const auto& cs = model.coefficients();
       for (std::size_t s = 0; s < svs.size(); ++s) {
         math::MultiPoly term =
-            rbf_term_poly(svs[s], kernel.gamma, basis_degree(profile));
-        term.scale(cs[s]);
-        acc = acc + term;
-      }
-      acc.add_constant(model.bias());
-      return acc;
-    }
-    case svm::KernelType::kSigmoid: {
-      math::MultiPoly acc(profile.input_dim);
-      const auto& svs = model.support_vectors();
-      const auto& cs = model.coefficients();
-      for (std::size_t s = 0; s < svs.size(); ++s) {
-        math::MultiPoly term = sigmoid_term_poly(svs[s], kernel.a0, kernel.c0,
-                                                 basis_degree(profile));
+            kernel.type == svm::KernelType::kRbf
+                ? rbf_term_poly(svs[s], kernel.gamma, order)
+                : sigmoid_term_poly(svs[s], kernel.a0, kernel.c0, order);
         term.scale(cs[s]);
         acc = acc + term;
       }
@@ -255,41 +242,53 @@ math::LinearExpansion expand_decision_coefficients(
       // Only tests and the Taylor ablation serve these, at n <= 4: the
       // Taylor MultiPoly is small, so linearize it directly.
       return math::linearize(expand_decision_function(model, profile),
-                             profile.monomials);
+                             math::monomials_up_to(
+                                 profile.input_dim,
+                                 basis_degree(profile.monomial_dag)));
     case svm::KernelType::kPolynomial:
       break;
   }
   // d(tau) = sum_j coeff_j tau_j + const, where for a monomial with
   // exponents kappa of total degree i:
   //   coeff_j = p!/(kappa! (p-i)!) a0^i b0^{p-i} sum_s c_s prod x_s^kappa
+  // A DAG sweep seeded with c_s yields c_s * prod x_s^kappa.
   const unsigned p = kernel.degree;
   const auto& svs = model.support_vectors();
   const auto& cs = model.coefficients();
+  const math::MonomialDag& dag = profile.monomial_dag;
+  const std::size_t nodes = dag.size();
+  std::vector<double> sv_sums(nodes, 0.0);  // model-derived: wiped on exit
+  std::vector<double> term(nodes);
+  const ScopedWipe sums_guard(sv_sums);
+  const ScopedWipe term_guard(term);
+  for (std::size_t s = 0; s < svs.size(); ++s) {
+    dag.evaluate(std::span<const double>(svs[s]), std::span<double>(term),
+                 cs[s]);
+    for (std::size_t j = 0; j < nodes; ++j) sv_sums[j] += term[j];
+  }
+  // Degree i, last-variable run and multinomial_coefficient's running product
+  // follow from the parent's: a node extends its parent's run or starts one.
+  std::vector<unsigned> degree(nodes);
+  std::vector<unsigned> run(nodes);
+  std::vector<double> kappa_factor(nodes);
   math::LinearExpansion out;
-  out.coeffs.assign(profile.poly_arity, 0.0);
-  for (std::size_t j = 0; j < profile.monomials.size(); ++j) {
-    const math::Exponents& kappa = profile.monomials[j];
-    unsigned i = 0;
-    for (unsigned e : kappa) i += e;
-    double b0_pow = 1.0;
-    if (p > i) {
-      if (kernel.b0 == 0.0) continue;  // homogeneous kernel: no low terms
-      b0_pow = std::pow(kernel.b0, static_cast<double>(p - i));
+  out.coeffs.assign(nodes, 0.0);
+  for (std::size_t j = 0; j < nodes; ++j) {
+    const std::uint32_t up = dag.parent[j];
+    const bool root = up == math::MonomialDag::kOne;
+    const unsigned i = degree[j] = root ? 1 : degree[up] + 1;
+    run[j] = !root && dag.var[up] == dag.var[j] ? run[up] + 1 : 1;
+    kappa_factor[j] = (root ? 1.0 : kappa_factor[up]) * i / run[j];
+    if (p > i && kernel.b0 == 0.0) continue;  // homogeneous: no low terms
+    double combinatorial = kappa_factor[j];  // then the (p - i) entry
+    for (unsigned k = 1; k <= p - i; ++k) {
+      combinatorial = combinatorial * (i + k) / k;
     }
-    math::Exponents extended = kappa;
-    extended.push_back(static_cast<std::uint8_t>(p - i));
-    const double combinatorial = math::multinomial_coefficient(extended);
-    double sv_sum = 0.0;
-    for (std::size_t s = 0; s < svs.size(); ++s) {
-      double prod = cs[s];
-      for (std::size_t var = 0; var < kappa.size(); ++var) {
-        for (unsigned e = 0; e < kappa[var]; ++e) prod *= svs[s][var];
-      }
-      sv_sum += prod;
-    }
+    const double b0_pow =
+        p > i ? std::pow(kernel.b0, static_cast<double>(p - i)) : 1.0;
     out.coeffs[j] = combinatorial *
                     std::pow(kernel.a0, static_cast<double>(i)) * b0_pow *
-                    sv_sum;
+                    sv_sums[j];
   }
   // Constant part: b plus, for inhomogeneous kernels, the b0^p term of
   // every support vector.
@@ -303,14 +302,12 @@ math::LinearExpansion expand_decision_coefficients(
   return out;
 }
 
-ClassificationServer::ClassificationServer(svm::SvmModel model,
-                                           ClassificationProfile profile,
-                                           SchemeConfig config)
-    : model_(std::move(model)),
-      profile_(std::move(profile)),
-      config_(config) {
+ClassificationServer::ClassificationServer(
+    const svm::SvmModel& model, const ClassificationProfile& profile,
+    SchemeConfig config)
+    : config_(config) {
   ompe::validate(config_.ompe);
-  expansion_ = expand_decision_coefficients(model_, profile_);
+  expansion_ = expand_decision_coefficients(model, profile);
 }
 
 void ClassificationServer::serve(net::Endpoint& channel, std::size_t count,
@@ -359,13 +356,7 @@ double ClassificationClient::query_value(net::Endpoint& channel,
 int ClassificationClient::classify(net::Endpoint& channel,
                                    const std::vector<double>& sample,
                                    Rng& rng) const {
-  // Two-step reveal: declassify the comparison (a single public bit), then
-  // branch on the public bool — never on the masked value itself.
-  const bool negative = PPDS_DECLASSIFY(
-      query_value(channel, sample, rng) < 0.0,
-      "sign(ra * d(tau)) is the protocol output Bob is entitled to; the "
-      "positive amplifier ra preserves the sign while hiding |d|");
-  return negative ? -1 : 1;
+  return classify_batch(channel, {sample}, rng).front();
 }
 
 std::vector<double> ClassificationClient::query_values_batch(
@@ -402,8 +393,12 @@ std::vector<int> ClassificationClient::classify_batch(
   std::vector<int> labels;
   labels.reserve(values.size());
   for (double v : values) {
+    // Two-step reveal: declassify the comparison (a single public bit),
+    // then branch on the public bool — never on the masked value itself.
     const bool negative = PPDS_DECLASSIFY(
-        v < 0.0, "sign(ra * d(tau)) is the protocol output (see classify())");
+        v < 0.0,
+        "sign(ra * d(tau)) is the protocol output Bob is entitled to; the "
+        "positive amplifier ra preserves the sign while hiding |d|");
     labels.push_back(negative ? -1 : 1);
   }
   return labels;

@@ -93,7 +93,9 @@ void handshake_client(net::Endpoint& channel, const crypto::Digest& mine,
 
 }  // namespace
 
-crypto::Sha256 absorb_profile_parameters(const ClassificationProfile& profile) {
+crypto::Sha256 absorb_profile_parameters(
+    const ClassificationProfile& profile,
+    const std::vector<math::Exponents>& monomials) {
   ByteWriter w;
   w.u32(kProtocolVersion);
   w.u64(profile.input_dim);
@@ -101,10 +103,10 @@ crypto::Sha256 absorb_profile_parameters(const ClassificationProfile& profile) {
   profile.kernel.serialize(w);
   // The monomial basis must match exactly: hash the exponent stream, one
   // entry at a time rather than staged in one 40 MB buffer.
-  w.u64(profile.monomials.size());
+  w.u64(monomials.size());
   crypto::Sha256 h;
   h.update(w.data());
-  for (const math::Exponents& exps : profile.monomials) {
+  for (const math::Exponents& exps : monomials) {
     h.update(exps);
   }
   return h;

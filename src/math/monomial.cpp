@@ -54,8 +54,6 @@ std::uint64_t monomial_count(std::size_t n, unsigned p) {
 }
 
 double multinomial_coefficient(const Exponents& exps) {
-  unsigned p = 0;
-  for (unsigned k : exps) p += k;
   double result = 1.0;
   unsigned used = 0;
   // p! / prod k_i! computed incrementally as prod over i of C(used + k_i, k_i).
@@ -65,7 +63,6 @@ double multinomial_coefficient(const Exponents& exps) {
     }
     used += k;
   }
-  (void)p;
   return result;
 }
 

@@ -25,6 +25,8 @@ std::vector<int> client_classify(
     net::Endpoint& channel, const Scenario& scenario,
     const std::vector<std::vector<double>>& samples, Rng& rng,
     core::OtBundle* ot) {
+  // A fresh bundle would restart the seed agreement the daemon keeps.
+  if (ot == nullptr) throw InvalidArgument("client_classify: null OtBundle");
   select_service(channel, Service::kClassification);
   const core::ClassificationClient client(scenario.profile, scenario.config);
   std::vector<int> labels = core::classify_session(

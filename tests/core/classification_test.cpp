@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "ppds/common/bytes.hpp"
+#include "ppds/common/hex.hpp"
+#include "ppds/crypto/sha256.hpp"
 #include "ppds/data/synthetic.hpp"
 #include "ppds/net/party.hpp"
+#include "ppds/server/scenario.hpp"
 #include "ppds/svm/smo.hpp"
 
 namespace ppds::core {
@@ -45,7 +50,7 @@ TEST(ClassificationProfile, LinearProfileIsIdentityTransform) {
   const auto profile =
       ClassificationProfile::make(5, svm::Kernel::linear());
   EXPECT_EQ(profile.poly_arity, 5u);
-  EXPECT_TRUE(profile.monomials.empty());
+  EXPECT_TRUE(profile.monomial_dag.empty());
   const std::vector<double> t{1, 2, 3, 4, 5};
   EXPECT_EQ(profile.transform(t), t);
 }
@@ -96,7 +101,8 @@ TEST(ClassificationProfile, DagTransformMatchesNaiveBitwise) {
       std::vector<double> t(4);
       for (auto& v : t) v = rng.uniform(-2.0, 2.0);
       const auto via_dag = profile.transform(t);
-      const auto naive = math::monomial_transform(profile.monomials, t);
+      const auto naive = math::monomial_transform(
+          math::monomials_up_to(4, profile.kernel.degree), t);
       ASSERT_EQ(via_dag.size(), naive.size());
       for (std::size_t j = 0; j < naive.size(); ++j) {
         EXPECT_EQ(via_dag[j], naive[j]) << "degree=" << degree << " j=" << j;
@@ -189,6 +195,47 @@ TEST(ExpandDecision, KernelMismatchRejected) {
   const auto profile =
       ClassificationProfile::make(2, svm::Kernel::paper_polynomial(2));
   EXPECT_THROW(expand_decision_function(model, profile), InvalidArgument);
+}
+
+/// SHA-256 over the little-endian bytes of the coefficients, then the
+/// constant.
+std::string expansion_hex(const math::LinearExpansion& expansion) {
+  ByteWriter w;
+  for (double c : expansion.coeffs) w.f64(c);
+  w.f64(expansion.constant);
+  return to_hex(crypto::sha256(w.data()));
+}
+
+TEST(Classification, GoldenDecisionCoefficients) {
+  // The server's weights over the monomial basis, pinned bit for bit: the
+  // paper kernel of the diabetes:poly scenario (b0 = 0: only degree-p
+  // monomials are nonzero), and an inhomogeneous degree-3 kernel over four
+  // features (b0 = 1: every degree, and the (p - i)! factor).
+  const server::Scenario s = server::Scenario::make("diabetes:poly", 2029);
+  const math::LinearExpansion paper =
+      expand_decision_coefficients(s.server_model, s.profile);
+  EXPECT_EQ(paper.coeffs.size(), s.profile.poly_arity);
+  EXPECT_EQ(expansion_hex(paper),
+            "eb408e30b550f1b0b9da83d8ef62e998d1e15f92754d66c645bc73604eb9588f");
+
+  svm::Kernel kernel;
+  kernel.type = svm::KernelType::kPolynomial;
+  kernel.a0 = 0.3;
+  kernel.b0 = 1.0;
+  kernel.degree = 3;
+  Rng rng(31);
+  std::vector<math::Vec> svs(6, math::Vec(4));
+  std::vector<double> cs(svs.size());
+  for (std::size_t s_i = 0; s_i < svs.size(); ++s_i) {
+    for (double& v : svs[s_i]) v = rng.uniform(-1.0, 1.0);
+    cs[s_i] = rng.uniform(-2.0, 2.0);
+  }
+  const svm::SvmModel model(kernel, svs, cs, -0.35);
+  const math::LinearExpansion inhomogeneous = expand_decision_coefficients(
+      model, ClassificationProfile::make(4, kernel));
+  EXPECT_EQ(inhomogeneous.coeffs.size(), 4u + 10u + 20u);
+  EXPECT_EQ(expansion_hex(inhomogeneous),
+            "54ad1520393891b641cbc48e2f76ff00fc06f40562e782b401decd6ac117ff24");
 }
 
 TEST(PrivateClassification, SignsMatchPlainPredictionsLinear) {

@@ -32,16 +32,21 @@ TEST(ProtocolDigest, DeterministicAndParameterSensitive) {
 }
 
 /// Oracle: the whole parameter stream serialized into one buffer and hashed
-/// in one shot, independent of the midstate protocol_digest() finishes.
+/// in one shot, independent of the midstate protocol_digest() finishes. The
+/// profile keeps only its DAG, so the exponent stream is regenerated here
+/// from the basis degree (0 for the linear kernel: no basis).
 crypto::Digest full_stream_digest(const ClassificationProfile& profile,
+                                  unsigned basis_degree,
                                   const SchemeConfig& config) {
+  const std::vector<math::Exponents> monomials =
+      math::monomials_up_to(profile.input_dim, basis_degree);
   ByteWriter w;
   w.u32(3);  // protocol version
   w.u64(profile.input_dim);
   w.u64(profile.poly_arity);
   profile.kernel.serialize(w);
-  w.u64(profile.monomials.size());
-  for (const math::Exponents& exps : profile.monomials) w.raw(exps);
+  w.u64(monomials.size());
+  for (const math::Exponents& exps : monomials) w.raw(exps);
   w.u8(static_cast<std::uint8_t>(config.ot_engine));
   w.u8(static_cast<std::uint8_t>(config.group));
   w.u8(config.ot_engine == OtEngine::kPrecomputed ? 1 : 0);
@@ -61,6 +66,8 @@ TEST(ProtocolDigest, MatchesFullParameterStream) {
       ClassificationProfile::make(12, svm::Kernel::paper_polynomial(12, 3)),
       ClassificationProfile::make(4, svm::Kernel::rbf(0.5), 6),
       ClassificationProfile::make(3, svm::Kernel::sigmoid(0.2, -0.1), 3)};
+  // The kernel degree or Taylor order each profile was built with.
+  const std::vector<unsigned> basis_degrees{0, 2, 3, 6, 3};
   auto field = SchemeConfig::fast_simulation();
   field.ompe.backend = ompe::Backend::kField;
   const std::vector<SchemeConfig> configs{
@@ -70,7 +77,7 @@ TEST(ProtocolDigest, MatchesFullParameterStream) {
     for (std::size_t c = 0; c < configs.size(); ++c) {
       SCOPED_TRACE(testing::Message() << "profile " << p << ", config " << c);
       const crypto::Digest expected =
-          full_stream_digest(profiles[p], configs[c]);
+          full_stream_digest(profiles[p], basis_degrees[p], configs[c]);
       EXPECT_EQ(protocol_digest(profiles[p], configs[c]), expected);
       // Servers and clients hold copies of the profile.
       const ClassificationProfile copy = profiles[p];
@@ -82,7 +89,8 @@ TEST(ProtocolDigest, MatchesFullParameterStream) {
   }
   // The degree-3 basis is non-trivial, so the exponent stream is really
   // exercised: the C(15, 3) - 1 monomials of degree 1..3 in 12 variables.
-  EXPECT_EQ(profiles[2].monomials.size(), 454u);
+  EXPECT_EQ(math::monomials_up_to(12, 3).size(), 454u);
+  EXPECT_EQ(profiles[2].poly_arity, 454u);
 }
 
 TEST(ProtocolDigest, RejectsProfileNotBuiltByMake) {

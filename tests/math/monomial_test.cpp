@@ -150,6 +150,27 @@ TEST(Monomial, DagMatchesTransformBitwise) {
   }
 }
 
+TEST(Monomial, DagSeedIsTheFirstFactor) {
+  // A seeded sweep is seed * prod t^kappa with the seed multiplied first:
+  // the server's weight expansion runs one per support vector, seeded with
+  // its coefficient.
+  Rng rng(19);
+  const auto monos = monomials_up_to(4, 3);
+  const MonomialDag dag = build_monomial_dag(monos);
+  std::vector<double> t(4);
+  for (auto& v : t) v = rng.uniform(-2.0, 2.0);
+  const double seed = rng.uniform(-3.0, 3.0);
+  std::vector<double> seeded(dag.size());
+  dag.evaluate(std::span<const double>(t), std::span<double>(seeded), seed);
+  for (std::size_t j = 0; j < monos.size(); ++j) {
+    double expect = seed;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      for (unsigned e = 0; e < monos[j][i]; ++e) expect *= t[i];
+    }
+    EXPECT_EQ(seeded[j], expect) << "j=" << j;
+  }
+}
+
 TEST(Monomial, DagRejectsNonClosedBasis) {
   // x^2 without x: the divisor parent is missing.
   EXPECT_THROW(build_monomial_dag({Exponents{2}}), InvalidArgument);

@@ -238,10 +238,11 @@ TEST(Daemon, ServesClassificationAndSimilarityOverTcpLoopback) {
 
   auto channel = connect_to(daemon);
   Rng rng(42);
+  core::OtBundle ot(scenario.config, rng);
   const std::vector<std::vector<double>> samples(scenario.queries.begin(),
                                                  scenario.queries.begin() + 4);
   const std::vector<int> labels =
-      client_classify(*channel, scenario, samples, rng);
+      client_classify(*channel, scenario, samples, rng, &ot);
   ASSERT_EQ(labels.size(), samples.size());
   for (int label : labels) EXPECT_TRUE(label == 1 || label == -1);
 
@@ -282,8 +283,9 @@ TEST(Daemon, SocketTranscriptsBitIdenticalToInProcessPath) {
   const auto run_client = [&](net::Endpoint& channel) {
     channel.enable_transcript(true);
     Rng rng(kClientSeed);
+    core::OtBundle ot(scenario.config, rng);
     RunResult result;
-    result.labels = client_classify(channel, scenario, samples, rng);
+    result.labels = client_classify(channel, scenario, samples, rng, &ot);
     result.t = client_similarity(channel, scenario, rng);
     client_goodbye(channel);
     result.sent = channel.sent_transcript();
@@ -358,13 +360,14 @@ TEST(Daemon, Multiplexes64ConcurrentConnectionsOverEightWorkers) {
     clients.emplace_back([&, i] {
       auto channel = connect_to(daemon);
       Rng rng(1000 + i);
+      core::OtBundle ot(scenario.config, rng);
       const std::vector<std::vector<double>> sample = {
           scenario.queries[i % scenario.queries.size()]};
       const std::vector<int> first =
-          client_classify(*channel, scenario, sample, rng);
+          client_classify(*channel, scenario, sample, rng, &ot);
       std::this_thread::sleep_for(20ms);  // parked, not worker-pinned
       const std::vector<int> second =
-          client_classify(*channel, scenario, sample, rng);
+          client_classify(*channel, scenario, sample, rng, &ot);
       client_goodbye(*channel);
       if (first.size() == 1 && second.size() == 1) ok.fetch_add(1);
     });
@@ -435,8 +438,9 @@ TEST(Daemon, DisconnectMidProtocolWipesOtPoolsAndFreesTheWorker) {
   // The sole worker survived: a well-behaved client is served next.
   auto channel = connect_to(daemon);
   Rng rng(9);
+  core::OtBundle ot(scenario.config, rng);
   const std::vector<int> labels = client_classify(
-      *channel, scenario, {scenario.queries.front()}, rng);
+      *channel, scenario, {scenario.queries.front()}, rng, &ot);
   EXPECT_EQ(labels.size(), 1u);
   client_goodbye(*channel);
   daemon.stop();
@@ -468,6 +472,37 @@ TEST(Daemon, SilentKeepAliveReusesTheSeedAgreement) {
       client_classify(*channel, scenario, samples, rng, &ot);
   EXPECT_EQ(second, first);  // sign(d(t~)) is randomness-invariant
   for (int label : first) EXPECT_TRUE(label == 1 || label == -1);
+  client_goodbye(*channel);
+
+  EXPECT_TRUE(eventually([&] {
+    return daemon.stats().connections_closed.load() >= 1;
+  }));
+  daemon.stop();
+  EXPECT_EQ(daemon.stats().sessions_ok.load(), 2u);
+  EXPECT_EQ(daemon.stats().sessions_failed.load(), 0u);
+}
+
+TEST(Daemon, ClientClassifyRequiresTheConnectionBundle) {
+  // ppdsd keeps one OtBundle per connection, so a client session without
+  // its own connection-long bundle would start a second seed agreement
+  // against an already-seeded server engine. The call is refused before
+  // the select byte goes out, and the connection stays usable.
+  const Scenario& scenario = private_scenario();
+  Daemon daemon(scenario, loopback_options());
+  daemon.start();
+
+  auto channel = connect_to(daemon);
+  Rng rng(27);
+  const std::vector<std::vector<double>> samples = {scenario.queries.front()};
+  EXPECT_THROW((void)client_classify(*channel, scenario, samples, rng, nullptr),
+               InvalidArgument);
+  core::OtBundle ot(scenario.config, rng);
+  for (int session = 0; session < 2; ++session) {
+    const std::vector<int> labels =
+        client_classify(*channel, scenario, samples, rng, &ot);
+    ASSERT_EQ(labels.size(), 1u);
+    EXPECT_EQ(labels[0], scenario.server_model.predict(samples[0]));
+  }
   client_goodbye(*channel);
 
   EXPECT_TRUE(eventually([&] {
@@ -552,6 +587,7 @@ TEST(Daemon, ServesClassificationAboveTheSimilarityDimensionBound) {
 
   auto channel = connect_to(daemon);
   Rng rng(31);
+  core::OtBundle ot(scenario.config, rng);
   const std::vector<std::vector<double>> samples(scenario.queries.begin(),
                                                  scenario.queries.begin() + 4);
   const auto expect_plain_labels = [&](const std::vector<int>& labels) {
@@ -560,7 +596,7 @@ TEST(Daemon, ServesClassificationAboveTheSimilarityDimensionBound) {
       EXPECT_EQ(labels[i], scenario.server_model.predict(samples[i])) << i;
     }
   };
-  expect_plain_labels(client_classify(*channel, scenario, samples, rng));
+  expect_plain_labels(client_classify(*channel, scenario, samples, rng, &ot));
 
   {
     // A similarity session on a second connection: the daemon cannot build
@@ -582,7 +618,7 @@ TEST(Daemon, ServesClassificationAboveTheSimilarityDimensionBound) {
   }));
 
   // The classification connection keeps working.
-  expect_plain_labels(client_classify(*channel, scenario, samples, rng));
+  expect_plain_labels(client_classify(*channel, scenario, samples, rng, &ot));
   client_goodbye(*channel);
 
   EXPECT_TRUE(eventually([&] {
@@ -626,8 +662,9 @@ TEST(Daemon, ServesOverUnixSocketAndStopIsIdempotent) {
 
   auto channel = connect_to(daemon);
   Rng rng(11);
+  core::OtBundle ot(scenario.config, rng);
   const std::vector<int> labels = client_classify(
-      *channel, scenario, {scenario.queries.front()}, rng);
+      *channel, scenario, {scenario.queries.front()}, rng, &ot);
   EXPECT_EQ(labels.size(), 1u);
   client_goodbye(*channel);
   EXPECT_TRUE(eventually([&] {

@@ -300,10 +300,11 @@ TEST(Overload, HealthProbeReportsLiveCounters) {
 
   auto channel = connect_to(daemon);
   Rng rng(42);
+  core::OtBundle ot(scenario.config, rng);
   const std::vector<std::vector<double>> samples(scenario.queries.begin(),
                                                  scenario.queries.begin() + 2);
   const std::vector<int> labels =
-      client_classify(*channel, scenario, samples, rng);
+      client_classify(*channel, scenario, samples, rng, &ot);
   ASSERT_EQ(labels.size(), samples.size());
 
   const DaemonStatsSnapshot s = client_health(*channel);
@@ -348,10 +349,11 @@ TEST(Overload, BoundedReadyQueueServesReadableIdleCrossers) {
   std::thread busy_client([&] {
     auto channel = connect_to(daemon);
     Rng rng(42);
+    core::OtBundle ot(scenario.config, rng);
     const std::vector<std::vector<double>> samples(
         scenario.queries.begin(), scenario.queries.begin() + 8);
     const std::vector<int> labels =
-        client_classify(*channel, scenario, samples, rng);
+        client_classify(*channel, scenario, samples, rng, &ot);
     EXPECT_EQ(labels.size(), samples.size());
     client_goodbye(*channel);
   });
@@ -440,8 +442,9 @@ TEST(Overload, DrainShedsWithBusyAndBooksBalance) {
   // keeps the drain window open.
   auto parked = connect_to(daemon);
   Rng rng(42);
+  core::OtBundle ot(scenario.config, rng);
   const std::vector<int> labels = client_classify(
-      *parked, scenario, {scenario.queries.front()}, rng);
+      *parked, scenario, {scenario.queries.front()}, rng, &ot);
   ASSERT_EQ(labels.size(), 1u);
 
   std::thread stopper([&] { daemon.stop(); });
