@@ -38,11 +38,11 @@ struct ClassificationProfile {
   svm::Kernel kernel;              ///< public kernel hyperparameters
   /// The feature map, held only as the evaluation DAG of every monomial up
   /// to the kernel degree (polynomial) or Taylor order (RBF, sigmoid) in
-  /// math::monomials_up_to's order; empty for the linear kernel: tau == t.
-  /// make() builds that exponent list, absorbs it into the digest, derives
-  /// the DAG and drops it (a1a: 325,499 entries of 123 bytes). tau_j =
-  /// tau_parent(j) * t_var(j), one multiply per monomial, bitwise-identical
-  /// to math::monomial_transform (same ascending-variable product order).
+  /// math::for_each_monomial's order; empty for the linear kernel: tau == t.
+  /// make() builds it and the digest from (n, degree) and never stores the
+  /// basis (a1a: 325,499 monomials). tau_j = tau_parent(j) * t_var(j), one
+  /// multiply per monomial, bitwise-identical to math::monomial_transform
+  /// (same ascending-variable product order).
   math::MonomialDag monomial_dag;
 
   /// Builds the profile both parties agree on. \p taylor_order is the

@@ -41,11 +41,10 @@ crypto::Digest protocol_digest(const ClassificationProfile& profile,
                                const SchemeConfig& config);
 
 /// The profile half of protocol_digest(): SHA-256 over the protocol version,
-/// profile shape, kernel and \p monomials, the exponent list make() builds
-/// the DAG from (empty for the linear kernel); make() keeps the midstate.
-crypto::Sha256 absorb_profile_parameters(
-    const ClassificationProfile& profile,
-    const std::vector<math::Exponents>& monomials);
+/// profile shape, kernel and the exponents math::for_each_monomial streams
+/// for degrees 1..\p basis_degree (0: linear, no basis); make() keeps it.
+crypto::Sha256 absorb_profile_parameters(const ClassificationProfile& profile,
+                                         unsigned basis_degree);
 
 /// Server side: performs the handshake, then serves the negotiated number
 /// of queries. Throws ProtocolError on any mismatch (after sending the

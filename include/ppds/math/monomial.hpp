@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -19,13 +20,19 @@
 
 namespace ppds::math {
 
-/// Exponent vector of one monomial: exps[i] is the power of t_i.
-/// uint8_t keeps the materialized bases small — the a1a..a9a expansion has
-/// 325k monomials over 123 variables, and kernel degrees never exceed 255.
+/// Exponent vector of one monomial: exps[i] is the power of t_i (kernel
+/// degrees never exceed 255).
 using Exponents = std::vector<std::uint8_t>;
 
-/// All exponent vectors over \p n variables with total degree exactly \p p,
-/// in a deterministic canonical order shared by both protocol parties.
+/// The one generator of the basis both parties derive from (n, degree):
+/// calls \p visit on every exponent vector over \p n variables with total
+/// degree in [\p lo, \p hi], in GRADED order (ascending degree, each level
+/// reverse-lexicographic), through one reused buffer. Throws
+/// InvalidArgument for n == 0 or a basis above 2^22 monomials (a1a: 325k).
+void for_each_monomial(std::size_t n, unsigned lo, unsigned hi,
+                       const std::function<void(const Exponents&)>& visit);
+
+/// The degree-\p p level of for_each_monomial, collected (small bases only).
 std::vector<Exponents> monomials_of_degree(std::size_t n, unsigned p);
 
 /// Number of monomials of exact degree p over n variables: C(n+p-1, p).
@@ -39,22 +46,15 @@ double multinomial_coefficient(const Exponents& exps);
 std::vector<double> monomial_transform(const std::vector<Exponents>& monomials,
                                        const std::vector<double>& t);
 
-/// All monomials over \p n variables with total degree in [1, p], in GRADED
-/// canonical order: ascending degree, each degree level in the
-/// monomials_of_degree order. Both protocol parties derive the same list.
-///
-/// The graded order is what makes the basis cheap to evaluate: every
-/// degree-d monomial is a degree-(d-1) monomial (which appears EARLIER in
-/// the list) times one variable, so the whole basis evaluates in one field
-/// multiplication per monomial (see MonomialDag) instead of a per-term
-/// power walk.
+/// Degrees 1..\p p of for_each_monomial, collected (small bases only).
+/// Graded, so every monomial's divisor precedes it: see MonomialDag.
 std::vector<Exponents> monomials_up_to(std::size_t n, unsigned p);
 
 /// Evaluation DAG over a monomial basis: node i's value is
 /// value[parent[i]] * x[var[i]], with kOne standing for the constant-1 root
-/// (degree-1 monomials multiply a variable into 1). Built once per basis
-/// (e.g. per ClassificationProfile) and evaluated in size() multiplications
-/// per point — the hot path of the nonlinear classification scheme.
+/// (degree-1 monomials multiply a variable into 1), so the graded basis
+/// evaluates in size() multiplications per point instead of a per-term
+/// power walk — the hot path of the nonlinear classification scheme.
 ///
 /// The parent of a monomial is the monomial with its LAST nonzero exponent
 /// decremented. That choice reproduces the factor order of the naive
@@ -83,10 +83,9 @@ struct MonomialDag {
   }
 };
 
-/// Builds the evaluation DAG for \p monomials. Requirements (satisfied by
-/// monomials_up_to): every monomial has total degree >= 1, and for each
-/// monomial of degree >= 2 the parent (last nonzero exponent decremented)
-/// appears earlier in the list. Throws InvalidArgument otherwise.
-MonomialDag build_monomial_dag(const std::vector<Exponents>& monomials);
+/// The DAG of monomials_up_to(n, p), built from the generator without
+/// storing the basis: each parent is found by its combinatorial rank. Same
+/// size cap as for_each_monomial, checked before anything is allocated.
+MonomialDag build_monomial_dag(std::size_t n, unsigned p);
 
 }  // namespace ppds::math

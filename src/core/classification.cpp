@@ -104,13 +104,11 @@ ClassificationProfile ClassificationProfile::make(std::size_t input_dim,
       break;
   }
   profile.poly_arity = input_dim;
-  std::vector<math::Exponents> monomials;  // for the digest and the DAG only
   if (basis != 0) {
-    monomials = math::monomials_up_to(input_dim, basis);
-    profile.monomial_dag = math::build_monomial_dag(monomials);
-    profile.poly_arity = monomials.size();
+    profile.monomial_dag = math::build_monomial_dag(input_dim, basis);
+    profile.poly_arity = profile.monomial_dag.size();
   }
-  profile.parameter_midstate_ = absorb_profile_parameters(profile, monomials);
+  profile.parameter_midstate_ = absorb_profile_parameters(profile, basis);
   return profile;
 }
 
@@ -198,7 +196,6 @@ math::MultiPoly expand_decision_function(const svm::SvmModel& model,
           expand_decision_coefficients(model, profile);
       math::MultiPoly poly(profile.poly_arity);
       for (std::size_t j = 0; j < expansion.coeffs.size(); ++j) {
-        if (expansion.coeffs[j] == 0.0) continue;
         math::Exponents unit(profile.poly_arity, 0);
         unit[j] = 1;
         poly.add_term(expansion.coeffs[j], std::move(unit));
@@ -257,8 +254,8 @@ math::LinearExpansion expand_decision_coefficients(
   const auto& cs = model.coefficients();
   const math::MonomialDag& dag = profile.monomial_dag;
   const std::size_t nodes = dag.size();
-  std::vector<double> sv_sums(nodes, 0.0);  // model-derived: wiped on exit
-  std::vector<double> term(nodes);
+  PPDS_SECRET std::vector<double> sv_sums(nodes, 0.0);  // wiped on exit
+  PPDS_SECRET std::vector<double> term(nodes);
   const ScopedWipe sums_guard(sv_sums);
   const ScopedWipe term_guard(term);
   for (std::size_t s = 0; s < svs.size(); ++s) {

@@ -93,22 +93,20 @@ void handshake_client(net::Endpoint& channel, const crypto::Digest& mine,
 
 }  // namespace
 
-crypto::Sha256 absorb_profile_parameters(
-    const ClassificationProfile& profile,
-    const std::vector<math::Exponents>& monomials) {
+crypto::Sha256 absorb_profile_parameters(const ClassificationProfile& profile,
+                                         unsigned basis_degree) {
   ByteWriter w;
   w.u32(kProtocolVersion);
   w.u64(profile.input_dim);
   w.u64(profile.poly_arity);
   profile.kernel.serialize(w);
-  // The monomial basis must match exactly: hash the exponent stream, one
-  // entry at a time rather than staged in one 40 MB buffer.
-  w.u64(monomials.size());
+  // The monomial basis must match exactly: hash the exponent stream as the
+  // generator produces it, one entry at a time (a1a's is 40 MB).
+  w.u64(profile.monomial_dag.size());
   crypto::Sha256 h;
   h.update(w.data());
-  for (const math::Exponents& exps : monomials) {
-    h.update(exps);
-  }
+  math::for_each_monomial(profile.input_dim, 1, basis_degree,
+                          [&h](const math::Exponents& exps) { h.update(exps); });
   return h;
 }
 

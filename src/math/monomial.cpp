@@ -1,43 +1,55 @@
 #include "ppds/math/monomial.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <string>
-#include <unordered_map>
 
 namespace ppds::math {
 
 namespace {
 
+/// Size of the degree-[lo, hi] basis over n variables; refuses more than
+/// 2^22 monomials (madelon at 500 features and degree 3 has 21M).
+std::uint64_t basis_size(std::size_t n, unsigned lo, unsigned hi) {
+  detail::require(n >= 1, "monomial basis: need n >= 1");
+  // Degrees 0..d over n variables are the degree-d monomials over n + 1.
+  const std::uint64_t size =
+      lo > hi ? 0
+              : monomial_count(n + 1, hi) -
+                    (lo == 0 ? 0 : monomial_count(n + 1, lo - 1));
+  detail::require(size <= (std::uint64_t{1} << 22),
+                  "monomial basis: expansion too large");
+  return size;
+}
+
 void enumerate(std::size_t var, unsigned remaining, Exponents& current,
-               std::vector<Exponents>& out) {
-  if (var + 1 == current.size()) {
+               const std::function<void(const Exponents&)>& visit) {
+  if (remaining == 0 || var + 1 == current.size()) {
     current[var] = static_cast<std::uint8_t>(remaining);
-    out.push_back(current);
+    std::fill(current.begin() + static_cast<std::ptrdiff_t>(var) + 1,
+              current.end(), std::uint8_t{0});
+    visit(current);
     return;
   }
   // Assign remaining..0 to this variable so the order is reverse-lex,
   // matching the textbook multinomial expansion reading order.
   for (unsigned k = remaining + 1; k-- > 0;) {
     current[var] = static_cast<std::uint8_t>(k);
-    enumerate(var + 1, remaining - k, current, out);
+    enumerate(var + 1, remaining - k, current, visit);
   }
 }
 
 }  // namespace
 
-std::vector<Exponents> monomials_of_degree(std::size_t n, unsigned p) {
-  detail::require(n >= 1, "monomials_of_degree: need n >= 1");
-  const std::uint64_t count = monomial_count(n, p);
-  // Materialization cost is count * n exponent bytes; 2^22 monomials keeps
-  // the largest supported expansion (a1a..a9a at 123 features, 325k
-  // monomials) comfortable and rejects the madelon-at-500-features case
-  // (21M monomials) that no single node can usefully serve.
-  detail::require(count <= (std::uint64_t{1} << 22),
-                  "monomials_of_degree: expansion too large to materialize");
-  std::vector<Exponents> out;
-  out.reserve(count);
+void for_each_monomial(std::size_t n, unsigned lo, unsigned hi,
+                       const std::function<void(const Exponents&)>& visit) {
+  basis_size(n, lo, hi);  // refuses an oversized basis before any work
   Exponents current(n, 0);
-  enumerate(0, p, current, out);
+  for (unsigned d = lo; d <= hi; ++d) enumerate(0, d, current, visit);
+}
+
+std::vector<Exponents> monomials_of_degree(std::size_t n, unsigned p) {
+  std::vector<Exponents> out;
+  for_each_monomial(n, p, p, [&out](const Exponents& e) { out.push_back(e); });
   return out;
 }
 
@@ -68,48 +80,43 @@ double multinomial_coefficient(const Exponents& exps) {
 
 std::vector<Exponents> monomials_up_to(std::size_t n, unsigned p) {
   std::vector<Exponents> out;
-  for (unsigned d = 1; d <= p; ++d) {
-    auto level = monomials_of_degree(n, d);
-    out.insert(out.end(), std::make_move_iterator(level.begin()),
-               std::make_move_iterator(level.end()));
-  }
+  for_each_monomial(n, 1, p, [&out](const Exponents& e) { out.push_back(e); });
   return out;
 }
 
-MonomialDag build_monomial_dag(const std::vector<Exponents>& monomials) {
-  detail::require(monomials.size() < MonomialDag::kOne,
-                  "build_monomial_dag: basis too large");
-  MonomialDag dag;
-  dag.parent.resize(monomials.size());
-  dag.var.resize(monomials.size());
-  // Exponent vectors keyed as byte strings: built once per basis, so the
-  // string materialization is off the evaluation hot path.
-  std::unordered_map<std::string, std::uint32_t> index;
-  index.reserve(monomials.size() * 2);
-  std::string key;
-  for (std::size_t i = 0; i < monomials.size(); ++i) {
-    const Exponents& exps = monomials[i];
-    std::size_t last = exps.size();
-    unsigned degree = 0;
-    for (std::size_t j = 0; j < exps.size(); ++j) {
-      degree += exps[j];
-      if (exps[j] != 0) last = j;
-    }
-    detail::require(degree >= 1, "build_monomial_dag: constant monomial");
-    dag.var[i] = static_cast<std::uint32_t>(last);
-    if (degree == 1) {
-      dag.parent[i] = MonomialDag::kOne;
-    } else {
-      key.assign(exps.begin(), exps.end());
-      key[last] = static_cast<char>(exps[last] - 1);
-      const auto it = index.find(key);
-      detail::require(it != index.end(),
-                      "build_monomial_dag: basis not closed/graded");
-      dag.parent[i] = it->second;
-    }
-    key.assign(exps.begin(), exps.end());
-    index.emplace(std::move(key), static_cast<std::uint32_t>(i));
+MonomialDag build_monomial_dag(std::size_t n, unsigned p) {
+  const std::uint64_t size = basis_size(n, 1, p);
+  // tail[i * p + m]: how many degree-m monomials t_i..t_{n-1} have.
+  std::vector<std::uint64_t> tail(n * p);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (unsigned m = 0; m < p; ++m) tail[i * p + m] = monomial_count(n - i, m);
   }
+  MonomialDag dag;
+  dag.parent.reserve(size);
+  dag.var.reserve(size);
+  for_each_monomial(n, 1, p, [&](const Exponents& exps) {
+    std::size_t last = 0;
+    unsigned degree = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      degree += exps[i];
+      if (exps[i] != 0) last = i;
+    }
+    dag.var.push_back(static_cast<std::uint32_t>(last));
+    if (degree == 1) {
+      dag.parent.push_back(MonomialDag::kOne);
+      return;
+    }
+    // Rank of the parent e' (t_last decremented): the lower levels, then per
+    // i < last the predecessors matching e' before t_i with t_i above e'_i =
+    // exps[i], leaving degree r_i - e'_i - 1 (r_i: e''s degree on t_i..).
+    std::uint64_t rank = basis_size(n, 1, degree - 2);
+    unsigned r = degree - 1;
+    for (std::size_t i = 0; i < last; ++i) {
+      if (r > exps[i]) rank += tail[i * p + (r - exps[i] - 1)];
+      r -= exps[i];
+    }
+    dag.parent.push_back(static_cast<std::uint32_t>(rank));
+  });
   return dag;
 }
 

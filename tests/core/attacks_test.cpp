@@ -149,7 +149,7 @@ TEST(OmpeInputRecovery, RecoversMonomialFeatureInputAtPresetShape) {
   params.q = 4;
   params.k = 2;
   const auto basis = math::monomials_up_to(8, 2);
-  const math::MonomialDag dag = math::build_monomial_dag(basis);
+  const math::MonomialDag dag = math::build_monomial_dag(8, 2);
   ASSERT_EQ(basis.size(), 44u);
   Rng rng(1618);
   math::Vec sample(8);

@@ -7,6 +7,7 @@
 
 #include "ppds/common/bytes.hpp"
 #include "ppds/common/hex.hpp"
+#include "ppds/core/session.hpp"
 #include "ppds/crypto/sha256.hpp"
 #include "ppds/data/synthetic.hpp"
 #include "ppds/net/party.hpp"
@@ -109,6 +110,44 @@ TEST(ClassificationProfile, DagTransformMatchesNaiveBitwise) {
       }
     }
   }
+}
+
+/// SHA-256 over the DAG's parent array, then its var array (u32 little
+/// endian).
+std::string dag_hex(const math::MonomialDag& dag) {
+  ByteWriter w;
+  for (std::uint32_t up : dag.parent) w.u32(up);
+  for (std::uint32_t v : dag.var) w.u32(v);
+  return to_hex(crypto::sha256(w.data()));
+}
+
+TEST(ClassificationProfile, GoldenBasisDagAndDigest) {
+  // Both parties derive the basis from (n, p) alone, so its DAG and its
+  // digest are pinned bit for bit: the served a1a shape (123 features,
+  // degree 3, 325,499 nodes) and a degree-6 RBF Taylor basis over 3
+  // features, whose exponent runs are longer than 3.
+  const auto a1a =
+      ClassificationProfile::make(123, svm::Kernel::paper_polynomial(123));
+  EXPECT_EQ(a1a.poly_arity, 325'499u);
+  EXPECT_EQ(dag_hex(a1a.monomial_dag),
+            "f450c395f7578befbedc26febefd0bf6523175aaeb2c617845d4143bf6339f9d");
+  EXPECT_EQ(to_hex(protocol_digest(a1a, SchemeConfig::silent())),
+            "8483ded2db04f7a3e95e9f5946bf71d962a14b3edff9e72c8200c45ef40ed64c");
+
+  const auto rbf = ClassificationProfile::make(3, svm::Kernel::rbf(0.5), 6);
+  EXPECT_EQ(rbf.poly_arity, 83u);
+  EXPECT_EQ(dag_hex(rbf.monomial_dag),
+            "6c605d27021e58666ad05dc651fb0ec3a4cc121dd8f9419aca29afb42a6540f6");
+  EXPECT_EQ(to_hex(protocol_digest(rbf, SchemeConfig::silent())),
+            "9b438501268c08443145a359dce3717d39a27a8105d6578fff59cebc4c49df2a");
+}
+
+TEST(ClassificationProfile, MadelonBasisRejected) {
+  // 500 features at degree 3 is a 21M-monomial basis: make() refuses it
+  // before building anything.
+  EXPECT_THROW(
+      ClassificationProfile::make(500, svm::Kernel::paper_polynomial(500)),
+      InvalidArgument);
 }
 
 TEST(ClassificationProfile, SampleDimensionChecked) {

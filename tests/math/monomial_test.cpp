@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 #include <span>
 #include <utility>
@@ -56,7 +57,16 @@ TEST(Monomial, EnumerationDeterministicOrder) {
 }
 
 TEST(Monomial, TooLargeExpansionRejected) {
+  // madelon at 500 features and degree 3: 21M monomials, refused by the
+  // collectors, the generator and the DAG builder before any allocation.
   EXPECT_THROW(monomials_of_degree(500, 3), InvalidArgument);
+  EXPECT_THROW(monomials_up_to(500, 3), InvalidArgument);
+  std::size_t visited = 0;
+  EXPECT_THROW(for_each_monomial(500, 1, 3,
+                                 [&visited](const Exponents&) { ++visited; }),
+               InvalidArgument);
+  EXPECT_EQ(visited, 0u);
+  EXPECT_THROW(build_monomial_dag(500, 3), InvalidArgument);
 }
 
 TEST(Monomial, MultinomialCoefficients) {
@@ -135,7 +145,7 @@ TEST(Monomial, DagMatchesTransformBitwise) {
   for (auto [n, p] : {std::pair<std::size_t, unsigned>{5, 3}, {3, 4}, {8, 2},
                       {1, 6}}) {
     const auto monos = monomials_up_to(n, p);
-    const MonomialDag dag = build_monomial_dag(monos);
+    const MonomialDag dag = build_monomial_dag(n, p);
     ASSERT_EQ(dag.size(), monos.size());
     for (int trial = 0; trial < 10; ++trial) {
       std::vector<double> t(n);
@@ -156,7 +166,7 @@ TEST(Monomial, DagSeedIsTheFirstFactor) {
   // its coefficient.
   Rng rng(19);
   const auto monos = monomials_up_to(4, 3);
-  const MonomialDag dag = build_monomial_dag(monos);
+  const MonomialDag dag = build_monomial_dag(4, 3);
   std::vector<double> t(4);
   for (auto& v : t) v = rng.uniform(-2.0, 2.0);
   const double seed = rng.uniform(-3.0, 3.0);
@@ -171,22 +181,55 @@ TEST(Monomial, DagSeedIsTheFirstFactor) {
   }
 }
 
-TEST(Monomial, DagRejectsNonClosedBasis) {
-  // x^2 without x: the divisor parent is missing.
-  EXPECT_THROW(build_monomial_dag({Exponents{2}}), InvalidArgument);
-  // Degree-2 before its parent: graded order violated.
-  EXPECT_THROW(build_monomial_dag({Exponents{1, 1}, Exponents{1, 0},
-                                   Exponents{0, 1}}),
-               InvalidArgument);
+TEST(Monomial, DagParentsMatchListSearch) {
+  // The builder ranks each parent combinatorially; the reference is the
+  // list search it replaced: collect the basis, then look up each node's
+  // exponents with the last nonzero one decremented.
+  for (std::size_t n : {1u, 2u, 3u, 5u, 8u}) {
+    for (unsigned p : {1u, 2u, 3u, 4u, 6u}) {
+      const auto monos = monomials_up_to(n, p);
+      std::map<Exponents, std::uint32_t> index;
+      for (std::size_t i = 0; i < monos.size(); ++i) {
+        index.emplace(monos[i], static_cast<std::uint32_t>(i));
+      }
+      const MonomialDag dag = build_monomial_dag(n, p);
+      ASSERT_EQ(dag.size(), monos.size()) << "n=" << n << " p=" << p;
+      for (std::size_t i = 0; i < monos.size(); ++i) {
+        Exponents parent = monos[i];
+        std::size_t last = n;
+        unsigned degree = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+          degree += parent[j];
+          if (parent[j] != 0) last = j;
+        }
+        ASSERT_LT(last, n);
+        EXPECT_EQ(dag.var[i], last) << "n=" << n << " p=" << p << " i=" << i;
+        --parent[last];
+        const std::uint32_t want =
+            degree == 1 ? MonomialDag::kOne : index.at(parent);
+        EXPECT_EQ(dag.parent[i], want) << "n=" << n << " p=" << p << " i=" << i;
+      }
+    }
+  }
 }
 
-TEST(Monomial, DagRejectsConstantMonomial) {
-  EXPECT_THROW(build_monomial_dag({Exponents{0, 0}}), InvalidArgument);
+TEST(Monomial, VisitorStreamsTheGradedOrder) {
+  // for_each_monomial is the one generator: what it visits, in order, is
+  // what the collectors return, and an empty degree range visits nothing.
+  std::vector<Exponents> seen;
+  for_each_monomial(4, 2, 3, [&seen](const Exponents& e) { seen.push_back(e); });
+  auto want = monomials_of_degree(4, 2);
+  const auto cubes = monomials_of_degree(4, 3);
+  want.insert(want.end(), cubes.begin(), cubes.end());
+  EXPECT_EQ(seen, want);
+  std::size_t visited = 0;
+  for_each_monomial(4, 1, 0, [&visited](const Exponents&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  EXPECT_TRUE(build_monomial_dag(4, 0).empty());
 }
 
 TEST(Monomial, DagEvaluateSizeMismatchThrows) {
-  const auto monos = monomials_up_to(2, 2);
-  const MonomialDag dag = build_monomial_dag(monos);
+  const MonomialDag dag = build_monomial_dag(2, 2);
   std::vector<double> t{0.5, 0.25};
   std::vector<double> out(dag.size() + 1);
   EXPECT_THROW(

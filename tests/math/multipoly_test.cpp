@@ -180,7 +180,7 @@ TEST(Linearize, ExactlyMatchesNaiveOverTheField) {
     }
     const std::vector<Exponents> basis = monomials_up_to(arity, 4);
     const LinearExpansion form = linearize(p, basis);
-    const MonomialDag dag = build_monomial_dag(basis);
+    const MonomialDag dag = build_monomial_dag(arity, 4);
     for (int trial = 0; trial < 5; ++trial) {
       std::vector<M61> z(arity);
       for (auto& v : z) v = M61(rng() >> 3);

@@ -127,7 +127,7 @@ ALIAS_METHODS = {"append_raw", "subspan"}
 # The call's RESULT still carries taint through normal expression rules.
 PURE_METHODS = {
     "pow", "pow_with", "mul", "invert", "serialize", "deserialize",
-    "q", "element_bytes", "make_table",
+    "q", "element_bytes", "make_table", "evaluate",
 }
 
 # Call names that move bytes off-host or into logs/format machinery.
