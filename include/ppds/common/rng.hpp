@@ -23,7 +23,7 @@ namespace ppds {
 /// SplitMix64 finalizer over a combined (seed, stream) input: adjacent
 /// stream indices land in decorrelated 64-bit outputs. This is the single
 /// definition behind every derived-stream determinism contract in the
-/// library (core::chunk_seed for session pools, the OMPE per-point disguise
+/// library (DaemonSet's per-chunk seeds, the OMPE per-point disguise
 /// streams): results depend only on (seed, stream), never on thread count.
 inline std::uint64_t splitmix64(std::uint64_t seed, std::uint64_t stream) {
   std::uint64_t z = seed + stream * 0x9e3779b97f4a7c15ULL;

@@ -15,11 +15,11 @@
 #include "ppds/common/error.hpp"
 
 /// \file thread_pool.hpp
-/// Minimal fixed-size worker pool for running independent protocol sessions
-/// concurrently (see ppds/core/session_pool.hpp). Standard-library only; a
-/// single mutex + condition variable guards the FIFO queue, which is plenty
-/// for the coarse-grained tasks this library schedules (whole two-party
-/// sessions, milliseconds to seconds each).
+/// Minimal fixed-size worker pool behind the OMPE sender's parallel
+/// masked-point sweeps (src/ompe/ompe.cpp). Standard-library only; a single
+/// mutex + condition variable guards the FIFO queue, which is plenty for
+/// the coarse-grained tasks it runs (one slice of a sweep per hardware
+/// thread).
 
 namespace ppds {
 

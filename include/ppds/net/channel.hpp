@@ -211,9 +211,10 @@ struct Link {
 /// must therefore advance set_stage()/set_session_id() symmetrically.
 ///
 /// The frame path runs through two protected virtual hooks — deliver() on
-/// the way out, fetch() on the way in — so decorators (FaultyEndpoint)
-/// inject faults BELOW the framing layer, where a real network corrupts
-/// traffic, and the validation above catches them.
+/// the way out, fetch() on the way in — so decorators (the test-side fault
+/// injector, tests/support/faulty.hpp) perturb frames BELOW the framing
+/// layer, where a real network corrupts traffic, and the validation above
+/// catches them.
 ///
 /// The same hooks make the TRANSPORT pluggable: a subclass constructed
 /// through the protected default constructor owns no in-process link and

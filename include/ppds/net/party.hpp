@@ -24,7 +24,7 @@ struct TwoPartyOutcome {
 };
 
 /// Runs \p party_a and \p party_b concurrently over the GIVEN endpoints
-/// (already connected; possibly decorated, e.g. FaultyEndpoint). Blocks
+/// (already connected; possibly decorated, e.g. by a fault injector). Blocks
 /// until both finish. A throwing party closes the channel so its peer
 /// unblocks with ProtocolError instead of hanging.
 template <typename FnA, typename FnB>

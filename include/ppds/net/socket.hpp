@@ -8,7 +8,6 @@
 
 #include "ppds/common/bytes.hpp"
 #include "ppds/net/channel.hpp"
-#include "ppds/net/fault.hpp"
 
 /// \file socket.hpp
 /// Real-socket transport (TCP and unix-domain) behind the Endpoint
@@ -81,16 +80,12 @@ struct SocketOptions {
   /// values make the bounded-queue semantics bite early (tests).
   int send_buffer_bytes = 0;
   int recv_buffer_bytes = 0;
-  /// Socket-level fault shim: outgoing frames pass through a seeded
-  /// FaultEngine BEFORE wire serialization — the chaos sweep over real
-  /// file descriptors (tests/integration/chaos_test.cpp).
-  FaultSpec fault;
-  std::uint64_t fault_seed = 0;
 };
 
 /// One side of a duplex framed connection over a real socket. Single-thread
-/// use, like every Endpoint; not movable (live file descriptor).
-class SocketEndpoint final : public Endpoint {
+/// use, like every Endpoint; not movable (live file descriptor). Not final:
+/// a test decorator may subclass it to perturb frames in deliver().
+class SocketEndpoint : public Endpoint {
  public:
   /// Takes ownership of connected \p fd (closed on destruction).
   explicit SocketEndpoint(int fd, SocketOptions options = {});
@@ -111,7 +106,6 @@ class SocketEndpoint final : public Endpoint {
   bool transport_live() const override { return fd_ >= 0; }
 
  private:
-  void write_frame(const detail::Frame& frame);
   /// Reads until \p staging holds \p target bytes, honoring \p deadline.
   void fill_staged(Bytes& staging, std::size_t target,
                    const Deadline& deadline,
@@ -121,7 +115,6 @@ class SocketEndpoint final : public Endpoint {
 
   int fd_ = -1;
   SocketOptions options_;
-  FaultEngine fault_;
   bool closed_ = false;
   /// A frame write that stalled partway poisons the byte stream (the peer
   /// will see a truncated frame); fail later sends loudly instead of
@@ -176,8 +169,7 @@ std::unique_ptr<SocketEndpoint> socket_connect(
     const Deadline& deadline = {});
 
 /// A connected AF_UNIX socketpair wrapped as two endpoints — the real-
-/// kernel analogue of make_channel() (first = party A by convention). Used
-/// by the socket chaos sweep and the transport tests.
+/// kernel analogue of make_channel() (first = party A by convention).
 std::pair<std::unique_ptr<SocketEndpoint>, std::unique_ptr<SocketEndpoint>>
 make_socket_pair(const SocketOptions& options_a = {},
                  const SocketOptions& options_b = {});

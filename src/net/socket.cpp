@@ -153,7 +153,7 @@ std::string SocketAddress::to_string() const {
 // --- SocketEndpoint ---------------------------------------------------------
 
 SocketEndpoint::SocketEndpoint(int fd, SocketOptions options)
-    : fd_(fd), options_(options), fault_(options.fault, options.fault_seed) {
+    : fd_(fd), options_(options) {
   if (fd_ < 0) {
     throw InvalidArgument("SocketEndpoint: negative file descriptor");
   }
@@ -192,17 +192,6 @@ void SocketEndpoint::close() {
 }
 
 void SocketEndpoint::deliver(detail::Frame&& frame) {
-  if (fault_.active()) {
-    fault_.apply(
-        std::move(frame),
-        [this](detail::Frame&& out) { write_frame(out); },
-        [this] { close(); });
-  } else {
-    write_frame(frame);
-  }
-}
-
-void SocketEndpoint::write_frame(const detail::Frame& frame) {
   if (closed_) {
     throw ProtocolError("send on closed channel");
   }

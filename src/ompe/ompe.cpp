@@ -77,11 +77,12 @@ void count_points(std::atomic<std::uint64_t>& counter, std::uint64_t n) {
 
 // ---------------------------------------------------------------------------
 // Parallel masked-point evaluation. One process-wide worker pool, shared by
-// every OMPE call (sessions already running on a core::SessionPool submit
-// here too; tasks are pure compute, so the two pools compose without
-// deadlock). Determinism contract: per-point work depends only on the point
-// index (and a per-call seed), NEVER on the chunking, so transcripts are
-// bit-identical on every host (tests/ompe/ompe_parallel_test.cpp pins them).
+// every OMPE call (concurrent sessions, e.g. the daemon's workers, submit
+// here too; tasks are pure compute and never wait on a session, so this
+// cannot deadlock). Determinism contract: per-point work depends only on the
+// point index (and a per-call seed), NEVER on the chunking, so transcripts
+// are bit-identical on every host (tests/ompe/ompe_parallel_test.cpp pins
+// them).
 
 ThreadPool& eval_pool() {
   static ThreadPool pool;

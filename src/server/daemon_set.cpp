@@ -1,6 +1,7 @@
 #include "ppds/server/daemon_set.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <memory>
@@ -48,14 +49,30 @@ DaemonSet::DaemonSet(Scenario scenario,
   }
 }
 
-std::chrono::milliseconds DaemonSet::backoff(const core::RetryPolicy& retry,
+std::uint64_t retry_attempt_seed(std::uint64_t base, std::size_t attempt) {
+  return attempt == 0 ? base : splitmix64(base, attempt);
+}
+
+std::chrono::milliseconds DaemonSet::backoff(const RetryPolicy& retry,
                                              std::uint64_t seed,
                                              std::size_t chunk,
                                              std::size_t attempt) {
-  // Same jitter-stream derivation as SessionPool's retry layer: the
-  // schedule is a pure function of (seed, chunk, attempt).
-  return core::retry_backoff(retry, attempt,
-                             core::chunk_seed(seed, 2 * chunk));
+  if (retry.backoff.count() <= 0) return std::chrono::milliseconds{0};
+  double ms = static_cast<double>(retry.backoff.count()) *
+              std::pow(retry.backoff_multiplier,
+                       static_cast<double>(attempt) - 1.0);
+  if (retry.jitter > 0.0) {
+    // Drawn from the chunk's even stream (its client randomness uses the
+    // odd one), so the schedule is a pure function of (seed, chunk,
+    // attempt).
+    const std::uint64_t stream = splitmix64(seed, 2 * chunk);
+    const double u =
+        static_cast<double>(splitmix64(stream, attempt) >> 11) *
+        0x1.0p-53;  // [0, 1)
+    ms *= 1.0 + retry.jitter * (2.0 * u - 1.0);
+  }
+  return std::chrono::milliseconds{
+      static_cast<std::chrono::milliseconds::rep>(std::fmax(0.0, ms))};
 }
 
 std::vector<int> DaemonSet::classify(
@@ -160,7 +177,7 @@ void DaemonSet::worker(std::size_t address_index, Batch& batch,
         // Persistent per-connection OT state, like any keep-alive client of
         // ppdsd. Connection-local randomness: labels are randomness-
         // invariant, so reconnects cannot change results.
-        ot_rng.reseed(splitmix64(core::chunk_seed(seed, 0x5e7 + address_index),
+        ot_rng.reseed(splitmix64(splitmix64(seed, 0x5e7 + address_index),
                                  connect_epoch++));
         ot = std::make_unique<core::OtBundle>(scenario_.config, ot_rng);
       }
@@ -170,12 +187,10 @@ void DaemonSet::worker(std::size_t address_index, Batch& batch,
       const std::vector<std::vector<double>> chunk(
           samples.begin() + static_cast<std::ptrdiff_t>(begin),
           samples.begin() + static_cast<std::ptrdiff_t>(end));
-      // Fresh per-attempt client randomness (core::retry_attempt_seed):
-      // attempt 0 matches SessionPool's client stream for this chunk, and
-      // a retried chunk re-randomizes everything — resuming half-consumed
+      // Fresh per-attempt client randomness (retry_attempt_seed): a
+      // retried chunk re-randomizes everything — resuming half-consumed
       // OT randomness on a new replica would be a privacy hole.
-      Rng rng(core::retry_attempt_seed(core::chunk_seed(seed, 2 * c + 1),
-                                       attempt));
+      Rng rng(retry_attempt_seed(splitmix64(seed, 2 * c + 1), attempt));
       channel->set_recv_deadline(
           net::Deadline::after(options_.recv_timeout));
       std::vector<int> labels =

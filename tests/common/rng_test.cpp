@@ -9,6 +9,12 @@
 namespace ppds {
 namespace {
 
+TEST(SplitMix64, MixesSeedAndStream) {
+  EXPECT_NE(splitmix64(1, 0), splitmix64(1, 1));
+  EXPECT_NE(splitmix64(1, 0), splitmix64(2, 0));
+  EXPECT_EQ(splitmix64(7, 3), splitmix64(7, 3));
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+
 #include "ppds/crypto/sha256.hpp"
 #include "ppds/net/party.hpp"
 
@@ -133,6 +135,58 @@ TEST(Session, AgreedParametersClassifyEndToEnd) {
   ASSERT_EQ(outcome.b.size(), samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(outcome.b[i], model.predict(samples[i]));
+  }
+}
+
+TEST(Session, ConcurrentSilentSessionsMatchPlain) {
+  // Real crypto path: two sessions of the silent OT engine at once, on two
+  // threads sharing the process-wide modp1024 group and its fixed-base
+  // tables. Each must return the plaintext labels.
+  Rng rng(321);
+  math::Vec w(4);
+  for (auto& v : w) v = rng.uniform_nonzero(-1.0, 1.0, 0.05);
+  const svm::SvmModel model(svm::Kernel::linear(), {w}, {1.0},
+                            rng.uniform(-0.2, 0.2));
+  const auto profile = ClassificationProfile::make(4, model.kernel());
+  std::vector<std::vector<double>> samples(4, std::vector<double>(4));
+  for (auto& sample : samples) {
+    for (auto& v : sample) v = rng.uniform(-1.0, 1.0);
+  }
+  SchemeConfig cfg;
+  cfg.ot_engine = OtEngine::kPrecomputed;
+  cfg.group = crypto::GroupId::kModp1024;
+  cfg.ompe.q = 2;
+  cfg.ompe.k = 2;
+  const ClassificationServer server(model, profile, cfg);
+  const ClassificationClient client(profile, cfg);
+
+  // Session s classifies samples [2s, 2s + 2).
+  const auto session = [&](std::size_t s) {
+    const std::vector<std::vector<double>> chunk(
+        samples.begin() + static_cast<std::ptrdiff_t>(2 * s),
+        samples.begin() + static_cast<std::ptrdiff_t>(2 * s + 2));
+    return net::run_two_party(
+               [&](net::Endpoint& ch) {
+                 Rng server_rng(10 + s);
+                 serve_session(server, profile, cfg, ch, server_rng);
+                 return 0;
+               },
+               [&](net::Endpoint& ch) {
+                 Rng client_rng(20 + s);
+                 return classify_session(client, profile, cfg, ch, chunk,
+                                         client_rng);
+               })
+        .b;
+  };
+  auto first = std::async(std::launch::async, session, 0);
+  auto second = std::async(std::launch::async, session, 1);
+  const std::vector<std::vector<int>> labels{first.get(), second.get()};
+  for (std::size_t s = 0; s < 2; ++s) {
+    ASSERT_EQ(labels[s].size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(labels[s][i], model.predict(samples[2 * s + i]))
+          << "sample " << 2 * s + i;
+    }
   }
 }
 

@@ -6,17 +6,17 @@
 #include <thread>
 #include <vector>
 
-#include "ppds/core/session_pool.hpp"
+#include "../support/chaos_runner.hpp"
 #include "ppds/crypto/ot.hpp"
 #include "ppds/crypto/silent_ot.hpp"
-#include "ppds/net/fault.hpp"
 
 /// \file chaos_test.cpp
 /// Deterministic chaos soak of the resilient transport (docs/PROTOCOL.md
 /// §6-§7): whole classification and similarity sessions run over channels
 /// whose frames are dropped, duplicated, reordered, bit-flipped, truncated
-/// and disconnected by a seeded injector, under a receive deadline and a
-/// whole-session retry policy. The sweep asserts, per fault seed:
+/// and disconnected by a seeded injector (tests/support/faulty.hpp), under a
+/// receive deadline and a whole-session retry policy, one session at a time
+/// (tests/support/chaos_runner.hpp). The sweep asserts, per fault seed:
 ///
 ///   * no crash, no deadlock — every recv is deadline-bounded;
 ///   * every failure surfaces as a typed ppds::Error (ProtocolError once
@@ -31,6 +31,9 @@
 namespace ppds::core {
 namespace {
 
+using test::ChaosOptions;
+using test::Wire;
+
 std::size_t chaos_seed_count() {
   if (const char* env = std::getenv("PPDS_CHAOS_SEEDS")) {
     const unsigned long long n = std::strtoull(env, nullptr, 10);
@@ -41,8 +44,8 @@ std::size_t chaos_seed_count() {
 
 /// Gentle per-frame fault rates: most sessions see a fault somewhere, most
 /// retries eventually get a clean run through.
-net::FaultSpec chaos_faults() {
-  net::FaultSpec spec;
+test::FaultSpec chaos_faults() {
+  test::FaultSpec spec;
   spec.drop = 0.01;
   spec.duplicate = 0.01;
   spec.reorder = 0.01;
@@ -52,21 +55,19 @@ net::FaultSpec chaos_faults() {
   return spec;
 }
 
-TransportOptions chaos_transport(
-    std::uint64_t fault_seed,
-    TransportKind kind = TransportKind::kInProcess) {
-  TransportOptions transport;
-  transport.kind = kind;
+ChaosOptions chaos_transport(std::uint64_t fault_seed,
+                             Wire wire = Wire::kInProcess) {
+  ChaosOptions chaos;
+  chaos.wire = wire;
   // Short but safely above any in-process compute step: each DROPPED frame
   // costs the receiver a full deadline wait, so this bounds sweep time.
-  transport.recv_timeout = std::chrono::milliseconds{400};
-  transport.fault_a = chaos_faults();
-  transport.fault_b = chaos_faults();
-  transport.fault_seed = fault_seed;
-  transport.retry.max_attempts = 8;
-  transport.retry.backoff = std::chrono::milliseconds{1};
-  transport.retry.jitter = 0.5;  // deterministic, SplitMix64-drawn
-  return transport;
+  chaos.recv_timeout = std::chrono::milliseconds{400};
+  chaos.faults = chaos_faults();
+  chaos.fault_seed = fault_seed;
+  chaos.retry.max_attempts = 8;
+  chaos.retry.backoff = std::chrono::milliseconds{1};
+  chaos.retry.jitter = 0.5;  // deterministic, SplitMix64-drawn
+  return chaos;
 }
 
 struct ClassFixture {
@@ -103,21 +104,20 @@ struct ClassFixture {
 std::size_t sweep_classification(const ClassFixture& fx,
                                  const SchemeConfig& cfg,
                                  std::size_t chunk_size, std::size_t seeds,
-                                 TransportKind kind =
-                                     TransportKind::kInProcess) {
+                                 Wire wire = Wire::kInProcess) {
   const ClassificationServer server(fx.model, fx.profile, cfg);
   const ClassificationClient client(fx.profile, cfg);
-  SessionPool pool(server, client, fx.profile, cfg, 2);
-  const std::vector<int> baseline =
-      pool.classify_batch(fx.samples, /*seed=*/404, chunk_size);
+  const std::vector<int> baseline = test::classify_chunks(
+      server, client, fx.profile, cfg, fx.samples, /*seed=*/404, chunk_size);
 
   std::size_t succeeded = 0;
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     SCOPED_TRACE("fault seed " + std::to_string(seed) +
                  " (rerun with this seed to reproduce)");
     try {
-      const std::vector<int> labels = pool.classify_batch(
-          fx.samples, /*seed=*/404, chunk_size, chaos_transport(seed, kind));
+      const std::vector<int> labels = test::classify_chunks(
+          server, client, fx.profile, cfg, fx.samples, /*seed=*/404,
+          chunk_size, chaos_transport(seed, wire));
       // A succeeding retry re-randomizes the whole session; sign(d(t~))
       // is randomness-invariant, so the labels must match exactly.
       EXPECT_EQ(labels, baseline);
@@ -163,10 +163,11 @@ TEST(Chaos, SimilaritySurvivesFaultSweep) {
   const auto cfg = SchemeConfig::fast_simulation();
   const SimilarityServer server(a, space, cfg);
   const SimilarityClient client(b, space, cfg);
-  SimilaritySessionPool pool(server, client, a.kernel(), space, cfg, 2);
-
-  const std::vector<double> baseline = pool.evaluate_batch(1, /*seed=*/505);
+  const double baseline = test::evaluate_similarity(server, client,
+                                                    a.kernel(), space, cfg,
+                                                    /*seed=*/505);
   const double plain = ordinary_similarity(a, b, space);
+  EXPECT_NEAR(baseline, plain, 1e-5 + 1e-3 * std::abs(plain));
 
   const std::size_t seeds = chaos_seed_count();
   std::size_t succeeded = 0;
@@ -174,14 +175,12 @@ TEST(Chaos, SimilaritySurvivesFaultSweep) {
     SCOPED_TRACE("fault seed " + std::to_string(seed) +
                  " (rerun with this seed to reproduce)");
     try {
-      const std::vector<double> values =
-          pool.evaluate_batch(1, /*seed=*/505, chaos_transport(seed));
-      ASSERT_EQ(values.size(), baseline.size());
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        // Retried evaluations use fresh randomness, so T matches the
-        // fault-free value only up to the scheme's approximation noise.
-        EXPECT_NEAR(values[i], plain, 1e-5 + 1e-3 * std::abs(plain)) << i;
-      }
+      const double value = test::evaluate_similarity(
+          server, client, a.kernel(), space, cfg, /*seed=*/505,
+          chaos_transport(seed));
+      // Retried evaluations use fresh randomness, so T matches the
+      // fault-free value only up to the scheme's approximation noise.
+      EXPECT_NEAR(value, plain, 1e-5 + 1e-3 * std::abs(plain));
       ++succeeded;
     } catch (const ProtocolError&) {
     }
@@ -191,13 +190,12 @@ TEST(Chaos, SimilaritySurvivesFaultSweep) {
 
 /// --- The same chaos matrix over REAL sockets --------------------------------
 ///
-/// TransportKind::kSocketPair reruns whole sessions over connected AF_UNIX
-/// stream sockets: every frame serialized through the kernel, deadlines
-/// mapped onto poll(2), disconnect faults onto shutdown(2). The fault shim
-/// inside SocketEndpoint runs the identical FaultEngine decision stream as
-/// the in-process decorator, so the sweep exercises the same fault
-/// schedule against the real-fd error surface (EOF mid-frame, EPIPE,
-/// poll timeouts).
+/// Wire::kSocketPair reruns whole sessions over connected AF_UNIX stream
+/// sockets: every frame serialized through the kernel, deadlines mapped
+/// onto poll(2), disconnect faults onto shutdown(2). Faulty<SocketEndpoint>
+/// draws the identical decision stream as the in-process decorator, so the
+/// sweep exercises the same fault schedule against the real-fd error
+/// surface (EOF mid-frame, EPIPE, poll timeouts).
 
 TEST(Chaos, LinearClassificationSurvivesFaultSweepOverSockets) {
   const ClassFixture fx =
@@ -205,7 +203,7 @@ TEST(Chaos, LinearClassificationSurvivesFaultSweepOverSockets) {
   const std::size_t seeds = chaos_seed_count();
   const std::size_t ok =
       sweep_classification(fx, SchemeConfig::fast_simulation(), 2, seeds,
-                           TransportKind::kSocketPair);
+                           Wire::kSocketPair);
   EXPECT_GE(ok * 2, seeds) << ok << "/" << seeds << " seeds succeeded";
 }
 
@@ -224,7 +222,6 @@ TEST(Chaos, SimilaritySurvivesFaultSweepOverSockets) {
   const auto cfg = SchemeConfig::fast_simulation();
   const SimilarityServer server(a, space, cfg);
   const SimilarityClient client(b, space, cfg);
-  SimilaritySessionPool pool(server, client, a.kernel(), space, cfg, 2);
   const double plain = ordinary_similarity(a, b, space);
 
   const std::size_t seeds = chaos_seed_count();
@@ -233,11 +230,10 @@ TEST(Chaos, SimilaritySurvivesFaultSweepOverSockets) {
     SCOPED_TRACE("fault seed " + std::to_string(seed) +
                  " (rerun with this seed to reproduce)");
     try {
-      const std::vector<double> values = pool.evaluate_batch(
-          1, /*seed=*/505,
-          chaos_transport(seed, TransportKind::kSocketPair));
-      ASSERT_EQ(values.size(), 1u);
-      EXPECT_NEAR(values[0], plain, 1e-5 + 1e-3 * std::abs(plain));
+      const double value = test::evaluate_similarity(
+          server, client, a.kernel(), space, cfg, /*seed=*/505,
+          chaos_transport(seed, Wire::kSocketPair));
+      EXPECT_NEAR(value, plain, 1e-5 + 1e-3 * std::abs(plain));
       ++succeeded;
     } catch (const ProtocolError&) {
     }
@@ -256,13 +252,13 @@ TEST(Chaos, SocketSweepMatchesInProcessOutcomes) {
   const auto cfg = SchemeConfig::fast_simulation();
   const ClassificationServer server(fx.model, fx.profile, cfg);
   const ClassificationClient client(fx.profile, cfg);
-  SessionPool pool(server, client, fx.profile, cfg, 2);
 
-  auto run = [&](std::uint64_t seed, TransportKind kind)
-      -> std::optional<std::vector<int>> {
+  auto run = [&](std::uint64_t seed,
+                 Wire wire) -> std::optional<std::vector<int>> {
     try {
-      return pool.classify_batch(fx.samples, 13, 2,
-                                 chaos_transport(seed, kind));
+      return test::classify_chunks(server, client, fx.profile, cfg,
+                                   fx.samples, 13, 2,
+                                   chaos_transport(seed, wire));
     } catch (const ProtocolError&) {
       return std::nullopt;
     }
@@ -270,8 +266,8 @@ TEST(Chaos, SocketSweepMatchesInProcessOutcomes) {
   std::size_t compared = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("fault seed " + std::to_string(seed));
-    const auto in_process = run(seed, TransportKind::kInProcess);
-    const auto socket = run(seed, TransportKind::kSocketPair);
+    const auto in_process = run(seed, Wire::kInProcess);
+    const auto socket = run(seed, Wire::kSocketPair);
     if (in_process.has_value() && socket.has_value()) {
       EXPECT_EQ(*in_process, *socket);
       ++compared;
@@ -289,12 +285,12 @@ TEST(Chaos, SeedsReproduceExactly) {
   const auto cfg = SchemeConfig::fast_simulation();
   const ClassificationServer server(fx.model, fx.profile, cfg);
   const ClassificationClient client(fx.profile, cfg);
-  SessionPool pool(server, client, fx.profile, cfg, 2);
 
   auto run = [&](std::uint64_t seed) -> std::string {
     try {
       const auto labels =
-          pool.classify_batch(fx.samples, 7, 2, chaos_transport(seed));
+          test::classify_chunks(server, client, fx.profile, cfg, fx.samples,
+                                7, 2, chaos_transport(seed));
       std::string out = "ok:";
       for (int l : labels) out += std::to_string(l) + ",";
       return out;
@@ -357,13 +353,14 @@ TEST(Chaos, SilentEngineSurvivesShortFaultSweep) {
   cfg.ompe.k = 2;
   const ClassificationServer server(fx.model, fx.profile, cfg);
   const ClassificationClient client(fx.profile, cfg);
-  SessionPool pool(server, client, fx.profile, cfg, 2);
-  const std::vector<int> baseline = pool.classify_batch(fx.samples, 17, 1);
+  const std::vector<int> baseline = test::classify_chunks(
+      server, client, fx.profile, cfg, fx.samples, 17, 1);
 
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE("fault seed " + std::to_string(seed));
     try {
-      EXPECT_EQ(pool.classify_batch(fx.samples, 17, 1, chaos_transport(seed)),
+      EXPECT_EQ(test::classify_chunks(server, client, fx.profile, cfg,
+                                      fx.samples, 17, 1, chaos_transport(seed)),
                 baseline);
     } catch (const ProtocolError&) {
     }
@@ -389,9 +386,10 @@ TEST(Chaos, SilentAbortsWipeOverFaultyChannels) {
     SCOPED_TRACE("fault seed " + std::to_string(seed) +
                  " (rerun with this seed to reproduce)");
     auto [clean_a, clean_b] = net::make_channel();
-    net::FaultyEndpoint end_a(std::move(clean_a), chaos_faults(), seed);
-    net::FaultyEndpoint end_b(std::move(clean_b), chaos_faults(),
-                              splitmix64(seed, 1));
+    test::Faulty<net::Endpoint> end_a(chaos_faults(), seed,
+                                      std::move(clean_a));
+    test::Faulty<net::Endpoint> end_b(chaos_faults(), splitmix64(seed, 1),
+                                      std::move(clean_b));
     end_a.set_recv_deadline(net::Deadline::after(std::chrono::seconds(5)));
     end_b.set_recv_deadline(net::Deadline::after(std::chrono::seconds(5)));
 
@@ -455,13 +453,14 @@ TEST(Chaos, SecureEngineSurvivesShortFaultSweep) {
   cfg.ompe.k = 2;
   const ClassificationServer server(fx.model, fx.profile, cfg);
   const ClassificationClient client(fx.profile, cfg);
-  SessionPool pool(server, client, fx.profile, cfg, 2);
-  const std::vector<int> baseline = pool.classify_batch(fx.samples, 9, 1);
+  const std::vector<int> baseline = test::classify_chunks(
+      server, client, fx.profile, cfg, fx.samples, 9, 1);
 
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE("fault seed " + std::to_string(seed));
     try {
-      EXPECT_EQ(pool.classify_batch(fx.samples, 9, 1, chaos_transport(seed)),
+      EXPECT_EQ(test::classify_chunks(server, client, fx.profile, cfg,
+                                      fx.samples, 9, 1, chaos_transport(seed)),
                 baseline);
     } catch (const ProtocolError&) {
     }

@@ -7,11 +7,14 @@
 #include <thread>
 #include <vector>
 
-#include "ppds/net/fault.hpp"
+#include "../support/faulty.hpp"
 #include "ppds/net/party.hpp"
 
 namespace ppds::net {
 namespace {
+
+using test::Faulty;
+using test::FaultSpec;
 
 TEST(Channel, PingPong) {
   auto [a, b] = make_channel();
@@ -229,7 +232,7 @@ TEST(Framing, DuplicatedFrameIsDiagnosedAsReplay) {
   auto [a, b] = make_channel();
   FaultSpec spec;
   spec.duplicate = 1.0;
-  FaultyEndpoint faulty(std::move(a), spec, /*seed=*/1);
+  Faulty<Endpoint> faulty(spec, /*seed=*/1, std::move(a));
   faulty.send(Bytes{5});
   EXPECT_EQ(b.recv(), Bytes{5});  // first copy is fine
   const std::string what = recv_error(b);
@@ -242,7 +245,7 @@ TEST(Framing, ReorderedFrameIsDiagnosedOutOfOrder) {
   auto [a, b] = make_channel();
   FaultSpec spec;
   spec.reorder = 1.0;
-  FaultyEndpoint faulty(std::move(a), spec, /*seed=*/2);
+  Faulty<Endpoint> faulty(spec, /*seed=*/2, std::move(a));
   faulty.send(Bytes{1});  // held back...
   faulty.send(Bytes{2});  // ...delivered first
   const std::string what = recv_error(b);
@@ -255,7 +258,7 @@ TEST(Framing, BitFlipIsDiagnosedAsChecksumMismatch) {
   auto [a, b] = make_channel();
   FaultSpec spec;
   spec.bit_flip = 1.0;
-  FaultyEndpoint faulty(std::move(a), spec, /*seed=*/3);
+  Faulty<Endpoint> faulty(spec, /*seed=*/3, std::move(a));
   faulty.send(Bytes(32, 0xAB));
   const std::string what = recv_error(b);
   EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
@@ -266,7 +269,7 @@ TEST(Framing, TruncationIsDiagnosedAsChecksumMismatch) {
   auto [a, b] = make_channel();
   FaultSpec spec;
   spec.truncate = 1.0;
-  FaultyEndpoint faulty(std::move(a), spec, /*seed=*/4);
+  Faulty<Endpoint> faulty(spec, /*seed=*/4, std::move(a));
   faulty.send(Bytes(32, 0xCD));
   const std::string what = recv_error(b);
   EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
@@ -279,10 +282,10 @@ TEST(Framing, SequenceGapAfterDropNamesExpectedSeq) {
   auto [a, b] = make_channel();
   FaultSpec spec;
   spec.drop = 1.0;
-  FaultyEndpoint faulty(std::move(a), spec, /*seed=*/6);
+  Faulty<Endpoint> faulty(spec, /*seed=*/6, std::move(a));
   faulty.send(Bytes{1});  // dropped: receiver never sees seq 0
   const FaultSpec none;
-  FaultyEndpoint clean(std::move(faulty), none, /*seed=*/0);
+  Faulty<Endpoint> clean(none, /*seed=*/0, std::move(faulty));
   clean.send(Bytes{2});  // seq 1 arrives first
   const std::string what = recv_error(b);
   EXPECT_NE(what.find("out-of-order or dropped"), std::string::npos) << what;
@@ -293,7 +296,7 @@ TEST(Fault, DisconnectTearsDownLink) {
   auto [a, b] = make_channel();
   FaultSpec spec;
   spec.disconnect = 1.0;
-  FaultyEndpoint faulty(std::move(a), spec, /*seed=*/7);
+  Faulty<Endpoint> faulty(spec, /*seed=*/7, std::move(a));
   faulty.send(Bytes{1});  // lost with the link
   EXPECT_THROW(b.recv(), ProtocolError);
   EXPECT_THROW(b.send(Bytes{2}), ProtocolError);
@@ -309,7 +312,7 @@ TEST(Fault, SameSeedSameFaults) {
   spec.duplicate = 0.2;
   const auto transcript = [&](std::uint64_t seed) {
     auto [a, b] = make_channel();
-    FaultyEndpoint faulty(std::move(a), spec, seed);
+    Faulty<Endpoint> faulty(spec, seed, std::move(a));
     for (std::uint8_t i = 0; i < 24; ++i) {
       faulty.send(Bytes{i, static_cast<std::uint8_t>(i * 3)});
     }
@@ -336,8 +339,7 @@ TEST(Fault, SameSeedSameFaults) {
 TEST(Fault, NoFaultsMeansTransparentDecorator) {
   auto [a, b] = make_channel();
   FaultSpec none;
-  EXPECT_FALSE(none.any());
-  FaultyEndpoint faulty(std::move(a), none, /*seed=*/0);
+  Faulty<Endpoint> faulty(none, /*seed=*/0, std::move(a));
   for (std::uint8_t i = 0; i < 10; ++i) faulty.send(Bytes{i});
   for (std::uint8_t i = 0; i < 10; ++i) EXPECT_EQ(b.recv(), Bytes{i});
 }

@@ -160,7 +160,7 @@ TEST(Overload, StatsSnapshotWireRoundTrip) {
 }
 
 TEST(Overload, BackoffScheduleIsSeedReproducible) {
-  core::RetryPolicy policy;
+  RetryPolicy policy;
   policy.max_attempts = 6;
   policy.backoff = 10ms;
   policy.backoff_multiplier = 2.0;
@@ -190,8 +190,18 @@ TEST(Overload, BackoffScheduleIsSeedReproducible) {
   EXPECT_GT(a3, a1);
 
   // Attempt 0 re-uses the base seed exactly; retries re-randomize.
-  EXPECT_EQ(core::retry_attempt_seed(0xabcd, 0), 0xabcdu);
-  EXPECT_NE(core::retry_attempt_seed(0xabcd, 1), 0xabcdu);
+  EXPECT_EQ(retry_attempt_seed(0xabcd, 0), 0xabcdu);
+  EXPECT_NE(retry_attempt_seed(0xabcd, 1), 0xabcdu);
+
+  // Goldens: the schedule and the retry seed are part of a batch's replay
+  // contract, so their exact values are pinned.
+  const std::int64_t golden_backoff_ms[] = {14, 16, 26, 77, 162};
+  for (std::size_t attempt = 1; attempt <= 5; ++attempt) {
+    EXPECT_EQ(DaemonSet::backoff(policy, 77, 1, attempt).count(),
+              golden_backoff_ms[attempt - 1])
+        << "attempt " << attempt;
+  }
+  EXPECT_EQ(retry_attempt_seed(0xabcd, 1), 0x7f4074b46da03c6cu);
 }
 
 TEST(Overload, HasPendingInputSeesBytesAndEof) {

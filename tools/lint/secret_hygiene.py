@@ -2,7 +2,8 @@
 """Crypto-hygiene linter for the ppds protocol stack.
 
 Scans the security-critical modules (src/crypto, src/ompe, src/core and their
-include/ counterparts) for patterns that void the protocol's security
+include/ counterparts, plus the test-side transport decorators in
+tests/support, which hold frames in flight) for patterns that void the protocol's security
 arguments even when the protocol itself is correct:
 
   insecure-rand    libc rand()/srand() — not a CSPRNG; all randomness must
@@ -64,6 +65,7 @@ SCAN_DIRS = [
     "include/ppds/core",
     "include/ppds/net",
     "include/ppds/server",
+    "tests/support",
 ]
 
 SOURCE_SUFFIXES = {".cpp", ".cc", ".cxx", ".hpp", ".h", ".hh"}
