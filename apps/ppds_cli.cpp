@@ -35,7 +35,7 @@ int usage(const char* argv0) {
       "usage: %s --connect <addr>[,<addr>...]   (tcp:<host>:<port>|"
       "unix:<path>)\n"
       "          [--scenario <spec>] [--seed N] [--rng N]\n"
-      "          (spec: <dataset>[:linear|:poly][:silent|:secure|:fast];\n"
+      "          (spec: <dataset>[:linear|:poly][:silent|:secure];\n"
       "           default diabetes:linear:silent)\n"
       "          [--recv-timeout-ms N] [--chunk-size N]\n"
       "          <command>...\n"

@@ -33,15 +33,13 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--listen tcp:<host>:<port>|unix:<path>]\n"
-      "          [--scenario <dataset>[:linear|:poly][:silent|:secure|"
-      ":fast]]\n"
+      "          [--scenario <dataset>[:linear|:poly][:silent|:secure]]\n"
       "          [--seed N] [--workers N] [--idle-timeout-ms N]\n"
       "          [--recv-timeout-ms N] [--max-queries N]\n"
       "          [--max-connections N] [--accept-rate N] [--accept-burst N]\n"
       "          [--max-ready N] [--drain-grace-ms N]\n"
       "--scenario defaults to diabetes:linear:silent. silent and secure run\n"
-      "the private OT engine (q=4,k=2 and q=8,k=3); fast is loopback OT\n"
-      "with NO privacy, for benches only.\n"
+      "the private OT engine at q=4,k=2 and q=8,k=3.\n"
       "--max-connections / --accept-rate bound admission: connections past\n"
       "the live cap or the accept-per-second token bucket are answered with\n"
       "a structured busy frame (reason + retry-after) instead of an RST,\n"

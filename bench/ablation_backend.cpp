@@ -16,6 +16,7 @@
 #include "ppds/math/multipoly.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/ompe/ompe.hpp"
+#include "../tests/support/loopback_ot.hpp"
 
 namespace {
 
@@ -33,13 +34,13 @@ double one_round(const math::MultiPoly& secret,
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(seed);
-        crypto::LoopbackSender ot;
+        test::LoopbackSender ot;
         ompe::run_sender(ch, form.coeffs, form.constant, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(seed + 1);
-        crypto::LoopbackReceiver ot;
+        test::LoopbackReceiver ot;
         return ompe::run_receiver(ch, features, params, ot, rng);
       });
   return outcome.b;

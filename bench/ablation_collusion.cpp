@@ -24,6 +24,14 @@ int main() {
   std::printf("   (direction error in degrees; median of 5 runs)\n");
   bench::rule(64);
 
+  // One OT bundle per side for the whole sweep, as one keep-alive
+  // connection holds them: the seed agreement runs once, not per run.
+  const auto cfg = core::SchemeConfig::silent();
+  Rng server_ot_rng(31);
+  Rng client_ot_rng(32);
+  core::OtBundle server_ot(cfg, server_ot_rng);
+  core::OtBundle client_ot(cfg, client_ot_rng);
+
   for (std::size_t dim : {2u, 4u, 8u, 16u}) {
     Rng setup(1000 + dim);
     math::Vec w(dim);
@@ -33,7 +41,6 @@ int main() {
     const auto truth = model.linear_weights();
     const auto profile =
         core::ClassificationProfile::make(dim, model.kernel());
-    const auto cfg = core::SchemeConfig::fast_simulation();
     core::ClassificationServer server(model, profile, cfg);
     core::ClassificationClient client(profile, cfg);
 
@@ -55,14 +62,16 @@ int main() {
         auto outcome = net::run_two_party(
             [&](net::Endpoint& ch) {
               Rng r(10 + run);
-              server.serve(ch, coalition, r);
+              for (std::size_t q = 0; q < coalition; ++q) {
+                server.serve(ch, 1, r, &server_ot);
+              }
               return 0;
             },
             [&](net::Endpoint& ch) {
               Rng r(20 + run);
               std::vector<double> values;
               for (const auto& s : samples) {
-                values.push_back(client.query_value(ch, s, r));
+                values.push_back(client.query_value(ch, s, r, &client_ot));
               }
               return values;
             });

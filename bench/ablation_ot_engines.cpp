@@ -1,7 +1,8 @@
 /// ABLATION — OT engine choice. The paper treats the oblivious transfer as
 /// a black box; this bench quantifies what the choice costs for one private
 /// linear classification session (m-out-of-M OT of 8-byte values):
-///   * loopback — trusted simulation lower bound (NO privacy),
+///   * loopback — trusted simulation lower bound (NO privacy; the test
+///                engine of tests/support/loopback_ot.hpp),
 ///   * silent   — the private engine: a silent OT extension whose seed
 ///                agreement is one batched Naor-Pinkas round trip,
 /// each on a COLD session (fresh OT engines: the seed agreement is billed to
@@ -15,6 +16,7 @@
 #include "ppds/common/stopwatch.hpp"
 #include "ppds/core/classification.hpp"
 #include "ppds/net/party.hpp"
+#include "../tests/support/loopback_ot.hpp"
 
 namespace {
 
@@ -25,10 +27,15 @@ struct Result {
   std::uint64_t wire_bytes;
 };
 
-/// One session of \p queries classifications. \p warm: both parties first
-/// run a one-query session on the same OtBundle, and only the second
-/// session is timed and counted.
-Result run(const core::SchemeConfig& cfg, std::size_t queries, bool warm) {
+/// One session of \p queries classifications on silent bundles, or on
+/// loopback ones when \p loopback is set. \p warm: both parties first run a
+/// one-query session on the same OtBundle, and only the second session is
+/// timed and counted.
+Result run(const core::SchemeConfig& cfg, std::size_t queries, bool warm,
+           bool loopback = false) {
+  const auto make_bundle = [&](Rng& rng) {
+    return loopback ? test::loopback_bundle() : core::OtBundle(cfg, rng);
+  };
   const svm::SvmModel model(svm::Kernel::linear(),
                             {{0.3, -0.8, 0.5, 0.1, -0.2, 0.7, 0.4, -0.6}},
                             {1.0}, 0.05);
@@ -40,7 +47,7 @@ Result run(const core::SchemeConfig& cfg, std::size_t queries, bool warm) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
-        core::OtBundle ot(cfg, rng);
+        core::OtBundle ot = make_bundle(rng);
         if (warm) {
           server.serve(ch, 1, rng, &ot);
           ch.reset_stats();
@@ -50,7 +57,7 @@ Result run(const core::SchemeConfig& cfg, std::size_t queries, bool warm) {
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
-        core::OtBundle ot(cfg, rng);
+        core::OtBundle ot = make_bundle(rng);
         if (warm) {
           (void)client.classify_batch(ch, {samples.front()}, rng, &ot);
           ch.reset_stats();
@@ -72,12 +79,12 @@ void print_row(const char* engine, const Result& r) {
 
 int main() {
   bench::banner("ABLATION: OT engine cost for one private classification");
-  bench::note("q=4, k=2 (fast profile); 8-feature linear model");
+  bench::note("q=4, k=2 (silent profile); 8-feature linear model");
   std::printf("%-26s | %12s | %12s\n", "engine", "ms/query", "bytes/query");
   bench::rule(56);
 
   print_row("loopback (simulated)",
-            run(core::SchemeConfig::fast_simulation(), 100, false));
+            run(core::SchemeConfig::silent(), 100, false, true));
   for (const auto group : {crypto::GroupId::kModp1024,
                            crypto::GroupId::kModp1536}) {
     core::SchemeConfig cfg = core::SchemeConfig::silent();

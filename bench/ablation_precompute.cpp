@@ -14,6 +14,7 @@
 #include "ppds/math/vec.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/ompe/ompe.hpp"
+#include "../tests/support/loopback_ot.hpp"
 
 namespace {
 
@@ -50,7 +51,7 @@ double full_query_ms(std::size_t arity, const ompe::OmpeParams& params,
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(seed + 1);
-        crypto::LoopbackSender ot;
+        test::LoopbackSender ot;
         const int reps = 20;
         for (int r = 0; r < reps; ++r) {
           ompe::run_sender(ch, w, 0.1, params, ot, rng);
@@ -59,7 +60,7 @@ double full_query_ms(std::size_t arity, const ompe::OmpeParams& params,
       },
       [&](net::Endpoint& ch) {
         Rng rng(seed + 2);
-        crypto::LoopbackReceiver ot;
+        test::LoopbackReceiver ot;
         Stopwatch watch;
         const int reps = 20;
         for (int r = 0; r < reps; ++r) {

@@ -59,7 +59,7 @@ int main() {
           max_err, std::abs(poly.evaluate(t) - model.decision_value(t)));
     }
 
-    auto cfg = core::SchemeConfig::fast_simulation();
+    auto cfg = core::SchemeConfig::silent();
     cfg.ompe.q = 1;  // m = q + 1 = 2 retrievals; the order widens the features
     core::ClassificationServer server(model, profile, cfg);
     core::ClassificationClient client(profile, cfg);
@@ -67,14 +67,18 @@ int main() {
     auto outcome = net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng r(1);
-          server.serve(ch, probe, r);
+          core::OtBundle ot(cfg, r);
+          for (std::size_t q = 0; q < probe; ++q) {
+            server.serve(ch, 1, r, &ot);
+          }
           return 0;
         },
         [&](net::Endpoint& ch) {
           Rng r(2);
+          core::OtBundle ot(cfg, r);
           std::size_t agree = 0;
           for (std::size_t i = 0; i < probe; ++i) {
-            if (client.classify(ch, test.x[i], r) ==
+            if (client.classify(ch, test.x[i], r, &ot) ==
                 model.predict(test.x[i])) {
               ++agree;
             }

@@ -34,7 +34,7 @@ int main() {
               truth[1], model.bias());
 
   const auto profile = core::ClassificationProfile::make(2, model.kernel());
-  const auto cfg = core::SchemeConfig::fast_simulation();
+  const auto cfg = core::SchemeConfig::silent();
   core::ClassificationServer server(model, profile, cfg);
   core::ClassificationClient client(profile, cfg);
 
@@ -48,14 +48,22 @@ int main() {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
-        server.serve(ch, total, rng);
+        // The OT engines draw from their own stream, so the randomized
+        // values do not depend on the engine's draws.
+        Rng ot_rng(101);
+        core::OtBundle ot(cfg, ot_rng);
+        for (std::size_t q = 0; q < total; ++q) {
+          server.serve(ch, 1, rng, &ot);
+        }
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
+        Rng ot_rng(102);
+        core::OtBundle ot(cfg, ot_rng);
         std::vector<double> values;
         for (const auto& s : samples) {
-          values.push_back(client.query_value(ch, s, rng));
+          values.push_back(client.query_value(ch, s, rng, &ot));
         }
         return values;
       });

@@ -36,21 +36,25 @@ int main() {
 
     const auto profile =
         core::ClassificationProfile::make(spec.dim, model.kernel());
-    const auto cfg = core::SchemeConfig::fast_simulation();
+    const auto cfg = core::SchemeConfig::silent();
     core::ClassificationServer server(model, profile, cfg);
     core::ClassificationClient client(profile, cfg);
     const std::size_t probe = std::min<std::size_t>(60, test.size());
     auto outcome = net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng rng(1);
-          server.serve(ch, probe, rng);
+          core::OtBundle ot(cfg, rng);
+          for (std::size_t q = 0; q < probe; ++q) {
+            server.serve(ch, 1, rng, &ot);
+          }
           return 0;
         },
         [&](net::Endpoint& ch) {
           Rng rng(2);
+          core::OtBundle ot(cfg, rng);
           std::size_t agree = 0;
           for (std::size_t i = 0; i < probe; ++i) {
-            if (client.classify(ch, test.x[i], rng) ==
+            if (client.classify(ch, test.x[i], rng, &ot) ==
                 model.predict(test.x[i])) {
               ++agree;
             }

@@ -36,7 +36,7 @@ int main() {
         svm::accuracy(model.predict_all(test.x), test.y);
 
     const auto profile = core::ClassificationProfile::make(spec.dim, kernel);
-    auto cfg = core::SchemeConfig::fast_simulation();
+    auto cfg = core::SchemeConfig::silent();
     cfg.ompe.q = 2;
     core::ClassificationServer server(model, profile, cfg);
     core::ClassificationClient client(profile, cfg);
@@ -46,14 +46,18 @@ int main() {
     auto outcome = net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng rng(1);
-          server.serve(ch, probe, rng);
+          core::OtBundle ot(cfg, rng);
+          for (std::size_t q = 0; q < probe; ++q) {
+            server.serve(ch, 1, rng, &ot);
+          }
           return 0;
         },
         [&](net::Endpoint& ch) {
           Rng rng(2);
+          core::OtBundle ot(cfg, rng);
           std::size_t agree = 0;
           for (std::size_t i = 0; i < probe; ++i) {
-            if (client.classify(ch, test.x[i], rng) ==
+            if (client.classify(ch, test.x[i], rng, &ot) ==
                 model.predict(test.x[i])) {
               ++agree;
             }

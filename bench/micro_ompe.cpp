@@ -21,6 +21,7 @@
 #include "ppds/math/vec.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/ompe/ompe.hpp"
+#include "../tests/support/loopback_ot.hpp"
 
 namespace {
 
@@ -37,13 +38,13 @@ double one_round(const Affine& secret, const std::vector<double>& alpha,
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(seed);
-        crypto::LoopbackSender ot;
+        test::LoopbackSender ot;
         ompe::run_sender(ch, secret.w, secret.b, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(seed + 1);
-        crypto::LoopbackReceiver ot;
+        test::LoopbackReceiver ot;
         return ompe::run_receiver(ch, alpha, params, ot, rng);
       });
   return outcome.b;
@@ -149,13 +150,13 @@ SweepResult linear_round(std::size_t arity, std::size_t reps) {
     auto outcome = net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng srng(100 + rep);
-          crypto::LoopbackSender ot;
+          test::LoopbackSender ot;
           ompe::run_sender(ch, w, b, params, ot, srng);
           return 0;
         },
         [&](net::Endpoint& ch) {
           Rng rrng(200 + rep);
-          crypto::LoopbackReceiver ot;
+          test::LoopbackReceiver ot;
           return ompe::run_receiver(ch, alpha, params, ot, rrng);
         });
     benchmark::DoNotOptimize(outcome.b);

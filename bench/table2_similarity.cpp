@@ -69,7 +69,7 @@ int main() {
   }
 
   const core::DataSpace space;
-  const auto cfg = core::SchemeConfig::fast_simulation();
+  const auto cfg = core::SchemeConfig::silent();
   struct Row {
     std::string pair;
     double ks;
@@ -86,12 +86,14 @@ int main() {
       auto outcome = net::run_two_party(
           [&](net::Endpoint& ch) {
             Rng rng(10 + i * 4 + j);
-            server.serve(ch, rng);
+            core::OtBundle ot(cfg, rng);
+            server.serve(ch, rng, &ot);
             return 0;
           },
           [&](net::Endpoint& ch) {
             Rng rng(20 + i * 4 + j);
-            return client.evaluate(ch, rng);
+            core::OtBundle ot(cfg, rng);
+            return client.evaluate(ch, rng, &ot);
           });
       const double plain =
           core::ordinary_similarity(models[i], models[j], space);

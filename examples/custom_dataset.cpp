@@ -69,21 +69,25 @@ int main(int argc, char** argv) {
   // Serve the holdout privately and confirm equality.
   const auto profile =
       core::ClassificationProfile::make(train.dim(), model.kernel());
-  const auto cfg = core::SchemeConfig::fast_simulation();
+  const auto cfg = core::SchemeConfig::silent();
   core::ClassificationServer server(model, profile, cfg);
   core::ClassificationClient client(profile, cfg);
   const std::size_t probe = std::min<std::size_t>(40, test.size());
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng r(2);
-        server.serve(ch, probe, r);
+        core::OtBundle ot(cfg, r);
+        for (std::size_t q = 0; q < probe; ++q) {
+          server.serve(ch, 1, r, &ot);
+        }
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng r(3);
+        core::OtBundle ot(cfg, r);
         std::size_t agree = 0;
         for (std::size_t i = 0; i < probe; ++i) {
-          if (client.classify(ch, test.x[i], r) == model.predict(test.x[i])) {
+          if (client.classify(ch, test.x[i], r, &ot) == model.predict(test.x[i])) {
             ++agree;
           }
         }

@@ -63,7 +63,7 @@ int main() {
   // --- Part 1: a seller privately tests new designs against company A ---
   const auto profile =
       core::ClassificationProfile::make(kFeatures, svm::Kernel::linear());
-  const auto cfg = core::SchemeConfig::fast_simulation();
+  const auto cfg = core::SchemeConfig::silent();
   core::ClassificationServer trend_server(model_a, profile, cfg);
   core::ClassificationClient seller(profile, cfg);
 
@@ -75,14 +75,18 @@ int main() {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng r(1);
-        trend_server.serve(ch, designs.size(), r);
+        core::OtBundle ot(cfg, r);
+        for (std::size_t q = 0; q < designs.size(); ++q) {
+          trend_server.serve(ch, 1, r, &ot);
+        }
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng r(2);
+        core::OtBundle ot(cfg, r);
         std::vector<int> verdicts;
         for (const auto& [name, features] : designs) {
-          verdicts.push_back(seller.classify(ch, features, r));
+          verdicts.push_back(seller.classify(ch, features, r, &ot));
         }
         return verdicts;
       });
@@ -102,12 +106,14 @@ int main() {
     auto result = net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng r(3);
-          srv.serve(ch, r);
+          core::OtBundle ot(cfg, r);
+          srv.serve(ch, r, &ot);
           return 0;
         },
         [&](net::Endpoint& ch) {
           Rng r(4);
-          return cli.evaluate(ch, r);
+          core::OtBundle ot(cfg, r);
+          return cli.evaluate(ch, r, &ot);
         });
     std::printf("  %-8s 10^3*T = %8.3f\n", label, 1e3 * result.b);
     return result.b;

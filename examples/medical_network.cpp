@@ -56,7 +56,7 @@ Setup make_setup() {
 
   // Exact arithmetic: the field backend guarantees the SIGN is computed
   // exactly on the fixed-point grid — no borderline-diagnosis flips.
-  auto cfg = core::SchemeConfig::fast_simulation();
+  auto cfg = core::SchemeConfig::silent();
   cfg.ompe.backend = ompe::Backend::kField;
   cfg.ompe.q = 2;
 
@@ -93,9 +93,10 @@ int run_server(const std::string& address) {
   channel->set_recv_deadline(
       net::Deadline::after(std::chrono::milliseconds{120000}));
   Rng rng(1);
+  core::OtBundle ot(setup.cfg, rng);
   core::serve_session(
       core::ClassificationServer(setup.model, setup.profile, setup.cfg),
-      setup.profile, setup.cfg, *channel, rng, kPatients);
+      setup.profile, setup.cfg, *channel, rng, kPatients, &ot);
   std::printf("served %zu private diagnoses; sent %llu KiB\n", kPatients,
               static_cast<unsigned long long>(channel->stats().bytes / 1024));
   return 0;
@@ -110,12 +111,13 @@ int run_client(const std::string& address) {
   channel->set_recv_deadline(
       net::Deadline::after(std::chrono::milliseconds{120000}));
   Rng rng(2);
+  core::OtBundle ot(setup.cfg, rng);
   const std::vector<std::vector<double>> patients(
       setup.incoming_patients.x.begin(),
       setup.incoming_patients.x.begin() + kPatients);
   const std::vector<int> verdicts = core::classify_session(
       core::ClassificationClient(setup.profile, setup.cfg), setup.profile,
-      setup.cfg, *channel, patients, rng);
+      setup.cfg, *channel, patients, rng, &ot);
   print_diagnoses(setup, verdicts);
   std::printf(
       "\nwire per diagnosis: ~%llu KiB (monomial covers dominate)\n",
@@ -133,15 +135,19 @@ int run_in_process() {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
-        hospital.serve(ch, kPatients, rng);
+        core::OtBundle ot(setup.cfg, rng);
+        for (std::size_t i = 0; i < kPatients; ++i) {
+          hospital.serve(ch, 1, rng, &ot);
+        }
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
+        core::OtBundle ot(setup.cfg, rng);
         std::vector<int> diagnoses;
         for (std::size_t i = 0; i < kPatients; ++i) {
           diagnoses.push_back(
-              clinic.classify(ch, setup.incoming_patients.x[i], rng));
+              clinic.classify(ch, setup.incoming_patients.x[i], rng, &ot));
         }
         return diagnoses;
       });

@@ -73,7 +73,7 @@ int main() {
 
   const auto profile =
       core::ClassificationProfile::make(4, svm::Kernel::linear());
-  const auto cfg = core::SchemeConfig::fast_simulation();
+  const auto cfg = core::SchemeConfig::silent();
   core::MulticlassServer provider(model, profile, cfg);
   core::MulticlassClient clinic(model, profile, cfg);
 
@@ -85,14 +85,16 @@ int main() {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng r(1);
-        provider.serve(ch, patients.size(), r);
+        core::OtBundle ot(cfg, r);
+        provider.serve(ch, patients.size(), r, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng r(2);
+        core::OtBundle ot(cfg, r);
         std::vector<int> verdicts;
         for (const auto& [name, vitals] : patients) {
-          verdicts.push_back(clinic.classify(ch, vitals, r));
+          verdicts.push_back(clinic.classify(ch, vitals, r, &ot));
         }
         return verdicts;
       });

@@ -23,7 +23,7 @@ int main() {
 
   const svm::SvmModel model(svm::Kernel::linear(), {{0.6, -0.8}}, {1.0}, 0.2);
   const auto profile = core::ClassificationProfile::make(2, model.kernel());
-  auto cfg = core::SchemeConfig::fast_simulation();
+  auto cfg = core::SchemeConfig::silent();
   core::ClassificationServer server(model, profile, cfg);
   core::ClassificationClient client(profile, cfg);
   const math::Vec sample{0.35, 0.75};
@@ -33,7 +33,12 @@ int main() {
   for (int run = 0; run < 2; ++run) {
     auto outcome = net::run_two_party(
         [&](net::Endpoint& ch) {
-          // The trainer's view: one request blob + the OT flow.
+          // The trainer's view: the OT seed agreement, then one request
+          // blob + the OT flow.
+          Rng rng(99);
+          core::OtBundle ot(cfg, rng);
+          ch.set_stage(net::Stage::kOtSetup);
+          ot.prepare_sender(ch, core::ot_demand_per_query(cfg.ompe));
           ch.set_stage(net::Stage::kOmpeRequest);
           const Bytes request = ch.recv();
           std::printf("  run %d: Alice sees a %4zu-byte request: [", run + 1,
@@ -45,8 +50,9 @@ int main() {
         },
         [&](net::Endpoint& ch) {
           Rng rng(1000 + run * 7919);  // different client randomness per run
+          core::OtBundle ot(cfg, rng);
           try {
-            client.query_value(ch, sample, rng);
+            client.query_value(ch, sample, rng, &ot);
           } catch (const ProtocolError&) {
             // channel intentionally closed after capture
           }
@@ -65,14 +71,22 @@ int main() {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng r(6);
-        server.serve(ch, samples.size(), r);
+        // The OT engines draw from their own stream, so the randomized
+        // values do not depend on the engine's draws.
+        Rng ot_rng(106);
+        core::OtBundle ot(cfg, ot_rng);
+        for (std::size_t q = 0; q < samples.size(); ++q) {
+          server.serve(ch, 1, r, &ot);
+        }
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng r(7);
+        Rng ot_rng(107);
+        core::OtBundle ot(cfg, ot_rng);
         std::vector<double> values;
         for (const auto& s : samples) {
-          values.push_back(client.query_value(ch, s, r));
+          values.push_back(client.query_value(ch, s, r, &ot));
         }
         return values;
       });

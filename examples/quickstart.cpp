@@ -48,13 +48,16 @@ int main() {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& channel) {
         Rng rng(1);
-        core::serve_session(alice, profile, config, channel, rng);
+        core::OtBundle ot(config, rng);  // one per connection
+        core::serve_session(alice, profile, config, channel, rng,
+                            bobs_samples.size(), &ot);
         return 0;
       },
       [&](net::Endpoint& channel) {
         Rng rng(2);
+        core::OtBundle ot(config, rng);
         return core::classify_session(bob, profile, config, channel,
-                                      bobs_samples, rng);
+                                      bobs_samples, rng, &ot);
       });
 
   std::printf("Bob's sample (%.2f, %.2f) is class %+d\n", bobs_samples[0][0],

@@ -82,12 +82,12 @@ class ClassificationServer {
                        const ClassificationProfile& profile,
                        SchemeConfig config);
 
-  /// Serves \p count queries over the channel. \p external, when given, is
-  /// a caller-owned OtBundle reused across sessions (persistent silent-OT
-  /// pools: the seed agreement and staged pads survive the session); by
-  /// default a session-local bundle is built and torn down here.
+  /// Serves \p count queries over the channel. \p ot is the connection's
+  /// OtBundle, reused across its sessions (the seed agreement and staged
+  /// pads survive the session); null throws InvalidArgument before any
+  /// byte is sent.
   void serve(net::Endpoint& channel, std::size_t count, Rng& rng,
-             OtBundle* external = nullptr) const;
+             OtBundle* ot) const;
 
  private:
   SchemeConfig config_;
@@ -111,25 +111,30 @@ class ClassificationClient {
   /// One query: returns the randomized decision value ra * d(t̃) (sign is
   /// the class). The paper's Bob only ever uses the sign; the raw value is
   /// exposed to let the attack evaluations show it is useless (Fig. 5).
+  /// Every call takes the connection's OtBundle \p ot (as in
+  /// ClassificationServer::serve()). A server serve(count) stages the OT
+  /// slots of all count queries up front, so count single-query calls can
+  /// match it only while count * m slots fit one correction block
+  /// (crypto::kSilentStageQuantum); past that, match it with one batch
+  /// call, or serve the queries one at a time.
   double query_value(net::Endpoint& channel, const std::vector<double>& sample,
-                     Rng& rng) const;
+                     Rng& rng, OtBundle* ot) const;
 
   /// One query, returning the class label in {+1, -1}.
   int classify(net::Endpoint& channel, const std::vector<double>& sample,
-               Rng& rng) const;
+               Rng& rng, OtBundle* ot) const;
 
   /// Batch of queries against a server serving the same count: the OT
   /// slots for the whole batch are staged in one block, so the server's
-  /// serve(count) must be matched by one batch call. \p external as in
-  /// ClassificationServer::serve().
+  /// serve(count) is matched by one batch call.
   std::vector<double> query_values_batch(
       net::Endpoint& channel, const std::vector<std::vector<double>>& samples,
-      Rng& rng, OtBundle* external = nullptr) const;
+      Rng& rng, OtBundle* ot) const;
 
   /// Batch classify: signs of query_values_batch.
   std::vector<int> classify_batch(
       net::Endpoint& channel, const std::vector<std::vector<double>>& samples,
-      Rng& rng, OtBundle* external = nullptr) const;
+      Rng& rng, OtBundle* ot) const;
 
  private:
   ClassificationProfile profile_;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "ppds/crypto/group.hpp"
 #include "ppds/crypto/ot.hpp"
@@ -10,46 +9,28 @@
 
 /// \file config.hpp
 /// Shared configuration of the two privacy-preserving schemes: which OMPE
-/// backend, which OT engine, which security parameters. Both parties agree
+/// backend, which security parameters, which DH group. Both parties agree
 /// on a SchemeConfig out of band (it contains only public parameters).
 ///
-/// There is one private OT engine, the silent OT extension
+/// There is one OT engine, the silent OT extension
 /// crypto::SilentPad{Sender,Receiver}: one batched Naor-Pinkas seed
-/// agreement per engine, then hash/XOR transfers. The only alternative is
-/// the loopback simulation, which has no privacy and exists for benches.
+/// agreement per engine, then hash/XOR transfers. An OtBundle carries one
+/// engine per role; every two-party call takes the connection's bundle.
 
 namespace ppds::core {
 
-/// Which OT instantiation carries the k-out-of-M transfer. The values are
-/// pinned: protocol_digest() hashes them.
-enum class OtEngine : std::uint8_t {
-  kPrecomputed = 1,  ///< silent OT extension over a batched Naor-Pinkas
-                     ///< seed agreement; online transfers are hash+XOR
-  kLoopback = 2,     ///< trusted simulation, benchmark-only (no privacy!)
-};
-
 struct SchemeConfig {
   ompe::OmpeParams ompe;
-  OtEngine ot_engine = OtEngine::kPrecomputed;
   crypto::GroupId group = crypto::GroupId::kModp1536;
 
-  /// Convenience presets. The default is private: the silent engine at the
-  /// q=8, k=3 OMPE shape.
+  /// Convenience presets. The default is the q=8, k=3 OMPE shape.
   static SchemeConfig secure_default() { return SchemeConfig{}; }
 
-  /// Fast preset for throughput experiments: loopback OT, smaller q/k.
-  static SchemeConfig fast_simulation() {
+  /// The smaller q=4, k=2 OMPE shape.
+  static SchemeConfig silent() {
     SchemeConfig cfg;
-    cfg.ot_engine = OtEngine::kLoopback;
     cfg.ompe.q = 4;
     cfg.ompe.k = 2;
-    return cfg;
-  }
-
-  /// fast_simulation's OMPE shape with the private (silent) OT engine.
-  static SchemeConfig silent() {
-    SchemeConfig cfg = fast_simulation();
-    cfg.ot_engine = OtEngine::kPrecomputed;
     return cfg;
   }
 };
@@ -61,7 +42,8 @@ struct OtDemand {
   std::size_t count = 0;
 };
 
-/// Per-party OT engine bundle. The private engines run over the
+/// Per-party OT engine bundle: one sender and one receiver engine, which
+/// a connection keeps across its sessions. The silent engines run over the
 /// process-wide shared_group() so the fixed-base generator table is built
 /// once and stays warm across sessions.
 ///
@@ -73,11 +55,17 @@ struct OtDemand {
 /// connection) pays the seed agreement once.
 class OtBundle {
  public:
+  /// The silent engines over cfg.group, drawing from \p rng (which must
+  /// outlive the bundle).
   OtBundle(const SchemeConfig& cfg, Rng& rng);
 
-  /// Offline phase (no-op for the loopback engine): reserves the
-  /// (arity, count) block, with \p repeat scaling a per-query demand to a
-  /// whole batch. Both sides must pass the same demand.
+  /// Any other engine pair, e.g. a test harness's.
+  OtBundle(std::unique_ptr<crypto::OtSender> sender,
+           std::unique_ptr<crypto::OtReceiver> receiver);
+
+  /// Offline phase: reserves the (arity, count) block, with \p repeat
+  /// scaling a per-query demand to a whole batch. Both sides must pass the
+  /// same demand.
   void prepare_sender(net::Endpoint& channel, const OtDemand& demand,
                       std::size_t repeat = 1);
   void prepare_receiver(net::Endpoint& channel, const OtDemand& demand,
@@ -85,15 +73,14 @@ class OtBundle {
 
   /// Fails the bundle closed after a mid-protocol error: wipes and poisons
   /// the OT engines (see SilentPadSender::abort — half-consumed correlated
-  /// randomness must never be resumed). Safe to call for every engine; the
-  /// loopback engine has nothing to discard.
+  /// randomness must never be resumed).
   void abort() noexcept;
 
   crypto::OtSender& sender() { return *sender_; }
   crypto::OtReceiver& receiver() { return *receiver_; }
 
-  /// The silent receiver engine (nullptr for the loopback engine). Kept
-  /// for the benchmark harness, which reads its sync_expansions().
+  /// The silent receiver engine (nullptr for any other engine). Kept for
+  /// the benchmark harness, which reads its sync_expansions().
   crypto::SilentPadReceiver* batched_receiver() {
     return dynamic_cast<crypto::SilentPadReceiver*>(receiver_.get());
   }
@@ -102,6 +89,10 @@ class OtBundle {
   std::unique_ptr<crypto::OtSender> sender_;
   std::unique_ptr<crypto::OtReceiver> receiver_;
 };
+
+/// Returns *\p ot; throws InvalidArgument naming \p caller when it is null.
+/// Every two-party call checks its bundle this way before it sends a byte.
+OtBundle& require_bundle(OtBundle* ot, const char* caller);
 
 /// Demand one OMPE evaluation places on the OT engine: m direct 1-of-M
 /// slots. Throws

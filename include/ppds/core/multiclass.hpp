@@ -24,20 +24,19 @@ class MulticlassServer {
  public:
   /// \p profile must match the kernel every pairwise model was trained
   /// with.
-  MulticlassServer(svm::MulticlassModel model, ClassificationProfile profile,
-                   SchemeConfig config);
+  MulticlassServer(const svm::MulticlassModel& model,
+                   const ClassificationProfile& profile, SchemeConfig config);
 
-  /// Serves \p count multiclass queries (count * num_pairs binary rounds).
-  /// Each query runs its pairwise rounds over one OtBundle, so it pays one
-  /// OT seed agreement whatever the number of class pairs.
-  void serve(net::Endpoint& channel, std::size_t count, Rng& rng) const;
+  /// Serves \p count multiclass queries (count * num_pairs binary rounds)
+  /// over the connection's OtBundle \p ot, so the connection pays one OT
+  /// seed agreement whatever the number of queries and class pairs. Null
+  /// throws InvalidArgument before any byte is sent.
+  void serve(net::Endpoint& channel, std::size_t count, Rng& rng,
+             OtBundle* ot) const;
 
   std::size_t num_pairs() const { return servers_.size(); }
 
  private:
-  svm::MulticlassModel model_;
-  ClassificationProfile profile_;
-  SchemeConfig config_;
   std::vector<ClassificationServer> servers_;  // one per class pair
 };
 
@@ -51,16 +50,16 @@ class MulticlassClient {
   MulticlassClient(const svm::MulticlassModel& vote_book,
                    ClassificationProfile profile, SchemeConfig config);
 
-  /// One private multiclass query: returns the winning class label. One
-  /// OtBundle carries every pairwise round (see MulticlassServer::serve()).
+  /// One private multiclass query: returns the winning class label. The
+  /// connection's OtBundle \p ot carries every pairwise round (see
+  /// MulticlassServer::serve()).
   int classify(net::Endpoint& channel, const std::vector<double>& sample,
-               Rng& rng) const;
+               Rng& rng, OtBundle* ot) const;
 
  private:
   std::vector<std::pair<int, int>> pair_labels_;
   std::vector<int> labels_;
   ClassificationClient binary_;
-  SchemeConfig config_;
 };
 
 }  // namespace ppds::core

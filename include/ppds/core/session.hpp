@@ -32,9 +32,9 @@
 namespace ppds::core {
 
 /// Canonical digest of every public protocol parameter: profile shape,
-/// kernel hyperparameters, monomial basis, OMPE parameters, OT engine and
-/// group. Two parties with equal digests will interoperate. Finishes a
-/// copy of the profile's parameter_midstate() with the config fields, so
+/// kernel hyperparameters, monomial basis, OMPE parameters and group. Two
+/// parties with equal digests will interoperate. Finishes a copy of the
+/// profile's parameter_midstate() with the config fields, so
 /// a call costs O(1) in the basis size; throws InvalidArgument on a profile
 /// ClassificationProfile::make() did not build.
 crypto::Digest protocol_digest(const ClassificationProfile& profile,
@@ -48,14 +48,13 @@ crypto::Sha256 absorb_profile_parameters(const ClassificationProfile& profile,
 
 /// Server side: performs the handshake, then serves the negotiated number
 /// of queries. Throws ProtocolError on any mismatch (after sending the
-/// denial so the client fails cleanly too). \p external, when given, is a
-/// caller-owned OtBundle reused across sessions on the same connection
-/// (persistent silent-OT pools — see ClassificationServer::serve).
+/// denial so the client fails cleanly too). \p ot is the connection's
+/// OtBundle, reused across its sessions (see ClassificationServer::serve);
+/// null throws InvalidArgument before the handshake.
 void serve_session(const ClassificationServer& server,
                    const ClassificationProfile& profile,
                    const SchemeConfig& config, net::Endpoint& channel,
-                   Rng& rng, std::size_t max_queries = 1 << 20,
-                   OtBundle* external = nullptr);
+                   Rng& rng, std::size_t max_queries, OtBundle* ot);
 
 /// Client side: handshakes for samples.size() queries, then classifies them
 /// all. Throws ProtocolError if the server denies the parameters.
@@ -64,7 +63,7 @@ std::vector<int> classify_session(const ClassificationClient& client,
                                   const SchemeConfig& config,
                                   net::Endpoint& channel,
                                   const std::vector<std::vector<double>>& samples,
-                                  Rng& rng, OtBundle* external = nullptr);
+                                  Rng& rng, OtBundle* ot);
 
 /// Digest of the similarity protocol's public parameters (data space,
 /// kernel, scheme config).
@@ -72,18 +71,20 @@ crypto::Digest similarity_digest(const svm::Kernel& kernel,
                                  const DataSpace& space,
                                  const SchemeConfig& config);
 
-/// Server side of a similarity session: handshake, then one evaluation.
+/// Server side of a similarity session: handshake, then one evaluation
+/// over \p ot (null throws InvalidArgument before the handshake).
 void serve_similarity_session(const SimilarityServer& server,
                               const svm::Kernel& kernel,
                               const DataSpace& space,
                               const SchemeConfig& config,
-                              net::Endpoint& channel, Rng& rng);
+                              net::Endpoint& channel, Rng& rng, OtBundle* ot);
 
 /// Client side: handshake, then one evaluation; returns T.
 double evaluate_similarity_session(const SimilarityClient& client,
                                    const svm::Kernel& kernel,
                                    const DataSpace& space,
                                    const SchemeConfig& config,
-                                   net::Endpoint& channel, Rng& rng);
+                                   net::Endpoint& channel, Rng& rng,
+                                   OtBundle* ot);
 
 }  // namespace ppds::core

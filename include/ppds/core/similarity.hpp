@@ -113,8 +113,9 @@ class SimilarityServer {
   SimilarityServer(const svm::SvmModel& model, DataSpace space,
                    SchemeConfig config);
 
-  /// Serves one evaluation over the channel.
-  void serve(net::Endpoint& channel, Rng& rng) const;
+  /// Serves one evaluation over the channel, drawing its OT from \p ot
+  /// (null throws InvalidArgument before any byte is sent).
+  void serve(net::Endpoint& channel, Rng& rng, OtBundle* ot) const;
 
   const math::Vec& centroid() const { return geometry_.centroid; }
 
@@ -131,9 +132,9 @@ class SimilarityClient {
   SimilarityClient(const svm::SvmModel& model, DataSpace space,
                    SchemeConfig config);
 
-  /// Runs one evaluation; returns the similarity value T (smaller = more
-  /// similar).
-  double evaluate(net::Endpoint& channel, Rng& rng) const;
+  /// Runs one evaluation over \p ot as in SimilarityServer::serve();
+  /// returns the similarity value T (smaller = more similar).
+  double evaluate(net::Endpoint& channel, Rng& rng, OtBundle* ot) const;
 
  private:
   SchemeConfig config_;

@@ -25,14 +25,8 @@
 /// (crypto/silent_ot.hpp) whose 128-column seed agreement is ONE batched
 /// Naor-Pinkas round trip; every later slot is PRG + hash work. All
 /// protocols speak over a net::Endpoint so every run has an exact, countable
-/// wire footprint. Two engines implement the k-out-of-n interface:
-///
-///   SilentPad* — the cryptographic instantiation (silent OT extension).
-///   Loopback*  — a trusted-simulation engine that transfers the selected
-///                messages directly. It provides NO privacy and exists so
-///                large benches can isolate the algebraic OMPE cost from
-///                public-key OT cost (the paper does not specify its OT
-///                implementation; we report both regimes).
+/// wire footprint. OtSender/OtReceiver below is the k-out-of-n interface the
+/// OMPE rounds call; SilentPad{Sender,Receiver} implement it.
 
 namespace ppds::crypto {
 
@@ -48,7 +42,7 @@ class OtSender {
 
   /// Offline phase: ensures at least \p count unconsumed arity-\p arity
   /// transfers are prepared (the receiver mirrors with its own reserve()).
-  /// A no-op for engines with no offline phase (loopback).
+  /// A no-op for engines with no offline phase.
   virtual void reserve(net::Endpoint& /*channel*/, std::size_t /*arity*/,
                        std::size_t /*count*/) {}
 
@@ -74,24 +68,6 @@ class OtReceiver {
 
   /// See OtSender::abort().
   virtual void abort() noexcept {}
-};
-
-/// --- Loopback (trusted simulation) engine ----------------------------------
-
-/// Benchmark-only sender: ships all n messages; the receiver-side object
-/// picks locally. Wire cost equals n * len (an upper bound on any real OT),
-/// privacy is NOT provided. Never use outside performance studies.
-class LoopbackSender : public OtSender {
- public:
-  void send(net::Endpoint& channel, std::span<const Bytes> messages,
-            std::size_t k) override;
-};
-
-class LoopbackReceiver : public OtReceiver {
- public:
-  std::vector<Bytes> receive(net::Endpoint& channel,
-                             std::span<const std::size_t> indices,
-                             std::size_t n, std::size_t message_len) override;
 };
 
 /// --- Random-pad OTs (Beaver) ------------------------------------------------

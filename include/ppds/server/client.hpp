@@ -31,7 +31,8 @@ std::vector<int> client_classify(
     core::OtBundle* ot);
 
 /// One similarity session: returns T between the scenario's client model
-/// and the daemon's server model (smaller = more similar).
+/// and the daemon's server model (smaller = more similar). Like the daemon,
+/// it runs the session over a session-local OtBundle drawn from \p rng.
 double client_similarity(net::Endpoint& channel, const Scenario& scenario,
                          Rng& rng);
 

@@ -23,12 +23,11 @@
 /// identical models, so results are checkable against the plain model).
 ///
 /// Spec grammar:
-///   <dataset>[:linear|:poly][:silent|:secure|:fast]
+///   <dataset>[:linear|:poly][:silent|:secure]
 ///   dataset — any Table I synthetic dataset name (data/synthetic.hpp)
 ///   kernel  — linear (default) or the paper's polynomial kernel
-///   preset  — SchemeConfig preset: silent (default; the private OT engine
-///             at q=4, k=2), secure (the same engine at q=8, k=3), fast
-///             (loopback OT, NO privacy — benches and tests only)
+///   preset  — SchemeConfig preset: silent (default; q=4, k=2) or secure
+///             (q=8, k=3); both run the silent OT engine
 /// Each token may appear once: a second kernel or preset token is an
 /// error, not an override.
 /// Everything downstream (trained models, query samples) is a pure
@@ -40,7 +39,7 @@ namespace ppds::server {
 struct ScenarioSpec {
   std::string dataset = "diabetes";
   bool polynomial = false;
-  enum class Preset { kFast, kSilent, kSecure };
+  enum class Preset { kSilent, kSecure };
   Preset preset = Preset::kSilent;
 
   /// Parses the grammar in the file comment; throws InvalidArgument on

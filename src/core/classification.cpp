@@ -1,7 +1,6 @@
 #include "ppds/core/classification.hpp"
 
 #include <cmath>
-#include <optional>
 
 #include "ppds/common/ct.hpp"
 #include "ppds/common/secret_taint.hpp"
@@ -308,9 +307,8 @@ ClassificationServer::ClassificationServer(
 }
 
 void ClassificationServer::serve(net::Endpoint& channel, std::size_t count,
-                                 Rng& rng, OtBundle* external) const {
-  std::optional<OtBundle> local;
-  OtBundle& ot = external != nullptr ? *external : local.emplace(config_, rng);
+                                 Rng& rng, OtBundle* bundle) const {
+  OtBundle& ot = require_bundle(bundle, "ClassificationServer::serve");
   // Precomputed engine: run the whole batch's offline OT phase up front
   // (the client's matching batch call does the same).
   channel.set_stage(net::Stage::kOtSetup);
@@ -346,21 +344,20 @@ ClassificationClient::ClassificationClient(ClassificationProfile profile,
 
 double ClassificationClient::query_value(net::Endpoint& channel,
                                          const std::vector<double>& sample,
-                                         Rng& rng) const {
-  return query_values_batch(channel, {sample}, rng).front();
+                                         Rng& rng, OtBundle* ot) const {
+  return query_values_batch(channel, {sample}, rng, ot).front();
 }
 
 int ClassificationClient::classify(net::Endpoint& channel,
                                    const std::vector<double>& sample,
-                                   Rng& rng) const {
-  return classify_batch(channel, {sample}, rng).front();
+                                   Rng& rng, OtBundle* ot) const {
+  return classify_batch(channel, {sample}, rng, ot).front();
 }
 
 std::vector<double> ClassificationClient::query_values_batch(
     net::Endpoint& channel, const std::vector<std::vector<double>>& samples,
-    Rng& rng, OtBundle* external) const {
-  std::optional<OtBundle> local;
-  OtBundle& ot = external != nullptr ? *external : local.emplace(config_, rng);
+    Rng& rng, OtBundle* bundle) const {
+  OtBundle& ot = require_bundle(bundle, "ClassificationClient::query");
   channel.set_stage(net::Stage::kOtSetup);
   try {
     ot.prepare_receiver(channel, ot_demand_per_query(config_.ompe),
@@ -384,9 +381,9 @@ std::vector<double> ClassificationClient::query_values_batch(
 
 std::vector<int> ClassificationClient::classify_batch(
     net::Endpoint& channel, const std::vector<std::vector<double>>& samples,
-    Rng& rng, OtBundle* external) const {
+    Rng& rng, OtBundle* ot) const {
   const std::vector<double> values =
-      query_values_batch(channel, samples, rng, external);
+      query_values_batch(channel, samples, rng, ot);
   std::vector<int> labels;
   labels.reserve(values.size());
   for (double v : values) {

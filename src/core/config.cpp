@@ -1,16 +1,22 @@
 #include "ppds/core/config.hpp"
 
+#include <string>
+
+#include "ppds/common/error.hpp"
+
 namespace ppds::core {
 
-OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng) {
-  if (cfg.ot_engine == OtEngine::kLoopback) {
-    sender_ = std::make_unique<crypto::LoopbackSender>();
-    receiver_ = std::make_unique<crypto::LoopbackReceiver>();
-    return;
-  }
-  const crypto::DhGroup& group = crypto::shared_group(cfg.group);
-  sender_ = std::make_unique<crypto::SilentPadSender>(group, rng);
-  receiver_ = std::make_unique<crypto::SilentPadReceiver>(group, rng);
+OtBundle::OtBundle(const SchemeConfig& cfg, Rng& rng)
+    : OtBundle(std::make_unique<crypto::SilentPadSender>(
+                   crypto::shared_group(cfg.group), rng),
+               std::make_unique<crypto::SilentPadReceiver>(
+                   crypto::shared_group(cfg.group), rng)) {}
+
+OtBundle::OtBundle(std::unique_ptr<crypto::OtSender> sender,
+                   std::unique_ptr<crypto::OtReceiver> receiver)
+    : sender_(std::move(sender)), receiver_(std::move(receiver)) {
+  detail::require(sender_ != nullptr && receiver_ != nullptr,
+                  "OtBundle: null engine");
 }
 
 void OtBundle::prepare_sender(net::Endpoint& channel, const OtDemand& demand,
@@ -28,6 +34,13 @@ void OtBundle::prepare_receiver(net::Endpoint& channel, const OtDemand& demand,
 void OtBundle::abort() noexcept {
   sender_->abort();
   receiver_->abort();
+}
+
+OtBundle& require_bundle(OtBundle* ot, const char* caller) {
+  if (ot == nullptr) {
+    throw InvalidArgument(std::string(caller) + ": null OtBundle");
+  }
+  return *ot;
 }
 
 OtDemand ot_demand_per_query(const ompe::OmpeParams& params) {

@@ -114,12 +114,12 @@ crypto::Digest protocol_digest(const ClassificationProfile& profile,
                                const SchemeConfig& config) {
   crypto::Sha256 h = profile.parameter_midstate();
   ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(config.ot_engine));
+  // The two 1 bytes are pinned: they once named the OT engine, which is
+  // now always the silent one, and keep the digests at their recorded
+  // values (GoldenProtocolDigests).
+  w.u8(1);
   w.u8(static_cast<std::uint8_t>(config.group));
-  // 1 exactly for the private engine. Redundant with the engine byte, but
-  // it keeps the fast and silent digests at their pinned values
-  // (GoldenProtocolDigests).
-  w.u8(config.ot_engine == OtEngine::kPrecomputed ? 1 : 0);
+  w.u8(1);
   w.u8(static_cast<std::uint8_t>(config.ompe.backend));
   w.u32(config.ompe.q);
   w.u32(config.ompe.k);
@@ -135,21 +135,23 @@ crypto::Digest protocol_digest(const ClassificationProfile& profile,
 void serve_session(const ClassificationServer& server,
                    const ClassificationProfile& profile,
                    const SchemeConfig& config, net::Endpoint& channel,
-                   Rng& rng, std::size_t max_queries, OtBundle* external) {
+                   Rng& rng, std::size_t max_queries, OtBundle* ot) {
+  require_bundle(ot, "serve_session");
   const std::uint64_t count = handshake_server(
       channel, protocol_digest(profile, config), max_queries);
-  server.serve(channel, count, rng, external);
+  server.serve(channel, count, rng, ot);
 }
 
 std::vector<int> classify_session(
     const ClassificationClient& client, const ClassificationProfile& profile,
     const SchemeConfig& config, net::Endpoint& channel,
     const std::vector<std::vector<double>>& samples, Rng& rng,
-    OtBundle* external) {
+    OtBundle* ot) {
   detail::require(!samples.empty(), "session: no samples");
+  require_bundle(ot, "classify_session");
   handshake_client(channel, protocol_digest(profile, config), rng,
                    samples.size());
-  return client.classify_batch(channel, samples, rng, external);
+  return client.classify_batch(channel, samples, rng, ot);
 }
 
 crypto::Digest similarity_digest(const svm::Kernel& kernel,
@@ -163,9 +165,9 @@ crypto::Digest similarity_digest(const svm::Kernel& kernel,
   w.f64(space.hi);
   w.f64(space.l0);
   w.f64(space.theta0);
-  w.u8(static_cast<std::uint8_t>(config.ot_engine));
+  w.u8(1);  // pinned, as in protocol_digest()
   w.u8(static_cast<std::uint8_t>(config.group));
-  w.u8(config.ot_engine == OtEngine::kPrecomputed ? 1 : 0);  // as above
+  w.u8(1);
   w.u32(config.ompe.q);
   w.u32(config.ompe.k);
   w.f64(ompe::kNodeLo);
@@ -177,18 +179,22 @@ void serve_similarity_session(const SimilarityServer& server,
                               const svm::Kernel& kernel,
                               const DataSpace& space,
                               const SchemeConfig& config,
-                              net::Endpoint& channel, Rng& rng) {
+                              net::Endpoint& channel, Rng& rng,
+                              OtBundle* ot) {
+  require_bundle(ot, "serve_similarity_session");
   handshake_server(channel, similarity_digest(kernel, space, config));
-  server.serve(channel, rng);
+  server.serve(channel, rng, ot);
 }
 
 double evaluate_similarity_session(const SimilarityClient& client,
                                    const svm::Kernel& kernel,
                                    const DataSpace& space,
                                    const SchemeConfig& config,
-                                   net::Endpoint& channel, Rng& rng) {
+                                   net::Endpoint& channel, Rng& rng,
+                                   OtBundle* ot) {
+  require_bundle(ot, "evaluate_similarity_session");
   handshake_client(channel, similarity_digest(kernel, space, config), rng);
-  return client.evaluate(channel, rng);
+  return client.evaluate(channel, rng, ot);
 }
 
 }  // namespace ppds::core

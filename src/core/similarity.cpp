@@ -255,8 +255,9 @@ SimilarityServer::SimilarityServer(const svm::SvmModel& model, DataSpace space,
       kernel_(model.kernel()),
       geometry_(build_geometry(model, space)) {}
 
-void SimilarityServer::serve(net::Endpoint& channel, Rng& rng) const {
-  OtBundle ot(config_, rng);
+void SimilarityServer::serve(net::Endpoint& channel, Rng& rng,
+                             OtBundle* bundle) const {
+  OtBundle& ot = require_bundle(bundle, "SimilarityServer::serve");
   // One evaluation = two stage-1 OMPE rounds + the Eq. (7) stage-2 round.
   channel.set_stage(net::Stage::kOtSetup);
   try {
@@ -314,8 +315,9 @@ SimilarityClient::SimilarityClient(const svm::SvmModel& model, DataSpace space,
     : config_(similarity_config(config)),
       geometry_(build_geometry(model, space)) {}
 
-double SimilarityClient::evaluate(net::Endpoint& channel, Rng& rng) const {
-  OtBundle ot(config_, rng);
+double SimilarityClient::evaluate(net::Endpoint& channel, Rng& rng,
+                                  OtBundle* bundle) const {
+  OtBundle& ot = require_bundle(bundle, "SimilarityClient::evaluate");
   channel.set_stage(net::Stage::kOtSetup);
   try {
     ot.prepare_receiver(channel, evaluation_demand(config_.ompe));

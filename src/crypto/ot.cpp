@@ -15,34 +15,6 @@ void check_equal_lengths(std::span<const Bytes> messages) {
   }
 }
 
-/// --- Loopback engine ----------------------------------------------------------
-
-void LoopbackSender::send(net::Endpoint& channel,
-                          std::span<const Bytes> messages, std::size_t k) {
-  check_equal_lengths(messages);
-  detail::require(k >= 1 && k <= messages.size(), "ot: bad k");
-  ByteWriter w;
-  for (const Bytes& m : messages) w.raw(m);
-  channel.send(w.take());
-}
-
-std::vector<Bytes> LoopbackReceiver::receive(
-    net::Endpoint& channel, std::span<const std::size_t> indices,
-    std::size_t n, std::size_t message_len) {
-  const Bytes bundle = channel.recv();
-  detail::require(bundle.size() == n * message_len,
-                  "loopback ot: bad bundle size");
-  std::vector<Bytes> out;
-  out.reserve(indices.size());
-  for (std::size_t index : indices) {
-    detail::require(index < n, "loopback ot: index out of range");
-    out.emplace_back(
-        bundle.begin() + static_cast<std::ptrdiff_t>(index * message_len),
-        bundle.begin() + static_cast<std::ptrdiff_t>((index + 1) * message_len));
-  }
-  return out;
-}
-
 /// --- Batched random-pad OTs --------------------------------------------------
 ///
 /// One round trip fills N slots (Naor-Pinkas amortization): the sender

@@ -26,7 +26,7 @@ std::vector<int> client_classify(
     const std::vector<std::vector<double>>& samples, Rng& rng,
     core::OtBundle* ot) {
   // A fresh bundle would restart the seed agreement the daemon keeps.
-  if (ot == nullptr) throw InvalidArgument("client_classify: null OtBundle");
+  core::require_bundle(ot, "client_classify");
   select_service(channel, Service::kClassification);
   const core::ClassificationClient client(scenario.profile, scenario.config);
   std::vector<int> labels = core::classify_session(
@@ -40,9 +40,12 @@ double client_similarity(net::Endpoint& channel, const Scenario& scenario,
   select_service(channel, Service::kSimilarity);
   const core::SimilarityClient client(scenario.client_model, scenario.space,
                                       scenario.config);
+  // The daemon pays one seed agreement per similarity session, so this
+  // client builds a session-local bundle to match.
+  core::OtBundle ot(scenario.config, rng);
   const double t = core::evaluate_similarity_session(
       client, scenario.profile.kernel, scenario.space, scenario.config,
-      channel, rng);
+      channel, rng, &ot);
   reset_for_next_session(channel);
   return t;
 }

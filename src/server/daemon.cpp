@@ -298,9 +298,16 @@ void Daemon::poller_loop() {
         }
         // Reap race: bytes that landed AFTER poll(2) returned (or a
         // promotion skipped by the max_ready bound above) mean the client
-        // spoke before the reap swept — serve it, don't kill it.
+        // spoke before the reap swept — serve it, don't kill it. The
+        // max_ready bound still holds: with the queue full it stays parked
+        // with a fresh idle clock and is promoted on a later slice.
         if (has_pending_input((*it)->channel->fd())) {
           (*it)->last_activity = now;
+          if (options_.max_ready != 0 &&
+              ready_.size() >= options_.max_ready) {
+            ++it;
+            continue;
+          }
           ready_.push_back(std::move(*it));
           it = parked_.erase(it);
           woke = true;
@@ -400,12 +407,16 @@ bool Daemon::run_one_session(Connection& conn) {
                             scenario_.config, channel, conn.rng,
                             options_.max_queries, conn.ot.get());
         break;
-      case Service::kSimilarity:
+      case Service::kSimilarity: {
+        // One OtBundle per similarity SESSION: the client's three-argument
+        // client_similarity() has no connection bundle to match a kept one.
+        core::OtBundle ot(scenario_.config, conn.rng);
         core::serve_similarity_session(similarity_server(),
                                        scenario_.profile.kernel,
                                        scenario_.space, scenario_.config,
-                                       channel, conn.rng);
+                                       channel, conn.rng, &ot);
         break;
+      }
       default:
         throw ProtocolError("service select: unknown service byte " +
                             std::to_string(select[0]));

@@ -24,7 +24,7 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   const std::vector<std::string> tokens = split_tokens(text);
   if (tokens.empty() || tokens.front().empty()) {
     throw InvalidArgument("scenario: empty spec (want "
-                          "<dataset>[:linear|:poly][:silent|:secure|:fast])");
+                          "<dataset>[:linear|:poly][:silent|:secure])");
   }
   ScenarioSpec spec;
   spec.dataset = tokens.front();
@@ -46,11 +46,9 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
     if (t == "linear" || t == "poly") {
       once(kernel_seen, "kernel");
       spec.polynomial = t == "poly";
-    } else if (t == "fast" || t == "silent" || t == "secure") {
+    } else if (t == "silent" || t == "secure") {
       once(preset_seen, "preset");
-      spec.preset = t == "fast"     ? Preset::kFast
-                    : t == "silent" ? Preset::kSilent
-                                    : Preset::kSecure;
+      spec.preset = t == "silent" ? Preset::kSilent : Preset::kSecure;
     } else {
       throw InvalidArgument("scenario: unknown token '" + t + "' in '" +
                             text + "'");
@@ -63,7 +61,6 @@ std::string ScenarioSpec::to_string() const {
   std::string out = dataset;
   out += polynomial ? ":poly" : ":linear";
   switch (preset) {
-    case Preset::kFast: out += ":fast"; break;
     case Preset::kSilent: out += ":silent"; break;
     case Preset::kSecure: out += ":secure"; break;
   }
@@ -96,17 +93,9 @@ Scenario Scenario::make(const ScenarioSpec& spec, std::uint64_t seed) {
   s.client_model = svm::train_svm(client_train, kernel, {c});
 
   s.profile = core::ClassificationProfile::make(s.dataset.dim, kernel);
-  switch (spec.preset) {
-    case ScenarioSpec::Preset::kFast:
-      s.config = core::SchemeConfig::fast_simulation();
-      break;
-    case ScenarioSpec::Preset::kSilent:
-      s.config = core::SchemeConfig::silent();
-      break;
-    case ScenarioSpec::Preset::kSecure:
-      s.config = core::SchemeConfig::secure_default();
-      break;
-  }
+  s.config = spec.preset == ScenarioSpec::Preset::kSilent
+                 ? core::SchemeConfig::silent()
+                 : core::SchemeConfig::secure_default();
   s.space = core::DataSpace{};
 
   s.queries.reserve(test.x.size());

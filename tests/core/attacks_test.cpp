@@ -9,6 +9,7 @@
 #include "ppds/math/vec.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/ompe/ompe.hpp"
+#include "../support/loopback_ot.hpp"
 
 namespace ppds::core {
 namespace {
@@ -102,7 +103,7 @@ Bytes capture_ompe_request(const math::Vec& alpha,
       },
       [&](net::Endpoint& ch) {
         Rng rng(seed);
-        crypto::LoopbackReceiver ot;
+        test::LoopbackReceiver ot;
         try {
           return ompe::run_receiver(ch, alpha, params, ot, rng);
         } catch (const ProtocolError&) {
@@ -113,7 +114,7 @@ Bytes capture_ompe_request(const math::Vec& alpha,
 }
 
 // CHARACTERIZATION of a known leak, not a desired property: at the q=4, k=2
-// shape of the silent and fast presets, a curious sender recovers the
+// shape of the silent preset, a curious sender recovers the
 // client's exact input from the request alone by trying all C(10, 5) = 252
 // subsets and keeping the one whose interpolant passes a public plausibility
 // check. The change that picks secure q and k must invert these tests

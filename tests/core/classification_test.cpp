@@ -13,12 +13,13 @@
 #include "ppds/net/party.hpp"
 #include "ppds/server/scenario.hpp"
 #include "ppds/svm/smo.hpp"
+#include "../support/loopback_ot.hpp"
 
 namespace ppds::core {
 namespace {
 
-/// Classifies `count` samples privately and returns the raw randomized
-/// values Bob obtains.
+/// Classifies `count` samples privately over loopback OT bundles and
+/// returns the raw randomized values Bob obtains.
 std::vector<double> private_values(const svm::SvmModel& model,
                                    const ClassificationProfile& profile,
                                    const SchemeConfig& cfg,
@@ -29,14 +30,16 @@ std::vector<double> private_values(const svm::SvmModel& model,
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(seed);
-        server.serve(ch, samples.size(), rng);
+        OtBundle ot = test::loopback_bundle();
+        server.serve(ch, samples.size(), rng, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(seed + 1);
+        OtBundle ot = test::loopback_bundle();
         std::vector<double> values;
         for (const auto& s : samples) {
-          values.push_back(client.query_value(ch, s, rng));
+          values.push_back(client.query_value(ch, s, rng, &ot));
         }
         return values;
       });
@@ -280,7 +283,7 @@ TEST(Classification, GoldenDecisionCoefficients) {
 TEST(PrivateClassification, SignsMatchPlainPredictionsLinear) {
   const auto model = toy_linear_model();
   const auto profile = ClassificationProfile::make(2, model.kernel());
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   Rng rng(10);
   std::vector<math::Vec> samples;
   for (int i = 0; i < 40; ++i) {
@@ -302,7 +305,7 @@ TEST(PrivateClassification, SignsMatchPlainPredictionsNonlinear) {
   }
   const svm::SvmModel model(svm::Kernel::paper_polynomial(3), svs, coeffs, 0.02);
   const auto profile = ClassificationProfile::make(3, model.kernel());
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   std::vector<math::Vec> samples;
   for (int i = 0; i < 25; ++i) {
     samples.push_back({rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)});
@@ -316,7 +319,7 @@ TEST(PrivateClassification, SignsMatchPlainPredictionsNonlinear) {
 TEST(PrivateClassification, FieldBackendExactSigns) {
   const auto model = toy_linear_model();
   const auto profile = ClassificationProfile::make(2, model.kernel());
-  auto cfg = SchemeConfig::fast_simulation();
+  auto cfg = SchemeConfig::silent();
   cfg.ompe.backend = ompe::Backend::kField;
   Rng rng(12);
   std::vector<math::Vec> samples;
@@ -334,7 +337,7 @@ TEST(PrivateClassification, AmplifiedValuesVaryAcrossQueries) {
   // different randomized magnitudes (fresh ra) with the same sign.
   const auto model = toy_linear_model();
   const auto profile = ClassificationProfile::make(2, model.kernel());
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const math::Vec sample{0.5, 0.3};
   const std::vector<math::Vec> twice{sample, sample};
   const auto values = private_values(model, profile, cfg, twice, 55);
@@ -346,7 +349,7 @@ TEST(PrivateClassification, ValueIsRaTimesDecision) {
   // What Bob gets is exactly ra * d(t) for some positive ra.
   const auto model = toy_linear_model();
   const auto profile = ClassificationProfile::make(2, model.kernel());
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const math::Vec sample{0.4, -0.9};
   const auto values =
       private_values(model, profile, cfg, {sample}, 66);
@@ -361,7 +364,6 @@ TEST(PrivateClassification, PrecomputedEngineBatchMatchesPlain) {
   const auto model = toy_linear_model();
   const auto profile = ClassificationProfile::make(2, model.kernel());
   SchemeConfig cfg;
-  cfg.ot_engine = OtEngine::kPrecomputed;
   cfg.group = crypto::GroupId::kModp1024;
   cfg.ompe.q = 2;
   cfg.ompe.k = 2;
@@ -375,12 +377,14 @@ TEST(PrivateClassification, PrecomputedEngineBatchMatchesPlain) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(22);
-        server.serve(ch, samples.size(), rng);
+        OtBundle ot(cfg, rng);
+        server.serve(ch, samples.size(), rng, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(23);
-        return client.classify_batch(ch, samples, rng);
+        OtBundle ot(cfg, rng);
+        return client.classify_batch(ch, samples, rng, &ot);
       });
   for (std::size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(outcome.b[i], model.predict(samples[i])) << i;
@@ -390,19 +394,21 @@ TEST(PrivateClassification, PrecomputedEngineBatchMatchesPlain) {
 TEST(PrivateClassification, BatchApiMatchesSingleQueries) {
   const auto model = toy_linear_model();
   const auto profile = ClassificationProfile::make(2, model.kernel());
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   ClassificationServer server(model, profile, cfg);
   ClassificationClient client(profile, cfg);
   std::vector<std::vector<double>> samples{{0.2, 0.3}, {-0.6, 0.1}};
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(31);
-        server.serve(ch, samples.size(), rng);
+        OtBundle ot = test::loopback_bundle();
+        server.serve(ch, samples.size(), rng, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(32);
-        return client.classify_batch(ch, samples, rng);
+        OtBundle ot = test::loopback_bundle();
+        return client.classify_batch(ch, samples, rng, &ot);
       });
   for (std::size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(outcome.b[i], model.predict(samples[i]));
@@ -424,7 +430,7 @@ TEST(PrivateClassification, RbfTaylorEndToEnd) {
   const svm::SvmModel model(svm::Kernel::rbf(0.8), svs, coeffs, 0.05);
   const auto profile = ClassificationProfile::make(2, model.kernel(), 8);
   const auto poly = expand_decision_function(model, profile);
-  auto cfg = SchemeConfig::fast_simulation();
+  auto cfg = SchemeConfig::silent();
   cfg.ompe.q = 1;  // m = 2 over the 44 monomials of degree <= 8
   ClassificationServer server(model, profile, cfg);
   ClassificationClient client(profile, cfg);
@@ -438,13 +444,17 @@ TEST(PrivateClassification, RbfTaylorEndToEnd) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng r(42);
-        server.serve(ch, samples.size(), r);
+        OtBundle ot = test::loopback_bundle();
+        server.serve(ch, samples.size(), r, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng r(43);
+        OtBundle ot = test::loopback_bundle();
         std::vector<int> preds;
-        for (const auto& t : samples) preds.push_back(client.classify(ch, t, r));
+        for (const auto& t : samples) {
+          preds.push_back(client.classify(ch, t, r, &ot));
+        }
         return preds;
       });
   for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -463,7 +473,7 @@ TEST(PrivateClassification, SigmoidTaylorEndToEnd) {
   const svm::SvmModel model(svm::Kernel::sigmoid(0.4, 0.05), svs, coeffs,
                             -0.02);
   const auto profile = ClassificationProfile::make(2, model.kernel(), 9);
-  auto cfg = SchemeConfig::fast_simulation();
+  auto cfg = SchemeConfig::silent();
   cfg.ompe.q = 1;
   ClassificationServer server(model, profile, cfg);
   ClassificationClient client(profile, cfg);
@@ -476,13 +486,17 @@ TEST(PrivateClassification, SigmoidTaylorEndToEnd) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng r(52);
-        server.serve(ch, samples.size(), r);
+        OtBundle ot = test::loopback_bundle();
+        server.serve(ch, samples.size(), r, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng r(53);
+        OtBundle ot = test::loopback_bundle();
         std::vector<int> preds;
-        for (const auto& t : samples) preds.push_back(client.classify(ch, t, r));
+        for (const auto& t : samples) {
+          preds.push_back(client.classify(ch, t, r, &ot));
+        }
         return preds;
       });
   for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -497,11 +511,52 @@ TEST(PrivateClassification, TrainedModelEndToEnd) {
   const auto model =
       svm::train_svm(train, svm::Kernel::linear(), {spec.c_linear});
   const auto profile = ClassificationProfile::make(spec.dim, model.kernel());
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   std::vector<math::Vec> samples(test.x.begin(), test.x.begin() + 30);
   const auto values = private_values(model, profile, cfg, samples, 88);
   for (std::size_t i = 0; i < samples.size(); ++i) {
     EXPECT_EQ(values[i] >= 0 ? 1 : -1, model.predict(samples[i]));
+  }
+}
+
+TEST(Classification, ServeCountWithSingleQueryCallsOnOneSilentBundle) {
+  // One serve(count) on the server against count single-query calls on the
+  // client, each side on one silent bundle: the single-query calls draw
+  // from the connection's bundle instead of starting a seed agreement of
+  // their own. count * m slots fill one correction block, the most the
+  // server's up-front staging lets single-query calls match.
+  const server::Scenario s =
+      server::Scenario::make("diabetes:linear:silent", 2029);
+  const OtDemand demand = ot_demand_per_query(s.config.ompe);
+  const std::size_t count = crypto::kSilentStageQuantum / demand.count;
+  ASSERT_GE(count, 2u);
+  ASSERT_LE(count, s.queries.size());
+  const ClassificationServer server(s.server_model, s.profile, s.config);
+  const ClassificationClient client(s.profile, s.config);
+  auto outcome = net::run_two_party(
+      [&](net::Endpoint& ch) {
+        Rng rng(61);
+        OtBundle ot(s.config, rng);
+        server.serve(ch, count, rng, &ot);
+        return 0;
+      },
+      [&](net::Endpoint& ch) {
+        Rng rng(62);
+        OtBundle ot(s.config, rng);
+        std::vector<int> labels;
+        for (std::size_t i = 0; i < count; ++i) {
+          // Alternate the two single-query entry points.
+          labels.push_back(
+              i % 2 == 0 ? client.classify(ch, s.queries[i], rng, &ot)
+                         : (client.query_value(ch, s.queries[i], rng, &ot) < 0
+                                ? -1
+                                : 1));
+        }
+        return labels;
+      });
+  ASSERT_EQ(outcome.b.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(outcome.b[i], s.server_model.predict(s.queries[i])) << i;
   }
 }
 

@@ -3,23 +3,17 @@
 #include <gtest/gtest.h>
 
 #include "ppds/net/party.hpp"
+#include "../support/loopback_ot.hpp"
 
 namespace ppds::core {
 namespace {
 
 TEST(SchemeConfig, DefaultsAreSecure) {
   const SchemeConfig cfg = SchemeConfig::secure_default();
-  EXPECT_EQ(cfg.ot_engine, OtEngine::kPrecomputed);
   EXPECT_EQ(cfg.group, crypto::GroupId::kModp1536);
   EXPECT_EQ(cfg.ompe.backend, ompe::Backend::kReal);
   EXPECT_EQ(cfg.ompe.q, 8u);
   EXPECT_EQ(cfg.ompe.k, 3u);
-}
-
-TEST(SchemeConfig, FastSimulationUsesLoopback) {
-  const SchemeConfig cfg = SchemeConfig::fast_simulation();
-  EXPECT_EQ(cfg.ot_engine, OtEngine::kLoopback);
-  EXPECT_LT(cfg.ompe.q, SchemeConfig::secure_default().ompe.q);
 }
 
 TEST(OmpeParams, CostModel) {
@@ -51,10 +45,18 @@ TEST(OtDemand, RejectsArityAboveDirectBound) {
 }
 
 TEST(OtBundle, LoopbackReadyImmediately) {
-  Rng rng(1);
-  OtBundle bundle(SchemeConfig::fast_simulation(), rng);
+  OtBundle bundle = test::loopback_bundle();
   EXPECT_NO_THROW(bundle.sender());
   EXPECT_NO_THROW(bundle.receiver());
+  EXPECT_EQ(bundle.batched_receiver(), nullptr);
+}
+
+TEST(OtBundle, NullEngineRejected) {
+  EXPECT_THROW(OtBundle(nullptr, std::make_unique<test::LoopbackReceiver>()),
+               InvalidArgument);
+  EXPECT_THROW(OtBundle(std::make_unique<test::LoopbackSender>(), nullptr),
+               InvalidArgument);
+  EXPECT_THROW(require_bundle(nullptr, "test"), InvalidArgument);
 }
 
 TEST(OtBundle, PrecomputedReadyImmediately) {
@@ -63,7 +65,6 @@ TEST(OtBundle, PrecomputedReadyImmediately) {
   // prepare_sender()/prepare_receiver().
   Rng rng(2);
   SchemeConfig cfg;
-  cfg.ot_engine = OtEngine::kPrecomputed;
   OtBundle bundle(cfg, rng);
   EXPECT_NO_THROW(bundle.sender());
   EXPECT_NO_THROW(bundle.receiver());
@@ -71,7 +72,6 @@ TEST(OtBundle, PrecomputedReadyImmediately) {
 
 TEST(OtBundle, PrecomputedTransfersWithoutPrepare) {
   SchemeConfig cfg;
-  cfg.ot_engine = OtEngine::kPrecomputed;
   cfg.group = crypto::GroupId::kModp1024;
   std::vector<Bytes> msgs{{7, 7}, {8, 8}};
   auto outcome = net::run_two_party(
@@ -92,8 +92,7 @@ TEST(OtBundle, PrecomputedTransfersWithoutPrepare) {
 }
 
 TEST(OtBundle, PrepareIsNoOpForOtherEngines) {
-  Rng rng(3);
-  OtBundle bundle(SchemeConfig::fast_simulation(), rng);
+  OtBundle bundle = test::loopback_bundle();
   auto [a, b] = net::make_channel();
   const OtDemand demand{/*arity=*/2, /*count=*/100};
   EXPECT_NO_THROW(bundle.prepare_sender(a, demand));
@@ -103,7 +102,6 @@ TEST(OtBundle, PrepareIsNoOpForOtherEngines) {
 
 TEST(OtBundle, PreparedPairTransfers) {
   SchemeConfig cfg;
-  cfg.ot_engine = OtEngine::kPrecomputed;
   cfg.group = crypto::GroupId::kModp1024;
   std::vector<Bytes> msgs{{1, 1}, {2, 2}, {3, 3}, {4, 4}};
   const OtDemand demand{/*arity=*/4, /*count=*/1};

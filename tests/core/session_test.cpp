@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <future>
+#include <string>
 
+#include "ppds/core/multiclass.hpp"
 #include "ppds/crypto/sha256.hpp"
 #include "ppds/net/party.hpp"
+#include "../support/loopback_ot.hpp"
 
 namespace ppds::core {
 namespace {
@@ -16,7 +20,7 @@ svm::SvmModel toy_model() {
 
 TEST(ProtocolDigest, DeterministicAndParameterSensitive) {
   const auto profile = ClassificationProfile::make(2, svm::Kernel::linear());
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   EXPECT_EQ(protocol_digest(profile, cfg), protocol_digest(profile, cfg));
 
   auto other_cfg = cfg;
@@ -49,9 +53,9 @@ crypto::Digest full_stream_digest(const ClassificationProfile& profile,
   profile.kernel.serialize(w);
   w.u64(monomials.size());
   for (const math::Exponents& exps : monomials) w.raw(exps);
-  w.u8(static_cast<std::uint8_t>(config.ot_engine));
+  w.u8(1);  // the pinned engine bytes
   w.u8(static_cast<std::uint8_t>(config.group));
-  w.u8(config.ot_engine == OtEngine::kPrecomputed ? 1 : 0);
+  w.u8(1);
   w.u8(static_cast<std::uint8_t>(config.ompe.backend));
   w.u32(config.ompe.q);
   w.u32(config.ompe.k);
@@ -70,11 +74,10 @@ TEST(ProtocolDigest, MatchesFullParameterStream) {
       ClassificationProfile::make(3, svm::Kernel::sigmoid(0.2, -0.1), 3)};
   // The kernel degree or Taylor order each profile was built with.
   const std::vector<unsigned> basis_degrees{0, 2, 3, 6, 3};
-  auto field = SchemeConfig::fast_simulation();
+  auto field = SchemeConfig::silent();
   field.ompe.backend = ompe::Backend::kField;
-  const std::vector<SchemeConfig> configs{
-      SchemeConfig::fast_simulation(), SchemeConfig::secure_default(),
-      SchemeConfig::silent(), field};
+  const std::vector<SchemeConfig> configs{SchemeConfig::secure_default(),
+                                          SchemeConfig::silent(), field};
   for (std::size_t p = 0; p < profiles.size(); ++p) {
     for (std::size_t c = 0; c < configs.size(); ++c) {
       SCOPED_TRACE(testing::Message() << "profile " << p << ", config " << c);
@@ -97,27 +100,14 @@ TEST(ProtocolDigest, MatchesFullParameterStream) {
 
 TEST(ProtocolDigest, RejectsProfileNotBuiltByMake) {
   const ClassificationProfile unbuilt;
-  EXPECT_THROW(protocol_digest(unbuilt, SchemeConfig::fast_simulation()),
+  EXPECT_THROW(protocol_digest(unbuilt, SchemeConfig::silent()),
                InvalidArgument);
-}
-
-TEST(ProtocolDigest, SilentPrecomputeIsHashed) {
-  // The silent engine and the loopback simulation put different bytes on
-  // the wire at the same OMPE shape, so parties must agree on the engine.
-  const auto profile = ClassificationProfile::make(2, svm::Kernel::linear());
-  const auto cfg = SchemeConfig::fast_simulation();
-  const auto silent = SchemeConfig::silent();
-  EXPECT_NE(protocol_digest(profile, cfg), protocol_digest(profile, silent));
-
-  const auto space = DataSpace{};
-  EXPECT_NE(similarity_digest(svm::Kernel::linear(), space, cfg),
-            similarity_digest(svm::Kernel::linear(), space, silent));
 }
 
 TEST(Session, AgreedParametersClassifyEndToEnd) {
   const auto model = toy_model();
   const auto profile = ClassificationProfile::make(2, model.kernel());
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   ClassificationServer server(model, profile, cfg);
   ClassificationClient client(profile, cfg);
   const std::vector<std::vector<double>> samples{
@@ -125,12 +115,14 @@ TEST(Session, AgreedParametersClassifyEndToEnd) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
-        serve_session(server, profile, cfg, ch, rng);
+        OtBundle ot = test::loopback_bundle();
+        serve_session(server, profile, cfg, ch, rng, 1 << 20, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
-        return classify_session(client, profile, cfg, ch, samples, rng);
+        OtBundle ot = test::loopback_bundle();
+        return classify_session(client, profile, cfg, ch, samples, rng, &ot);
       });
   ASSERT_EQ(outcome.b.size(), samples.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -153,7 +145,6 @@ TEST(Session, ConcurrentSilentSessionsMatchPlain) {
     for (auto& v : sample) v = rng.uniform(-1.0, 1.0);
   }
   SchemeConfig cfg;
-  cfg.ot_engine = OtEngine::kPrecomputed;
   cfg.group = crypto::GroupId::kModp1024;
   cfg.ompe.q = 2;
   cfg.ompe.k = 2;
@@ -168,13 +159,16 @@ TEST(Session, ConcurrentSilentSessionsMatchPlain) {
     return net::run_two_party(
                [&](net::Endpoint& ch) {
                  Rng server_rng(10 + s);
-                 serve_session(server, profile, cfg, ch, server_rng);
+                 OtBundle ot(cfg, server_rng);
+                 serve_session(server, profile, cfg, ch, server_rng, 1 << 20,
+                               &ot);
                  return 0;
                },
                [&](net::Endpoint& ch) {
                  Rng client_rng(20 + s);
+                 OtBundle ot(cfg, client_rng);
                  return classify_session(client, profile, cfg, ch, chunk,
-                                         client_rng);
+                                         client_rng, &ot);
                })
         .b;
   };
@@ -193,7 +187,7 @@ TEST(Session, ConcurrentSilentSessionsMatchPlain) {
 TEST(Session, ParameterMismatchDeniedOnBothSides) {
   const auto model = toy_model();
   const auto profile = ClassificationProfile::make(2, model.kernel());
-  const auto server_cfg = SchemeConfig::fast_simulation();
+  const auto server_cfg = SchemeConfig::silent();
   auto client_cfg = server_cfg;
   client_cfg.ompe.q = server_cfg.ompe.q + 2;  // drifted parameter
 
@@ -204,13 +198,16 @@ TEST(Session, ParameterMismatchDeniedOnBothSides) {
       net::run_two_party(
           [&](net::Endpoint& ch) {
             Rng rng(1);
-            serve_session(server, profile, server_cfg, ch, rng);
+            OtBundle ot = test::loopback_bundle();
+            serve_session(server, profile, server_cfg, ch, rng, 1 << 20, &ot);
             return 0;
           },
           [&](net::Endpoint& ch) {
             Rng rng(2);
+            OtBundle ot = test::loopback_bundle();
             try {
-              classify_session(client, profile, client_cfg, ch, samples, rng);
+              classify_session(client, profile, client_cfg, ch, samples, rng,
+                               &ot);
             } catch (const ProtocolError&) {
               return 1;  // client saw the denial, as designed
             }
@@ -222,13 +219,14 @@ TEST(Session, ParameterMismatchDeniedOnBothSides) {
 TEST(Session, BadMagicRejected) {
   const auto model = toy_model();
   const auto profile = ClassificationProfile::make(2, model.kernel());
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   ClassificationServer server(model, profile, cfg);
   EXPECT_THROW(
       net::run_two_party(
           [&](net::Endpoint& ch) {
             Rng rng(1);
-            serve_session(server, profile, cfg, ch, rng);
+            OtBundle ot = test::loopback_bundle();
+            serve_session(server, profile, cfg, ch, rng, 1 << 20, &ot);
             return 0;
           },
           [&](net::Endpoint& ch) {
@@ -245,7 +243,7 @@ TEST(Session, BadMagicRejected) {
 TEST(Session, ExcessiveQueryCountRejected) {
   const auto model = toy_model();
   const auto profile = ClassificationProfile::make(2, model.kernel());
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   ClassificationServer server(model, profile, cfg);
   ClassificationClient client(profile, cfg);
   const std::vector<std::vector<double>> samples{{0.5, 0.1}, {0.2, 0.2}};
@@ -253,13 +251,16 @@ TEST(Session, ExcessiveQueryCountRejected) {
       net::run_two_party(
           [&](net::Endpoint& ch) {
             Rng rng(1);
-            serve_session(server, profile, cfg, ch, rng, /*max_queries=*/1);
+            OtBundle ot = test::loopback_bundle();
+            serve_session(server, profile, cfg, ch, rng, /*max_queries=*/1,
+                          &ot);
             return 0;
           },
           [&](net::Endpoint& ch) {
             Rng rng(2);
+            OtBundle ot = test::loopback_bundle();
             try {
-              classify_session(client, profile, cfg, ch, samples, rng);
+              classify_session(client, profile, cfg, ch, samples, rng, &ot);
             } catch (const ProtocolError&) {
             }
             return 0;
@@ -269,7 +270,7 @@ TEST(Session, ExcessiveQueryCountRejected) {
 
 TEST(SimilaritySession, AgreedParametersEvaluate) {
   const DataSpace space;
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const svm::SvmModel a(svm::Kernel::linear(), {{1.0, 0.2}}, {1.0}, 0.1);
   const svm::SvmModel b(svm::Kernel::linear(), {{0.8, 0.5}}, {1.0}, -0.2);
   SimilarityServer server(a, space, cfg);
@@ -277,14 +278,16 @@ TEST(SimilaritySession, AgreedParametersEvaluate) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
+        OtBundle ot = test::loopback_bundle();
         serve_similarity_session(server, svm::Kernel::linear(), space, cfg,
-                                 ch, rng);
+                                 ch, rng, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
+        OtBundle ot = test::loopback_bundle();
         return evaluate_similarity_session(client, svm::Kernel::linear(),
-                                           space, cfg, ch, rng);
+                                           space, cfg, ch, rng, &ot);
       });
   EXPECT_NEAR(outcome.b, ordinary_similarity(a, b, space),
               1e-6 + 1e-3 * outcome.b);
@@ -294,7 +297,7 @@ TEST(SimilaritySession, DataSpaceMismatchDenied) {
   const DataSpace space_a;
   DataSpace space_b;
   space_b.l0 = 1e-2;  // drifted public constant
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const svm::SvmModel a(svm::Kernel::linear(), {{1.0, 0.2}}, {1.0}, 0.1);
   const svm::SvmModel b(svm::Kernel::linear(), {{0.8, 0.5}}, {1.0}, -0.2);
   SimilarityServer server(a, space_a, cfg);
@@ -303,15 +306,17 @@ TEST(SimilaritySession, DataSpaceMismatchDenied) {
       net::run_two_party(
           [&](net::Endpoint& ch) {
             Rng rng(1);
+            OtBundle ot = test::loopback_bundle();
             serve_similarity_session(server, svm::Kernel::linear(), space_a,
-                                     cfg, ch, rng);
+                                     cfg, ch, rng, &ot);
             return 0;
           },
           [&](net::Endpoint& ch) {
             Rng rng(2);
+            OtBundle ot = test::loopback_bundle();
             try {
               evaluate_similarity_session(client, svm::Kernel::linear(),
-                                          space_b, cfg, ch, rng);
+                                          space_b, cfg, ch, rng, &ot);
             } catch (const ProtocolError&) {
             }
             return 0.0;
@@ -321,11 +326,102 @@ TEST(SimilaritySession, DataSpaceMismatchDenied) {
 
 TEST(SimilaritySession, DigestSeparatedFromClassification) {
   // Same config must hash differently for the two protocols (domain tag).
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const auto profile = ClassificationProfile::make(2, svm::Kernel::linear());
   const DataSpace space;
   EXPECT_NE(protocol_digest(profile, cfg),
             similarity_digest(svm::Kernel::linear(), space, cfg));
+}
+
+TEST(OtBundle, EveryTwoPartyCallRejectsANullBundleBeforeSending) {
+  // Each entry point either runs on the connection's bundle or throws
+  // InvalidArgument before it touches the channel: no frame leaves, and no
+  // recv blocks (the short deadline would turn one into a TimeoutError).
+  const auto model = toy_model();
+  const auto profile = ClassificationProfile::make(2, model.kernel());
+  const auto cfg = SchemeConfig::silent();
+  const DataSpace space;
+  const ClassificationServer server(model, profile, cfg);
+  const ClassificationClient client(profile, cfg);
+  const SimilarityServer sim_server(model, space, cfg);
+  const SimilarityClient sim_client(model, space, cfg);
+  svm::MulticlassDataset three;
+  three.push({0.9, 0.1}, 1);
+  three.push({0.8, 0.3}, 1);
+  three.push({-0.9, 0.1}, 2);
+  three.push({-0.7, -0.2}, 2);
+  three.push({0.1, 0.9}, 3);
+  three.push({0.2, 0.8}, 3);
+  const auto mc_model =
+      svm::MulticlassModel::train(three, svm::Kernel::linear());
+  const MulticlassServer mc_server(mc_model, profile, cfg);
+  const MulticlassClient mc_client(mc_model, profile, cfg);
+  const std::vector<double> sample{0.5, 0.1};
+  const std::vector<std::vector<double>> samples{sample};
+
+  using Call = std::function<void(net::Endpoint&, Rng&)>;
+  const std::vector<std::pair<std::string, Call>> calls{
+      {"ClassificationServer::serve",
+       [&](net::Endpoint& ch, Rng& rng) { server.serve(ch, 1, rng, nullptr); }},
+      {"ClassificationClient::query_value",
+       [&](net::Endpoint& ch, Rng& rng) {
+         client.query_value(ch, sample, rng, nullptr);
+       }},
+      {"ClassificationClient::classify",
+       [&](net::Endpoint& ch, Rng& rng) {
+         client.classify(ch, sample, rng, nullptr);
+       }},
+      {"ClassificationClient::query_values_batch",
+       [&](net::Endpoint& ch, Rng& rng) {
+         client.query_values_batch(ch, samples, rng, nullptr);
+       }},
+      {"ClassificationClient::classify_batch",
+       [&](net::Endpoint& ch, Rng& rng) {
+         client.classify_batch(ch, samples, rng, nullptr);
+       }},
+      {"serve_session",
+       [&](net::Endpoint& ch, Rng& rng) {
+         serve_session(server, profile, cfg, ch, rng, 1, nullptr);
+       }},
+      {"classify_session",
+       [&](net::Endpoint& ch, Rng& rng) {
+         classify_session(client, profile, cfg, ch, samples, rng, nullptr);
+       }},
+      {"SimilarityServer::serve",
+       [&](net::Endpoint& ch, Rng& rng) { sim_server.serve(ch, rng, nullptr); }},
+      {"SimilarityClient::evaluate",
+       [&](net::Endpoint& ch, Rng& rng) {
+         sim_client.evaluate(ch, rng, nullptr);
+       }},
+      {"serve_similarity_session",
+       [&](net::Endpoint& ch, Rng& rng) {
+         serve_similarity_session(sim_server, model.kernel(), space, cfg, ch,
+                                  rng, nullptr);
+       }},
+      {"evaluate_similarity_session",
+       [&](net::Endpoint& ch, Rng& rng) {
+         evaluate_similarity_session(sim_client, model.kernel(), space, cfg,
+                                     ch, rng, nullptr);
+       }},
+      {"MulticlassServer::serve",
+       [&](net::Endpoint& ch, Rng& rng) {
+         mc_server.serve(ch, 1, rng, nullptr);
+       }},
+      {"MulticlassClient::classify",
+       [&](net::Endpoint& ch, Rng& rng) {
+         mc_client.classify(ch, sample, rng, nullptr);
+       }},
+  };
+  for (const auto& [name, call] : calls) {
+    SCOPED_TRACE(name);
+    auto [ours, theirs] = net::make_channel();
+    ours.set_recv_deadline(
+        net::Deadline::after(std::chrono::milliseconds(200)));
+    Rng rng(1);
+    EXPECT_THROW(call(ours, rng), InvalidArgument);
+    EXPECT_EQ(ours.stats().messages, 0u);
+    EXPECT_EQ(theirs.stats().messages, 0u);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "ppds/net/party.hpp"
+#include "../support/loopback_ot.hpp"
 
 namespace ppds::core {
 namespace {
@@ -13,20 +14,24 @@ svm::SvmModel linear_model(const math::Vec& w, double b) {
   return svm::SvmModel(svm::Kernel::linear(), {w}, {1.0}, b);
 }
 
+/// One private evaluation over loopback OT bundles, or over silent ones
+/// when \p silent_ot is set.
 double private_similarity(const svm::SvmModel& alice, const svm::SvmModel& bob,
                           const DataSpace& space, const SchemeConfig& cfg,
-                          std::uint64_t seed = 1) {
+                          std::uint64_t seed = 1, bool silent_ot = false) {
   SimilarityServer server(alice, space, cfg);
   SimilarityClient client(bob, space, cfg);
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(seed);
-        server.serve(ch, rng);
+        OtBundle ot = silent_ot ? OtBundle(cfg, rng) : test::loopback_bundle();
+        server.serve(ch, rng, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(seed + 1);
-        return client.evaluate(ch, rng);
+        OtBundle ot = silent_ot ? OtBundle(cfg, rng) : test::loopback_bundle();
+        return client.evaluate(ch, rng, &ot);
       });
   return outcome.b;
 }
@@ -135,7 +140,7 @@ TEST(OrdinarySimilarity, OrdersByCloseness) {
 
 TEST(PrivateSimilarity, MatchesOrdinaryLinear) {
   const DataSpace space;
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const auto a = linear_model({1.0, 0.2}, 0.1);
   const auto b = linear_model({0.8, 0.5}, -0.2);
   const double priv = private_similarity(a, b, space, cfg);
@@ -150,7 +155,7 @@ class SimilarityDims : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(SimilarityDims, PrivateMatchesOrdinary) {
   const std::size_t dim = GetParam();
   const DataSpace space;
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   Rng rng(40 + dim);
   auto random_model = [&]() {
     math::Vec w(dim);
@@ -170,7 +175,7 @@ INSTANTIATE_TEST_SUITE_P(Dims, SimilarityDims,
 TEST(PrivateSimilarity, FreshRandomnessDoesNotChangeResult) {
   // ram/raw/rb cancel exactly through Eq. (7)'s constants.
   const DataSpace space;
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const auto a = linear_model({0.9, -0.3}, 0.15);
   const auto b = linear_model({0.5, 0.5}, 0.0);
   const double r1 = private_similarity(a, b, space, cfg, 100);
@@ -183,7 +188,7 @@ TEST(PrivateSimilarity, FreshRandomnessDoesNotChangeResult) {
 
 TEST(PrivateSimilarity, KernelizedPolynomialPath) {
   const DataSpace space;
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const auto kernel = svm::Kernel::paper_polynomial(2);
   Rng rng(9);
   auto kernel_model = [&]() {
@@ -206,13 +211,12 @@ TEST(PrivateSimilarity, PrecomputedOtEngine) {
   // The whole three-round evaluation over the offline/online OT split.
   const DataSpace space;
   SchemeConfig cfg;
-  cfg.ot_engine = OtEngine::kPrecomputed;
   cfg.group = crypto::GroupId::kModp1024;
   cfg.ompe.q = 2;
   cfg.ompe.k = 2;
   const auto a = linear_model({1.0, 0.2}, 0.1);
   const auto b = linear_model({0.8, 0.5}, -0.2);
-  const double priv = private_similarity(a, b, space, cfg, 900);
+  const double priv = private_similarity(a, b, space, cfg, 900, true);
   const double plain = ordinary_similarity(a, b, space);
   EXPECT_NEAR(priv, plain, 1e-5 + 1e-3 * plain);
 }
@@ -230,7 +234,7 @@ TEST(OrdinarySimilarity, PreparedMatchesUnprepared) {
 TEST(PrivateSimilarity, ServerLearnsOnlyModuli) {
   // Wire inspection: Bob's first message is exactly two doubles.
   const DataSpace space;
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const auto a = linear_model({1.0, 0.0}, 0.0);
   const auto b = linear_model({0.0, 1.0}, 0.0);
   SimilarityServer server(a, space, cfg);
@@ -247,8 +251,9 @@ TEST(PrivateSimilarity, ServerLearnsOnlyModuli) {
       },
       [&](net::Endpoint& ch) {
         Rng rng(7);
+        OtBundle ot = test::loopback_bundle();
         try {
-          return client.evaluate(ch, rng);
+          return client.evaluate(ch, rng, &ot);
         } catch (const ProtocolError&) {
           return 0.0;
         }
@@ -258,7 +263,7 @@ TEST(PrivateSimilarity, ServerLearnsOnlyModuli) {
 
 TEST(PrivateSimilarity, RejectsUnsupportedKernel) {
   const DataSpace space;
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const svm::SvmModel rbf_model(svm::Kernel::rbf(1.0), {{0.1, 0.1}}, {1.0},
                                 0.3);
   EXPECT_THROW(SimilarityServer(rbf_model, space, cfg), InvalidArgument);
@@ -266,7 +271,7 @@ TEST(PrivateSimilarity, RejectsUnsupportedKernel) {
 
 TEST(PrivateSimilarity, DegeneratePlaneRejected) {
   const DataSpace space;
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   // Plane entirely outside the data space.
   const auto outside = linear_model({1.0, 0.0}, 7.0);
   EXPECT_THROW(SimilarityServer(outside, space, cfg), InvalidArgument);

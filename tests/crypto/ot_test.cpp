@@ -7,6 +7,7 @@
 
 #include "ppds/crypto/silent_ot.hpp"
 #include "ppds/net/party.hpp"
+#include "../support/loopback_ot.hpp"
 
 namespace ppds::crypto {
 namespace {
@@ -139,12 +140,12 @@ TEST(LoopbackOt, SameInterfaceSameResult) {
   const std::vector<std::size_t> want{2, 7, 11};
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
-        LoopbackSender s;
+        test::LoopbackSender s;
         s.send(ch, msgs, k);
         return 0;
       },
       [&](net::Endpoint& ch) {
-        LoopbackReceiver r;
+        test::LoopbackReceiver r;
         return r.receive(ch, want, n, 24);
       });
   for (std::size_t i = 0; i < k; ++i) EXPECT_EQ(outcome.b[i], msgs[want[i]]);
@@ -155,12 +156,12 @@ TEST(LoopbackOt, WireCostIsNTimesLen) {
   const std::vector<std::size_t> want{1};
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
-        LoopbackSender s;
+        test::LoopbackSender s;
         s.send(ch, msgs, 1);
         return 0;
       },
       [&](net::Endpoint& ch) {
-        LoopbackReceiver r;
+        test::LoopbackReceiver r;
         return r.receive(ch, want, 10, 32);
       });
   EXPECT_EQ(outcome.a_sent.bytes, 320u);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -32,6 +33,7 @@ namespace ppds::core {
 namespace {
 
 using test::ChaosOptions;
+using test::Ot;
 using test::Wire;
 
 std::size_t chaos_seed_count() {
@@ -99,16 +101,18 @@ struct ClassFixture {
   }
 };
 
-/// Runs the classification sweep for one fixture; returns how many seeds
-/// succeeded (the rest exhausted their retries with a typed ProtocolError).
+/// Runs the classification sweep for one fixture over loopback OT; returns
+/// how many seeds succeeded (the rest exhausted their retries with a typed
+/// ProtocolError).
 std::size_t sweep_classification(const ClassFixture& fx,
                                  const SchemeConfig& cfg,
                                  std::size_t chunk_size, std::size_t seeds,
                                  Wire wire = Wire::kInProcess) {
   const ClassificationServer server(fx.model, fx.profile, cfg);
   const ClassificationClient client(fx.profile, cfg);
-  const std::vector<int> baseline = test::classify_chunks(
-      server, client, fx.profile, cfg, fx.samples, /*seed=*/404, chunk_size);
+  const std::vector<int> baseline =
+      test::classify_chunks(server, client, fx.profile, cfg, Ot::kLoopback,
+                            fx.samples, /*seed=*/404, chunk_size);
 
   std::size_t succeeded = 0;
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
@@ -116,8 +120,8 @@ std::size_t sweep_classification(const ClassFixture& fx,
                  " (rerun with this seed to reproduce)");
     try {
       const std::vector<int> labels = test::classify_chunks(
-          server, client, fx.profile, cfg, fx.samples, /*seed=*/404,
-          chunk_size, chaos_transport(seed, wire));
+          server, client, fx.profile, cfg, Ot::kLoopback, fx.samples,
+          /*seed=*/404, chunk_size, chaos_transport(seed, wire));
       // A succeeding retry re-randomizes the whole session; sign(d(t~))
       // is randomness-invariant, so the labels must match exactly.
       EXPECT_EQ(labels, baseline);
@@ -134,7 +138,7 @@ TEST(Chaos, LinearClassificationSurvivesFaultSweep) {
       ClassFixture::make(4, 3, svm::Kernel::linear(), 2024);
   const std::size_t seeds = chaos_seed_count();
   const std::size_t ok =
-      sweep_classification(fx, SchemeConfig::fast_simulation(), 2, seeds);
+      sweep_classification(fx, SchemeConfig::silent(), 2, seeds);
   // The retry policy must pull most seeds through to a clean run.
   EXPECT_GE(ok * 2, seeds) << ok << "/" << seeds << " seeds succeeded";
 }
@@ -144,7 +148,7 @@ TEST(Chaos, PolynomialClassificationSurvivesFaultSweep) {
       ClassFixture::make(3, 2, svm::Kernel::paper_polynomial(2), 2025);
   const std::size_t seeds = chaos_seed_count();
   const std::size_t ok =
-      sweep_classification(fx, SchemeConfig::fast_simulation(), 2, seeds);
+      sweep_classification(fx, SchemeConfig::silent(), 2, seeds);
   EXPECT_GE(ok * 2, seeds) << ok << "/" << seeds << " seeds succeeded";
 }
 
@@ -160,12 +164,11 @@ TEST(Chaos, SimilaritySurvivesFaultSweep) {
   const auto a = random_model();
   const auto b = random_model();
   const DataSpace space;
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const SimilarityServer server(a, space, cfg);
   const SimilarityClient client(b, space, cfg);
-  const double baseline = test::evaluate_similarity(server, client,
-                                                    a.kernel(), space, cfg,
-                                                    /*seed=*/505);
+  const double baseline = test::evaluate_similarity(
+      server, client, a.kernel(), space, cfg, Ot::kLoopback, /*seed=*/505);
   const double plain = ordinary_similarity(a, b, space);
   EXPECT_NEAR(baseline, plain, 1e-5 + 1e-3 * std::abs(plain));
 
@@ -176,8 +179,8 @@ TEST(Chaos, SimilaritySurvivesFaultSweep) {
                  " (rerun with this seed to reproduce)");
     try {
       const double value = test::evaluate_similarity(
-          server, client, a.kernel(), space, cfg, /*seed=*/505,
-          chaos_transport(seed));
+          server, client, a.kernel(), space, cfg, Ot::kLoopback,
+          /*seed=*/505, chaos_transport(seed));
       // Retried evaluations use fresh randomness, so T matches the
       // fault-free value only up to the scheme's approximation noise.
       EXPECT_NEAR(value, plain, 1e-5 + 1e-3 * std::abs(plain));
@@ -202,7 +205,7 @@ TEST(Chaos, LinearClassificationSurvivesFaultSweepOverSockets) {
       ClassFixture::make(4, 3, svm::Kernel::linear(), 2024);
   const std::size_t seeds = chaos_seed_count();
   const std::size_t ok =
-      sweep_classification(fx, SchemeConfig::fast_simulation(), 2, seeds,
+      sweep_classification(fx, SchemeConfig::silent(), 2, seeds,
                            Wire::kSocketPair);
   EXPECT_GE(ok * 2, seeds) << ok << "/" << seeds << " seeds succeeded";
 }
@@ -219,7 +222,7 @@ TEST(Chaos, SimilaritySurvivesFaultSweepOverSockets) {
   const auto a = random_model();
   const auto b = random_model();
   const DataSpace space;
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const SimilarityServer server(a, space, cfg);
   const SimilarityClient client(b, space, cfg);
   const double plain = ordinary_similarity(a, b, space);
@@ -231,8 +234,8 @@ TEST(Chaos, SimilaritySurvivesFaultSweepOverSockets) {
                  " (rerun with this seed to reproduce)");
     try {
       const double value = test::evaluate_similarity(
-          server, client, a.kernel(), space, cfg, /*seed=*/505,
-          chaos_transport(seed, Wire::kSocketPair));
+          server, client, a.kernel(), space, cfg, Ot::kLoopback,
+          /*seed=*/505, chaos_transport(seed, Wire::kSocketPair));
       EXPECT_NEAR(value, plain, 1e-5 + 1e-3 * std::abs(plain));
       ++succeeded;
     } catch (const ProtocolError&) {
@@ -249,7 +252,7 @@ TEST(Chaos, SocketSweepMatchesInProcessOutcomes) {
   // reordered frame racing a deadline — so only successful runs compare).
   const ClassFixture fx =
       ClassFixture::make(4, 2, svm::Kernel::linear(), 2028);
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const ClassificationServer server(fx.model, fx.profile, cfg);
   const ClassificationClient client(fx.profile, cfg);
 
@@ -257,7 +260,7 @@ TEST(Chaos, SocketSweepMatchesInProcessOutcomes) {
                  Wire wire) -> std::optional<std::vector<int>> {
     try {
       return test::classify_chunks(server, client, fx.profile, cfg,
-                                   fx.samples, 13, 2,
+                                   Ot::kLoopback, fx.samples, 13, 2,
                                    chaos_transport(seed, wire));
     } catch (const ProtocolError&) {
       return std::nullopt;
@@ -282,15 +285,16 @@ TEST(Chaos, SeedsReproduceExactly) {
   // typed failure.
   const ClassFixture fx =
       ClassFixture::make(4, 2, svm::Kernel::linear(), 2026);
-  const auto cfg = SchemeConfig::fast_simulation();
+  const auto cfg = SchemeConfig::silent();
   const ClassificationServer server(fx.model, fx.profile, cfg);
   const ClassificationClient client(fx.profile, cfg);
 
   auto run = [&](std::uint64_t seed) -> std::string {
     try {
       const auto labels =
-          test::classify_chunks(server, client, fx.profile, cfg, fx.samples,
-                                7, 2, chaos_transport(seed));
+          test::classify_chunks(server, client, fx.profile, cfg,
+                                Ot::kLoopback, fx.samples, 7, 2,
+                                chaos_transport(seed));
       std::string out = "ok:";
       for (int l : labels) out += std::to_string(l) + ",";
       return out;
@@ -343,6 +347,47 @@ TEST(Chaos, PrecomputedEngineAbortsWipeOtPools) {
   EXPECT_THROW(sender.send(end_a, msgs, 1), ProtocolError);
 }
 
+/// Attempt deadline of the two silent-engine sweeps. Every attempt opens
+/// with a full seed agreement on fresh engines, so the deadline must cover
+/// one, or attempts end in TimeoutError instead of on a fault. A cold
+/// one-query session (seed agreement included) took 0.54-0.66 s under tsan
+/// on an idle 4-core x86-64 host, at either group, and 0.4-0.5 s in
+/// release; ctest runs four tests at once, so the deadline allows about
+/// seven such sessions. A frame the fault schedule drops costs one whole
+/// deadline.
+constexpr std::chrono::milliseconds kSilentAttemptDeadline{5000};
+
+/// Runs a silent-engine classification sweep over fault seeds 1..4 (one
+/// query per session) and returns each seed's outcome, "ok" or
+/// "protocol-error", space-separated. Successful seeds must match the
+/// fault-free baseline.
+std::string silent_sweep(const ClassFixture& fx, const SchemeConfig& cfg,
+                         std::uint64_t session_seed) {
+  const ClassificationServer server(fx.model, fx.profile, cfg);
+  const ClassificationClient client(fx.profile, cfg);
+  const std::vector<int> baseline = test::classify_chunks(
+      server, client, fx.profile, cfg, Ot::kSilent, fx.samples, session_seed,
+      1);
+  std::string outcomes;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("fault seed " + std::to_string(seed));
+    ChaosOptions chaos = chaos_transport(seed);
+    chaos.recv_timeout = kSilentAttemptDeadline;
+    try {
+      EXPECT_EQ(test::classify_chunks(server, client, fx.profile, cfg,
+                                      Ot::kSilent, fx.samples, session_seed, 1,
+                                      chaos),
+                baseline);
+      outcomes += "ok ";
+    } catch (const ProtocolError&) {
+      outcomes += "protocol-error ";
+    }
+  }
+  outcomes.pop_back();
+  std::printf("silent sweep outcomes (seeds 1-4): %s\n", outcomes.c_str());
+  return outcomes;
+}
+
 TEST(Chaos, SilentEngineSurvivesShortFaultSweep) {
   // The silent PPRF offline phase through the full session layer under
   // faults: aborted sessions must retry on FRESH engines (a half-consumed
@@ -351,20 +396,10 @@ TEST(Chaos, SilentEngineSurvivesShortFaultSweep) {
   SchemeConfig cfg = SchemeConfig::silent();
   cfg.ompe.q = 2;
   cfg.ompe.k = 2;
-  const ClassificationServer server(fx.model, fx.profile, cfg);
-  const ClassificationClient client(fx.profile, cfg);
-  const std::vector<int> baseline = test::classify_chunks(
-      server, client, fx.profile, cfg, fx.samples, 17, 1);
-
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    SCOPED_TRACE("fault seed " + std::to_string(seed));
-    try {
-      EXPECT_EQ(test::classify_chunks(server, client, fx.profile, cfg,
-                                      fx.samples, 17, 1, chaos_transport(seed)),
-                baseline);
-    } catch (const ProtocolError&) {
-    }
-  }
+  const std::string outcomes = silent_sweep(fx, cfg, 17);
+  // With the deadline covering the seed agreement, the retries pull
+  // seeds through.
+  EXPECT_NE(outcomes.find("ok"), std::string::npos) << outcomes;
 }
 
 TEST(Chaos, SilentAbortsWipeOverFaultyChannels) {
@@ -447,24 +482,11 @@ TEST(Chaos, SecureEngineSurvivesShortFaultSweep) {
   // retry under faults. Kept small — each attempt costs exponentiations.
   ClassFixture fx = ClassFixture::make(2, 1, svm::Kernel::linear(), 2027);
   SchemeConfig cfg;
-  cfg.ot_engine = OtEngine::kPrecomputed;
   cfg.group = crypto::GroupId::kModp1024;
   cfg.ompe.q = 2;
   cfg.ompe.k = 2;
-  const ClassificationServer server(fx.model, fx.profile, cfg);
-  const ClassificationClient client(fx.profile, cfg);
-  const std::vector<int> baseline = test::classify_chunks(
-      server, client, fx.profile, cfg, fx.samples, 9, 1);
-
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    SCOPED_TRACE("fault seed " + std::to_string(seed));
-    try {
-      EXPECT_EQ(test::classify_chunks(server, client, fx.profile, cfg,
-                                      fx.samples, 9, 1, chaos_transport(seed)),
-                baseline);
-    } catch (const ProtocolError&) {
-    }
-  }
+  const std::string outcomes = silent_sweep(fx, cfg, 9);
+  EXPECT_NE(outcomes.find("ok"), std::string::npos) << outcomes;
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "ppds/data/synthetic.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/svm/smo.hpp"
+#include "../support/loopback_ot.hpp"
 
 /// Integration tests spanning the full pipeline: synthetic data -> SMO
 /// training -> private protocols over the simulated network -> outputs
@@ -31,21 +32,23 @@ TEST(EndToEnd, Fig7PipelinePrivateEqualsPlainLinear) {
       svm::train_svm(train, svm::Kernel::linear(), {spec.c_linear});
   const auto profile =
       core::ClassificationProfile::make(spec.dim, model.kernel());
-  const auto cfg = core::SchemeConfig::fast_simulation();
+  const auto cfg = core::SchemeConfig::silent();
   core::ClassificationServer server(model, profile, cfg);
   core::ClassificationClient client(profile, cfg);
   const std::size_t count = 40;
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
-        server.serve(ch, count, rng);
+        core::OtBundle ot = test::loopback_bundle();
+        server.serve(ch, count, rng, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
+        core::OtBundle ot = test::loopback_bundle();
         std::vector<int> preds;
         for (std::size_t i = 0; i < count; ++i) {
-          preds.push_back(client.classify(ch, test.x[i], rng));
+          preds.push_back(client.classify(ch, test.x[i], rng, &ot));
         }
         return preds;
       });
@@ -61,7 +64,7 @@ TEST(EndToEnd, Fig8PipelinePrivateEqualsPlainNonlinear) {
       train, svm::Kernel::paper_polynomial(spec.dim), {spec.c_poly});
   const auto profile =
       core::ClassificationProfile::make(spec.dim, model.kernel());
-  auto cfg = core::SchemeConfig::fast_simulation();
+  auto cfg = core::SchemeConfig::silent();
   cfg.ompe.q = 2;  // keep m = pq+1 = 7 small: 120 monomial variates
   core::ClassificationServer server(model, profile, cfg);
   core::ClassificationClient client(profile, cfg);
@@ -69,14 +72,16 @@ TEST(EndToEnd, Fig8PipelinePrivateEqualsPlainNonlinear) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(3);
-        server.serve(ch, count, rng);
+        core::OtBundle ot = test::loopback_bundle();
+        server.serve(ch, count, rng, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(4);
+        core::OtBundle ot = test::loopback_bundle();
         std::vector<int> preds;
         for (std::size_t i = 0; i < count; ++i) {
-          preds.push_back(client.classify(ch, test.x[i], rng));
+          preds.push_back(client.classify(ch, test.x[i], rng, &ot));
         }
         return preds;
       });
@@ -94,7 +99,7 @@ TEST(EndToEnd, Table2PipelineSimilarityOrderingMatchesKs) {
   const auto pool = data::generate_pool(spec, 768, 42);
   const auto subsets = svm::split_subsets(pool, 4, rng);
   const core::DataSpace space;
-  const auto cfg = core::SchemeConfig::fast_simulation();
+  const auto cfg = core::SchemeConfig::silent();
 
   // Train a linear model per subset.
   std::vector<svm::SvmModel> models;
@@ -109,12 +114,14 @@ TEST(EndToEnd, Table2PipelineSimilarityOrderingMatchesKs) {
       auto outcome = net::run_two_party(
           [&](net::Endpoint& ch) {
             Rng r(10 + i * 4 + j);
-            server.serve(ch, r);
+            core::OtBundle ot = test::loopback_bundle();
+            server.serve(ch, r, &ot);
             return 0;
           },
           [&](net::Endpoint& ch) {
             Rng r(20 + i * 4 + j);
-            return client.evaluate(ch, r);
+            core::OtBundle ot = test::loopback_bundle();
+            return client.evaluate(ch, r, &ot);
           });
       t_values.push_back(outcome.b);
       ks_values.push_back(data::ks_compare(subsets[i], subsets[j]).average_d);
@@ -138,12 +145,14 @@ TEST(EndToEnd, Table2PipelineSimilarityOrderingMatchesKs) {
       auto outcome = net::run_two_party(
           [&](net::Endpoint& ch) {
             Rng r(30 + i * 4 + j);
-            server.serve(ch, r);
+            core::OtBundle ot = test::loopback_bundle();
+            server.serve(ch, r, &ot);
             return 0;
           },
           [&](net::Endpoint& ch) {
             Rng r(40 + i * 4 + j);
-            return client.evaluate(ch, r);
+            core::OtBundle ot = test::loopback_bundle();
+            return client.evaluate(ch, r, &ot);
           });
       EXPECT_NEAR(outcome.b, plain, 1e-5 + 1e-3 * plain);
     }
@@ -160,21 +169,23 @@ TEST(EndToEnd, Level2PrivacyAttackFailsAgainstProtocol) {
       svm::train_svm(train, svm::Kernel::linear(), {spec.c_linear});
   const auto profile =
       core::ClassificationProfile::make(spec.dim, model.kernel());
-  const auto cfg = core::SchemeConfig::fast_simulation();
+  const auto cfg = core::SchemeConfig::silent();
   core::ClassificationServer server(model, profile, cfg);
   core::ClassificationClient client(profile, cfg);
   const std::size_t count = 50;
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(6);
-        server.serve(ch, count, rng);
+        core::OtBundle ot = test::loopback_bundle();
+        server.serve(ch, count, rng, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(7);
+        core::OtBundle ot = test::loopback_bundle();
         std::vector<double> values;
         for (std::size_t i = 0; i < count; ++i) {
-          values.push_back(client.query_value(ch, test.x[i], rng));
+          values.push_back(client.query_value(ch, test.x[i], rng, &ot));
         }
         return values;
       });
@@ -196,18 +207,20 @@ TEST(EndToEnd, CommunicationCostAccounted) {
   const auto model =
       svm::SvmModel(svm::Kernel::linear(), {{0.6, -0.8}}, {1.0}, 0.0);
   const auto profile = core::ClassificationProfile::make(2, model.kernel());
-  const auto cfg = core::SchemeConfig::fast_simulation();
+  const auto cfg = core::SchemeConfig::silent();
   core::ClassificationServer server(model, profile, cfg);
   core::ClassificationClient client(profile, cfg);
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(8);
-        server.serve(ch, 1, rng);
+        core::OtBundle ot = test::loopback_bundle();
+        server.serve(ch, 1, rng, &ot);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(9);
-        return client.classify(ch, {0.3, 0.4}, rng);
+        core::OtBundle ot = test::loopback_bundle();
+        return client.classify(ch, {0.3, 0.4}, rng, &ot);
       });
   EXPECT_GT(outcome.a_sent.bytes, 0u);
   EXPECT_GT(outcome.b_sent.bytes, outcome.a_sent.bytes);  // covers dominate

@@ -5,6 +5,7 @@
 #include "ppds/math/multipoly.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/ompe/ompe.hpp"
+#include "../support/loopback_ot.hpp"
 
 /// Randomized property tests of the OMPE protocol: random polynomials served
 /// over their monomial feature map, random inputs, random parameters — the
@@ -60,14 +61,14 @@ TEST_P(OmpeFuzz, RandomConfigurationsEvaluateCorrectly) {
       return net::run_two_party(
                  [&](net::Endpoint& ch) {
                    Rng r(run_seed);
-                   crypto::LoopbackSender ot;
+                   test::LoopbackSender ot;
                    run_sender(ch, form.coeffs, form.constant, run_params, ot,
                               r);
                    return 0;
                  },
                  [&](net::Endpoint& ch) {
                    Rng r(run_seed + 1);
-                   crypto::LoopbackReceiver ot;
+                   test::LoopbackReceiver ot;
                    return run_receiver(ch, math::monomial_transform(basis, input),
                                        run_params, ot, r);
                  })
@@ -125,7 +126,7 @@ TEST_P(OmpeWireFuzz, CorruptedRequestNeverCrashesSender) {
         },
         [&](net::Endpoint& ch) {
           Rng r(1);
-          crypto::LoopbackReceiver ot;
+          test::LoopbackReceiver ot;
           try {
             return run_receiver(ch, std::vector<double>{0.1, 0.2}, params,
                                 ot, r);
@@ -156,7 +157,7 @@ TEST_P(OmpeWireFuzz, CorruptedRequestNeverCrashesSender) {
     return net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng r(2);
-          crypto::LoopbackSender ot;
+          test::LoopbackSender ot;
           run_sender(ch, w, 0.25, params, ot, r);
           return 0;
         },

@@ -8,6 +8,7 @@
 #include "ppds/crypto/sha256.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/ompe/ompe.hpp"
+#include "../support/loopback_ot.hpp"
 
 /// \file ompe_parallel_test.cpp
 /// Golden OMPE wire bytes. The point sweeps split into worker tasks by the
@@ -49,7 +50,7 @@ Bytes capture_request(Backend backend, std::uint64_t seed) {
       },
       [&](net::Endpoint& ch) {
         Rng rng(seed);
-        crypto::LoopbackReceiver ot;
+        test::LoopbackReceiver ot;
         try {
           return run_receiver(ch, alpha, params, ot, rng);
         } catch (const ProtocolError&) {
@@ -98,7 +99,7 @@ Bytes capture_sender_reply(Backend backend, std::uint64_t seed) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(seed);
-        crypto::LoopbackSender ot;
+        test::LoopbackSender ot;
         run_sender(ch, weights, 0.125, params, ot, rng);
         return 0;
       },
@@ -148,13 +149,13 @@ TEST(OmpeParallel, StageCountersCountProtocolElementsExactly) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(99);
-        crypto::LoopbackSender ot;
+        test::LoopbackSender ot;
         run_sender(ch, std::vector<double>{1.0, -2.0}, 0.5, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(100);
-        crypto::LoopbackReceiver ot;
+        test::LoopbackReceiver ot;
         return run_receiver(ch, alpha, params, ot, rng);
       });
   EXPECT_NEAR(outcome.b, 0.3 - 2.0 * 0.4 + 0.5, 1e-8);

@@ -7,6 +7,7 @@
 #include "ppds/crypto/silent_ot.hpp"
 #include "ppds/math/multipoly.hpp"
 #include "ppds/net/party.hpp"
+#include "../support/loopback_ot.hpp"
 
 namespace ppds::ompe {
 namespace {
@@ -23,13 +24,13 @@ double run_ompe(const math::MultiPoly& secret, const std::vector<double>& alpha,
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(seed);
-        crypto::LoopbackSender ot;
+        test::LoopbackSender ot;
         run_sender(ch, form.coeffs, form.constant, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(seed + 1);
-        crypto::LoopbackReceiver ot;
+        test::LoopbackReceiver ot;
         return run_receiver(ch, features, params, ot, rng);
       });
   return outcome.b;
@@ -135,8 +136,8 @@ TEST(OmpeValidate, BothRolesRefuseBeforeTouchingTheChannel) {
   params.k = 1;
   auto [a, b] = net::make_channel();
   Rng rng(3);
-  crypto::LoopbackSender sender;
-  crypto::LoopbackReceiver receiver;
+  test::LoopbackSender sender;
+  test::LoopbackReceiver receiver;
   const std::vector<double> v{0.5};
   EXPECT_THROW(run_sender(a, v, 0.0, params, sender, rng), InvalidArgument);
   EXPECT_THROW(run_receiver(b, v, params, receiver, rng), InvalidArgument);
@@ -155,13 +156,13 @@ TEST(Ompe, WireFormatMatchesCostModel) {
   auto outcome = net::run_two_party(
       [&](net::Endpoint& ch) {
         Rng rng(1);
-        crypto::LoopbackSender ot;
+        test::LoopbackSender ot;
         run_sender(ch, w, 0.0, params, ot, rng);
         return 0;
       },
       [&](net::Endpoint& ch) {
         Rng rng(2);
-        crypto::LoopbackReceiver ot;
+        test::LoopbackReceiver ot;
         return run_receiver(ch, alpha, params, ot, rng);
       });
   const std::size_t big_m = (4 + 1) * 3;
@@ -179,13 +180,13 @@ TEST(Ompe, SenderRejectsMismatchedRequest) {
       net::run_two_party(
           [&](net::Endpoint& ch) {
             Rng rng(1);
-            crypto::LoopbackSender ot;
+            test::LoopbackSender ot;
             run_sender(ch, w, 0.0, params, ot, rng);
             return 0;
           },
           [&](net::Endpoint& ch) {
             Rng rng(2);
-            crypto::LoopbackReceiver ot;
+            test::LoopbackReceiver ot;
             const std::vector<double> alpha{0.1, 0.2, 0.3};
             return run_receiver(ch, alpha, params, ot, rng);
           }),
@@ -202,7 +203,7 @@ TEST(Ompe, SenderRejectsRepeatedNodes) {
     net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng rng(1);
-          crypto::LoopbackSender ot;
+          test::LoopbackSender ot;
           run_sender(ch, w, 0.0, params, ot, rng);
           return 0;
         },
@@ -268,7 +269,7 @@ TEST(Ompe, RequestsAreRerandomizedPerRun) {
         },
         [&](net::Endpoint& ch) {
           Rng rng(500 + run);
-          crypto::LoopbackReceiver ot;
+          test::LoopbackReceiver ot;
           try {
             return run_receiver(ch, alpha, params, ot, rng);
           } catch (const ProtocolError&) {

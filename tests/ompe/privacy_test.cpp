@@ -3,6 +3,7 @@
 #include "ppds/data/kstest.hpp"
 #include "ppds/net/party.hpp"
 #include "ppds/ompe/ompe.hpp"
+#include "../support/loopback_ot.hpp"
 
 /// Statistical Level-1 privacy checks of the OMPE request: what Alice sees
 /// must not depend (distinguishably) on Bob's secret input. We capture the
@@ -26,7 +27,7 @@ std::vector<double> capture_request_values(const std::vector<double>& alpha,
       },
       [&](net::Endpoint& ch) {
         Rng rng(seed);
-        crypto::LoopbackReceiver ot;
+        test::LoopbackReceiver ot;
         try {
           return run_receiver(ch, alpha, params, ot, rng);
         } catch (const ProtocolError&) {
@@ -94,7 +95,7 @@ TEST(OmpePrivacy, KeptPositionsLookUniform) {
 
 /// OtReceiver wrapper that logs every retrieved value.
 struct RecordingReceiver : crypto::OtReceiver {
-  crypto::LoopbackReceiver inner;
+  test::LoopbackReceiver inner;
   std::vector<Bytes> log;
 
   std::vector<Bytes> receive(net::Endpoint& ch,
@@ -123,7 +124,7 @@ TEST(OmpePrivacy, MaskedValuesChangeWhenSecretPolynomialFixed) {
     auto outcome = net::run_two_party(
         [&](net::Endpoint& ch) {
           Rng rng(7000 + run);  // fresh sender mask each run
-          crypto::LoopbackSender ot;
+          test::LoopbackSender ot;
           run_sender(ch, w, 0.4, params, ot, rng);
           return 0;
         },

@@ -34,11 +34,6 @@ using namespace std::chrono_literals;
 
 /// Scenario construction trains two SVMs (~a second); share one per preset
 /// across the suite.
-const Scenario& fast_scenario() {
-  static const Scenario s = Scenario::make("diabetes:linear:fast", 2029);
-  return s;
-}
-
 const Scenario& private_scenario() {
   static const Scenario s = Scenario::make("diabetes:linear:silent", 2029);
   return s;
@@ -78,9 +73,10 @@ TEST(ScenarioSpec, SilentTokenRoundTripsAndReservoirIsUnknown) {
   EXPECT_EQ(spec.preset, ScenarioSpec::Preset::kSilent);
   EXPECT_EQ(spec.to_string(), "diabetes:poly:silent");
 
-  // Silent is the private engine.
+  // Silent is the q=4, k=2 shape.
   const Scenario s = Scenario::make(spec, 1);
-  EXPECT_EQ(s.config.ot_engine, core::OtEngine::kPrecomputed);
+  EXPECT_EQ(s.config.ompe.q, 4u);
+  EXPECT_EQ(s.config.ompe.k, 2u);
 
   // `reservoir` is not a spec token.
   EXPECT_THROW(ScenarioSpec::parse("diabetes:linear:silent:reservoir"),
@@ -93,21 +89,26 @@ TEST(ScenarioSpec, SilentTokenRoundTripsAndReservoirIsUnknown) {
   EXPECT_THROW(ScenarioSpec::parse("diabetes:precomputed"), InvalidArgument);
   // A second kernel or preset token is an error, never an override.
   EXPECT_THROW(ScenarioSpec::parse("diabetes:linear:poly"), InvalidArgument);
-  EXPECT_THROW(ScenarioSpec::parse("diabetes:fast:secure"), InvalidArgument);
+  EXPECT_THROW(ScenarioSpec::parse("diabetes:secure:secure"),
+               InvalidArgument);
   EXPECT_THROW(ScenarioSpec::parse("diabetes:silent:silent"),
                InvalidArgument);
 }
 
 TEST(ScenarioSpec, NoPresetTokenIsPrivate) {
-  // A spec without a preset token runs the private OT engine, never the
-  // loopback simulation.
+  // A spec without a preset token is the silent preset.
   const ScenarioSpec spec = ScenarioSpec::parse("diabetes:linear");
   EXPECT_EQ(spec.preset, ScenarioSpec::Preset::kSilent);
   EXPECT_EQ(spec.to_string(), "diabetes:linear:silent");
-  EXPECT_EQ(Scenario::make(spec, 1).config.ot_engine,
-            core::OtEngine::kPrecomputed);
-  EXPECT_EQ(Scenario::make("diabetes", 1).config.ot_engine,
-            core::OtEngine::kPrecomputed);
+  EXPECT_EQ(ScenarioSpec::parse("diabetes").preset,
+            ScenarioSpec::Preset::kSilent);
+}
+
+TEST(ScenarioSpec, FastPresetIsRejected) {
+  // The loopback preset is gone: no spec can ask a daemon for OT without
+  // privacy.
+  EXPECT_THROW(ScenarioSpec::parse("diabetes:linear:fast"), InvalidArgument);
+  EXPECT_THROW(ScenarioSpec::parse("diabetes:fast"), InvalidArgument);
 }
 
 TEST(ScenarioSpec, GoldenProtocolDigests) {
@@ -115,25 +116,19 @@ TEST(ScenarioSpec, GoldenProtocolDigests) {
   // values. Local tuning changes must leave these untouched; a change that
   // moves one is a protocol change both parties have to take together.
   // (The secure rows moved when secure became the silent engine at q=8,
-  // k=3; the fast and silent rows kept their bytes.)
+  // k=3; the silent rows kept their bytes.)
   struct Golden {
     const char* spec;
     const char* protocol;
     const char* similarity;
   };
   const Golden golden[] = {
-      {"diabetes:linear:fast",
-       "462d56f7f79c681d221841f1a2963a386a360189397ba4ee8e92c020c2c93836",
-       "a9b760475f3c8f126d542059a35143b4d45bd3d57445c4d71146ff8d8335896a"},
       {"diabetes:linear:silent",
        "7723f4a6e30c6ac137ea296e162ce2fec33df8b84b36ee0d8f71e8701136000c",
        "5f4e0c5160cddb89668a28234412263382fe93084b21f74b73fee7444b9f7044"},
       {"diabetes:linear:secure",
        "c087c75c26ea8edf71d6a47a7baa836494669f26bc391f05c74d52ff22b3847d",
        "3fd366b311b15e6cac3039ca02aaea2c092040fed53784358596ce0425db4a87"},
-      {"diabetes:poly:fast",
-       "6f04115b8190bbe1e0f1bfcea895d1009ccff29b120ea5fc2e37bf5c1296332d",
-       "1d142d075be63a79b4a77c07e7ed78064361ed073e52ea13fb41b992fb540fbe"},
       {"diabetes:poly:silent",
        "10f6c601bd88275b9ee5013d1535037d762489caca0b65eea7902e2eb55612d5",
        "a9abdfa96fe7289db4be8ef780b2286b3d8549b990d56cc0d2c18436dfac40b4"},
@@ -167,12 +162,15 @@ TEST(ScenarioSpec, GoldenSilentClassificationTranscript) {
     const core::ClassificationServer classification(s.server_model, s.profile,
                                                     s.config);
     Rng rng(0xfeed);
-    core::serve_session(classification, s.profile, s.config, server_end, rng);
+    core::OtBundle ot(s.config, rng);
+    core::serve_session(classification, s.profile, s.config, server_end, rng,
+                        1 << 20, &ot);
   });
   const core::ClassificationClient client(s.profile, s.config);
   Rng rng(7);
+  core::OtBundle ot(s.config, rng);
   const std::vector<int> labels = core::classify_session(
-      client, s.profile, s.config, client_end, samples, rng);
+      client, s.profile, s.config, client_end, samples, rng, &ot);
   server.get();
 
   ASSERT_EQ(labels.size(), samples.size());
@@ -183,6 +181,37 @@ TEST(ScenarioSpec, GoldenSilentClassificationTranscript) {
             "b632ee2ad5beb2bc4e5f0934014ca5f158578f6cb938c0dc163b39322343c49c");
   EXPECT_EQ(client_end.received_hex(),
             "d46d6fc6eac1e3dccef18cdcada6c28fc515f6b07b10dc8ea26f0f384a72bb01");
+}
+
+TEST(ScenarioSpec, GoldenSilentSimilarityTranscript) {
+  // The silent engine's similarity wire bytes, pinned: a seeded in-process
+  // similarity session at diabetes:linear:silent, hashed both ways at the
+  // client like GoldenSilentClassificationTranscript. The session pays its
+  // own seed agreement, as the daemon's similarity service does.
+  const Scenario& s = private_scenario();
+  auto [server_end, client_raw] = net::make_channel();
+  HashingEndpoint client_end(std::move(client_raw));
+  auto server = std::async(std::launch::async, [&, &server_end = server_end] {
+    const core::SimilarityServer similarity(s.server_model, s.space, s.config);
+    Rng rng(0xfeed);
+    core::OtBundle ot(s.config, rng);
+    core::serve_similarity_session(similarity, s.profile.kernel, s.space,
+                                   s.config, server_end, rng, &ot);
+  });
+  const core::SimilarityClient client(s.client_model, s.space, s.config);
+  Rng rng(7);
+  core::OtBundle ot(s.config, rng);
+  const double t = core::evaluate_similarity_session(
+      client, s.profile.kernel, s.space, s.config, client_end, rng, &ot);
+  server.get();
+
+  const double plain =
+      core::ordinary_similarity(s.client_model, s.server_model, s.space);
+  EXPECT_NEAR(t, plain, 1e-6 + 1e-4 * plain);
+  EXPECT_EQ(client_end.sent_hex(),
+            "7beed401309b6eb599617c9b8c86e3eca55f7b8b3d327a620aca436b1a8ac76e");
+  EXPECT_EQ(client_end.received_hex(),
+            "f2afe96408654236cd8bee4c0d6af475f86749663c194342d9c18b1681793cda");
 }
 
 TEST(ScenarioSpec, GoldenSilentRestageTranscript) {
@@ -232,7 +261,7 @@ TEST(ScenarioSpec, GoldenSilentRestageTranscript) {
 }
 
 TEST(Daemon, ServesClassificationAndSimilarityOverTcpLoopback) {
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = private_scenario();
   Daemon daemon(scenario, loopback_options());
   daemon.start();
 
@@ -268,7 +297,7 @@ TEST(Daemon, SocketTranscriptsBitIdenticalToInProcessPath) {
   // in-process session layer. Server randomness is pinned by construction
   // (connection 0 draws Rng(splitmix64(rng_seed, 0))); the client uses the
   // same seed on both transports; transcript digests fold every payload.
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = private_scenario();
   constexpr std::uint64_t kServerSeed = 0xfeed;
   constexpr std::uint64_t kClientSeed = 7;
   const std::vector<std::vector<double>> samples(scenario.queries.begin(),
@@ -313,6 +342,9 @@ TEST(Daemon, SocketTranscriptsBitIdenticalToInProcessPath) {
     core::SimilarityServer similarity(scenario.server_model, scenario.space,
                                       scenario.config);
     Rng rng(splitmix64(kServerSeed, 0));
+    // One bundle per connection for classification, one per session for
+    // similarity, as the daemon keeps them.
+    core::OtBundle ot(scenario.config, rng);
     for (;;) {
       const Bytes select = server_end.recv();
       ASSERT_EQ(select.size(), 1u);
@@ -320,11 +352,12 @@ TEST(Daemon, SocketTranscriptsBitIdenticalToInProcessPath) {
       if (service == Service::kGoodbye) return;
       if (service == Service::kClassification) {
         core::serve_session(classification, scenario.profile, scenario.config,
-                            server_end, rng);
+                            server_end, rng, DaemonOptions{}.max_queries, &ot);
       } else {
+        core::OtBundle session_ot(scenario.config, rng);
         core::serve_similarity_session(similarity, scenario.profile.kernel,
                                        scenario.space, scenario.config,
-                                       server_end, rng);
+                                       server_end, rng, &session_ot);
       }
       server_end.set_stage(net::Stage::kNone);
       server_end.set_session_id(0);
@@ -346,7 +379,7 @@ TEST(Daemon, Multiplexes64ConcurrentConnectionsOverEightWorkers) {
   // with a park/re-promote gap in between, so workers MUST hand
   // connections back between sessions — 64 blocked threads would deadlock
   // a thread-per-connection design with this worker budget.
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = private_scenario();
   DaemonOptions options = loopback_options();
   options.workers = 8;
   Daemon daemon(scenario, options);
@@ -454,7 +487,6 @@ TEST(Daemon, SilentKeepAliveReusesTheSeedAgreement) {
   // session (persistent per-connection OtBundle on both ends), and the
   // second session, after a parked gap, reuses it.
   const Scenario& scenario = private_scenario();
-  ASSERT_EQ(scenario.config.ot_engine, core::OtEngine::kPrecomputed);
   Daemon daemon(scenario, loopback_options());
   daemon.start();
 
@@ -580,7 +612,7 @@ TEST(Daemon, ServesClassificationAboveTheSimilarityDimensionBound) {
   // ionosphere has 34 features; the similarity service's boundary
   // enumeration refuses more than 20. The daemon must still serve
   // classification, and fail only the similarity session, closed.
-  const Scenario scenario = Scenario::make("ionosphere:linear:fast", 2029);
+  const Scenario scenario = Scenario::make("ionosphere:linear:silent", 2029);
   ASSERT_GT(scenario.dataset.dim, 20u);
   Daemon daemon(scenario, loopback_options());
   daemon.start();
@@ -634,7 +666,7 @@ TEST(Daemon, ServesClassificationAboveTheSimilarityDimensionBound) {
 }
 
 TEST(Daemon, ReapsIdleConnections) {
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = private_scenario();
   DaemonOptions options = loopback_options();
   options.idle_timeout = 100ms;
   options.poll_slice = 25ms;
@@ -653,7 +685,7 @@ TEST(Daemon, ReapsIdleConnections) {
 }
 
 TEST(Daemon, ServesOverUnixSocketAndStopIsIdempotent) {
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = private_scenario();
   DaemonOptions options = loopback_options();
   options.address = net::SocketAddress::unix_path(
       "/tmp/ppdsd_test_" + std::to_string(::getpid()) + ".sock");

@@ -35,11 +35,6 @@ namespace {
 
 using namespace std::chrono_literals;
 
-const Scenario& fast_scenario() {
-  static const Scenario s = Scenario::make("diabetes:linear:fast", 2029);
-  return s;
-}
-
 const Scenario& silent_scenario() {
   static const Scenario s = Scenario::make("diabetes:linear:silent", 2029);
   return s;
@@ -221,7 +216,7 @@ TEST(Overload, HasPendingInputSeesBytesAndEof) {
 }
 
 TEST(Overload, AcceptFloodPastCapShedsWithStructuredBusy) {
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = silent_scenario();
   DaemonOptions options = loopback_options();
   options.max_connections = 2;
   options.busy_retry_after = 40ms;
@@ -273,7 +268,7 @@ TEST(Overload, AcceptFloodPastCapShedsWithStructuredBusy) {
 }
 
 TEST(Overload, AcceptRateTokenBucketSheds) {
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = silent_scenario();
   DaemonOptions options = loopback_options();
   options.accept_rate_per_sec = 0.5;  // one token every two seconds
   options.accept_burst = 1.0;
@@ -304,7 +299,7 @@ TEST(Overload, AcceptRateTokenBucketSheds) {
 }
 
 TEST(Overload, HealthProbeReportsLiveCounters) {
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = silent_scenario();
   Daemon daemon(scenario, loopback_options());
   daemon.start();
 
@@ -346,7 +341,7 @@ TEST(Overload, BoundedReadyQueueServesReadableIdleCrossers) {
   // parked even though they are readable. A parked-but-readable connection
   // crossing idle_timeout is EXACTLY the reap race — the readability
   // re-check must route it to a worker, not the reaper.
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = silent_scenario();
   DaemonOptions options = loopback_options();
   options.workers = 1;
   options.max_ready = 1;
@@ -402,7 +397,7 @@ TEST(Overload, StalledClientFreesTheWorkerViaRecvTimeout) {
   // style stall) must not wedge the daemon: the per-recv deadline frees
   // the worker, the stall is counted as a failed session, and the next
   // client is served.
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = silent_scenario();
   DaemonOptions options = loopback_options();
   options.workers = 1;
   options.recv_timeout = 150ms;
@@ -441,7 +436,7 @@ TEST(Overload, DrainShedsWithBusyAndBooksBalance) {
   // new accepts are answered busy(draining) with retry_after 0 ("fail
   // over, I am going away"), goodbyes are still honored, and the books
   // balance exactly when the daemon exits.
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = silent_scenario();
   DaemonOptions options = loopback_options();
   options.drain_grace = 5000ms;
   options.poll_slice = 10ms;
@@ -493,7 +488,7 @@ TEST(ChaosDaemon, FailoverCompletesWhenAReplicaDiesMidBatch) {
   // The acceptance bar for the failover layer: a sharded batch against two
   // replicas finishes — with IDENTICAL labels — when one replica is killed
   // (SIGTERM drain) partway through, and the abort audit stays clean.
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = silent_scenario();
   constexpr std::uint64_t kSeed = 77;
   constexpr std::size_t kSamples = 40;
   std::vector<std::vector<double>> samples;
@@ -550,7 +545,7 @@ TEST(ChaosDaemon, FailoverSkipsDeadReplicaInTheSet) {
   // One address in the set never answers (its listener is gone): connects
   // are refused, the worker counts the failures, gives the replica up, and
   // the live replica finishes the whole batch.
-  const Scenario& scenario = fast_scenario();
+  const Scenario& scenario = silent_scenario();
   net::SocketAddress dead;
   {
     net::SocketListener ghost(net::SocketAddress::tcp("127.0.0.1", 0));
@@ -592,7 +587,6 @@ TEST(ChaosDaemon, ChurnStormOverSilentConnectionsKeepsTheWipeAudit) {
   // and all). The daemon must survive the storm with every abort wiped,
   // serve a clean session afterwards, and balance its books.
   const Scenario& scenario = silent_scenario();
-  ASSERT_EQ(scenario.config.ot_engine, core::OtEngine::kPrecomputed);
   DaemonOptions options = loopback_options();
   options.workers = 2;
   options.poll_slice = 10ms;

@@ -18,6 +18,7 @@
 #include "ppds/server/daemon_set.hpp"
 
 #include "faulty.hpp"
+#include "loopback_ot.hpp"
 
 /// \file chaos_runner.hpp
 /// Sequential session runner for the chaos tests: each session stream gets
@@ -26,11 +27,22 @@
 /// whole-session retry of ProtocolError with server::RetryPolicy's
 /// deterministic backoff. Every seed is derived from (seed, fault_seed,
 /// stream, attempt) alone, so a chaos seed perturbs the same frames on
-/// every run and on either wire.
+/// every run and on either wire. Each attempt builds a fresh OtBundle per
+/// side (half-consumed OT state is never resumed), running loopback or
+/// silent engines as the caller picks.
 
 namespace ppds::test {
 
 enum class Wire { kInProcess, kSocketPair };
+
+/// Which engines an attempt's bundles run.
+enum class Ot { kLoopback, kSilent };
+
+inline core::OtBundle make_bundle(Ot engine, const core::SchemeConfig& config,
+                                  Rng& rng) {
+  return engine == Ot::kSilent ? core::OtBundle(config, rng)
+                               : loopback_bundle();
+}
 
 struct ChaosOptions {
   Wire wire = Wire::kInProcess;
@@ -111,7 +123,7 @@ inline std::vector<int> classify_chunks(
     const core::ClassificationServer& server,
     const core::ClassificationClient& client,
     const core::ClassificationProfile& profile,
-    const core::SchemeConfig& config,
+    const core::SchemeConfig& config, Ot engine,
     const std::vector<std::vector<double>>& samples, std::uint64_t seed,
     std::size_t chunk_size, const ChaosOptions& chaos = {}) {
   std::vector<int> labels;
@@ -124,11 +136,14 @@ inline std::vector<int> classify_chunks(
     const std::vector<int> part = run_session(
         chaos, seed, c,
         [&](net::Endpoint& channel, Rng& rng) {
-          core::serve_session(server, profile, config, channel, rng);
+          core::OtBundle ot = make_bundle(engine, config, rng);
+          core::serve_session(server, profile, config, channel, rng,
+                              chunk.size(), &ot);
         },
         [&](net::Endpoint& channel, Rng& rng) {
+          core::OtBundle ot = make_bundle(engine, config, rng);
           return core::classify_session(client, profile, config, channel,
-                                        chunk, rng);
+                                        chunk, rng, &ot);
         });
     labels.insert(labels.end(), part.begin(), part.end());
   }
@@ -141,17 +156,19 @@ inline double evaluate_similarity(const core::SimilarityServer& server,
                                   const svm::Kernel& kernel,
                                   const core::DataSpace& space,
                                   const core::SchemeConfig& config,
-                                  std::uint64_t seed,
+                                  Ot engine, std::uint64_t seed,
                                   const ChaosOptions& chaos = {}) {
   return run_session(
       chaos, seed, 0,
       [&](net::Endpoint& channel, Rng& rng) {
+        core::OtBundle ot = make_bundle(engine, config, rng);
         core::serve_similarity_session(server, kernel, space, config, channel,
-                                       rng);
+                                       rng, &ot);
       },
       [&](net::Endpoint& channel, Rng& rng) {
+        core::OtBundle ot = make_bundle(engine, config, rng);
         return core::evaluate_similarity_session(client, kernel, space, config,
-                                                 channel, rng);
+                                                 channel, rng, &ot);
       });
 }
 
